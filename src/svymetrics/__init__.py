@@ -29,7 +29,7 @@ from .estimation import (
 )
 from .evaluation import EvaluationSummary, ThresholdMetrics, evaluation_summary
 from .rng import derive_stream, stream_seed
-from .roc import RocCurve, RocPoint, auroc, roc_sweep, score_adapted_grid, uniform_grid
+from .roc import RocCurve, auroc, roc_sweep, score_adapted_grid, uniform_grid
 from .sampling import (
     StratifiedDesign,
     inclusion_probability_of_evaluation,
@@ -64,7 +64,6 @@ __all__ = [
     "NumericalError",
     "Record",
     "RocCurve",
-    "RocPoint",
     "SampleMember",
     "SchemaError",
     "SeparationError",

@@ -44,8 +44,10 @@ from .roc import roc_sweep
 from .sampling import split_train_test
 from .simulation import (
     SPEC_VERSION,
+    ClassifierFailure,
     experiment_from_json_dict,
     experiment_to_json_dict,
+    metric_values,
     render_summary_json,
     run_experiment,
 )
@@ -150,26 +152,13 @@ def _cmd_simulate(args) -> int:
         rows = []
         for rep in result.reports:
             for outcome in rep.outcomes:
-                payload = outcome.to_json_dict()
-                if "error" in payload:
-                    rows.append([rep.index, outcome.name, "failure", payload["error"], "", ""])
+                if isinstance(outcome, ClassifierFailure):
+                    rows.append([rep.index, outcome.name, "failure", outcome.error, "", ""])
                     continue
                 for weighting in ("population", "weighted", "unweighted"):
-                    block = payload[weighting]
-                    for tm in block["thresholds"]:
-                        rows.append(
-                            [rep.index, outcome.name, weighting,
-                             f"sensitivity@{tm['threshold']:g}", repr(tm["sensitivity"]),
-                             "" if tm["sensitivity_se"] is None else repr(tm["sensitivity_se"])]
-                        )
-                        rows.append(
-                            [rep.index, outcome.name, weighting,
-                             f"specificity@{tm['threshold']:g}", repr(tm["specificity"]),
-                             "" if tm["specificity_se"] is None else repr(tm["specificity_se"])]
-                        )
-                    rows.append(
-                        [rep.index, outcome.name, weighting, "auroc", repr(block["auroc"]), ""]
-                    )
+                    for key, (value, se) in metric_values(getattr(outcome, weighting)).items():
+                        rows.append([rep.index, outcome.name, weighting, key, repr(value),
+                                     "" if se is None else repr(se)])
         write_rows_csv(
             args.replicates_csv,
             ["replicate", "classifier", "weighting", "metric", "value", "standard_error"],
@@ -337,10 +326,8 @@ def _cmd_roc(args) -> int:
     evaluation, _ = _load_scored_evaluation(args)
     grid = resolve_grid(_parse_grid(args.grid), evaluation.require_scores())
     curve = roc_sweep(evaluation, grid, args.weighting)
-    rows = [
-        [repr(p.threshold), repr(p.sensitivity), repr(p.specificity), repr(p.fpr)]
-        for p in curve.points
-    ]
+    columns = (curve.thresholds, curve.sensitivity, curve.specificity, curve.fpr)
+    rows = [[repr(v) for v in row] for row in zip(*(c.tolist() for c in columns))]
     write_rows_csv(args.out, ["threshold", "sensitivity", "specificity", "fpr"], rows)
     print(f"wrote {len(rows)} ROC points to {args.out}")
     return EXIT_OK

@@ -38,64 +38,89 @@ def ht_total(values: Iterable[tuple[float, float]]) -> float:
     return float(w @ z)
 
 
-def tally_confusion(evaluation: EvaluationSet, threshold: float) -> ConfusionTally:
-    """Tally weighted and raw confusion totals at a decision threshold.
+def tally_confusion(evaluation: EvaluationSet, threshold) -> ConfusionTally:
+    """Tally weighted and raw confusion totals at decision thresholds.
 
     A record is classified positive iff its score s_i >= threshold, so a
     threshold of 0 classifies everything positive.  Weighted totals are
-    sums of compound weights over each confusion cell.
+    sums of compound weights over each confusion cell.  Like a ufunc, a
+    scalar threshold gives a tally of Python scalars and a 1-d array of
+    thresholds gives a tally of arrays of the same shape.
     """
     if evaluation.size == 0:
         raise DataValidationError("evaluation set is empty")
-    scores = evaluation.require_scores()
-    y = evaluation.outcomes
-    w = evaluation.weights
-    predicted = scores >= threshold
-    actual = y == 1
-    tp_mask = predicted & actual
-    fn_mask = ~predicted & actual
-    fp_mask = predicted & ~actual
-    tn_mask = ~predicted & ~actual
-    return ConfusionTally(
-        nhat_tp=float(w[tp_mask].sum()),
-        nhat_tn=float(w[tn_mask].sum()),
-        nhat_fp=float(w[fp_mask].sum()),
-        nhat_fn=float(w[fn_mask].sum()),
-        tp=int(tp_mask.sum()),
-        tn=int(tn_mask.sum()),
-        fp=int(fp_mask.sum()),
-        fn=int(fn_mask.sum()),
+    return _tally(
+        evaluation.require_scores(), evaluation.outcomes, evaluation.weights, threshold
     )
 
 
-def sensitivity(tally: ConfusionTally, weighting: EstimatorWeighting) -> MetricResult:
-    """True-positive rate among actual positives.
+def _tally(scores, outcomes, weights, threshold) -> ConfusionTally:
+    """The engine behind every tally, from a single sort.
 
-    The weighted form is the ratio of estimated totals
-    N^_TP / (N^_TP + N^_FN); the unweighted form is TP / (TP + FN).
+    Scores are sorted once, descending and stable, and positive and negative
+    weights and counts are summed cumulatively in that order.  The records
+    positive at t are a prefix of the order, so one ``searchsorted`` reads
+    every threshold at the boundary of its block of tied scores (Fawcett
+    2006, "An introduction to ROC analysis", Algorithm 1; scikit-learn's
+    ``_binary_clf_curve`` with ``sample_weight`` uses the same sums).
     """
+    order = np.argsort(-scores, kind="stable")
+    actual = outcomes[order] == 1
+    w = weights[order]
+    # Prefix sums with a leading zero: entry k covers the k top-scored records.
+    pos_w = np.concatenate(([0.0], np.cumsum(np.where(actual, w, 0.0))))
+    neg_w = np.concatenate(([0.0], np.cumsum(np.where(actual, 0.0, w))))
+    pos_n = np.concatenate(([0], np.cumsum(actual)))
+    neg_n = np.arange(actual.size + 1) - pos_n
+    # s >= t  <=>  -s <= -t, and -scores[order] is ascending.
+    k = np.searchsorted(-scores[order], -np.asarray(threshold, dtype=np.float64), "right")
+    cells = dict(
+        nhat_tp=pos_w[k], nhat_tn=neg_w[-1] - neg_w[k],
+        nhat_fp=neg_w[k], nhat_fn=pos_w[-1] - pos_w[k],
+        tp=pos_n[k], tn=neg_n[-1] - neg_n[k], fp=neg_n[k], fn=pos_n[-1] - pos_n[k],
+    )
+    if np.ndim(threshold) == 0:
+        cells = {name: value.item() for name, value in cells.items()}
+    return ConfusionTally(**cells)
+
+
+_RATE_CELLS = {"sensitivity": ("tp", "fn", "positive"), "specificity": ("tn", "fp", "negative")}
+
+
+def confusion_rate(
+    tally: ConfusionTally,
+    kind: Literal["sensitivity", "specificity"],
+    weighting: EstimatorWeighting | Literal["population-truth"],
+):
+    """Sensitivity TP/(TP + FN) or specificity TN/(TN + FP) of a tally.
+
+    The weighted form divides estimated totals N^_TP / (N^_TP + N^_FN); the
+    unweighted and population-truth forms divide raw counts.  Elementwise
+    on an array tally; raises UndefinedMetricError when the denominator
+    class is empty.
+    """
+    hit, miss, outcome = _RATE_CELLS[kind]
     if weighting == "weighted":
-        num, den = tally.nhat_tp, tally.nhat_tp + tally.nhat_fn
-    elif weighting == "unweighted":
-        num, den = float(tally.tp), float(tally.tp + tally.fn)
-    else:
+        hit, miss = "nhat_" + hit, "nhat_" + miss
+    elif weighting not in ("unweighted", "population-truth"):
         raise DataValidationError(f"unknown weighting {weighting!r}")
-    if den <= 0:
-        raise UndefinedMetricError("sensitivity undefined: no positive outcomes")
-    return MetricResult(value=num / den, kind="sensitivity", weighting=weighting)
+    num = getattr(tally, hit)
+    den = num + getattr(tally, miss)
+    if np.any(np.asarray(den) <= 0):
+        raise UndefinedMetricError(f"{kind} undefined: no {outcome} outcomes")
+    return np.divide(num, den, dtype=np.float64)
+
+
+def sensitivity(tally: ConfusionTally, weighting: EstimatorWeighting) -> MetricResult:
+    """True-positive rate among actual positives (see :func:`confusion_rate`)."""
+    value = float(confusion_rate(tally, "sensitivity", weighting))
+    return MetricResult(value=value, kind="sensitivity", weighting=weighting)
 
 
 def specificity(tally: ConfusionTally, weighting: EstimatorWeighting) -> MetricResult:
     """True-negative rate among actual negatives; mirror of sensitivity."""
-    if weighting == "weighted":
-        num, den = tally.nhat_tn, tally.nhat_tn + tally.nhat_fp
-    elif weighting == "unweighted":
-        num, den = float(tally.tn), float(tally.tn + tally.fp)
-    else:
-        raise DataValidationError(f"unknown weighting {weighting!r}")
-    if den <= 0:
-        raise UndefinedMetricError("specificity undefined: no negative outcomes")
-    return MetricResult(value=num / den, kind="specificity", weighting=weighting)
+    value = float(confusion_rate(tally, "specificity", weighting))
+    return MetricResult(value=value, kind="specificity", weighting=weighting)
 
 
 def ratio_standard_error(
@@ -119,18 +144,12 @@ def ratio_standard_error(
     the denominator class); raises UndefinedMetricError when the metric
     itself is undefined.
     """
-    scores = evaluation.require_scores()
-    y = evaluation.outcomes
-    w = evaluation.weights
-    predicted = scores >= threshold
-    if kind == "sensitivity":
-        in_class = y == 1
-        hits = predicted & in_class
-    elif kind == "specificity":
-        in_class = y == 0
-        hits = ~predicted & in_class
-    else:
+    if kind not in _RATE_CELLS:
         raise DataValidationError(f"no ratio standard error for kind {kind!r}")
+    w = evaluation.weights
+    predicted = evaluation.require_scores() >= threshold
+    in_class = evaluation.outcomes == (1 if kind == "sensitivity" else 0)
+    hits = in_class & (predicted if kind == "sensitivity" else ~predicted)
     x = hits.astype(np.float64)
     z = in_class.astype(np.float64)
     y_hat = float(w @ z)
@@ -139,8 +158,6 @@ def ratio_standard_error(
     if int(in_class.sum()) < 2:
         return None
     m = evaluation.size
-    if m < 2:
-        return None
     ratio = float(w @ x) / y_hat
     residuals = w * (x - ratio * z)
     variance = (m / (m - 1)) * float(residuals @ residuals) / (y_hat * y_hat)
@@ -160,21 +177,11 @@ def population_truth(
     s = np.asarray(scores, dtype=np.float64)
     if y.shape != s.shape or y.ndim != 1 or y.size == 0:
         raise DataValidationError("outcomes and scores must be aligned non-empty vectors")
-    predicted = s >= threshold
-    actual = y == 1
-    n_tp = int(np.sum(predicted & actual))
-    n_fn = int(np.sum(~predicted & actual))
-    n_tn = int(np.sum(~predicted & ~actual))
-    n_fp = int(np.sum(predicted & ~actual))
-    if n_tp + n_fn == 0:
-        raise UndefinedMetricError("population sensitivity undefined: no positives")
-    if n_tn + n_fp == 0:
-        raise UndefinedMetricError("population specificity undefined: no negatives")
-    sn = MetricResult(
-        value=n_tp / (n_tp + n_fn), kind="sensitivity", weighting="population-truth"
-    )
-    sp = MetricResult(
-        value=n_tn / (n_tn + n_fp), kind="specificity", weighting="population-truth"
+    tally = _tally(s, y, np.ones(y.size), threshold)
+    sn, sp = (
+        MetricResult(float(confusion_rate(tally, kind, "population-truth")), kind,
+                     "population-truth")
+        for kind in ("sensitivity", "specificity")
     )
     return sn, sp
 

@@ -13,9 +13,8 @@ import numpy as np
 
 from .estimation import (
     EstimatorWeighting,
+    confusion_rate,
     ratio_standard_error,
-    sensitivity,
-    specificity,
     tally_confusion,
 )
 from .roc import auroc, roc_sweep, score_adapted_grid, uniform_grid
@@ -66,27 +65,32 @@ def evaluation_summary(
     thresholds: Sequence[float],
     grid: int | str,
     weighting: EstimatorWeighting,
-    *,
-    with_standard_errors: bool = True,
 ) -> EvaluationSummary:
     """Evaluate a scored set at fixed thresholds and compute AUROC.
 
-    Standard errors come from Taylor linearization; for the unweighted
-    estimators they are computed against a unit-weight copy of the set
-    (the SRS special case of the same formula).
+    All fixed thresholds are read from one confusion tally.  Standard
+    errors come from Taylor linearization; for the unweighted estimators
+    they are computed against a unit-weight copy of the set (the SRS
+    special case of the same formula).
     """
     se_set = evaluation
-    if with_standard_errors and weighting == "unweighted":
+    if weighting == "unweighted":
         se_set = replace(evaluation, weights=np.ones(evaluation.size))
-    rows = []
-    for t in thresholds:
-        tally = tally_confusion(evaluation, t)
-        sn = sensitivity(tally, weighting)
-        sp = specificity(tally, weighting)
-        if with_standard_errors:
-            sn = sn.with_standard_error(ratio_standard_error(se_set, t, "sensitivity"))
-            sp = sp.with_standard_error(ratio_standard_error(se_set, t, "specificity"))
-        rows.append(ThresholdMetrics(threshold=float(t), sensitivity=sn, specificity=sp))
+    tally = tally_confusion(evaluation, np.asarray(thresholds, dtype=np.float64))
+    sens = confusion_rate(tally, "sensitivity", weighting).tolist()
+    spec = confusion_rate(tally, "specificity", weighting).tolist()
+    rows = tuple(
+        ThresholdMetrics(
+            threshold=float(t),
+            sensitivity=MetricResult(
+                sn, "sensitivity", weighting, ratio_standard_error(se_set, t, "sensitivity")
+            ),
+            specificity=MetricResult(
+                sp, "specificity", weighting, ratio_standard_error(se_set, t, "specificity")
+            ),
+        )
+        for t, sn, sp in zip(thresholds, sens, spec)
+    )
     curve = roc_sweep(evaluation, resolve_grid(grid, evaluation.require_scores()), weighting)
     area = MetricResult(value=auroc(curve), kind="auroc", weighting=weighting)
-    return EvaluationSummary(weighting=weighting, at_thresholds=tuple(rows), auroc=area)
+    return EvaluationSummary(weighting=weighting, at_thresholds=rows, auroc=area)

@@ -1,8 +1,11 @@
 """ROC curves over a decision-threshold grid and trapezoidal AUROC.
 
-The default grid is 101 evenly spaced thresholds; ``score_adapted_grid``
-gives an exact-mode grid (midpoints between distinct observed scores plus
-the endpoints) that eliminates discretization error.
+A curve is three aligned arrays (thresholds, sensitivity, specificity),
+read from one array-valued confusion tally, so a sweep sorts the scores
+once whatever the grid size.  The default grid is 101 evenly spaced
+thresholds; ``score_adapted_grid`` gives an exact-mode grid (midpoints
+between distinct observed scores plus the endpoints) that eliminates
+discretization error.
 """
 
 from __future__ import annotations
@@ -12,35 +15,35 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataValidationError, UndefinedMetricError
-from .estimation import EstimatorWeighting, sensitivity, specificity, tally_confusion
+from .errors import DataValidationError
+from .estimation import EstimatorWeighting, confusion_rate, tally_confusion
 from .types import EvaluationSet
 
 DEFAULT_GRID_POINTS = 101
 
 
 @dataclass(frozen=True)
-class RocPoint:
-    threshold: float
-    sensitivity: float
-    specificity: float
-
-    @property
-    def fpr(self) -> float:
-        return 1.0 - self.specificity
-
-
-@dataclass(frozen=True)
 class RocCurve:
-    """(threshold, sensitivity, specificity) points, thresholds ascending."""
+    """Aligned read-only arrays, thresholds strictly ascending."""
 
-    points: tuple[RocPoint, ...]
-    weighting: EstimatorWeighting
+    thresholds: np.ndarray
+    sensitivity: np.ndarray
+    specificity: np.ndarray
 
     def __post_init__(self):
-        thresholds = [p.threshold for p in self.points]
-        if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
+        shape = np.shape(self.thresholds)
+        for name in ("thresholds", "sensitivity", "specificity"):
+            values = np.array(getattr(self, name), dtype=np.float64)
+            if values.ndim != 1 or values.shape != shape:
+                raise DataValidationError("curve arrays must be aligned vectors")
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
+        if np.any(np.diff(self.thresholds) <= 0):
             raise DataValidationError("curve thresholds must be strictly increasing")
+
+    @property
+    def fpr(self) -> np.ndarray:
+        return 1.0 - self.specificity
 
 
 def uniform_grid(points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
@@ -64,17 +67,6 @@ def score_adapted_grid(scores: Sequence[float] | np.ndarray) -> np.ndarray:
     return np.unique(np.concatenate(([0.0, 1.0], mids)))
 
 
-def _check_grid(grid: np.ndarray) -> np.ndarray:
-    g = np.asarray(grid, dtype=np.float64)
-    if g.ndim != 1 or g.size < 2:
-        raise DataValidationError("threshold grid must be a vector with >= 2 entries")
-    if np.any(np.diff(g) <= 0):
-        raise DataValidationError("threshold grid must be strictly increasing")
-    if g[0] != 0.0 or g[-1] != 1.0:
-        raise DataValidationError("threshold grid must include endpoints 0 and 1")
-    return g
-
-
 def roc_sweep(
     evaluation: EvaluationSet,
     grid: Sequence[float] | np.ndarray,
@@ -83,36 +75,32 @@ def roc_sweep(
     """Compute one (sensitivity, specificity) pair per grid threshold.
 
     Both outcome classes must be present; otherwise the curve is undefined.
-    Each point reuses the confusion tally and ratio estimators, so the
-    s >= t tie convention is inherited from the tally.
+    The whole grid is read from one confusion tally, so the s >= t tie
+    convention and the ratio estimators are those of single thresholds.
     """
-    g = _check_grid(grid)
-    y = evaluation.outcomes
-    if not (np.any(y == 1) and np.any(y == 0)):
-        raise UndefinedMetricError("ROC curve undefined: need both outcome classes")
-    points = []
-    for t in g:
-        tally = tally_confusion(evaluation, float(t))
-        points.append(
-            RocPoint(
-                threshold=float(t),
-                sensitivity=sensitivity(tally, weighting).value,
-                specificity=specificity(tally, weighting).value,
-            )
-        )
-    return RocCurve(points=tuple(points), weighting=weighting)
+    g = np.asarray(grid, dtype=np.float64)
+    if g.ndim != 1 or g.size < 2:
+        raise DataValidationError("threshold grid must be a vector with >= 2 entries")
+    if g[0] != 0.0 or g[-1] != 1.0:
+        raise DataValidationError("threshold grid must include endpoints 0 and 1")
+    tally = tally_confusion(evaluation, g)
+    return RocCurve(
+        thresholds=g,
+        sensitivity=confusion_rate(tally, "sensitivity", weighting),
+        specificity=confusion_rate(tally, "specificity", weighting),
+    )
 
 
 def auroc(curve: RocCurve) -> float:
     """Trapezoidal area under sensitivity vs (1 - specificity).
 
-    Points are sorted by false-positive rate and anchored at (0, 0) and
-    (1, 1) before integration.
+    Points are sorted by (false-positive rate, sensitivity) and anchored at
+    (0, 0) and (1, 1) before integration.
     """
-    if not curve.points:
+    if curve.thresholds.size == 0:
         raise DataValidationError("empty ROC curve")
-    pts = sorted(((p.fpr, p.sensitivity) for p in curve.points))
-    xs = np.array([0.0] + [p[0] for p in pts] + [1.0])
-    ys = np.array([0.0] + [p[1] for p in pts] + [1.0])
+    order = np.lexsort((curve.sensitivity, curve.fpr))
+    xs = np.concatenate(([0.0], curve.fpr[order], [1.0]))
+    ys = np.concatenate(([0.0], curve.sensitivity[order], [1.0]))
     area = float(np.sum((xs[1:] - xs[:-1]) * (ys[1:] + ys[:-1])) / 2.0)
     return min(max(area, 0.0), 1.0)

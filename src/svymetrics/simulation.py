@@ -524,10 +524,10 @@ def run_replicate(
                 truth_scores = pop_scores[truth_rows]
                 truth_ids = tuple(cache.ids[i] for i in truth_rows)
                 truth_w = np.ones(truth_rows.size)
-            rows = []
-            for t in experiment.thresholds:
-                sn, sp = population_truth(truth_y, truth_scores, t)
-                rows.append(ThresholdMetrics(threshold=t, sensitivity=sn, specificity=sp))
+            rows = tuple(
+                ThresholdMetrics(t, *population_truth(truth_y, truth_scores, t))
+                for t in experiment.thresholds
+            )
             census = EvaluationSet(
                 ids=truth_ids, weights=truth_w, outcomes=truth_y, scores=truth_scores
             )
@@ -539,7 +539,7 @@ def run_replicate(
             )
             population_summary = EvaluationSummary(
                 weighting="population-truth",
-                at_thresholds=tuple(rows),
+                at_thresholds=rows,
                 auroc=truth_auroc,
             )
             evaluation = EvaluationSet(
@@ -632,17 +632,12 @@ def metric_key(kind: str, threshold: float | None = None) -> str:
     return kind if threshold is None else f"{kind}@{threshold:g}"
 
 
-def _collect(summary: EvaluationSummary) -> dict[str, tuple[float, float | None]]:
+def metric_values(summary: EvaluationSummary) -> dict[str, tuple[float, float | None]]:
+    """Map each metric key of a summary to its (value, standard error)."""
     out: dict[str, tuple[float, float | None]] = {}
     for tm in summary.at_thresholds:
-        out[metric_key("sensitivity", tm.threshold)] = (
-            tm.sensitivity.value,
-            tm.sensitivity.standard_error,
-        )
-        out[metric_key("specificity", tm.threshold)] = (
-            tm.specificity.value,
-            tm.specificity.standard_error,
-        )
+        for metric in (tm.sensitivity, tm.specificity):
+            out[metric_key(metric.kind, tm.threshold)] = (metric.value, metric.standard_error)
     out[metric_key("auroc")] = (summary.auroc.value, summary.auroc.standard_error)
     return out
 
@@ -678,9 +673,7 @@ def aggregate(
         by_weighting: dict = {}
         for weighting in ("population", "weighted", "unweighted"):
             rows: dict[str, MetricAggregate] = {}
-            per_rep = [
-                _collect(getattr(rep, weighting)) for rep in successes
-            ]
+            per_rep = [metric_values(getattr(rep, weighting)) for rep in successes]
             for key in per_rep[0]:
                 values = np.array([pr[key][0] for pr in per_rep])
                 ses = [pr[key][1] for pr in per_rep if pr[key][1] is not None]
@@ -834,9 +827,23 @@ def population_spec_to_json_dict(spec: PopulationSpec) -> dict:
     }
 
 
+# "default" names the population the default experiment draws from.
+POPULATION_PRESETS = {
+    "experiment": default_experiment_population_spec,
+    "default": default_experiment_population_spec,
+    "paper": default_population_spec,
+}
+
+
 def population_spec_from_json_dict(payload: dict) -> PopulationSpec:
-    if payload.get("preset") == "default":
-        return default_population_spec(
+    if "preset" in payload:
+        preset = payload["preset"]
+        if preset not in POPULATION_PRESETS:
+            raise SchemaError(
+                f"unknown population preset {preset!r}; "
+                f"expected one of {', '.join(POPULATION_PRESETS)}"
+            )
+        return POPULATION_PRESETS[preset](
             size=int(payload.get("size", DEFAULT_EXPERIMENT_POPULATION_SIZE))
         )
     strata = tuple(payload["strata"])
@@ -907,29 +914,38 @@ def experiment_to_json_dict(experiment: ExperimentSpec) -> dict:
 
 
 def experiment_from_json_dict(payload: dict) -> ExperimentSpec:
+    """Parse an experiment spec; any missing key or wrong type raises
+    SchemaError, and an invalid value raises DataValidationError."""
+    if not isinstance(payload, dict):
+        raise SchemaError("experiment spec must be a JSON object")
     version = payload.get("spec_version")
     if version != SPEC_VERSION:
         raise SchemaError(f"unsupported experiment spec version {version!r}")
     if "seed" not in payload:
         raise SchemaError("experiment spec must carry an explicit seed")
-    population = payload.get("population")
-    return ExperimentSpec(
-        seed=int(payload["seed"]),
-        replicates=int(payload["replicates"]),
-        design_allocations={
-            k: int(v) for k, v in payload["design"]["allocations"].items()
-        },
-        classifiers=tuple(
-            classifier_spec_from_json_dict(c) for c in payload["classifiers"]
-        ),
-        population=None if population is None else population_spec_from_json_dict(population),
-        population_file=payload.get("population_file"),
-        population_schema=payload.get("population_schema"),
-        eval_fraction=float(payload.get("eval_fraction", 0.2)),
-        thresholds=tuple(float(t) for t in payload.get("thresholds", [0.5])),
-        auroc_grid=payload.get("auroc_grid", 101),
-        include_sample_in_truth=bool(payload.get("include_sample_in_truth", True)),
-    )
+    try:
+        population = payload.get("population")
+        return ExperimentSpec(
+            seed=int(payload["seed"]),
+            replicates=int(payload["replicates"]),
+            design_allocations={
+                k: int(v) for k, v in payload["design"]["allocations"].items()
+            },
+            classifiers=tuple(
+                classifier_spec_from_json_dict(c) for c in payload["classifiers"]
+            ),
+            population=None if population is None else population_spec_from_json_dict(population),
+            population_file=payload.get("population_file"),
+            population_schema=payload.get("population_schema"),
+            eval_fraction=float(payload.get("eval_fraction", 0.2)),
+            thresholds=tuple(float(t) for t in payload.get("thresholds", [0.5])),
+            auroc_grid=payload.get("auroc_grid", 101),
+            include_sample_in_truth=bool(payload.get("include_sample_in_truth", True)),
+        )
+    except KeyError as exc:
+        raise SchemaError(f"experiment spec is missing key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise SchemaError(f"malformed experiment spec: {exc}") from exc
 
 
 def render_summary_json(payload: dict) -> str:

@@ -255,9 +255,6 @@ class MetricResult:
         if self.standard_error is not None and self.standard_error < 0:
             raise DataValidationError("standard error must be non-negative")
 
-    def with_standard_error(self, se: float | None) -> "MetricResult":
-        return replace(self, standard_error=se)
-
 
 @dataclass(frozen=True)
 class ValidationReport:

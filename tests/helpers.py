@@ -60,6 +60,22 @@ def confusion_counts(y, predicted):
     return tp, tn, fp, fn
 
 
+def brute_force_tally(y, scores, weights, threshold):
+    """Per-threshold reference for the confusion engine: classify each
+    record by s >= threshold, count the four cells and sum each cell's
+    weights with ``math.fsum``."""
+    predicted = [bool(s >= threshold) for s in scores]
+    tp, tn, fp, fn = confusion_counts(y, predicted)
+    cells = {"tp": (True, 1), "tn": (False, 0), "fp": (True, 0), "fn": (False, 1)}
+    totals = {
+        f"nhat_{cell}": math.fsum(
+            w for yi, pi, w in zip(y, predicted, weights) if (pi, int(yi)) == key
+        )
+        for cell, key in cells.items()
+    }
+    return {"tp": tp, "tn": tn, "fp": fp, "fn": fn, **totals}
+
+
 def enumerate_stratified_samples(ids_by_stratum, allocations):
     """Yield every possible stratified sample as a tuple of record ids."""
     per_stratum = [

@@ -1,5 +1,7 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,3 +278,27 @@ class TestSimulateCommand:
 
     def test_missing_spec_file_is_data_error(self, tmp_path, capsys):
         assert _run(["simulate", tmp_path / "nope.json"]) == 3
+
+    def test_readme_simulate_example_runs(self, tmp_path, capsys):
+        """The spec in README's simulation section, with only the replicate
+        count lowered for run time, exits 0."""
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+        payload = json.loads(next(b for b in blocks if '"spec_version"' in b))
+        payload["replicates"] = 2
+        spec = tmp_path / "experiment.json"
+        spec.write_text(json.dumps(payload))
+        assert _run(["simulate", spec, "--json", tmp_path / "summary.json"]) == 0
+
+    @pytest.mark.parametrize("defect", ["no design", "unknown preset"])
+    def test_malformed_spec_is_data_error(self, tmp_path, capsys, defect):
+        payload = json.loads(self._spec_file(tmp_path).read_text())
+        if defect == "no design":
+            del payload["design"]
+        else:
+            payload["population"] = {"preset": "census", "size": 3000}
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps(payload))
+        assert _run(["simulate", spec]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import confusion_counts, make_evaluation
+from helpers import brute_force_tally, confusion_counts, make_evaluation
 from svymetrics.errors import DataValidationError, UndefinedMetricError
 from svymetrics.estimation import (
+    confusion_rate,
     ht_total,
     population_truth,
     ratio_standard_error,
@@ -184,6 +185,106 @@ class TestSensitivitySpecificity:
             tally = tally_confusion(evaluation, float(rng.random()))
             assert 0.0 <= sensitivity(tally, "weighted").value <= 1.0
             assert 0.0 <= specificity(tally, "weighted").value <= 1.0
+
+
+# Scores drawn from a coarse set force ties; weights from a short list repeat.
+_engine_records = st.lists(
+    st.tuples(
+        st.integers(0, 1),
+        st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0),
+        st.sampled_from([1.0, 2.5, 7.25]) | st.floats(0.01, 100.0),
+    ),
+    min_size=1,
+    max_size=40,
+)
+_COUNT_CELLS = ("tp", "tn", "fp", "fn")
+_WEIGHTED_CELLS = ("nhat_tp", "nhat_tn", "nhat_fp", "nhat_fn")
+
+
+class TestConfusionEngine:
+    """The one-sort engine against the per-threshold brute-force tally."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=_engine_records, extra=st.lists(st.floats(0.0, 1.0), max_size=5))
+    def test_array_tally_matches_per_threshold_reference(self, data, extra):
+        """Thresholds cover 0, 1, every observed score exactly and a few
+        arbitrary values.  Counts match bit-exactly; weighted totals to
+        1e-12 of the total weight."""
+        y, s, w = (list(col) for col in zip(*data))
+        thresholds = np.array(sorted({0.0, 1.0, *s, *extra}))
+        evaluation = make_evaluation(y, s, w)
+        tally = tally_confusion(evaluation, thresholds)
+        tolerance = 1e-12 * math.fsum(w)
+        for i, t in enumerate(thresholds.tolist()):
+            ref = brute_force_tally(y, s, w, t)
+            for cell in _COUNT_CELLS:
+                assert getattr(tally, cell)[i] == ref[cell], (cell, t)
+            for cell in _WEIGHTED_CELLS:
+                assert getattr(tally, cell)[i] == pytest.approx(ref[cell], abs=tolerance)
+            scalar = tally_confusion(evaluation, t)
+            for cell in _COUNT_CELLS + _WEIGHTED_CELLS:
+                value = getattr(scalar, cell)
+                assert type(value) is (int if cell in _COUNT_CELLS else float)
+                assert value == getattr(tally, cell)[i]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=_engine_records.filter(lambda d: len({y for y, _, _ in d}) == 2))
+    def test_rates_match_reference_ratios(self, data):
+        """Unweighted rates are the same count ratios bit for bit; weighted
+        rates agree to 1e-12."""
+        y, s, w = (list(col) for col in zip(*data))
+        thresholds = np.array(sorted({0.0, 1.0, *s}))
+        tally = tally_confusion(make_evaluation(y, s, w), thresholds)
+        for i, t in enumerate(thresholds.tolist()):
+            ref = brute_force_tally(y, s, w, t)
+            assert confusion_rate(tally, "sensitivity", "unweighted")[i] == ref["tp"] / (
+                ref["tp"] + ref["fn"]
+            )
+            assert confusion_rate(tally, "specificity", "unweighted")[i] == ref["tn"] / (
+                ref["tn"] + ref["fp"]
+            )
+            sn = ref["nhat_tp"] / (ref["nhat_tp"] + ref["nhat_fn"])
+            sp = ref["nhat_tn"] / (ref["nhat_tn"] + ref["nhat_fp"])
+            assert confusion_rate(tally, "sensitivity", "weighted")[i] == pytest.approx(
+                sn, abs=1e-12
+            )
+            assert confusion_rate(tally, "specificity", "weighted")[i] == pytest.approx(
+                sp, abs=1e-12
+            )
+            truth_sn, truth_sp = population_truth(np.array(y), np.array(s), t)
+            assert (truth_sn.value, truth_sp.value) == (
+                ref["tp"] / (ref["tp"] + ref["fn"]),
+                ref["tn"] / (ref["tn"] + ref["fp"]),
+            )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        label=st.integers(0, 1),
+        data=st.lists(
+            st.tuples(st.floats(0.0, 1.0), st.floats(0.01, 100.0)), min_size=1, max_size=20
+        ),
+    )
+    def test_one_class_set_tallies_but_its_missing_rate_is_undefined(self, label, data):
+        s, w = (list(col) for col in zip(*data))
+        y = [label] * len(s)
+        thresholds = np.array([0.0, 0.5, 1.0])
+        tally = tally_confusion(make_evaluation(y, s, w), thresholds)
+        missing = "specificity" if label == 1 else "sensitivity"
+        present = "sensitivity" if label == 1 else "specificity"
+        for weighting in ("weighted", "unweighted"):
+            assert np.all(confusion_rate(tally, present, weighting) >= 0.0)
+            with pytest.raises(UndefinedMetricError):
+                confusion_rate(tally, missing, weighting)
+        with pytest.raises(UndefinedMetricError):
+            population_truth(np.array(y), np.array(s), 0.5)
+
+    def test_threshold_on_a_tie_block_classifies_the_whole_block(self):
+        """Scores 0.5 x3 with mixed labels: t = 0.5 takes the whole block as
+        positive, and any t just above it takes none of it."""
+        evaluation = make_evaluation([1, 0, 1, 0], [0.5, 0.5, 0.5, 0.2], [1.0, 2.0, 3.0, 4.0])
+        tally = tally_confusion(evaluation, np.array([0.5, np.nextafter(0.5, 1.0)]))
+        assert tally.tp.tolist() == [2, 0] and tally.fp.tolist() == [1, 0]
+        assert tally.nhat_tp.tolist() == [4.0, 0.0] and tally.nhat_fp.tolist() == [2.0, 0.0]
 
 
 class TestDesignUnbiasednessOfTallies:

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_evaluation, weighted_pairwise_auc
+from helpers import brute_force_tally, make_evaluation, weighted_pairwise_auc
+from svymetrics import evaluation as evaluation_module
+from svymetrics import roc as roc_module
 from svymetrics.errors import DataValidationError, UndefinedMetricError
+from svymetrics.evaluation import evaluation_summary
 from svymetrics.roc import (
     RocCurve,
-    RocPoint,
     auroc,
     roc_sweep,
     score_adapted_grid,
@@ -44,8 +46,10 @@ class TestRocSweep:
         positive and 0-scores negative (SN 1, SP 1)."""
         evaluation = make_evaluation([1, 0, 1, 0], [1.0, 0.0, 1.0, 0.0], [3, 1, 4, 1])
         curve = roc_sweep(evaluation, [0.0, 0.5, 1.0], "weighted")
-        points = [(p.sensitivity, p.specificity) for p in curve.points]
+        points = list(zip(curve.sensitivity.tolist(), curve.specificity.tolist()))
         assert points == [(1.0, 0.0), (1.0, 1.0), (1.0, 1.0)]
+        assert curve.thresholds.tolist() == [0.0, 0.5, 1.0]
+        assert curve.fpr.tolist() == [1.0, 0.0, 0.0]
 
     def test_unit_weights_match_unweighted_sweep(self):
         y = [1, 0, 1, 0, 1]
@@ -54,9 +58,12 @@ class TestRocSweep:
         grid = uniform_grid(21)
         weighted = roc_sweep(unit, grid, "weighted")
         unweighted = roc_sweep(unit, grid, "unweighted")
-        for a, b in zip(weighted.points, unweighted.points):
-            assert a.sensitivity == pytest.approx(b.sensitivity, abs=1e-15)
-            assert a.specificity == pytest.approx(b.specificity, abs=1e-15)
+        np.testing.assert_allclose(
+            weighted.sensitivity, unweighted.sensitivity, rtol=0, atol=1e-15
+        )
+        np.testing.assert_allclose(
+            weighted.specificity, unweighted.specificity, rtol=0, atol=1e-15
+        )
 
     def test_four_record_hand_example(self):
         """Records (y, s, w) = (1,.9,2), (1,.2,3), (0,.7,5), (0,.1,1) on the
@@ -77,9 +84,10 @@ class TestRocSweep:
             (0.4, 1.0),
             (0.0, 1.0),
         ]
-        for point, (sn, sp) in zip(curve.points, expected):
-            assert point.sensitivity == pytest.approx(sn, abs=1e-12)
-            assert point.specificity == pytest.approx(sp, abs=1e-12)
+        assert curve.thresholds.size == len(expected)
+        for sens, spec, (sn, sp) in zip(curve.sensitivity, curve.specificity, expected):
+            assert sens == pytest.approx(sn, abs=1e-12)
+            assert spec == pytest.approx(sp, abs=1e-12)
 
     def test_missing_class_rejected(self):
         evaluation = make_evaluation([1, 1], [0.9, 0.1], [1.0, 1.0])
@@ -94,10 +102,87 @@ class TestRocSweep:
                 continue
             evaluation = make_evaluation(y, rng.random(n), rng.uniform(0.5, 20, n))
             curve = roc_sweep(evaluation, uniform_grid(26), "weighted")
-            sn = [p.sensitivity for p in curve.points]
-            sp = [p.specificity for p in curve.points]
+            sn = curve.sensitivity.tolist()
+            sp = curve.specificity.tolist()
             assert all(a >= b - 1e-12 for a, b in zip(sn, sn[1:]))
             assert all(a <= b + 1e-12 for a, b in zip(sp, sp[1:]))
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.lists(
+            st.tuples(
+                st.integers(0, 1),
+                st.sampled_from([0.0, 0.3, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                st.sampled_from([1.0, 4.0]) | st.floats(0.1, 10.0),
+            ),
+            min_size=2,
+            max_size=30,
+        ).filter(lambda d: len({y for y, _, _ in d}) == 2)
+    )
+    def test_sweep_matches_per_threshold_loop(self, data):
+        """Each curve point equals the brute-force tally's ratio at its
+        threshold: bit for bit unweighted, to 1e-12 weighted."""
+        y, s, w = (list(col) for col in zip(*data))
+        evaluation = make_evaluation(y, s, w)
+        grid = score_adapted_grid(s)
+        unweighted = roc_sweep(evaluation, grid, "unweighted")
+        weighted = roc_sweep(evaluation, grid, "weighted")
+        for i, t in enumerate(grid.tolist()):
+            ref = brute_force_tally(y, s, w, t)
+            assert unweighted.sensitivity[i] == ref["tp"] / (ref["tp"] + ref["fn"])
+            assert unweighted.specificity[i] == ref["tn"] / (ref["tn"] + ref["fp"])
+            assert weighted.sensitivity[i] == pytest.approx(
+                ref["nhat_tp"] / (ref["nhat_tp"] + ref["nhat_fn"]), abs=1e-12
+            )
+            assert weighted.specificity[i] == pytest.approx(
+                ref["nhat_tn"] / (ref["nhat_tn"] + ref["nhat_fp"]), abs=1e-12
+            )
+
+    def test_one_tally_per_sweep_and_per_summary(self, monkeypatch, rng):
+        """An exact-grid sweep tallies once whatever its size; a summary
+        tallies its fixed thresholds once plus once for its sweep."""
+        calls = []
+
+        def counting(tally):
+            def wrapper(evaluation, threshold):
+                calls.append(np.size(threshold))
+                return tally(evaluation, threshold)
+            return wrapper
+
+        monkeypatch.setattr(roc_module, "tally_confusion", counting(roc_module.tally_confusion))
+        monkeypatch.setattr(
+            evaluation_module, "tally_confusion", counting(evaluation_module.tally_confusion)
+        )
+        n = 200
+        evaluation = make_evaluation(rng.integers(0, 2, n), rng.random(n), rng.uniform(1, 5, n))
+        roc_sweep(evaluation, score_adapted_grid(evaluation.scores), "weighted")
+        assert calls == [n + 1]
+        calls.clear()
+        evaluation_summary(evaluation, (0.25, 0.5), "exact", "unweighted")
+        assert calls == [2, n + 1]
+
+
+class TestRocCurve:
+    def test_arrays_are_read_only_copies(self):
+        thresholds = np.array([0.0, 0.5, 1.0])
+        curve = RocCurve(
+            thresholds=thresholds,
+            sensitivity=[1.0, 0.5, 0.0],
+            specificity=[0.0, 0.5, 1.0],
+        )
+        assert thresholds.flags.writeable
+        assert curve.fpr.tolist() == [1.0, 0.5, 0.0]
+        with pytest.raises(ValueError):
+            curve.sensitivity[0] = 0.0
+
+    def test_misaligned_arrays_rejected(self):
+        with pytest.raises(DataValidationError):
+            RocCurve(
+                thresholds=np.array([0.0, 1.0]),
+                sensitivity=np.array([1.0]),
+                specificity=np.array([0.0, 1.0]),
+            )
 
 
 class TestAuroc:
@@ -211,7 +296,7 @@ class TestAuroc:
             fine_grid = np.unique(np.concatenate([coarse_grid, uniform_grid(21)]))
             coarse = roc_sweep(evaluation, coarse_grid, "weighted")
             fine = roc_sweep(evaluation, fine_grid, "weighted")
-            pts = sorted((p.fpr, p.sensitivity) for p in coarse.points)
+            pts = sorted(zip(coarse.fpr.tolist(), coarse.sensitivity.tolist()))
             pts = [(0.0, 0.0)] + pts + [(1.0, 1.0)]
             biggest = max(
                 (x2 - x1) * (y1 + y2) / 2.0
@@ -222,9 +307,7 @@ class TestAuroc:
     def test_curve_threshold_ordering_enforced(self):
         with pytest.raises(DataValidationError):
             RocCurve(
-                points=(
-                    RocPoint(0.5, 1.0, 0.0),
-                    RocPoint(0.2, 1.0, 0.0),
-                ),
-                weighting="weighted",
+                thresholds=np.array([0.5, 0.2]),
+                sensitivity=np.array([1.0, 1.0]),
+                specificity=np.array([0.0, 0.0]),
             )

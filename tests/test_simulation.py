@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import prevalence_by_quadrature
-from svymetrics.errors import AggregationError, DataValidationError
+from svymetrics.errors import AggregationError, DataValidationError, SchemaError
 from svymetrics.rng import derive_stream
 from svymetrics.simulation import (
     ClassifierSpec,
@@ -20,6 +22,7 @@ from svymetrics.simulation import (
     experiment_from_json_dict,
     experiment_to_json_dict,
     generate_population,
+    population_spec_from_json_dict,
     render_summary,
     run_experiment,
     run_replicate,
@@ -403,3 +406,54 @@ class TestExperimentJson:
         text = render_summary(result.summary)
         for token in ("sensitivity@0.5", "specificity@0.5", "auroc", "logistic"):
             assert token in text
+
+    @pytest.mark.parametrize(
+        "preset, build",
+        [
+            ("experiment", default_experiment_population_spec),
+            ("default", default_experiment_population_spec),
+            ("paper", default_population_spec),
+        ],
+    )
+    def test_population_presets(self, preset, build):
+        spec = population_spec_from_json_dict({"preset": preset, "size": 5000})
+        assert spec == build(size=5000)
+
+    def test_unknown_preset_rejected(self):
+        with pytest.raises(SchemaError, match="unknown population preset"):
+            population_spec_from_json_dict({"preset": "census"})
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_corrupted_specs_raise_only_data_errors(self, data):
+        """Deleting keys or swapping values for junk anywhere in a valid spec
+        raises SchemaError or DataValidationError, never anything else."""
+        payload = experiment_to_json_dict(default_experiment(seed=8))
+        if data.draw(st.booleans()):
+            payload["population"] = {"preset": "experiment", "size": 2000}
+        for _ in range(data.draw(st.integers(1, 3))):
+            paths = list(_json_paths(payload))
+            path = data.draw(st.sampled_from(paths))
+            parent = payload
+            for key in path[:-1]:
+                parent = parent[key]
+            if isinstance(parent, dict) and data.draw(st.booleans()):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = data.draw(st.sampled_from(_JUNK))
+        try:
+            experiment_from_json_dict(payload)
+        except DataValidationError:
+            pass
+
+
+_JUNK = (None, "x", -1, 0, 1.5, True, [], {}, [None], {"k": 1})
+
+
+def _json_paths(node, prefix=()):
+    """Every (key or index) path to a value inside nested dicts and lists."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)) and value:
+            yield from _json_paths(value, prefix + (key,))

@@ -134,10 +134,6 @@ class TestMetricResult:
         with pytest.raises(DataValidationError):
             MetricResult(value=1.2, kind="sensitivity", weighting="weighted")
 
-    def test_with_standard_error(self):
-        result = MetricResult(value=0.5, kind="sensitivity", weighting="weighted")
-        assert result.with_standard_error(0.1).standard_error == 0.1
-
 
 class TestSampleMembersView:
     def test_members_round_trip(self):
