@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -440,7 +441,9 @@ class TestExperimentJson:
             if isinstance(parent, dict) and data.draw(st.booleans()):
                 del parent[path[-1]]
             else:
-                parent[path[-1]] = data.draw(st.sampled_from(_JUNK))
+                # A copy, so a later step that edits inside the junk value
+                # cannot change _JUNK for the examples that follow.
+                parent[path[-1]] = copy.deepcopy(data.draw(st.sampled_from(_JUNK)))
         try:
             experiment_from_json_dict(payload)
         except DataValidationError:
