@@ -19,7 +19,6 @@ from .errors import (
     UndefinedMetricError,
 )
 from .estimation import (
-    ht_total,
     population_truth,
     ratio_standard_error,
     sensitivity,
@@ -30,22 +29,14 @@ from .estimation import (
 from .evaluation import EvaluationSummary, ThresholdMetrics, evaluation_summary
 from .rng import derive_stream, stream_seed
 from .roc import RocCurve, auroc, roc_sweep, score_adapted_grid, uniform_grid
-from .sampling import (
-    StratifiedDesign,
-    inclusion_probability_of_evaluation,
-    split_train_test,
-    stratified_sample,
-)
+from .sampling import StratifiedDesign, split_train_test, stratified_sample
 from .types import (
     ConfusionTally,
     EvaluationSet,
     FinitePopulation,
     MetricResult,
     Record,
-    SampleMember,
     SurveySample,
-    ValidationReport,
-    validate_sample,
 )
 
 __version__ = "0.1.0"
@@ -64,7 +55,6 @@ __all__ = [
     "NumericalError",
     "Record",
     "RocCurve",
-    "SampleMember",
     "SchemaError",
     "SeparationError",
     "StratifiedDesign",
@@ -72,12 +62,9 @@ __all__ = [
     "SvymetricsError",
     "ThresholdMetrics",
     "UndefinedMetricError",
-    "ValidationReport",
     "auroc",
     "derive_stream",
     "evaluation_summary",
-    "ht_total",
-    "inclusion_probability_of_evaluation",
     "population_truth",
     "ratio_standard_error",
     "roc_sweep",
@@ -89,6 +76,5 @@ __all__ = [
     "stream_seed",
     "tally_confusion",
     "uniform_grid",
-    "validate_sample",
     "weight_diagnostics",
 ]

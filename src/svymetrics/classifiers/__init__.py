@@ -1,14 +1,16 @@
-"""Baseline binary classifiers: logistic regression, Gini trees, forests."""
+"""Baseline binary classifiers: logistic regression, Gini trees, forests.
 
-from typing import Sequence
+Every fitter takes raw feature columns (one 1-d array per feature: float64,
+or object arrays of strings for categories) and 0/1 outcomes, and every
+fitted model scores columns with ``predict_proba(columns)``.
+"""
 
-from ..types import FeatureValue, Record
 from .encoding import FeatureEncoder, extract_columns
 from .forest import PAPER_PARITY_TREE_COUNT, ForestConfig, ForestModel, fit_forest
 from .imbalance import upsample_minority
 from .logistic import LogisticConfig, LogisticModel, fit_logistic
 from .serialize import load_model, model_from_json_dict, model_to_json_dict, save_model
-from .tree import TreeConfig, TreeModel, fit_tree, gini_impurity
+from .tree import TreeConfig, TreeModel, fit_tree
 
 __all__ = [
     "FeatureEncoder",
@@ -23,17 +25,9 @@ __all__ = [
     "fit_forest",
     "fit_logistic",
     "fit_tree",
-    "gini_impurity",
     "load_model",
     "model_from_json_dict",
     "model_to_json_dict",
-    "predict_proba",
     "save_model",
     "upsample_minority",
 ]
-
-
-def predict_proba(model, features: Sequence[FeatureValue]) -> float:
-    """Score a single feature vector with any fitted model."""
-    record = Record(record_id="_single", features=tuple(features), outcome=0, stratum="")
-    return float(model.predict_proba([record])[0])

@@ -14,12 +14,12 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import DataValidationError
+from ..errors import DataValidationError, SchemaError
 from ..types import Record
 
 
 def extract_columns(records: Sequence[Record]) -> list[np.ndarray]:
-    """Split records into per-feature columns (float64 or object arrays)."""
+    """Split Record rows back into per-feature columns (float64 or object)."""
     if not records:
         raise DataValidationError("no records supplied")
     h = len(records[0].features)
@@ -46,15 +46,16 @@ class FeatureEncoder:
     specs: tuple[tuple[str, tuple[str, ...] | None], ...]
 
     @classmethod
-    def fit(cls, records: Sequence[Record]) -> "FeatureEncoder":
-        return cls.fit_columns(extract_columns(records))
-
-    @classmethod
-    def fit_columns(cls, columns: Sequence[np.ndarray]) -> "FeatureEncoder":
+    def fit(cls, columns: Sequence[np.ndarray]) -> "FeatureEncoder":
+        """Learn one spec per raw column (a 1-d array): object or string
+        columns are categorical, anything else numeric."""
         specs = []
-        for col in columns:
-            if col.dtype == object:
-                specs.append(("categorical", tuple(sorted(set(col.tolist())))))
+        for j, col in enumerate(columns):
+            if col.dtype.kind in "OU":
+                categories = set(col.tolist())
+                if not all(isinstance(c, str) for c in categories):
+                    raise DataValidationError(f"feature {j} mixes strings and numbers")
+                specs.append(("categorical", tuple(sorted(categories))))
             else:
                 if not np.all(np.isfinite(col)):
                     raise DataValidationError("numeric features must be finite")
@@ -69,12 +70,10 @@ class FeatureEncoder:
             total += 1 if kind == "numeric" else len(cats)
         return total
 
-    def transform(self, records: Sequence[Record]) -> np.ndarray:
-        return self.transform_columns(extract_columns(records), n_rows=len(records))
-
-    def transform_columns(
+    def transform(
         self, columns: Sequence[np.ndarray], n_rows: int | None = None
     ) -> np.ndarray:
+        """Encoded design matrix; ``n_rows`` is required only without features."""
         if len(columns) != len(self.specs):
             raise DataValidationError(
                 f"expected {len(self.specs)} features, got {len(columns)}"
@@ -84,13 +83,15 @@ class FeatureEncoder:
                 raise DataValidationError("row count required for zero-feature data")
             return np.empty((n_rows, 0), dtype=np.float64)
         n = columns[0].shape[0]
+        if n_rows is not None and n != n_rows:
+            raise DataValidationError(f"feature columns have {n} rows, expected {n_rows}")
         out = np.empty((n, self.width), dtype=np.float64)
         pos = 0
         for col, (kind, cats) in zip(columns, self.specs):
             if col.shape[0] != n:
                 raise DataValidationError("feature columns have unequal lengths")
             if kind == "numeric":
-                if col.dtype == object:
+                if col.dtype.kind in "OU":
                     raise DataValidationError("categorical value in numeric feature")
                 out[:, pos] = col
                 pos += 1
@@ -125,6 +126,13 @@ class FeatureEncoder:
     def from_json_dict(cls, payload: dict) -> "FeatureEncoder":
         specs = []
         for item in payload["features"]:
-            cats = item.get("categories")
-            specs.append((item["kind"], tuple(cats) if cats is not None else None))
+            kind, cats = item["kind"], item.get("categories")
+            if kind == "numeric" and cats is None:
+                specs.append(("numeric", None))
+            elif kind == "categorical" and isinstance(cats, list) and all(
+                isinstance(c, str) for c in cats
+            ):
+                specs.append(("categorical", tuple(cats)))
+            else:
+                raise SchemaError(f"malformed encoder feature {item!r}")
         return cls(specs=tuple(specs))

@@ -3,8 +3,8 @@
 Each tree trains on a bootstrap resample of size n with ``m_try`` features
 considered per split.  Per-tree randomness derives from (seed, tree index),
 so trees are reproducible individually and the forest is deterministic for
-a fixed seed regardless of training-record order (records are canonically
-sorted by id before fitting).
+a fixed seed regardless of training-row order (rows are canonically sorted
+by id before fitting).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import numpy as np
 
 from ..errors import DataValidationError
 from ..rng import stream_seed
-from ..types import Record
 from .encoding import FeatureEncoder
 from .tree import FlatTree, grow_tree
 
@@ -40,39 +39,48 @@ class ForestModel:
     tree_seeds: tuple[int, ...]
     config: ForestConfig
 
-    def predict_proba(self, records: Sequence[Record]) -> np.ndarray:
-        return self._score(self.encoder.transform(records))
-
-    def predict_proba_columns(
+    def predict_proba(
         self, columns: Sequence[np.ndarray], n_rows: int | None = None
     ) -> np.ndarray:
-        return self._score(self.encoder.transform_columns(columns, n_rows=n_rows))
-
-    def _score(self, x: np.ndarray) -> np.ndarray:
+        """Mean of the trees' leaf proportions for the rows of raw feature columns."""
+        x = self.encoder.transform(columns, n_rows)
         total = np.zeros(x.shape[0])
         for tree in self.trees:
             total += tree.predict(x)
         return total / len(self.trees)
 
+    # The simulation harness scores through this name; perfbench traces both names.
+    predict_proba_columns = predict_proba
+
 
 def fit_forest(
-    records: Sequence[Record],
+    columns: Sequence[np.ndarray],
+    y: np.ndarray,
+    ids: Sequence[str],
     config: ForestConfig = ForestConfig(),
     rng: np.random.Generator | int = 0,
 ) -> ForestModel:
-    """Fit a forest; ``rng`` may be a generator or a bare integer seed."""
-    if not records:
+    """Fit a forest on raw feature columns and 0/1 outcomes ``y``.
+
+    ``ids`` names each row; rows are fitted in stable id order.  ``rng``
+    may be a generator or a bare integer seed.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    if y.size == 0:
         raise DataValidationError("no training records")
+    if len(ids) != y.size:
+        raise DataValidationError("ids and outcomes must have equal length")
     if config.trees < 1:
         raise DataValidationError("forest needs at least one tree")
     if isinstance(rng, (int, np.integer)):
         base_seed = int(rng)
     else:
         base_seed = int(rng.integers(np.iinfo(np.int64).max))
-    ordered = sorted(records, key=lambda rec: rec.record_id)
-    encoder = FeatureEncoder.fit(ordered)
-    x = encoder.transform(ordered)
-    y = np.array([rec.outcome for rec in ordered], dtype=np.float64)
+    order = np.array(sorted(range(y.size), key=ids.__getitem__), dtype=np.intp)
+    columns = [col[order] for col in columns]
+    encoder = FeatureEncoder.fit(columns)
+    x = encoder.transform(columns, y.size)
+    y = y[order]
     n, width = x.shape
     m_try = config.m_try if config.m_try is not None else max(1, math.isqrt(width))
     m_try = min(m_try, width)

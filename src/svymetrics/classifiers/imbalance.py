@@ -6,31 +6,27 @@ evaluation reflects the population's class balance.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from ..errors import DataValidationError
-from ..types import Record
 
 
-def upsample_minority(
-    records: Sequence[Record], rng: np.random.Generator
-) -> list[Record]:
-    """Duplicate minority-class records (with replacement) to equal counts.
+def upsample_minority(y: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Row indices that duplicate minority-class rows (with replacement)
+    until both classes of the 0/1 outcomes ``y`` have equal counts.
 
-    All original records are retained in input order; duplicates are
-    appended.  Already balanced input is returned unchanged (as a copy).
+    Every original row comes first, in input order; the drawn duplicates
+    follow.  Already balanced input gives ``arange(len(y))``.
     """
-    positives = [rec for rec in records if rec.outcome == 1]
-    negatives = [rec for rec in records if rec.outcome == 0]
-    if not positives or not negatives:
+    y = np.asarray(y)
+    positives = np.flatnonzero(y == 1)
+    negatives = np.flatnonzero(y == 0)
+    if not positives.size or not negatives.size:
         raise DataValidationError("upsampling requires both classes present")
-    out = list(records)
-    if len(positives) == len(negatives):
-        return out
-    minority = positives if len(positives) < len(negatives) else negatives
-    deficit = abs(len(positives) - len(negatives))
-    picks = rng.integers(0, len(minority), size=deficit)
-    out.extend(minority[int(i)] for i in picks)
-    return out
+    rows = np.arange(y.size)
+    if positives.size == negatives.size:
+        return rows
+    minority = positives if positives.size < negatives.size else negatives
+    deficit = abs(positives.size - negatives.size)
+    picks = rng.integers(0, minority.size, size=deficit)
+    return np.concatenate([rows, minority[picks]])

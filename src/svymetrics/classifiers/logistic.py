@@ -1,8 +1,7 @@
 """Logistic regression fit by iteratively reweighted least squares.
 
 Training is unweighted maximum likelihood: survey weights enter this
-library only at evaluation time.  A hook for per-record training weights
-exists but is off by default.
+library only at evaluation time.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import DataValidationError, NonConvergenceError, SeparationError
-from ..types import Record
 from .encoding import FeatureEncoder
 
 MAX_ABS_COEF = 30.0  # separation declared beyond this on the encoded scale
@@ -47,17 +45,15 @@ class LogisticModel:
     def intercept(self) -> float:
         return float(self.coefficients[-1])
 
-    def predict_proba(self, records: Sequence[Record]) -> np.ndarray:
-        return self._score(self.encoder.transform(records))
-
-    def predict_proba_columns(
+    def predict_proba(
         self, columns: Sequence[np.ndarray], n_rows: int | None = None
     ) -> np.ndarray:
-        return self._score(self.encoder.transform_columns(columns, n_rows=n_rows))
+        """Positive-class probabilities of the rows of raw feature columns."""
+        x = self.encoder.transform(columns, n_rows)
+        return _sigmoid(x @ self.coefficients[:-1] + self.coefficients[-1])
 
-    def _score(self, x: np.ndarray) -> np.ndarray:
-        eta = x @ self.coefficients[:-1] + self.coefficients[-1]
-        return _sigmoid(eta)
+    # The simulation harness scores through this name; perfbench traces both names.
+    predict_proba_columns = predict_proba
 
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
@@ -69,41 +65,35 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _deviance(y: np.ndarray, mu: np.ndarray, weights: np.ndarray | None) -> float:
+def _deviance(y: np.ndarray, mu: np.ndarray) -> float:
     mu = np.clip(mu, _MU_EPS, 1.0 - _MU_EPS)
     ll = y * np.log(mu) + (1.0 - y) * np.log(1.0 - mu)
-    if weights is not None:
-        ll = weights * ll
     return float(-2.0 * ll.sum())
 
 
 def fit_logistic(
-    records: Sequence[Record],
+    columns: Sequence[np.ndarray],
+    y: np.ndarray,
     config: LogisticConfig = LogisticConfig(),
-    *,
-    training_weights: np.ndarray | None = None,
 ) -> LogisticModel:
-    """Fit by IRLS with step halving; converge on |deviance change| < tol.
+    """Fit on raw feature columns and 0/1 outcomes ``y`` by IRLS with step
+    halving; converge on |deviance change| < tol.
 
     Raises SeparationError when any coefficient diverges past
     ``MAX_ABS_COEF`` (complete or quasi-complete separation) and
     NonConvergenceError when the iteration budget runs out.
     """
-    if len(records) < 2:
+    y = np.asarray(y, dtype=np.float64)
+    if y.size < 2:
         raise DataValidationError("need at least 2 training records")
-    y = np.array([rec.outcome for rec in records], dtype=np.float64)
     if y.min() == y.max():
         raise DataValidationError("training data must contain both classes")
-    encoder = FeatureEncoder.fit(records)
-    x = encoder.transform(records)
+    encoder = FeatureEncoder.fit(columns)
+    x = encoder.transform(columns, y.size)
     design = np.hstack([x, np.ones((x.shape[0], 1))])
-    if training_weights is not None:
-        training_weights = np.asarray(training_weights, dtype=np.float64)
-        if training_weights.shape != y.shape or np.any(training_weights <= 0):
-            raise DataValidationError("training weights must be positive, one per record")
 
     beta = np.zeros(design.shape[1])
-    deviance = _deviance(y, _sigmoid(design @ beta), training_weights)
+    deviance = _deviance(y, _sigmoid(design @ beta))
     path = [deviance]
     iterations = 0
     change = np.inf
@@ -112,18 +102,16 @@ def fit_logistic(
         eta = design @ beta
         mu = np.clip(_sigmoid(eta), _MU_EPS, 1.0 - _MU_EPS)
         irls_w = mu * (1.0 - mu)
-        if training_weights is not None:
-            irls_w = irls_w * training_weights
         z = eta + (y - mu) / np.clip(mu * (1.0 - mu), 1e-10, None)
         root_w = np.sqrt(irls_w)
         proposal, *_ = np.linalg.lstsq(design * root_w[:, None], z * root_w, rcond=None)
 
         candidate = proposal
-        new_dev = _deviance(y, _sigmoid(design @ candidate), training_weights)
+        new_dev = _deviance(y, _sigmoid(design @ candidate))
         halvings = 0
         while new_dev > deviance and halvings < config.max_halvings:
             candidate = (candidate + beta) / 2.0
-            new_dev = _deviance(y, _sigmoid(design @ candidate), training_weights)
+            new_dev = _deviance(y, _sigmoid(design @ candidate))
             halvings += 1
         if new_dev > deviance:
             # step halving exhausted: no descent direction left, treat as converged
@@ -150,8 +138,6 @@ def fit_logistic(
 
     mu = np.clip(_sigmoid(design @ beta), _MU_EPS, 1.0 - _MU_EPS)
     irls_w = mu * (1.0 - mu)
-    if training_weights is not None:
-        irls_w = irls_w * training_weights
     info = design.T @ (design * irls_w[:, None])
     covariance = np.linalg.pinv(info)
     ses = np.sqrt(np.clip(np.diag(covariance), 0.0, None))

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import SchemaError
+from ..io import read_text
 from .encoding import FeatureEncoder
 from .forest import ForestConfig, ForestModel
 from .logistic import LogisticModel
@@ -62,46 +63,62 @@ def model_to_json_dict(model) -> dict:
 
 
 def model_from_json_dict(payload: dict):
+    """Parse a model document; a malformed one raises SchemaError only."""
+    if not isinstance(payload, dict):
+        raise SchemaError("model document must be a JSON object")
     version = payload.get("schema_version")
     if version != MODEL_SCHEMA_VERSION:
         raise SchemaError(f"unsupported model schema version {version!r}")
     kind = payload.get("model")
+    if kind not in ("logistic", "tree", "forest"):
+        raise SchemaError(f"unknown model kind {kind!r}")
+    try:
+        return _parse_model(kind, payload)
+    except KeyError as exc:
+        raise SchemaError(f"model document is missing key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise SchemaError(f"malformed model document: {exc}") from exc
+
+
+def _parse_model(kind: str, payload: dict):
     encoder = FeatureEncoder.from_json_dict(payload["encoder"])
     if kind == "logistic":
+        coefficients = np.asarray(payload["coefficients"], dtype=np.float64)
+        ses = np.asarray(payload["coefficient_standard_errors"], dtype=np.float64)
+        if coefficients.shape != (encoder.width + 1,) or ses.shape != coefficients.shape:
+            raise SchemaError("logistic coefficients do not match the encoder width")
+        if not np.all(np.isfinite(coefficients)):
+            raise SchemaError("logistic coefficients must be finite")
         return LogisticModel(
             encoder=encoder,
-            coefficients=np.asarray(payload["coefficients"], dtype=np.float64),
+            coefficients=coefficients,
             iterations=int(payload["iterations"]),
             final_deviance_change=float(payload["final_deviance_change"]),
-            deviance_path=tuple(payload["deviance_path"]),
-            coefficient_standard_errors=np.asarray(
-                payload["coefficient_standard_errors"], dtype=np.float64
-            ),
+            deviance_path=tuple(float(d) for d in payload["deviance_path"]),
+            coefficient_standard_errors=ses,
         )
+    cfg = payload["config"]
     if kind == "tree":
-        cfg = payload["config"]
         return TreeModel(
             encoder=encoder,
-            tree=FlatTree.from_json_dict(payload["tree"]),
-            config=TreeConfig(
-                max_depth=cfg["max_depth"], min_node_size=cfg["min_node_size"]
-            ),
+            tree=FlatTree.from_json_dict(payload["tree"], encoder.width),
+            config=TreeConfig(max_depth=cfg["max_depth"], min_node_size=cfg["min_node_size"]),
         )
-    if kind == "forest":
-        cfg = payload["config"]
-        return ForestModel(
-            encoder=encoder,
-            trees=tuple(FlatTree.from_json_dict(t) for t in payload["trees"]),
-            tree_seeds=tuple(int(s) for s in payload["tree_seeds"]),
-            config=ForestConfig(
-                trees=cfg["trees"],
-                m_try=cfg["m_try"],
-                min_node_size=cfg["min_node_size"],
-                max_depth=cfg["max_depth"],
-                bootstrap=cfg["bootstrap"],
-            ),
-        )
-    raise SchemaError(f"unknown model kind {kind!r}")
+    trees = tuple(FlatTree.from_json_dict(t, encoder.width) for t in payload["trees"])
+    if not trees:
+        raise SchemaError("forest has no trees")
+    return ForestModel(
+        encoder=encoder,
+        trees=trees,
+        tree_seeds=tuple(int(s) for s in payload["tree_seeds"]),
+        config=ForestConfig(
+            trees=cfg["trees"],
+            m_try=cfg["m_try"],
+            min_node_size=cfg["min_node_size"],
+            max_depth=cfg["max_depth"],
+            bootstrap=cfg["bootstrap"],
+        ),
+    )
 
 
 def save_model(model, path: str | Path) -> None:
@@ -113,7 +130,7 @@ def save_model(model, path: str | Path) -> None:
 
 def load_model(path: str | Path):
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"model file {path} is not valid JSON: {exc}") from exc
     return model_from_json_dict(payload)

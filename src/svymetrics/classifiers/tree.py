@@ -12,8 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import DataValidationError
-from ..types import Record
+from ..errors import DataValidationError, SchemaError
 from .encoding import FeatureEncoder
 
 
@@ -58,26 +57,36 @@ class FlatTree:
         }
 
     @classmethod
-    def from_json_dict(cls, payload: dict) -> "FlatTree":
-        threshold = np.array(
-            [np.inf if t == "inf" else float(t) for t in payload["threshold"]]
-        )
-        return cls(
+    def from_json_dict(cls, payload: dict, width: int) -> "FlatTree":
+        """Parse a tree over ``width`` encoded columns; SchemaError unless
+        it routes every row to a leaf without leaving its arrays."""
+        tree = cls(
             feature=np.asarray(payload["feature"], dtype=np.int32),
-            threshold=threshold,
+            threshold=np.array(
+                [np.inf if t == "inf" else float(t) for t in payload["threshold"]]
+            ),
             left=np.asarray(payload["left"], dtype=np.int32),
             right=np.asarray(payload["right"], dtype=np.int32),
             value=np.asarray(payload["value"], dtype=np.float64),
             route_steps=int(payload["route_steps"]),
         )
-
-
-def gini_impurity(positive: float, total: float) -> float:
-    """Gini impurity 1 - p^2 - q^2 of a node with the given class totals."""
-    if total <= 0:
-        return 0.0
-    p = positive / total
-    return 1.0 - p * p - (1.0 - p) * (1.0 - p)
+        m = tree.feature.size
+        arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
+        if m == 0 or any(a.shape != (m,) for a in arrays):
+            raise SchemaError("tree node arrays must be non-empty and aligned")
+        nodes = np.arange(m)
+        internal = (tree.left != nodes) | (tree.right != nodes)
+        children = np.concatenate([tree.left, tree.right])
+        if (
+            np.any((children < 0) | (children >= m))
+            or np.any((tree.feature < 0) | (tree.feature >= max(width, 1)))
+            or np.any(internal & (tree.feature >= width))
+            or np.any(np.isnan(tree.threshold))
+            or not np.all((tree.value >= 0.0) & (tree.value <= 1.0))
+            or not 0 <= tree.route_steps <= int(internal.sum())
+        ):
+            raise SchemaError("malformed tree in model document")
+        return tree
 
 
 def _best_split_on_feature(col: np.ndarray, y: np.ndarray):
@@ -218,22 +227,26 @@ class TreeModel:
     tree: FlatTree
     config: TreeConfig
 
-    def predict_proba(self, records: Sequence[Record]) -> np.ndarray:
-        return self.tree.predict(self.encoder.transform(records))
-
-    def predict_proba_columns(
+    def predict_proba(
         self, columns: Sequence[np.ndarray], n_rows: int | None = None
     ) -> np.ndarray:
-        return self.tree.predict(self.encoder.transform_columns(columns, n_rows=n_rows))
+        """Leaf proportions reached by the rows of raw feature columns."""
+        return self.tree.predict(self.encoder.transform(columns, n_rows))
+
+    # The simulation harness scores every model through this name.
+    predict_proba_columns = predict_proba
 
 
-def fit_tree(records: Sequence[Record], config: TreeConfig = TreeConfig()) -> TreeModel:
-    """Fit a CART tree by greedy binary splitting on Gini impurity decrease."""
-    if not records:
+def fit_tree(
+    columns: Sequence[np.ndarray], y: np.ndarray, config: TreeConfig = TreeConfig()
+) -> TreeModel:
+    """Fit a CART tree on raw feature columns and 0/1 outcomes ``y`` by
+    greedy binary splitting on Gini impurity decrease."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.size == 0:
         raise DataValidationError("no training records")
-    encoder = FeatureEncoder.fit(records)
-    x = encoder.transform(records)
-    y = np.array([rec.outcome for rec in records], dtype=np.float64)
+    encoder = FeatureEncoder.fit(columns)
+    x = encoder.transform(columns, y.size)
     tree = grow_tree(
         x, y, min_node_size=config.min_node_size, max_depth=config.max_depth
     )

@@ -35,6 +35,7 @@ from .io import (
     ingest_csv,
     load_schema,
     read_predictions,
+    read_text,
     write_predictions,
     write_rows_csv,
     write_split_files,
@@ -129,9 +130,7 @@ def _write_json(path: str, payload: dict) -> None:
 
 def _cmd_simulate(args) -> int:
     try:
-        payload = json.loads(Path(args.experiment).read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise DataValidationError(f"experiment file not found: {args.experiment}") from exc
+        payload = json.loads(read_text(args.experiment))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"experiment file is not valid JSON: {exc}") from exc
     experiment = experiment_from_json_dict(payload)
@@ -198,27 +197,32 @@ def _cmd_train(args) -> int:
     schema = _schema_from_args(args)
     if not schema.features:
         raise SchemaError("training requires feature columns in the schema")
-    result = ingest_csv(args.input, schema)
-    records = list(result.records)
+    data = ingest_csv(args.input, schema).data
     kind = args.model
     if kind in ("forest", "balanced-forest") and args.seed is None:
         raise SchemaError(f"--seed is required for stochastic model {kind!r}")
+    rows = np.arange(data.size)
     if kind == "balanced-forest":
-        records = upsample_minority(records, derive_stream(args.seed, "upsample"))
+        rows = upsample_minority(data.outcomes, derive_stream(args.seed, "upsample"))
+    columns = [col[rows] for col in data.features]
+    y = data.outcomes[rows]
     if kind == "logistic":
         model = fit_logistic(
-            records,
+            columns,
+            y,
             LogisticConfig(max_iterations=args.max_iterations, tolerance=args.tolerance),
         )
         print(f"logistic: converged in {model.iterations} iterations")
     elif kind == "tree":
         model = fit_tree(
-            records, TreeConfig(max_depth=args.max_depth, min_node_size=args.min_node_size)
+            columns, y, TreeConfig(max_depth=args.max_depth, min_node_size=args.min_node_size)
         )
         print(f"tree: {model.tree.node_count} nodes")
     else:
         model = fit_forest(
-            records,
+            columns,
+            y,
+            [data.ids[i] for i in rows],
             ForestConfig(
                 trees=args.trees,
                 m_try=args.m_try,
@@ -237,10 +241,10 @@ def _cmd_predict(args) -> int:
     schema = _schema_from_args(args)
     if not schema.features:
         raise SchemaError("prediction requires feature columns in the schema")
-    result = ingest_csv(args.input, schema)
+    data = ingest_csv(args.input, schema).data
     model = load_model(args.model)
-    scores = model.predict_proba(list(result.records))
-    write_predictions(args.out, [r.record_id for r in result.records], scores)
+    scores = model.predict_proba(data.features)
+    write_predictions(args.out, data.ids, scores)
     print(f"wrote {len(scores)} predictions to {args.out}")
     return EXIT_OK
 
@@ -256,18 +260,18 @@ def _load_scored_evaluation(args) -> tuple[EvaluationSet, dict]:
         features=(),
     )
     result = ingest_csv(args.input, eval_schema)
+    ids = result.data.ids
     predictions = read_predictions(args.predictions)
-    missing = [r.record_id for r in result.records if r.record_id not in predictions]
+    missing = [rid for rid in ids if rid not in predictions]
     if missing:
         raise DataValidationError(
             f"{len(missing)} evaluation record(s) lack predictions, e.g. {missing[:3]}"
         )
-    scores = np.array([predictions[r.record_id] for r in result.records])
     evaluation = EvaluationSet(
-        ids=result.sample.ids,
+        ids=ids,
         weights=result.sample.weights,
-        outcomes=np.array([r.outcome for r in result.records]),
-        scores=scores,
+        outcomes=result.data.outcomes,
+        scores=np.array([predictions[rid] for rid in ids]),
     )
     return evaluation, result.report.to_json_dict()
 

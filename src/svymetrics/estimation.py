@@ -1,15 +1,15 @@
 """Design-based estimators.
 
-Implements the inverse-probability total estimator, weighted confusion
-tallies, the ratio estimators of sensitivity and specificity with their
-Taylor-linearization standard errors, finite-population truth metrics, and
-weight-distribution diagnostics.
+Implements weighted confusion tallies (inverse-probability totals of the
+four confusion cells), the ratio estimators of sensitivity and specificity
+with their Taylor-linearization standard errors, finite-population truth
+metrics, and weight-distribution diagnostics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -17,25 +17,6 @@ from .errors import DataValidationError, UndefinedMetricError
 from .types import ConfusionTally, EvaluationSet, MetricResult
 
 EstimatorWeighting = Literal["weighted", "unweighted"]
-
-
-def ht_total(values: Iterable[tuple[float, float]]) -> float:
-    """Estimate a population total as sum(w_i * z_i) over (value, weight) pairs.
-
-    Unbiased for the true total under the randomization design when the
-    weights are inverse inclusion probabilities.
-    """
-    pairs = np.asarray(list(values), dtype=np.float64)
-    if pairs.size == 0:
-        return 0.0
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise DataValidationError("expected a sequence of (value, weight) pairs")
-    z, w = pairs[:, 0], pairs[:, 1]
-    if not np.all(np.isfinite(z)) or not np.all(np.isfinite(w)):
-        raise DataValidationError("values and weights must be finite")
-    if np.any(w <= 0):
-        raise DataValidationError("weights must be positive")
-    return float(w @ z)
 
 
 def tally_confusion(evaluation: EvaluationSet, threshold) -> ConfusionTally:

@@ -12,12 +12,12 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import DataValidationError, SchemaError
-from .types import FeatureValue, FinitePopulation, Record, SurveySample
+from .types import FeatureValue, FinitePopulation, SurveySample
 
 
 @dataclass(frozen=True)
@@ -45,12 +45,9 @@ class DataSchema:
     features: tuple[FeatureColumn, ...] = ()
 
     def __post_init__(self):
-        names = [self.id_column, self.outcome_column]
-        if self.weight_column is not None:
-            names.append(self.weight_column)
-        if self.stratum_column is not None:
-            names.append(self.stratum_column)
-        names.extend(f.name for f in self.features)
+        names = self.required_columns
+        if not all(isinstance(name, str) for name in names):
+            raise SchemaError("schema column names must be strings")
         if len(set(names)) != len(names):
             raise SchemaError("schema column names must be unique")
 
@@ -75,6 +72,9 @@ class DataSchema:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "DataSchema":
+        """Parse a schema document; a malformed one raises SchemaError only."""
+        if not isinstance(payload, dict):
+            raise SchemaError("schema must be a JSON object")
         try:
             return cls(
                 id_column=payload["id"],
@@ -88,11 +88,30 @@ class DataSchema:
             )
         except KeyError as exc:
             raise SchemaError(f"schema is missing required key {exc}") from exc
+        except TypeError as exc:
+            raise SchemaError(f"malformed schema: {exc}") from exc
+
+
+def read_text(path: str | Path) -> str:
+    """A whole UTF-8 text file; undecodable bytes raise DataValidationError."""
+    return "".join(_lines(path))
+
+
+def _lines(path: str | Path) -> Iterator[str]:
+    """Lines of a UTF-8 text file, newlines kept as written."""
+    path = Path(path)
+    if not path.exists():
+        raise DataValidationError(f"file not found: {path}")
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            yield from fh
+    except UnicodeDecodeError as exc:
+        raise DataValidationError(f"{path} is not UTF-8 text: {exc.reason}") from exc
 
 
 def load_schema(path: str | Path) -> DataSchema:
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"schema file {path} is not valid JSON: {exc}") from exc
     return DataSchema.from_json_dict(payload)
@@ -118,7 +137,15 @@ class LoadReport:
 
 @dataclass(frozen=True)
 class IngestResult:
-    records: tuple[Record, ...]
+    """Loaded rows as columns, their weights, and the load report.
+
+    ``data`` holds every loaded row (the stratum is "" without a stratum
+    column) and ``sample`` the same ids with their weights.  A file whose
+    schema declares no weight column is a census: unit weights, and
+    ``population`` is ``data``; otherwise ``population`` is None.
+    """
+
+    data: FinitePopulation
     sample: SurveySample
     population: FinitePopulation | None
     report: LoadReport
@@ -138,115 +165,112 @@ def _parse_outcome(raw: str) -> int | None:
 
 
 def ingest_csv(path: str | Path, schema: DataSchema) -> IngestResult:
-    """Load a survey CSV into records plus a weighted sample.
+    """Load a survey CSV into columns plus a weighted sample.
 
     Rows missing any required field, with a non-binary outcome, an
     unparseable feature, or a non-positive weight are dropped and counted
-    by reason.  When the schema declares no weight column the file is
-    treated as a full population: unit weights, and a FinitePopulation is
-    returned alongside the sample.
+    by reason.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataValidationError(f"file not found: {path}")
-    records: list[Record] = []
+    ids: list[str] = []
+    outcomes: list[int] = []
     weights: list[float] = []
+    strata: list[str] = []
+    features: list[list[FeatureValue]] = [[] for _ in schema.features]
     dropped: dict[str, int] = {}
     rows_read = 0
 
     def drop(reason: str) -> None:
         dropped[reason] = dropped.get(reason, 0) + 1
 
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataValidationError(f"{path} has no header row")
-        missing = [c for c in schema.required_columns if c not in reader.fieldnames]
-        if missing:
-            raise SchemaError(f"{path} lacks schema columns: {missing}")
-        seen_ids: set[str] = set()
-        for row in reader:
-            rows_read += 1
-            rid = (row.get(schema.id_column) or "").strip()
-            if not rid:
-                drop("missing id")
+    reader = csv.DictReader(_lines(path))
+    if reader.fieldnames is None:
+        raise DataValidationError(f"{path} has no header row")
+    missing = [c for c in schema.required_columns if c not in reader.fieldnames]
+    if missing:
+        raise SchemaError(f"{path} lacks schema columns: {missing}")
+    seen_ids: set[str] = set()
+    for row in reader:
+        rows_read += 1
+        rid = (row.get(schema.id_column) or "").strip()
+        if not rid:
+            drop("missing id")
+            continue
+        if rid in seen_ids:
+            drop("duplicate id")
+            continue
+        outcome_raw = row.get(schema.outcome_column)
+        if outcome_raw is None or not outcome_raw.strip():
+            drop("missing outcome")
+            continue
+        outcome = _parse_outcome(outcome_raw)
+        if outcome is None:
+            drop("non-binary outcome")
+            continue
+        if schema.weight_column is not None:
+            weight_raw = row.get(schema.weight_column)
+            if weight_raw is None or not weight_raw.strip():
+                drop("missing weight")
                 continue
-            if rid in seen_ids:
-                drop("duplicate id")
+            try:
+                weight = float(weight_raw)
+            except ValueError:
+                drop("unparseable weight")
                 continue
-            outcome_raw = row.get(schema.outcome_column)
-            if outcome_raw is None or not outcome_raw.strip():
-                drop("missing outcome")
+            if not np.isfinite(weight) or weight <= 0:
+                drop("non-positive weight")
                 continue
-            outcome = _parse_outcome(outcome_raw)
-            if outcome is None:
-                drop("non-binary outcome")
+        else:
+            weight = 1.0
+        stratum = ""
+        if schema.stratum_column is not None:
+            stratum_raw = row.get(schema.stratum_column)
+            if stratum_raw is None or not stratum_raw.strip():
+                drop("missing stratum")
                 continue
-            if schema.weight_column is not None:
-                weight_raw = row.get(schema.weight_column)
-                if weight_raw is None or not weight_raw.strip():
-                    drop("missing weight")
-                    continue
+            stratum = stratum_raw.strip()
+        values: list[FeatureValue] = []
+        for col in schema.features:
+            raw = row.get(col.name)
+            if raw is None or not raw.strip():
+                drop(f"missing feature {col.name}")
+                break
+            if col.kind == "numeric":
                 try:
-                    weight = float(weight_raw)
+                    value: FeatureValue = float(raw)
                 except ValueError:
-                    drop("unparseable weight")
-                    continue
-                if not np.isfinite(weight) or weight <= 0:
-                    drop("non-positive weight")
-                    continue
-            else:
-                weight = 1.0
-            stratum = ""
-            if schema.stratum_column is not None:
-                stratum_raw = row.get(schema.stratum_column)
-                if stratum_raw is None or not stratum_raw.strip():
-                    drop("missing stratum")
-                    continue
-                stratum = stratum_raw.strip()
-            features: list[FeatureValue] = []
-            ok = True
-            for col in schema.features:
-                raw = row.get(col.name)
-                if raw is None or not raw.strip():
-                    drop(f"missing feature {col.name}")
-                    ok = False
+                    drop(f"unparseable feature {col.name}")
                     break
-                if col.kind == "numeric":
-                    try:
-                        value: FeatureValue = float(raw)
-                    except ValueError:
-                        drop(f"unparseable feature {col.name}")
-                        ok = False
-                        break
-                    if not np.isfinite(value):
-                        drop(f"non-finite feature {col.name}")
-                        ok = False
-                        break
-                else:
-                    value = raw.strip()
-                features.append(value)
-            if not ok:
-                continue
+                if not np.isfinite(value):
+                    drop(f"non-finite feature {col.name}")
+                    break
+            else:
+                value = raw.strip()
+            values.append(value)
+        else:
             seen_ids.add(rid)
-            records.append(
-                Record(record_id=rid, features=tuple(features), outcome=outcome, stratum=stratum)
-            )
+            ids.append(rid)
+            outcomes.append(outcome)
             weights.append(weight)
+            strata.append(stratum)
+            for column, value in zip(features, values):
+                column.append(value)
 
-    if not records:
+    if not ids:
         raise DataValidationError(f"{path}: no usable rows ({rows_read} read)")
-    report = LoadReport(rows_read=rows_read, rows_loaded=len(records), dropped=dropped)
-    sample = SurveySample(
-        ids=tuple(r.record_id for r in records),
-        weights=np.asarray(weights, dtype=np.float64),
-        inclusion_probs=None,
+    data = FinitePopulation(
+        ids=tuple(ids),
+        outcomes=np.asarray(outcomes, dtype=np.int8),
+        strata=np.asarray(strata, dtype=str),
+        features=tuple(
+            np.asarray(values, dtype=np.float64 if col.kind == "numeric" else object)
+            for col, values in zip(schema.features, features)
+        ),
     )
-    population = None
-    if schema.weight_column is None:
-        population = FinitePopulation(records=tuple(records))
     return IngestResult(
-        records=tuple(records), sample=sample, population=population, report=report
+        data=data,
+        sample=SurveySample(ids=data.ids, weights=np.asarray(weights, dtype=np.float64)),
+        population=data if schema.weight_column is None else None,
+        report=LoadReport(rows_read=rows_read, rows_loaded=len(ids), dropped=dropped),
     )
 
 
@@ -281,14 +305,13 @@ def write_split_files(
     downstream evaluation needs no knowledge of the split fraction.
     Weights are serialized at full precision.
     """
-    with Path(input_path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        original_columns = list(reader.fieldnames or [])
-        rows_by_id = {}
-        for row in reader:
-            rid = (row.get(schema.id_column) or "").strip()
-            if rid:
-                rows_by_id.setdefault(rid, row)
+    reader = csv.DictReader(_lines(input_path))
+    original_columns = list(reader.fieldnames or [])
+    rows_by_id = {}
+    for row in reader:
+        rid = (row.get(schema.id_column) or "").strip()
+        if rid:
+            rows_by_id.setdefault(rid, row)
     if "weight_eval" in original_columns:
         raise SchemaError("input file already has a 'weight_eval' column")
     append_weight = "weight" not in original_columns
@@ -316,28 +339,24 @@ def write_split_files(
 
 def read_predictions(path: str | Path) -> dict[str, float]:
     """Read an ``id,score`` CSV into a mapping; scores must lie in [0, 1]."""
-    path = Path(path)
-    if not path.exists():
-        raise DataValidationError(f"file not found: {path}")
     scores: dict[str, float] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"id", "score"} <= set(reader.fieldnames):
-            raise SchemaError(f"{path} must have 'id' and 'score' columns")
-        for row in reader:
-            rid = (row.get("id") or "").strip()
-            raw = (row.get("score") or "").strip()
-            if not rid or not raw:
-                raise DataValidationError(f"{path}: prediction row missing id or score")
-            try:
-                score = float(raw)
-            except ValueError as exc:
-                raise DataValidationError(f"{path}: unparseable score {raw!r}") from exc
-            if not (0.0 <= score <= 1.0):
-                raise DataValidationError(f"{path}: score {score} outside [0, 1]")
-            if rid in scores:
-                raise DataValidationError(f"{path}: duplicate prediction for id {rid!r}")
-            scores[rid] = score
+    reader = csv.DictReader(_lines(path))
+    if reader.fieldnames is None or not {"id", "score"} <= set(reader.fieldnames):
+        raise SchemaError(f"{path} must have 'id' and 'score' columns")
+    for row in reader:
+        rid = (row.get("id") or "").strip()
+        raw = (row.get("score") or "").strip()
+        if not rid or not raw:
+            raise DataValidationError(f"{path}: prediction row missing id or score")
+        try:
+            score = float(raw)
+        except ValueError as exc:
+            raise DataValidationError(f"{path}: unparseable score {raw!r}") from exc
+        if not (0.0 <= score <= 1.0):
+            raise DataValidationError(f"{path}: score {score} outside [0, 1]")
+        if rid in scores:
+            raise DataValidationError(f"{path}: duplicate prediction for id {rid!r}")
+        scores[rid] = score
     if not scores:
         raise DataValidationError(f"{path}: no predictions")
     return scores

@@ -68,7 +68,7 @@ def stratified_sample(
         chosen = stratum_rows[rng.choice(n_big, size=n_h, replace=False)]
         chosen.sort()
         pi = n_h / n_big
-        ids.extend(population.records[i].record_id for i in chosen)
+        ids.extend(population.ids[i] for i in chosen)
         probs.append(np.full(n_h, pi))
         weights.append(np.full(n_h, 1.0 / pi))
     return SurveySample(
@@ -121,12 +121,3 @@ def split_train_test(
         else sample.inclusion_probs[eval_rows] * (n_e / n),
     )
     return training, evaluation
-
-
-def inclusion_probability_of_evaluation(n: int, n_e: int, pi: float) -> float:
-    """Compound probability pi* = pi * (n_e / n) of landing in the test split."""
-    if not (0 < n_e <= n):
-        raise DesignError(f"need 0 < n_e <= n, got n_e={n_e}, n={n}")
-    if not (0.0 < pi <= 1.0):
-        raise DesignError(f"inclusion probability must be in (0, 1], got {pi}")
-    return pi * (n_e / n)

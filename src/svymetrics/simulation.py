@@ -17,7 +17,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .classifiers.encoding import extract_columns
+# No caller here; re-exported because perfbench's tracer swaps this name.
+from .classifiers.encoding import extract_columns  # noqa: F401
 from .classifiers.forest import ForestConfig, fit_forest
 from .classifiers.imbalance import upsample_minority
 from .classifiers.logistic import LogisticConfig, fit_logistic
@@ -33,7 +34,7 @@ from .evaluation import EvaluationSummary, ThresholdMetrics, evaluation_summary,
 from .rng import derive_stream
 from .roc import auroc, roc_sweep
 from .sampling import StratifiedDesign, split_train_test, stratified_sample
-from .types import EvaluationSet, FinitePopulation, MetricResult, Record
+from .types import EvaluationSet, FinitePopulation, MetricResult
 
 SPEC_VERSION = "1"
 
@@ -146,7 +147,7 @@ class PopulationSpec:
 
 
 def generate_population(spec: PopulationSpec, rng: np.random.Generator) -> FinitePopulation:
-    """Generate records with stratum, covariates, and Bernoulli outcomes.
+    """Generate the columns of a population: stratum, covariates, outcome.
 
     Draw order is fixed (stratum, then covariates in declaration order,
     then the outcome), so a seeded stream reproduces the population.
@@ -154,7 +155,6 @@ def generate_population(spec: PopulationSpec, rng: np.random.Generator) -> Finit
     n = spec.size
     k = len(spec.strata)
     stratum_idx = rng.choice(k, size=n, p=np.asarray(spec.proportions))
-    labels = np.asarray(spec.strata, dtype=object)[stratum_idx]
 
     columns: list[np.ndarray] = []
     linear = np.full(n, spec.outcome.intercept, dtype=np.float64)
@@ -179,22 +179,13 @@ def generate_population(spec: PopulationSpec, rng: np.random.Generator) -> Finit
             linear += coef * columns[-1].astype(np.float64)
 
     prob = 1.0 / (1.0 + np.exp(-linear))
-    outcomes = (rng.random(n) < prob).astype(int)
-
-    feature_lists = [col.tolist() for col in columns]
-    label_list = labels.tolist()
-    outcome_list = outcomes.tolist()
     width = int(math.log10(max(n, 10))) + 1
-    records = tuple(
-        Record(
-            record_id=f"r{i:0{width}d}",
-            features=tuple(fl[i] for fl in feature_lists),
-            outcome=outcome_list[i],
-            stratum=label_list[i],
-        )
-        for i in range(n)
+    return FinitePopulation(
+        ids=tuple(map(f"r%0{width}d".__mod__, range(n))),
+        outcomes=(rng.random(n) < prob).astype(np.int8),
+        strata=np.asarray(spec.strata)[stratum_idx],
+        features=tuple(columns),
     )
-    return FinitePopulation(records=records)
 
 
 def default_population_spec(size: int = 1_000_000) -> PopulationSpec:
@@ -421,48 +412,43 @@ class ReplicateReport:
         }
 
 
-class _PopulationCache:
-    """Per-population arrays shared by all replicates of a run."""
-
-    def __init__(self, population: FinitePopulation):
-        self.population = population
-        self.columns = extract_columns(population.records)
-        self.ids = population.ids
-        self.outcomes = population.outcomes
-        self.unit_weights = np.ones(population.size)
-        self.index_by_id = population.index_by_id
-
-
 def _fit_and_score(
     spec: ClassifierSpec,
-    train_records: list[Record],
-    cache: _PopulationCache,
+    population: FinitePopulation,
+    train_rows: np.ndarray,
     master_seed: int,
     index: int,
 ) -> np.ndarray:
-    """Train one classifier and score the whole population."""
+    """Train one classifier on the given population rows and score every row."""
     name = spec.resolved_name
     if spec.kind == "constant":
         if not (0.0 <= spec.constant_score <= 1.0):
             raise DataValidationError("constant score must lie in [0, 1]")
-        return np.full(cache.population.size, spec.constant_score)
-    records = train_records
+        return np.full(population.size, spec.constant_score)
+    rows = train_rows
     if spec.kind == "balanced_forest":
-        records = upsample_minority(
-            records, derive_stream(master_seed, index, f"upsample:{name}")
-        )
+        rows = rows[
+            upsample_minority(
+                population.outcomes[rows], derive_stream(master_seed, index, f"upsample:{name}")
+            )
+        ]
+    columns = [col[rows] for col in population.features]
+    y = population.outcomes[rows]
     if spec.kind == "logistic":
         model = fit_logistic(
-            records,
+            columns,
+            y,
             LogisticConfig(max_iterations=spec.max_iterations, tolerance=spec.tolerance),
         )
     elif spec.kind == "tree":
         model = fit_tree(
-            records, TreeConfig(max_depth=spec.max_depth, min_node_size=spec.min_node_size)
+            columns, y, TreeConfig(max_depth=spec.max_depth, min_node_size=spec.min_node_size)
         )
     else:
         model = fit_forest(
-            records,
+            columns,
+            y,
+            [population.ids[i] for i in rows],
             ForestConfig(
                 trees=spec.trees,
                 m_try=spec.m_try,
@@ -472,22 +458,17 @@ def _fit_and_score(
             ),
             rng=derive_stream(master_seed, index, f"train:{name}"),
         )
-    return model.predict_proba_columns(cache.columns)
+    return model.predict_proba_columns(population.features, n_rows=population.size)
 
 
 def run_replicate(
-    experiment: ExperimentSpec,
-    population: FinitePopulation,
-    index: int,
-    *,
-    _cache: _PopulationCache | None = None,
+    experiment: ExperimentSpec, population: FinitePopulation, index: int
 ) -> ReplicateReport:
     """Run one sample/split/train/evaluate cycle.
 
     Classifier and estimator failures are recorded per classifier rather
     than aborting the replicate set.
     """
-    cache = _cache if _cache is not None else _PopulationCache(population)
     design = StratifiedDesign(experiment.design_allocations)
     sample = stratified_sample(
         population, design, derive_stream(experiment.seed, index, "sample")
@@ -495,45 +476,41 @@ def run_replicate(
     train_sample, eval_sample = split_train_test(
         sample, experiment.eval_fraction, derive_stream(experiment.seed, index, "split")
     )
-    train_records = [
-        population.records[cache.index_by_id[rid]] for rid in train_sample.ids
-    ]
-    eval_rows = np.fromiter(
-        (cache.index_by_id[rid] for rid in eval_sample.ids),
-        dtype=np.intp,
-        count=eval_sample.size,
-    )
-    y_eval = cache.outcomes[eval_rows]
+    row_of = population.index_by_id
+    train_rows = np.array([row_of[rid] for rid in train_sample.ids], dtype=np.intp)
+    eval_rows = np.array([row_of[rid] for rid in eval_sample.ids], dtype=np.intp)
 
+    # One census skeleton per replicate; each classifier attaches its scores.
+    truth_rows = None
     if experiment.include_sample_in_truth:
-        truth_rows = None
+        census = EvaluationSet(
+            ids=population.ids, weights=np.ones(population.size), outcomes=population.outcomes
+        )
     else:
         in_sample = np.zeros(population.size, dtype=bool)
-        in_sample[[cache.index_by_id[rid] for rid in sample.ids]] = True
-        truth_rows = np.nonzero(~in_sample)[0]
+        in_sample[train_rows] = True
+        in_sample[eval_rows] = True
+        truth_rows = np.flatnonzero(~in_sample)
+        census = EvaluationSet(
+            ids=tuple(population.ids[i] for i in truth_rows),
+            weights=np.ones(truth_rows.size),
+            outcomes=population.outcomes[truth_rows],
+        )
 
     outcomes: list[ClassifierReport | ClassifierFailure] = []
     for spec in experiment.classifiers:
         try:
-            pop_scores = _fit_and_score(spec, train_records, cache, experiment.seed, index)
-            if truth_rows is None:
-                truth_y, truth_scores = cache.outcomes, pop_scores
-                truth_ids, truth_w = cache.ids, cache.unit_weights
-            else:
-                truth_y = cache.outcomes[truth_rows]
-                truth_scores = pop_scores[truth_rows]
-                truth_ids = tuple(cache.ids[i] for i in truth_rows)
-                truth_w = np.ones(truth_rows.size)
+            pop_scores = _fit_and_score(spec, population, train_rows, experiment.seed, index)
+            truth = census.with_scores(
+                pop_scores if truth_rows is None else pop_scores[truth_rows]
+            )
             rows = tuple(
-                ThresholdMetrics(t, *population_truth(truth_y, truth_scores, t))
+                ThresholdMetrics(t, *population_truth(truth.outcomes, truth.scores, t))
                 for t in experiment.thresholds
             )
-            census = EvaluationSet(
-                ids=truth_ids, weights=truth_w, outcomes=truth_y, scores=truth_scores
-            )
-            grid = resolve_grid(experiment.auroc_grid, truth_scores)
+            grid = resolve_grid(experiment.auroc_grid, truth.scores)
             truth_auroc = MetricResult(
-                value=auroc(roc_sweep(census, grid, "unweighted")),
+                value=auroc(roc_sweep(truth, grid, "unweighted")),
                 kind="auroc",
                 weighting="population-truth",
             )
@@ -545,7 +522,7 @@ def run_replicate(
             evaluation = EvaluationSet(
                 ids=eval_sample.ids,
                 weights=eval_sample.weights,
-                outcomes=y_eval,
+                outcomes=population.outcomes[eval_rows],
                 scores=pop_scores[eval_rows],
             )
             weighted = evaluation_summary(
@@ -747,19 +724,13 @@ def run_experiment(
     if population is None:
         population = resolve_population(experiment)
     StratifiedDesign(experiment.design_allocations).validate_against(population)
-    cache = _PopulationCache(population)
     indices = range(experiment.replicates)
     if workers <= 1:
-        reports = [
-            run_replicate(experiment, population, i, _cache=cache) for i in indices
-        ]
+        reports = [run_replicate(experiment, population, i) for i in indices]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             reports = list(
-                pool.map(
-                    lambda i: run_replicate(experiment, population, i, _cache=cache),
-                    indices,
-                )
+                pool.map(lambda i: run_replicate(experiment, population, i), indices)
             )
     summary = aggregate(reports, experiment)
     return ExperimentResult(

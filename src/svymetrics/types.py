@@ -7,9 +7,10 @@ read from files are stored as strings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterator, Literal, Mapping, Sequence
+from typing import Literal
 
 import numpy as np
 
@@ -22,7 +23,11 @@ Weighting = Literal["weighted", "unweighted", "population-truth"]
 
 @dataclass(frozen=True)
 class Record:
-    """One individual: feature vector, binary outcome, stratum label."""
+    """One row of a population: feature vector, binary outcome, stratum label.
+
+    Read-only view built on access by :attr:`FinitePopulation.records`; the
+    population's columns are the data.
+    """
 
     record_id: str
     features: tuple[FeatureValue, ...]
@@ -30,67 +35,82 @@ class Record:
     stratum: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FinitePopulation:
-    """The full universe of records with known outcomes.
+    """The full universe of records with known outcomes, as parallel columns.
 
-    Every record must have a complete feature vector of the same length and
-    an outcome in {0, 1}; record identifiers must be unique.
+    ``ids`` are unique strings, ``outcomes`` lie in {0, 1} (stored int8),
+    ``strata`` holds one label per record, and ``features`` holds one column
+    per feature: float64 for numeric features, object arrays of strings for
+    categorical ones.  Every column has one entry per id.
     """
 
-    records: tuple[Record, ...]
+    ids: tuple[str, ...]
+    outcomes: np.ndarray
+    strata: np.ndarray
+    features: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self):
-        if not self.records:
+        ids = tuple(self.ids)
+        n = len(ids)
+        if n == 0:
             raise DataValidationError("population must contain at least one record")
-        h = len(self.records[0].features)
-        seen: set[str] = set()
-        for rec in self.records:
-            if rec.outcome not in (0, 1):
-                raise DataValidationError(
-                    f"record {rec.record_id!r} has non-binary outcome {rec.outcome!r}"
-                )
-            if len(rec.features) != h:
-                raise DataValidationError(
-                    f"record {rec.record_id!r} has {len(rec.features)} features, expected {h}"
-                )
-            if rec.record_id in seen:
-                raise DataValidationError(f"duplicate record id {rec.record_id!r}")
-            seen.add(rec.record_id)
+        y = np.asarray(self.outcomes)
+        strata = np.asarray(self.strata, dtype=str)
+        if y.shape != (n,) or strata.shape != (n,):
+            raise DataValidationError("outcomes and strata must have one entry per id")
+        bad = np.flatnonzero((y != 0) & (y != 1))
+        if bad.size:
+            i = int(bad[0])
+            raise DataValidationError(
+                f"record {ids[i]!r} has non-binary outcome {y[i].item()!r}"
+            )
+        columns = []
+        for j, col in enumerate(self.features):
+            col = np.asarray(col)
+            col = col.astype(object if col.dtype.kind in "OUS" else np.float64, copy=False)
+            if col.shape != (n,):
+                raise DataValidationError(f"feature {j} has {len(col)} values, expected {n}")
+            columns.append(col)
+        if len(set(ids)) != n:
+            seen: set[str] = set()
+            for rid in ids:
+                if rid in seen:
+                    raise DataValidationError(f"duplicate record id {rid!r}")
+                seen.add(rid)
+        y = y.astype(np.int8)
+        for arr in (y, strata, *columns):
+            arr.setflags(write=False)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "outcomes", y)
+        object.__setattr__(self, "strata", strata)
+        object.__setattr__(self, "features", tuple(columns))
 
     @property
     def size(self) -> int:
-        return len(self.records)
+        return len(self.ids)
 
     @property
-    def feature_count(self) -> int:
-        return len(self.records[0].features)
-
-    @cached_property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(rec.record_id for rec in self.records)
-
-    @cached_property
-    def outcomes(self) -> np.ndarray:
-        arr = np.fromiter((rec.outcome for rec in self.records), dtype=np.int8, count=self.size)
-        arr.setflags(write=False)
-        return arr
+    def records(self) -> Sequence[Record]:
+        """Per-row :class:`Record` view, built from the columns on access."""
+        return _RecordView(self)
 
     @cached_property
     def index_by_id(self) -> Mapping[str, int]:
-        return {rec.record_id: i for i, rec in enumerate(self.records)}
+        return dict(zip(self.ids, range(self.size)))
 
     @cached_property
     def stratum_indices(self) -> Mapping[str, np.ndarray]:
-        """Row indices of each stratum, in record order."""
-        groups: dict[str, list[int]] = {}
-        for i, rec in enumerate(self.records):
-            groups.setdefault(rec.stratum, []).append(i)
+        """Row indices of each stratum, in row order; strata by first appearance."""
+        labels, first, inverse, counts = np.unique(
+            self.strata, return_index=True, return_inverse=True, return_counts=True
+        )
+        order = np.argsort(inverse, kind="stable")
+        groups = np.split(order, np.cumsum(counts)[:-1])
         out = {}
-        for label, idx in groups.items():
-            arr = np.asarray(idx, dtype=np.intp)
-            arr.setflags(write=False)
-            out[label] = arr
+        for k in np.argsort(first):
+            groups[k].setflags(write=False)
+            out[labels[k].item()] = groups[k]
         return out
 
     @property
@@ -98,25 +118,35 @@ class FinitePopulation:
         return {label: int(idx.size) for label, idx in self.stratum_indices.items()}
 
 
-@dataclass(frozen=True)
-class SampleMember:
-    """One sampled record with its design weight and inclusion probability.
+class _RecordView(Sequence):
+    """Read-only sequence of a population's rows as :class:`Record` objects."""
 
-    ``inclusion_prob`` is None for samples ingested from files, where only
-    the (possibly adjusted) weight is known.
-    """
+    def __init__(self, population: FinitePopulation):
+        self._population = population
 
-    record_id: str
-    weight: float
-    inclusion_prob: float | None = None
+    def __len__(self) -> int:
+        return self._population.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        p = self._population
+        i = range(p.size)[i]
+        return Record(
+            record_id=p.ids[i],
+            features=tuple(col.item(i) for col in p.features),
+            outcome=p.outcomes.item(i),
+            stratum=p.strata.item(i),
+        )
 
 
 @dataclass(frozen=True)
 class SurveySample:
     """Sampled record ids with design weights w_i and, when known, pi_i.
 
-    Backed by parallel arrays; ``members`` provides a per-record view.
-    When this library's samplers construct the sample, w_i = 1/pi_i exactly.
+    ``inclusion_probs`` is None for samples ingested from files, where only
+    the (possibly adjusted) weight is known.  When this library's samplers
+    construct the sample, w_i = 1/pi_i exactly.
     """
 
     ids: tuple[str, ...]
@@ -141,26 +171,6 @@ class SurveySample:
     @property
     def size(self) -> int:
         return len(self.ids)
-
-    @property
-    def members(self) -> Iterator[SampleMember]:
-        probs = self.inclusion_probs
-        for i, rid in enumerate(self.ids):
-            yield SampleMember(
-                record_id=rid,
-                weight=float(self.weights[i]),
-                inclusion_prob=None if probs is None else float(probs[i]),
-            )
-
-    @classmethod
-    def from_members(cls, members: Sequence[SampleMember]) -> "SurveySample":
-        probs = [m.inclusion_prob for m in members]
-        known = all(p is not None for p in probs)
-        return cls(
-            ids=tuple(m.record_id for m in members),
-            weights=np.array([m.weight for m in members], dtype=np.float64),
-            inclusion_probs=np.array(probs, dtype=np.float64) if known else None,
-        )
 
 
 @dataclass(frozen=True)
@@ -254,45 +264,3 @@ class MetricResult:
             raise DataValidationError(f"metric value {self.value} outside [0, 1]")
         if self.standard_error is not None and self.standard_error < 0:
             raise DataValidationError("standard error must be non-negative")
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of :func:`validate_sample`; never raises, only reports."""
-
-    issues: tuple[str, ...] = field(default_factory=tuple)
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
-
-
-def validate_sample(
-    sample: SurveySample, population: FinitePopulation | None = None
-) -> ValidationReport:
-    """Report every violated sample invariant.
-
-    Checks weight positivity/finiteness, inclusion-probability range,
-    duplicate ids, and (when a population is supplied) membership of every
-    id in the population.
-    """
-    issues: list[str] = []
-    for i, rid in enumerate(sample.ids):
-        w = sample.weights[i]
-        if not np.isfinite(w) or w <= 0:
-            issues.append(f"non-positive weight at id {rid!r}: {w!r}")
-        if sample.inclusion_probs is not None:
-            p = sample.inclusion_probs[i]
-            if not (0.0 < p <= 1.0):
-                issues.append(f"inclusion probability outside (0, 1] at id {rid!r}: {p!r}")
-    seen: set[str] = set()
-    for rid in sample.ids:
-        if rid in seen:
-            issues.append(f"duplicate id {rid!r}")
-        seen.add(rid)
-    if population is not None:
-        known = population.index_by_id
-        for rid in sample.ids:
-            if rid not in known:
-                issues.append(f"id {rid!r} not present in population")
-    return ValidationReport(issues=tuple(issues))

@@ -7,18 +7,32 @@ checks.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
-from svymetrics.types import EvaluationSet, FinitePopulation, Record
+from svymetrics.errors import DataValidationError
+from svymetrics.types import EvaluationSet, FinitePopulation
 
 
-def make_record(rid, y, score_features=(), stratum="s1"):
-    return Record(
-        record_id=str(rid), features=tuple(score_features), outcome=y, stratum=stratum
+def make_population(outcomes, strata=None, features=(), ids=None):
+    """A population from plain sequences; ids default to "r0", "r1", ..."""
+    n = len(outcomes)
+    return FinitePopulation(
+        ids=tuple(ids) if ids is not None else tuple(f"r{i}" for i in range(n)),
+        outcomes=np.asarray(outcomes),
+        strata=np.asarray(strata if strata is not None else ["s1"] * n),
+        features=tuple(features),
     )
+
+
+def numeric_columns(x_rows):
+    """Float64 feature columns of an (n, h) table given as rows."""
+    x = np.asarray(x_rows, dtype=np.float64).reshape(len(x_rows), -1)
+    return [x[:, j] for j in range(x.shape[1])]
 
 
 def make_evaluation(y, scores, weights, ids=None):
@@ -58,6 +72,14 @@ def confusion_counts(y, predicted):
     fp = sum(1 for yi, pi in zip(y, predicted) if pi and yi == 0)
     tn = sum(1 for yi, pi in zip(y, predicted) if not pi and yi == 0)
     return tp, tn, fp, fn
+
+
+def gini_impurity(positive: float, total: float) -> float:
+    """Gini impurity 1 - p^2 - q^2 of a node with the given class totals."""
+    if total <= 0:
+        return 0.0
+    p = positive / total
+    return 1.0 - p * p - (1.0 - p) * (1.0 - p)
 
 
 def brute_force_tally(y, scores, weights, threshold):
@@ -106,12 +128,8 @@ def two_class_toy_population():
         ("b2", "B", 1, 0.9),
         ("b3", "B", 0, 0.9),
     ]
-    records = tuple(
-        Record(record_id=rid, features=(), outcome=y, stratum=s) for rid, s, y, _ in rows
-    )
-    scores = {rid: score for rid, _, _, score in rows}
-    population = FinitePopulation(records=records)
-    return population, scores
+    ids, strata, outcomes, scores = zip(*rows)
+    return make_population(outcomes, strata, ids=ids), dict(zip(ids, scores))
 
 
 def logistic_loglik(x, y, b0, b1):
@@ -169,3 +187,36 @@ def prevalence_by_quadrature(spec, points_per_stratum=4000):
                 stratum_mean += prob / (1.0 + math.exp(-base))
         total += share * stratum_mean
     return total
+
+
+_JUNK = (None, "x", -1, 0, 1.5, True, [], {}, [None], {"k": 1})
+
+
+def _json_paths(node, prefix=()):
+    """Every (key or index) path to a value inside nested dicts and lists."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)) and value:
+            yield from _json_paths(value, prefix + (key,))
+
+
+def parse_corrupted(data, payload, parse):
+    """Delete keys or swap values for junk at one to three drawn paths of a
+    JSON ``payload``, then ``parse`` it: a DataValidationError (SchemaError
+    included) is the only exception allowed to escape."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_json_paths(payload))))
+        parent = payload
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            # A copy, so a later step that edits inside the junk value
+            # cannot change _JUNK for the examples that follow.
+            parent[path[-1]] = copy.deepcopy(data.draw(st.sampled_from(_JUNK)))
+    try:
+        parse(payload)
+    except DataValidationError:
+        pass

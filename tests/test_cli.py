@@ -1,13 +1,26 @@
 import csv
 import json
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import parse_corrupted
 from svymetrics.cli import main, render_evaluate_text
-from svymetrics.classifiers import load_model
+from svymetrics.classifiers import (
+    ForestConfig,
+    fit_forest,
+    fit_logistic,
+    fit_tree,
+    load_model,
+    model_from_json_dict,
+    model_to_json_dict,
+)
+from svymetrics.errors import SchemaError
 from svymetrics.evaluation import evaluation_summary
 from svymetrics.io import DataSchema, ingest_csv
 from svymetrics.rng import derive_stream
@@ -97,14 +110,12 @@ class TestSplitTrainPredictEvaluate:
         ingest = ingest_csv(survey_csv, DataSchema.from_json_dict(json.loads(schema_file.read_text())))
         _, evaluation = split_train_test(ingest.sample, 0.25, derive_stream(7, "split"))
         model = load_model(model_json)
-        records = {r.record_id: r for r in ingest.records}
-        eval_records = [records[rid] for rid in evaluation.ids]
-        scores = model.predict_proba(eval_records)
+        rows = [ingest.data.index_by_id[rid] for rid in evaluation.ids]
         eset = EvaluationSet(
             ids=evaluation.ids,
             weights=evaluation.weights,
-            outcomes=np.array([r.outcome for r in eval_records]),
-            scores=scores,
+            outcomes=ingest.data.outcomes[rows],
+            scores=model.predict_proba([col[rows] for col in ingest.data.features]),
         )
         expected = evaluation_summary(eset, (0.5,), 101, "weighted")
         got = report["weighted"]["thresholds"][0]
@@ -151,9 +162,9 @@ class TestSplitTrainPredictEvaluate:
         )
         from svymetrics.classifiers import TreeConfig, fit_tree
 
-        direct = fit_tree(list(ingest.records), TreeConfig())
+        direct = fit_tree(ingest.data.features, ingest.data.outcomes, TreeConfig())
         loaded = load_model(model_json)
-        probe = list(ingest.records)[:30]
+        probe = [col[:30] for col in ingest.data.features]
         assert np.array_equal(direct.predict_proba(probe), loaded.predict_proba(probe))
 
 
@@ -302,3 +313,152 @@ class TestSimulateCommand:
         assert _run(["simulate", spec]) == 3
         err = capsys.readouterr().err
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def _one_line_data_error(capsys, code):
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    return err
+
+
+_PROBE = [np.array([0.3, -1.2]), np.array(["a", "c"], dtype=object)]
+
+
+def _model_documents():
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=60)
+    region = np.array(["a", "b", "c"], dtype=object)[rng.integers(0, 3, size=60)]
+    y = (x + rng.normal(size=60) > 0).astype(int)
+    columns = [x, region]
+    ids = [f"r{i}" for i in range(60)]
+    return [
+        model_to_json_dict(fit_logistic(columns, y)),
+        model_to_json_dict(fit_tree(columns, y)),
+        model_to_json_dict(fit_forest(columns, y, ids, ForestConfig(trees=3), rng=1)),
+    ]
+
+
+_MODEL_DOCUMENTS = _model_documents()
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize(
+        "payload",
+        [[], {"id": "id", "outcome": "y", "features": [1]},
+         {"id": "id", "outcome": "y", "features": "x"}],
+    )
+    def test_malformed_schema_file_is_data_error(self, tmp_path, survey_csv, capsys, payload):
+        schema = tmp_path / "bad_schema.json"
+        schema.write_text(json.dumps(payload))
+        code = _run(["split", "--input", survey_csv, "--schema", schema, "--seed", 1,
+                     "--train-out", tmp_path / "t.csv", "--eval-out", tmp_path / "e.csv"])
+        _one_line_data_error(capsys, code)
+
+    @pytest.mark.parametrize("defect", ["no encoder", "list", "bad coefficients"])
+    def test_malformed_model_file_is_data_error(
+        self, tmp_path, survey_csv, schema_file, capsys, defect
+    ):
+        model_json = tmp_path / "model.json"
+        assert _run(["train", "--input", survey_csv, "--schema", schema_file,
+                     "--model", "logistic", "--out", model_json]) == 0
+        payload = json.loads(model_json.read_text())
+        if defect == "no encoder":
+            del payload["encoder"]
+        elif defect == "list":
+            payload = [payload]
+        else:
+            payload["coefficients"] = "ab"
+        model_json.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = _run(["predict", "--input", survey_csv, "--schema", schema_file,
+                     "--model", model_json, "--out", tmp_path / "p.csv"])
+        _one_line_data_error(capsys, code)
+
+    def test_non_utf8_input_is_data_error_naming_the_file(self, tmp_path, capsys):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(b"id,y,wt\n\xff\xfe,1,2\n")
+        code = _run(["diagnose-weights", "--input", data, "--id-col", "id",
+                     "--outcome-col", "y", "--weight-col", "wt"])
+        assert "latin1.csv" in _one_line_data_error(capsys, code)
+
+    @pytest.mark.parametrize("defect", ["child", "feature", "route steps"])
+    def test_tree_that_would_index_outside_its_arrays_is_schema_error(self, defect):
+        payload = json.loads(json.dumps(_MODEL_DOCUMENTS[1]))
+        if defect == "child":
+            payload["tree"]["left"][0] = len(payload["tree"]["left"])
+        elif defect == "feature":
+            payload["tree"]["feature"][0] = 99
+        else:  # a leaf routed once over zero encoded columns
+            payload["encoder"]["features"] = []
+            payload["tree"] = {"feature": [0], "threshold": ["inf"], "left": [0],
+                               "right": [0], "value": [0.5], "route_steps": 1}
+        with pytest.raises(SchemaError, match="tree"):
+            model_from_json_dict(payload)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_corrupted_models_raise_only_data_errors(self, data):
+        """A corrupted model document either fails to parse with a data
+        error or parses into a model that scores columns (or rejects them
+        with a data error)."""
+        payload = json.loads(json.dumps(data.draw(st.sampled_from(_MODEL_DOCUMENTS))))
+        parse_corrupted(
+            data, payload, lambda p: model_from_json_dict(p).predict_proba(_PROBE)
+        )
+
+
+def _readme_blocks(language):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    return re.findall(rf"```{language}\n(.*?)```", readme, flags=re.S)
+
+
+class TestReadmeExamples:
+    def test_schema_and_shell_walkthrough_run(self, tmp_path, monkeypatch, capsys):
+        """README's schema file and every command of its shell walkthrough,
+        run in order on a generated survey.csv with the schema's columns."""
+        schema_text = next(b for b in _readme_blocks("json") if '"features"' in b)
+        schema = json.loads(schema_text)
+        rng = np.random.default_rng(12)
+        header = [schema["id"], schema["outcome"], schema["weight"], schema["stratum"]]
+        header += [f["name"] for f in schema["features"]]
+        rows = []
+        for i in range(400):
+            values = []
+            signal = 0.0
+            for feature in schema["features"]:
+                if feature["kind"] == "numeric":
+                    value = float(rng.normal())
+                    signal += value
+                    values.append(repr(value))
+                else:
+                    value = ["north", "south", "east"][int(rng.integers(3))]
+                    signal += 0.8 if value == "north" else 0.0
+                    values.append(value)
+            y = int(rng.random() < 1 / (1 + np.exp(-signal)))
+            rows.append([f"p{i}", y, repr(float(rng.uniform(1, 40))),
+                         "young" if i % 3 else "old", *values])
+        with (tmp_path / "survey.csv").open("w", newline="") as fh:
+            csv.writer(fh).writerows([header, *rows])
+        (tmp_path / "schema.json").write_text(schema_text)
+        monkeypatch.chdir(tmp_path)
+
+        shell = next(b for b in _readme_blocks("bash") if "svymetrics split" in b)
+        commands = [
+            shlex.split(line)
+            for line in shell.replace("\\\n", " ").splitlines()
+            if line.strip() and not line.lstrip().startswith("#")
+        ]
+        assert [c[1] for c in commands] == [
+            "split", "train", "predict", "evaluate", "roc", "diagnose-weights"
+        ]
+        for command in commands:
+            assert command[0] == "svymetrics"
+            assert main(command[1:]) == 0, (command, capsys.readouterr().err)
+        assert (tmp_path / "roc.csv").exists() and (tmp_path / "report.json").exists()
+
+    def test_python_quickstart_runs(self):
+        """README's library quickstart, with only the replicate count lowered."""
+        code = next(b for b in _readme_blocks("python") if "run_experiment" in b)
+        assert "replicates=200" in code
+        exec(compile(code.replace("replicates=200", "replicates=2"), "README.md", "exec"), {})

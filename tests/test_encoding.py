@@ -1,68 +1,60 @@
 import numpy as np
 import pytest
 
-from helpers import make_record
 from svymetrics.classifiers import FeatureEncoder, fit_logistic, fit_tree
 from svymetrics.errors import DataValidationError
 
 
-def _mixed_records(n=40, seed=0):
+def _mixed_data(n=40, seed=0):
+    """Columns (age, region) and outcomes; region drives the outcome."""
     rng = np.random.default_rng(seed)
-    records = []
-    for i in range(n):
+    regions, ages, y = [], [], []
+    for _ in range(n):
         region = ["north", "south", "east"][int(rng.integers(3))]
-        age = float(rng.uniform(20, 80))
-        y = int(rng.random() < (0.7 if region == "north" else 0.3))
-        records.append(make_record(i, y, (age, region)))
-    return records
+        ages.append(float(rng.uniform(20, 80)))
+        y.append(int(rng.random() < (0.7 if region == "north" else 0.3)))
+        regions.append(region)
+    return [np.array(ages), np.array(regions, dtype=object)], np.array(y)
 
 
 class TestFeatureEncoder:
     def test_one_hot_layout(self):
-        records = [
-            make_record(0, 1, (1.0, "b")),
-            make_record(1, 0, (2.0, "a")),
-            make_record(2, 0, (3.0, "b")),
-        ]
-        encoder = FeatureEncoder.fit(records)
+        columns = [np.array([1.0, 2.0, 3.0]), np.array(["b", "a", "b"], dtype=object)]
+        encoder = FeatureEncoder.fit(columns)
         assert encoder.specs == (("numeric", None), ("categorical", ("a", "b")))
-        x = encoder.transform(records)
+        x = encoder.transform(columns)
         assert x.shape == (3, 3)
         assert np.array_equal(x[:, 1], [0.0, 1.0, 0.0])  # category "a"
         assert np.array_equal(x[:, 2], [1.0, 0.0, 1.0])  # category "b"
 
     def test_unseen_category_maps_to_zeros_with_warning(self):
-        records = [make_record(0, 1, ("a",)), make_record(1, 0, ("b",))]
-        encoder = FeatureEncoder.fit(records)
-        probe = [make_record(9, 0, ("mystery",))]
+        encoder = FeatureEncoder.fit([np.array(["a", "b"], dtype=object)])
+        probe = [np.array(["mystery"], dtype=object)]
         with pytest.warns(UserWarning, match="unseen"):
             x = encoder.transform(probe)
         assert np.array_equal(x, [[0.0, 0.0]])
 
     def test_mixed_kind_feature_rejected(self):
-        records = [make_record(0, 1, (1.0,)), make_record(1, 0, ("oops",))]
         with pytest.raises(DataValidationError, match="mixes"):
-            FeatureEncoder.fit(records)
+            FeatureEncoder.fit([np.array([1.0, "oops"], dtype=object)])
 
     def test_json_round_trip(self):
-        encoder = FeatureEncoder.fit(_mixed_records())
+        encoder = FeatureEncoder.fit(_mixed_data()[0])
         assert FeatureEncoder.from_json_dict(encoder.to_json_dict()) == encoder
 
 
 class TestModelsOnCategoricalData:
     def test_logistic_uses_category_indicators(self):
-        records = _mixed_records(n=400)
-        model = fit_logistic(records)
-        north = [make_record("p1", 0, (40.0, "north"))]
-        south = [make_record("p2", 0, (40.0, "south"))]
+        model = fit_logistic(*_mixed_data(n=400))
+        north = [np.array([40.0]), np.array(["north"], dtype=object)]
+        south = [np.array([40.0]), np.array(["south"], dtype=object)]
         assert model.predict_proba(north)[0] > model.predict_proba(south)[0]
 
     def test_tree_splits_on_indicators(self):
-        records = _mixed_records(n=300)
-        model = fit_tree(records)
-        scores = model.predict_proba(records)
+        columns, y = _mixed_data(n=300)
+        model = fit_tree(columns, y)
+        scores = model.predict_proba(columns)
         assert np.all((scores >= 0) & (scores <= 1))
         # the region signal dominates: training accuracy beats prevalence
-        y = np.array([r.outcome for r in records])
         accuracy = float(np.mean((scores >= 0.5) == (y == 1)))
         assert accuracy >= max(y.mean(), 1 - y.mean())

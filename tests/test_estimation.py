@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_tally, confusion_counts, make_evaluation
+from helpers import brute_force_tally, confusion_counts, make_evaluation, make_population
 from svymetrics.errors import DataValidationError, UndefinedMetricError
 from svymetrics.estimation import (
     confusion_rate,
-    ht_total,
     population_truth,
     ratio_standard_error,
     sensitivity,
@@ -19,24 +18,20 @@ from svymetrics.estimation import (
     tally_confusion,
     weight_diagnostics,
 )
+from svymetrics.sampling import StratifiedDesign, stratified_sample
 
 
 class TestHtTotal:
-    def test_unit_weights_give_raw_sum(self):
-        assert ht_total([(3.0, 1.0), (5.0, 1.0)]) == 8.0
+    """The inverse-probability total of a variable z is w @ z."""
 
     def test_indicator_total_estimates_population_size(self):
-        assert ht_total([(1.0, 2.0), (1.0, 3.0), (1.0, 5.0)]) == 10.0
-
-    def test_non_finite_value_rejected(self):
-        with pytest.raises(DataValidationError):
-            ht_total([(float("nan"), 1.0)])
-        with pytest.raises(DataValidationError):
-            ht_total([(1.0, float("inf"))])
-
-    def test_non_positive_weight_rejected(self):
-        with pytest.raises(DataValidationError):
-            ht_total([(1.0, -2.0)])
+        """With z = 1 for every member, w @ z of a stratified SRS adds
+        N_h / n_h once per member of each stratum: exactly N."""
+        population = make_population([0, 1] * 25, ["a"] * 14 + ["b"] * 36)
+        sample = stratified_sample(
+            population, StratifiedDesign({"a": 3, "b": 7}), np.random.default_rng(0)
+        )
+        assert sample.weights @ np.ones(sample.size) == pytest.approx(50.0, abs=1e-12)
 
 
 class TestTallyConfusion:

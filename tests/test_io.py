@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import parse_corrupted
 from svymetrics.errors import DataValidationError, SchemaError
 from svymetrics.io import (
     DataSchema,
@@ -40,7 +43,9 @@ class TestIngestCsv:
         assert result.sample.size == 5
         assert np.all(result.sample.weights == 1.0)
         assert result.report.rows_read == 5 and result.report.rows_dropped == 0
-        assert result.records[0].features == (34.0, "north")
+        assert result.data.records[0].features == (34.0, "north")
+        assert result.data.strata.tolist() == ["g1", "g1", "g2", "g2", "g2"]
+        assert result.population is None
 
     def test_blank_outcome_dropped_and_counted(self, tmp_path):
         path = _write(
@@ -100,7 +105,7 @@ class TestIngestCsv:
         )
         path = _write(tmp_path, "id,y,age\na,1,30\nb,0,40\n")
         result = ingest_csv(path, schema)
-        assert result.population is not None
+        assert result.population is result.data
         assert result.population.size == 2
         assert np.all(result.sample.weights == 1.0)
 
@@ -128,6 +133,11 @@ class TestSchema:
     def test_missing_required_key(self):
         with pytest.raises(SchemaError):
             DataSchema.from_json_dict({"id": "a"})
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_corrupted_schemas_raise_only_data_errors(self, data):
+        parse_corrupted(data, SCHEMA.to_json_dict(), DataSchema.from_json_dict)
 
 
 class TestPredictions:

@@ -3,39 +3,33 @@ import math
 import numpy as np
 import pytest
 
-from helpers import grid_search_loglik, logistic_loglik, make_record
-from svymetrics.classifiers import fit_logistic, predict_proba
+from helpers import grid_search_loglik, logistic_loglik, numeric_columns
+from svymetrics.classifiers import fit_logistic
 from svymetrics.errors import DataValidationError, SeparationError
 
 
-def _records(x_rows, y):
-    return [
-        make_record(i, int(yi), tuple(float(v) for v in row))
-        for i, (row, yi) in enumerate(zip(x_rows, y))
-    ]
+def _data(x_rows, y):
+    return numeric_columns(x_rows), np.asarray(y)
 
 
 class TestClosedForms:
     def test_intercept_only_balanced_outcome(self):
         # logit(0.5) = 0
-        records = _records([[]] * 4, [1, 0, 1, 0])
-        model = fit_logistic(records)
+        model = fit_logistic(*_data([[]] * 4, [1, 0, 1, 0]))
         assert model.intercept == pytest.approx(0.0, abs=1e-10)
 
     def test_intercept_only_three_quarters(self):
         # logit(0.75) = ln 3
-        records = _records([[]] * 8, [1, 1, 1, 0] * 2)
-        model = fit_logistic(records)
+        model = fit_logistic(*_data([[]] * 8, [1, 1, 1, 0] * 2))
         assert model.intercept == pytest.approx(math.log(3.0), abs=1e-8)
 
     def test_zero_coefficients_score_half(self):
         from dataclasses import replace
 
-        records = _records([[1.0], [2.0], [3.0], [4.0]], [1, 0, 0, 1])
-        fitted = fit_logistic(records)
+        fitted = fit_logistic(*_data([[1.0], [2.0], [3.0], [4.0]], [1, 0, 0, 1]))
         null = replace(fitted, coefficients=np.zeros_like(fitted.coefficients))
-        assert predict_proba(null, (10.0,)) == pytest.approx(0.5)
-        assert predict_proba(null, (-3000.0,)) == pytest.approx(0.5)
+        scores = null.predict_proba([np.array([10.0, -3000.0])])
+        assert scores == pytest.approx([0.5, 0.5])
 
 
 class TestConvergenceBehaviour:
@@ -43,7 +37,7 @@ class TestConvergenceBehaviour:
         x = rng.normal(size=(400, 3))
         eta = 0.5 * x[:, 0] - 1.2 * x[:, 1] + 0.3
         y = (rng.random(400) < 1 / (1 + np.exp(-eta))).astype(int)
-        model = fit_logistic(_records(x, y))
+        model = fit_logistic(*_data(x, y))
         path = model.deviance_path
         assert all(b <= a + 1e-9 for a, b in zip(path, path[1:]))
         assert model.final_deviance_change < 1e-8
@@ -53,11 +47,11 @@ class TestConvergenceBehaviour:
         x = [[float(v)] for v in range(-5, 5)]
         y = [0] * 5 + [1] * 5
         with pytest.raises(SeparationError):
-            fit_logistic(_records(x, y))
+            fit_logistic(*_data(x, y))
 
     def test_single_class_rejected(self):
         with pytest.raises(DataValidationError):
-            fit_logistic(_records([[1.0], [2.0]], [1, 1]))
+            fit_logistic(*_data([[1.0], [2.0]], [1, 1]))
 
     def test_exhausted_iteration_budget_raises(self, rng):
         from svymetrics.classifiers import LogisticConfig
@@ -67,13 +61,13 @@ class TestConvergenceBehaviour:
         eta = x @ np.array([1.0, -2.0, 0.5, 1.5]) - 0.3
         y = (rng.random(500) < 1 / (1 + np.exp(-eta))).astype(int)
         with pytest.raises(NonConvergenceError):
-            fit_logistic(_records(x, y), LogisticConfig(max_iterations=1))
+            fit_logistic(*_data(x, y), LogisticConfig(max_iterations=1))
 
     def test_scores_lie_in_unit_interval(self, rng):
         x = rng.normal(size=(200, 2))
         y = rng.integers(0, 2, size=200)
-        model = fit_logistic(_records(x, y))
-        scores = model.predict_proba(_records(x, y))
+        columns, y = _data(x, y)
+        scores = fit_logistic(columns, y).predict_proba(columns)
         assert np.all((scores >= 0) & (scores <= 1))
 
 
@@ -89,8 +83,7 @@ class TestRecovery:
         smoker = (rng.random(n) < 0.12).astype(float)
         eta = 0.04 * age - 1.03 * sex + 0.43 * smoker - 1.25
         y = (rng.random(n) < 1 / (1 + np.exp(-eta))).astype(int)
-        records = _records(np.column_stack([age, sex, smoker]), y)
-        model = fit_logistic(records)
+        model = fit_logistic(*_data(np.column_stack([age, sex, smoker]), y))
         truth = np.array([0.04, -1.03, 0.43, -1.25])
         for est, se, true in zip(model.coefficients, model.coefficient_standard_errors, truth):
             assert abs(est - true) <= 3 * se
@@ -104,7 +97,7 @@ class TestRecovery:
         x = rng.uniform(-2, 2, n)
         eta = -0.5 + 1.2 * x
         y = (rng.random(n) < 1 / (1 + np.exp(-eta))).astype(int)
-        model = fit_logistic(_records(x[:, None], y))
+        model = fit_logistic(*_data(x[:, None], y))
         b1_hat, b0_hat = model.coefficients[0], model.coefficients[1]
         fit_ll = logistic_loglik(x, y, b0_hat, b1_hat)
         b0_grid = np.arange(-1.5, 0.55, 0.1)
@@ -113,14 +106,3 @@ class TestRecovery:
         assert fit_ll >= best_ll - 1e-9
         assert abs(b0_star - b0_hat) <= 0.1 + 1e-9
         assert abs(b1_star - b1_hat) <= 0.1 + 1e-9
-
-
-class TestTrainingWeightHook:
-    def test_weighted_training_changes_fit(self, rng):
-        x = rng.normal(size=(300, 1))
-        y = (rng.random(300) < 0.4).astype(int)
-        records = _records(x, y)
-        plain = fit_logistic(records)
-        weights = np.where(np.array(y) == 1, 5.0, 1.0)
-        weighted = fit_logistic(records, training_weights=weights)
-        assert weighted.intercept > plain.intercept

@@ -1,28 +1,15 @@
 import numpy as np
 import pytest
 
-from helpers import enumerate_stratified_samples, two_class_toy_population
+from helpers import enumerate_stratified_samples, make_population, two_class_toy_population
 from svymetrics.errors import DegenerateSplitError, DesignError
-from svymetrics.estimation import ht_total
-from svymetrics.sampling import (
-    StratifiedDesign,
-    inclusion_probability_of_evaluation,
-    split_train_test,
-    stratified_sample,
-)
-from svymetrics.types import FinitePopulation, Record
+from svymetrics.sampling import StratifiedDesign, split_train_test, stratified_sample
+from svymetrics.types import SurveySample
 
 
 def _population(sizes_by_stratum):
-    records = []
-    i = 0
-    for label, count in sizes_by_stratum.items():
-        for _ in range(count):
-            records.append(
-                Record(record_id=f"r{i}", features=(), outcome=i % 2, stratum=label)
-            )
-            i += 1
-    return FinitePopulation(records=tuple(records))
+    strata = [label for label, count in sizes_by_stratum.items() for _ in range(count)]
+    return make_population([i % 2 for i in range(len(strata))], strata)
 
 
 class TestStratifiedSample:
@@ -55,9 +42,9 @@ class TestStratifiedSample:
         )
         assert sample.size == 10_000
         by_stratum = {}
-        records = {rec.record_id: rec for rec in population.records}
         for rid, w in zip(sample.ids, sample.weights):
-            by_stratum.setdefault(records[rid].stratum, set()).add(float(w))
+            stratum = population.strata[population.index_by_id[rid]]
+            by_stratum.setdefault(str(stratum), set()).add(float(w))
         expected = {"h1": 16.728, "h2": 15.969, "h3": 15.788, "h4": 7.641, "h5": 4.070}
         for label, weights in by_stratum.items():
             assert len(weights) == 1
@@ -103,19 +90,18 @@ class TestExhaustiveEnumerationUnbiasedness:
         outcome; its true total is the number of 1-outcomes.
         """
         population, _ = two_class_toy_population()
-        outcome = {rec.record_id: rec.outcome for rec in population.records}
+        outcome = dict(zip(population.ids, population.outcomes.tolist()))
         ids_by_stratum = {
-            "A": [r.record_id for r in population.records if r.stratum == "A"],
-            "B": [r.record_id for r in population.records if r.stratum == "B"],
+            label: [population.ids[i] for i in rows]
+            for label, rows in population.stratum_indices.items()
         }
         samples = list(
             enumerate_stratified_samples(ids_by_stratum, {"A": 2, "B": 2})
         )
         assert len(samples) == 36
         true_total = sum(outcome.values())
-        totals = [
-            ht_total([(outcome[rid], 2.0) for rid in sample]) for sample in samples
-        ]
+        w = np.full(4, 2.0)
+        totals = [w @ np.array([outcome[rid] for rid in sample]) for sample in samples]
         assert abs(np.mean(totals) - true_total) <= 1e-12
 
     def test_selection_frequency_matches_inclusion_probability(self):
@@ -130,9 +116,8 @@ class TestExhaustiveEnumerationUnbiasedness:
             for rid in sample.ids:
                 counts[rid] += 1
         slack = 4.0 / np.sqrt(r)
-        records = {rec.record_id: rec for rec in population.records}
         for rid, hits in counts.items():
-            target = 0.4 if records[rid].stratum == "a" else 0.6
+            target = 0.4 if population.strata[population.index_by_id[rid]] == "a" else 0.6
             assert abs(hits / r - target) <= slack
 
 
@@ -140,8 +125,6 @@ class TestSplitTrainTest:
     def test_compound_weights_scale_by_inflation_factor(self):
         """n = 100, f = 0.2, all w_i = 50: the evaluation side has
         n_e = 20 members, each with compound weight 50 * (100/20) = 250."""
-        from svymetrics.types import SurveySample
-
         sample = SurveySample(
             ids=tuple(f"r{i}" for i in range(100)), weights=np.full(100, 50.0)
         )
@@ -164,8 +147,6 @@ class TestSplitTrainTest:
         """With n=10 and f=0.2 the inflation factor is exactly 5; every
         evaluation weight equals its design weight times that factor by
         construction."""
-        from svymetrics.types import SurveySample
-
         weights = np.random.default_rng(4).uniform(0.5, 40.0, size=10)
         sample = SurveySample(ids=tuple(f"r{i}" for i in range(10)), weights=weights)
         _, evaluation = split_train_test(sample, 0.2, np.random.default_rng(0))
@@ -175,16 +156,12 @@ class TestSplitTrainTest:
 
     def test_round_half_to_even(self):
         sample_ids = tuple(f"r{i}" for i in range(10))
-        from svymetrics.types import SurveySample
-
         sample = SurveySample(ids=sample_ids, weights=np.ones(10))
         # 0.25 * 10 = 2.5 rounds to 2 under round-half-to-even
         _, evaluation = split_train_test(sample, 0.25, np.random.default_rng(0))
         assert evaluation.size == 2
 
     def test_degenerate_split_rejected(self):
-        from svymetrics.types import SurveySample
-
         sample = SurveySample(ids=("a", "b"), weights=np.ones(2))
         with pytest.raises(DegenerateSplitError):
             split_train_test(sample, 0.95, np.random.default_rng(0))
@@ -193,19 +170,23 @@ class TestSplitTrainTest:
 
 
 class TestInclusionProbabilityOfEvaluation:
-    def test_product_of_stage_probabilities(self):
-        assert inclusion_probability_of_evaluation(100, 20, 0.1) == pytest.approx(0.02)
+    """The split carries pi*_i = pi_i * (n_e / n) into the evaluation side."""
 
-    def test_full_evaluation_keeps_probability(self):
-        assert inclusion_probability_of_evaluation(50, 50, 0.37) == pytest.approx(0.37)
+    def test_product_of_stage_probabilities(self):
+        sample = SurveySample(
+            ids=tuple(f"r{i}" for i in range(100)),
+            weights=np.full(100, 10.0),
+            inclusion_probs=np.full(100, 0.1),
+        )
+        training, evaluation = split_train_test(sample, 0.2, np.random.default_rng(1))
+        assert evaluation.inclusion_probs == pytest.approx(np.full(20, 0.02))
+        assert np.all(training.inclusion_probs == 0.1)
 
     def test_certain_first_stage(self):
-        assert inclusion_probability_of_evaluation(10, 5, 1.0) == pytest.approx(0.5)
-
-    def test_invalid_sizes_rejected(self):
-        with pytest.raises(DesignError):
-            inclusion_probability_of_evaluation(10, 0, 0.5)
-        with pytest.raises(DesignError):
-            inclusion_probability_of_evaluation(10, 11, 0.5)
-        with pytest.raises(DesignError):
-            inclusion_probability_of_evaluation(10, 5, 0.0)
+        sample = SurveySample(
+            ids=tuple(f"r{i}" for i in range(10)),
+            weights=np.ones(10),
+            inclusion_probs=np.ones(10),
+        )
+        _, evaluation = split_train_test(sample, 0.5, np.random.default_rng(2))
+        assert evaluation.inclusion_probs == pytest.approx(np.full(5, 0.5))

@@ -1,23 +1,18 @@
 import numpy as np
 import pytest
 
-from helpers import make_record
-from svymetrics.classifiers import (
-    ForestConfig,
-    TreeConfig,
-    fit_forest,
-    fit_tree,
-    gini_impurity,
-    predict_proba,
-)
+from helpers import gini_impurity, numeric_columns
+from svymetrics.classifiers import ForestConfig, TreeConfig, fit_forest, fit_tree
 from svymetrics.classifiers.tree import grow_tree
 
 
-def _records(x_rows, y):
-    return [
-        make_record(i, int(yi), tuple(float(v) for v in row))
-        for i, (row, yi) in enumerate(zip(x_rows, y))
-    ]
+def _data(x_rows, y):
+    return numeric_columns(x_rows), np.asarray(y)
+
+
+def _forest_data(x_rows, y):
+    columns, y = _data(x_rows, y)
+    return columns, y, [str(i) for i in range(len(y))]
 
 
 def brute_force_best_split(x, y):
@@ -43,6 +38,8 @@ def brute_force_best_split(x, y):
 
 
 class TestGini:
+    """The brute-force split oracle's impurity on hand-computed nodes."""
+
     def test_balanced_node(self):
         # 5 positives, 5 negatives: 1 - 0.25 - 0.25 = 0.5
         assert gini_impurity(5, 10) == pytest.approx(0.5)
@@ -54,16 +51,16 @@ class TestGini:
 
 class TestFitTree:
     def test_pure_node_is_not_split(self):
-        model = fit_tree(_records([[0.1], [0.2], [0.3]], [1, 1, 1]))
+        model = fit_tree(*_data([[0.1], [0.2], [0.3]], [1, 1, 1]))
         assert model.tree.node_count == 1
-        assert predict_proba(model, (0.15,)) == 1.0
+        assert model.predict_proba([np.array([0.15])])[0] == 1.0
 
     def test_single_leaf_proportion(self):
         model = fit_tree(
-            _records([[1.0]] * 4, [1, 1, 1, 0])  # constant feature: no split possible
+            *_data([[1.0]] * 4, [1, 1, 1, 0])  # constant feature: no split possible
         )
         assert model.tree.node_count == 1
-        assert predict_proba(model, (1.0,)) == pytest.approx(0.75)
+        assert model.predict_proba([np.array([1.0])])[0] == pytest.approx(0.75)
 
     def test_step_function_split_at_midpoint(self):
         """1-d data with y = 1 iff x >= 0: the single split lands at the
@@ -71,10 +68,11 @@ class TestFitTree:
         training values, and training accuracy is 1."""
         xs = [-3.0, -1.5, -0.25, 0.5, 1.0, 4.0]
         y = [0, 0, 0, 1, 1, 1]
-        model = fit_tree(_records([[v] for v in xs], y))
+        columns, y = _data([[v] for v in xs], y)
+        model = fit_tree(columns, y)
         assert model.tree.node_count == 3
         assert model.tree.threshold[0] == pytest.approx((-0.25 + 0.5) / 2)
-        scores = model.predict_proba(_records([[v] for v in xs], y))
+        scores = model.predict_proba(columns)
         assert np.array_equal(scores >= 0.5, np.array(y) == 1)
 
     def test_matches_brute_force_split_search(self, rng):
@@ -87,26 +85,26 @@ class TestFitTree:
             best = brute_force_best_split(x, y)
             if best is None or best[0] <= 1e-12:
                 continue
-            model = fit_tree(_records(x, y), TreeConfig(max_depth=1))
+            model = fit_tree(*_data(x, y), TreeConfig(max_depth=1))
             assert model.tree.feature[0] == best[1]
             assert model.tree.threshold[0] == pytest.approx(best[2])
 
     def test_max_depth_respected(self, rng):
         x = rng.normal(size=(200, 2))
         y = (x[:, 0] + x[:, 1] > 0).astype(int)
-        model = fit_tree(_records(x, y), TreeConfig(max_depth=2))
+        model = fit_tree(*_data(x, y), TreeConfig(max_depth=2))
         assert model.tree.route_steps <= 2
 
     def test_min_node_size_stops_splitting(self, rng):
         x = rng.normal(size=(50, 1))
         y = rng.integers(0, 2, size=50)
-        model = fit_tree(_records(x, y), TreeConfig(min_node_size=100))
+        model = fit_tree(*_data(x, y), TreeConfig(min_node_size=100))
         assert model.tree.node_count == 1
 
     def test_leaf_values_are_proportions(self, rng):
         x = rng.normal(size=(80, 2))
         y = rng.integers(0, 2, size=80)
-        model = fit_tree(_records(x, y), TreeConfig(max_depth=3))
+        model = fit_tree(*_data(x, y), TreeConfig(max_depth=3))
         assert np.all((model.tree.value >= 0) & (model.tree.value <= 1))
 
 
@@ -114,12 +112,12 @@ class TestForest:
     def test_degenerate_forest_equals_single_tree(self, rng):
         x = rng.normal(size=(60, 2))
         y = (x[:, 0] > 0.2).astype(int)
-        records = _records(x, y)
-        tree_model = fit_tree(records)
+        columns, y, ids = _forest_data(x, y)
+        tree_model = fit_tree(columns, y)
         forest = fit_forest(
-            records, ForestConfig(trees=1, bootstrap=False, m_try=2), rng=123
+            columns, y, ids, ForestConfig(trees=1, bootstrap=False, m_try=2), rng=123
         )
-        probe = _records(rng.normal(size=(40, 2)), np.zeros(40))
+        probe = numeric_columns(rng.normal(size=(40, 2)))
         assert np.array_equal(
             forest.predict_proba(probe), tree_model.predict_proba(probe)
         )
@@ -127,38 +125,38 @@ class TestForest:
     def test_fixed_seed_reproducible(self, rng):
         x = rng.normal(size=(100, 3))
         y = rng.integers(0, 2, size=100)
-        records = _records(x, y)
-        first = fit_forest(records, ForestConfig(trees=12), rng=99)
-        second = fit_forest(records, ForestConfig(trees=12), rng=99)
-        probe = _records(rng.normal(size=(30, 3)), np.zeros(30))
+        data = _forest_data(x, y)
+        first = fit_forest(*data, ForestConfig(trees=12), rng=99)
+        second = fit_forest(*data, ForestConfig(trees=12), rng=99)
+        probe = numeric_columns(rng.normal(size=(30, 3)))
         assert first.tree_seeds == second.tree_seeds
         assert np.array_equal(first.predict_proba(probe), second.predict_proba(probe))
 
     def test_training_order_invariance(self, rng):
-        """Permuting the training records does not change the fitted forest
-        (records are canonically pre-sorted by id before fitting)."""
+        """Permuting the training rows does not change the fitted forest
+        (rows are canonically pre-sorted by id before fitting)."""
         x = rng.normal(size=(80, 2))
         y = rng.integers(0, 2, size=80)
-        records = _records(x, y)
-        shuffled = list(records)
-        rng.shuffle(shuffled)
-        probe = _records(rng.normal(size=(25, 2)), np.zeros(25))
-        a = fit_forest(records, ForestConfig(trees=8), rng=5)
-        b = fit_forest(shuffled, ForestConfig(trees=8), rng=5)
+        columns, y, ids = _forest_data(x, y)
+        perm = rng.permutation(80)
+        shuffled = ([c[perm] for c in columns], y[perm], [ids[i] for i in perm])
+        probe = numeric_columns(rng.normal(size=(25, 2)))
+        a = fit_forest(columns, y, ids, ForestConfig(trees=8), rng=5)
+        b = fit_forest(*shuffled, ForestConfig(trees=8), rng=5)
         assert np.array_equal(a.predict_proba(probe), b.predict_proba(probe))
 
     def test_forest_size_matches_config(self, rng):
         x = rng.normal(size=(40, 2))
         y = rng.integers(0, 2, size=40)
-        forest = fit_forest(_records(x, y), ForestConfig(trees=17), rng=3)
+        forest = fit_forest(*_forest_data(x, y), ForestConfig(trees=17), rng=3)
         assert len(forest.trees) == 17
 
     def test_mean_of_tree_leaf_outputs(self):
         """A forest whose two trees emit 0.2 and 0.6 for a point predicts
         0.4 there (plain average)."""
-        records = _records([[0.0], [1.0], [2.0], [3.0], [4.0]], [0, 0, 0, 1, 1])
-        forest = fit_forest(records, ForestConfig(trees=2), rng=11)
-        probe = _records([[2.5]], [0])
+        data = _forest_data([[0.0], [1.0], [2.0], [3.0], [4.0]], [0, 0, 0, 1, 1])
+        forest = fit_forest(*data, ForestConfig(trees=2), rng=11)
+        probe = [np.array([2.5])]
         per_tree = [float(t.predict(np.array([[2.5]]))[0]) for t in forest.trees]
         assert float(forest.predict_proba(probe)[0]) == pytest.approx(
             float(np.mean(per_tree))
@@ -167,8 +165,8 @@ class TestForest:
     def test_scores_in_unit_interval(self, rng):
         x = rng.normal(size=(100, 2))
         y = rng.integers(0, 2, size=100)
-        forest = fit_forest(_records(x, y), ForestConfig(trees=10), rng=0)
-        s = forest.predict_proba(_records(rng.normal(size=(50, 2)), np.zeros(50)))
+        forest = fit_forest(*_forest_data(x, y), ForestConfig(trees=10), rng=0)
+        s = forest.predict_proba(numeric_columns(rng.normal(size=(50, 2))))
         assert np.all((s >= 0) & (s <= 1))
 
 

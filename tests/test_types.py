@@ -1,89 +1,61 @@
 import numpy as np
 import pytest
 
+from helpers import make_population
 from svymetrics.errors import DataValidationError
-from svymetrics.types import (
-    ConfusionTally,
-    EvaluationSet,
-    FinitePopulation,
-    MetricResult,
-    Record,
-    SampleMember,
-    SurveySample,
-    validate_sample,
-)
-
-
-def _sample(weights, ids=None, probs=None):
-    ids = ids or [f"r{i}" for i in range(len(weights))]
-    return SurveySample(
-        ids=tuple(ids),
-        weights=np.asarray(weights, dtype=np.float64),
-        inclusion_probs=None if probs is None else np.asarray(probs, dtype=np.float64),
-    )
-
-
-class TestValidateSample:
-    def test_valid_sample_against_population(self):
-        records = tuple(
-            Record(record_id=f"r{i}", features=(float(i),), outcome=i % 2, stratum="s")
-            for i in range(4)
-        )
-        population = FinitePopulation(records=records)
-        report = validate_sample(_sample([2.0, 2.0], ids=["r0", "r1"]), population)
-        assert report.ok
-
-    def test_zero_weight_reported(self):
-        report = validate_sample(_sample([2.0, 0.0], ids=["a", "b"]))
-        assert not report.ok
-        assert any("non-positive weight" in issue and "'b'" in issue for issue in report.issues)
-
-    def test_duplicate_id_reported(self):
-        report = validate_sample(_sample([1.0, 1.0], ids=["a", "a"]))
-        assert any("duplicate id" in issue for issue in report.issues)
-
-    def test_unknown_id_reported_when_population_given(self):
-        records = (Record(record_id="x", features=(), outcome=1, stratum="s"),)
-        report = validate_sample(
-            _sample([1.0], ids=["ghost"]), FinitePopulation(records=records)
-        )
-        assert any("not present in population" in issue for issue in report.issues)
-
-    def test_inclusion_probability_out_of_range(self):
-        report = validate_sample(_sample([1.0], probs=[1.5]))
-        assert any("inclusion probability" in issue for issue in report.issues)
-
-    def test_validation_reports_all_issues_without_raising(self):
-        report = validate_sample(_sample([-1.0, 2.0, 2.0], ids=["a", "b", "b"]))
-        assert len(report.issues) == 2
+from svymetrics.types import ConfusionTally, EvaluationSet, MetricResult, Record
 
 
 class TestPopulationInvariants:
     def test_duplicate_record_id_rejected(self):
-        records = tuple(
-            Record(record_id="same", features=(), outcome=0, stratum="s") for _ in range(2)
-        )
-        with pytest.raises(DataValidationError, match="duplicate"):
-            FinitePopulation(records=records)
+        with pytest.raises(DataValidationError, match="duplicate record id 'same'"):
+            make_population([0, 1, 0], ids=["same", "other", "same"])
 
     def test_inconsistent_feature_length_rejected(self):
-        records = (
-            Record(record_id="a", features=(1.0,), outcome=0, stratum="s"),
-            Record(record_id="b", features=(1.0, 2.0), outcome=1, stratum="s"),
-        )
-        with pytest.raises(DataValidationError, match="features"):
-            FinitePopulation(records=records)
+        with pytest.raises(DataValidationError, match="feature 1 has 1 values, expected 2"):
+            make_population([0, 1], features=[np.array([1.0, 2.0]), np.array([3.0])])
 
     def test_non_binary_outcome_rejected(self):
-        records = (Record(record_id="a", features=(), outcome=2, stratum="s"),)
-        with pytest.raises(DataValidationError, match="outcome"):
-            FinitePopulation(records=records)
+        with pytest.raises(DataValidationError, match="record 'r1' has non-binary outcome 2"):
+            make_population([0, 2])
 
     def test_size_matches_record_count(self):
-        records = tuple(
-            Record(record_id=f"r{i}", features=(), outcome=0, stratum="s") for i in range(5)
+        assert make_population([0] * 5).size == 5
+
+
+class TestPopulationViews:
+    def test_record_view_reads_the_columns(self):
+        population = make_population(
+            [1, 0, 1],
+            ["a", "b", "a"],
+            features=[np.array([0.5, 1.5, 2.5]), np.array(["x", "y", "x"], dtype=object)],
         )
-        assert FinitePopulation(records=records).size == 5
+        records = population.records
+        assert len(records) == 3
+        assert records[1] == Record(
+            record_id="r1", features=(1.5, "y"), outcome=0, stratum="b"
+        )
+        assert records[-1].record_id == "r2"
+        assert [type(v) for v in records[0].features] == [float, str]
+        assert type(records[0].outcome) is int and type(records[0].stratum) is str
+        assert [r.record_id for r in records] == list(population.ids)
+        assert records[1:] == (records[1], records[2])
+        with pytest.raises(IndexError):
+            records[3]
+
+    def test_stratum_indices_keep_row_order_and_first_appearance(self):
+        population = make_population([0] * 6, ["b", "a", "b", "c", "a", "b"])
+        indices = population.stratum_indices
+        assert list(indices) == ["b", "a", "c"]
+        assert [indices[s].tolist() for s in indices] == [[0, 2, 5], [1, 4], [3]]
+        assert population.stratum_sizes == {"b": 3, "a": 2, "c": 1}
+        assert population.index_by_id == {f"r{i}": i for i in range(6)}
+
+    def test_columns_are_read_only(self):
+        population = make_population([0, 1], features=[np.array([1.0, 2.0])])
+        for column in (population.outcomes, population.strata, *population.features):
+            assert not column.flags.writeable
+        assert population.outcomes.dtype == np.int8
 
 
 class TestEvaluationSet:
@@ -133,14 +105,3 @@ class TestMetricResult:
     def test_value_outside_unit_interval_rejected(self):
         with pytest.raises(DataValidationError):
             MetricResult(value=1.2, kind="sensitivity", weighting="weighted")
-
-
-class TestSampleMembersView:
-    def test_members_round_trip(self):
-        members = [
-            SampleMember(record_id="a", weight=2.0, inclusion_prob=0.5),
-            SampleMember(record_id="b", weight=4.0, inclusion_prob=0.25),
-        ]
-        sample = SurveySample.from_members(members)
-        assert list(sample.members) == members
-        assert sample.size == 2
