@@ -3,6 +3,8 @@
 Trees are stored flat (parallel node arrays) so prediction can route whole
 record batches level by level without Python recursion.  Leaf values are
 positive-class proportions of the training records that reached the leaf.
+Models score one representative row per threshold cell (see
+:func:`threshold_cells`) and expand the result to every row.
 """
 
 from __future__ import annotations
@@ -87,6 +89,48 @@ class FlatTree:
         ):
             raise SchemaError("malformed tree in model document")
         return tree
+
+
+# Largest count of distinct cell keys an int64 key can hold.
+_KEY_SPAN = 2**63
+
+
+def threshold_cells(
+    trees: Sequence[FlatTree], x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Group the rows of ``x`` that every tree routes to the same node.
+
+    A tree reads a row only through ``x[f] <= t`` for the thresholds ``t``
+    of its internal nodes on column ``f``.  With ``thr`` the sorted unique
+    thresholds on ``f`` over all ``trees``, ``code = searchsorted(thr, x[:, f],
+    "left")`` satisfies ``x[f] <= thr[k]`` exactly when ``code <= k`` (NaN
+    sorts last and is never below a threshold), so rows with equal codes
+    on every split column reach the same nodes.  The codes are folded into
+    one int64 key with a mixed radix, densified whenever the next radix
+    could overflow it.  Returns ``(representatives, inverse)``: one row
+    index per distinct cell, and each row's cell, so that
+    ``tree.predict(x[representatives])[inverse]`` is ``tree.predict(x)``.
+    """
+    split_features, split_thresholds = [], []
+    for tree in trees:
+        nodes = np.arange(tree.node_count)
+        internal = (tree.left != nodes) | (tree.right != nodes)
+        split_features.append(tree.feature[internal])
+        split_thresholds.append(tree.threshold[internal])
+    features = np.concatenate(split_features)
+    thresholds = np.concatenate(split_thresholds)
+    key = np.zeros(x.shape[0], dtype=np.int64)
+    span = 1  # key values lie in [0, span)
+    for f in np.unique(features):
+        thr = np.unique(thresholds[features == f])
+        radix = thr.size + 1
+        if span * radix > _KEY_SPAN:
+            cells, key = np.unique(key, return_inverse=True)
+            span = cells.size
+        key = key * radix + np.searchsorted(thr, x[:, f], side="left")
+        span *= radix
+    _, representatives, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return representatives, inverse
 
 
 def _best_split_on_feature(col: np.ndarray, y: np.ndarray):
@@ -231,7 +275,9 @@ class TreeModel:
         self, columns: Sequence[np.ndarray], n_rows: int | None = None
     ) -> np.ndarray:
         """Leaf proportions reached by the rows of raw feature columns."""
-        return self.tree.predict(self.encoder.transform(columns, n_rows))
+        x = self.encoder.transform(columns, n_rows)
+        representatives, inverse = threshold_cells((self.tree,), x)
+        return self.tree.predict(x[representatives])[inverse]
 
     # The simulation harness scores every model through this name.
     predict_proba_columns = predict_proba

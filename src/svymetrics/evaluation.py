@@ -17,7 +17,7 @@ from .estimation import (
     ratio_standard_error,
     tally_confusion,
 )
-from .roc import auroc, roc_sweep, score_adapted_grid, uniform_grid
+from .roc import RocCurve, auroc, roc_sweep, score_adapted_grid, uniform_grid
 from .types import EvaluationSet, MetricResult, Weighting
 
 
@@ -94,3 +94,29 @@ def evaluation_summary(
     curve = roc_sweep(evaluation, resolve_grid(grid, evaluation.require_scores()), weighting)
     area = MetricResult(value=auroc(curve), kind="auroc", weighting=weighting)
     return EvaluationSummary(weighting=weighting, at_thresholds=rows, auroc=area)
+
+
+def population_summary(
+    truth: EvaluationSet, thresholds: Sequence[float], grid: int | str
+) -> EvaluationSummary:
+    """Finite-population truth of a scored census: sensitivity and
+    specificity at each fixed threshold and AUROC over the grid, all read
+    from one unit-weight tally of the fixed thresholds plus the grid.
+    Rates are plain count ratios, with no standard errors.
+    """
+    g = resolve_grid(grid, truth.require_scores())
+    k = len(thresholds)
+    tally = tally_confusion(truth, np.concatenate([np.asarray(thresholds, dtype=np.float64), g]))
+    sens = confusion_rate(tally, "sensitivity", "population-truth")
+    spec = confusion_rate(tally, "specificity", "population-truth")
+    rows = tuple(
+        ThresholdMetrics(
+            threshold=t,
+            sensitivity=MetricResult(sn, "sensitivity", "population-truth"),
+            specificity=MetricResult(sp, "specificity", "population-truth"),
+        )
+        for t, sn, sp in zip(thresholds, sens[:k].tolist(), spec[:k].tolist())
+    )
+    curve = RocCurve(thresholds=g, sensitivity=sens[k:], specificity=spec[k:])
+    area = MetricResult(value=auroc(curve), kind="auroc", weighting="population-truth")
+    return EvaluationSummary(weighting="population-truth", at_thresholds=rows, auroc=area)

@@ -17,8 +17,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-# No caller here; re-exported because perfbench's tracer swaps this name.
+# No caller here; re-exported because perfbench's tracer swaps these names.
 from .classifiers.encoding import extract_columns  # noqa: F401
+from .estimation import population_truth  # noqa: F401
+from .roc import auroc, roc_sweep  # noqa: F401
 from .classifiers.forest import ForestConfig, fit_forest
 from .classifiers.imbalance import upsample_minority
 from .classifiers.logistic import LogisticConfig, fit_logistic
@@ -29,12 +31,10 @@ from .errors import (
     NumericalError,
     SchemaError,
 )
-from .estimation import population_truth
-from .evaluation import EvaluationSummary, ThresholdMetrics, evaluation_summary, resolve_grid
+from .evaluation import EvaluationSummary, evaluation_summary, population_summary
 from .rng import derive_stream
-from .roc import auroc, roc_sweep
 from .sampling import StratifiedDesign, split_train_test, stratified_sample
-from .types import EvaluationSet, FinitePopulation, MetricResult
+from .types import EvaluationSet, FinitePopulation
 
 SPEC_VERSION = "1"
 
@@ -504,20 +504,8 @@ def run_replicate(
             truth = census.with_scores(
                 pop_scores if truth_rows is None else pop_scores[truth_rows]
             )
-            rows = tuple(
-                ThresholdMetrics(t, *population_truth(truth.outcomes, truth.scores, t))
-                for t in experiment.thresholds
-            )
-            grid = resolve_grid(experiment.auroc_grid, truth.scores)
-            truth_auroc = MetricResult(
-                value=auroc(roc_sweep(truth, grid, "unweighted")),
-                kind="auroc",
-                weighting="population-truth",
-            )
-            population_summary = EvaluationSummary(
-                weighting="population-truth",
-                at_thresholds=rows,
-                auroc=truth_auroc,
+            truth_summary = population_summary(
+                truth, experiment.thresholds, experiment.auroc_grid
             )
             evaluation = EvaluationSet(
                 ids=eval_sample.ids,
@@ -534,7 +522,7 @@ def run_replicate(
             outcomes.append(
                 ClassifierReport(
                     name=spec.resolved_name,
-                    population=population_summary,
+                    population=truth_summary,
                     weighted=weighted,
                     unweighted=unweighted,
                 )

@@ -98,6 +98,18 @@ def brute_force_tally(y, scores, weights, threshold):
     return {"tp": tp, "tn": tn, "fp": fp, "fn": fn, **totals}
 
 
+def route_one_row(tree, row):
+    """A flat tree's output on one encoded row, walking node by node with
+    scalar comparisons for the tree's ``route_steps`` steps."""
+    node = 0
+    for _ in range(tree.route_steps):
+        if row[tree.feature[node]] <= tree.threshold[node]:
+            node = tree.left[node]
+        else:
+            node = tree.right[node]
+    return tree.value[node]
+
+
 def enumerate_stratified_samples(ids_by_stratum, allocations):
     """Yield every possible stratified sample as a tuple of record ids."""
     per_stratum = [

@@ -168,6 +168,37 @@ class TestSplitTrainPredictEvaluate:
         assert np.array_equal(direct.predict_proba(probe), loaded.predict_proba(probe))
 
 
+class TestPredictUnseenCategory:
+    @pytest.mark.parametrize("model", ["logistic", "tree", "forest"])
+    def test_unseen_category_warns_in_one_line(self, tmp_path, capsys, model):
+        """An eval row whose region was never seen in training scores as
+        all-zeros indicators; stderr carries one plain warning line."""
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({
+            "id": "id", "outcome": "y", "weight": "wt", "stratum": None,
+            "features": [{"name": "region", "kind": "categorical"},
+                         {"name": "x", "kind": "numeric"}],
+        }))
+        train = tmp_path / "train.csv"
+        train.write_text(
+            "id,y,wt,region,x\n"
+            + "".join(f"t{i},{i % 2},1.0,{'ab'[i % 2]},{i / 10}\n" for i in range(6))
+        )
+        data = tmp_path / "eval.csv"
+        data.write_text("id,y,wt,region,x\ne1,1,1.0,zz,0.5\ne2,0,1.0,a,0.1\n")
+        model_json = tmp_path / "model.json"
+        assert _run(["train", "--input", train, "--schema", schema, "--model", model,
+                     "--seed", 1, "--trees", 3, "--out", model_json]) == 0
+        capsys.readouterr()
+        code = _run(["predict", "--input", data, "--schema", schema, "--model", model_json,
+                     "--out", tmp_path / "pred.csv"])
+        assert code == 0
+        assert capsys.readouterr().err == (
+            "warning: 1 record(s) carry categories unseen in training; "
+            "encoded as all zeros\n"
+        )
+
+
 class TestEvaluateBehaviour:
     def test_constant_weights_make_columns_agree(self, tmp_path, capsys):
         data = tmp_path / "eval.csv"

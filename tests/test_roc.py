@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,14 @@ from helpers import brute_force_tally, make_evaluation, weighted_pairwise_auc
 from svymetrics import evaluation as evaluation_module
 from svymetrics import roc as roc_module
 from svymetrics.errors import DataValidationError, UndefinedMetricError
-from svymetrics.evaluation import evaluation_summary
+from svymetrics.estimation import population_truth
+from svymetrics.evaluation import (
+    EvaluationSummary,
+    ThresholdMetrics,
+    evaluation_summary,
+    population_summary,
+    resolve_grid,
+)
 from svymetrics.roc import (
     RocCurve,
     auroc,
@@ -15,6 +24,7 @@ from svymetrics.roc import (
     score_adapted_grid,
     uniform_grid,
 )
+from svymetrics.types import MetricResult
 
 
 class TestGrids:
@@ -161,6 +171,45 @@ class TestRocSweep:
         calls.clear()
         evaluation_summary(evaluation, (0.25, 0.5), "exact", "unweighted")
         assert calls == [2, n + 1]
+        calls.clear()
+        population_summary(evaluation, (0.25, 0.5), "exact")
+        assert calls == [2 + n + 1]
+
+
+class TestPopulationSummary:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.lists(
+            st.tuples(st.integers(0, 1), st.sampled_from([0.0, 0.3, 0.5, 1.0]) | st.floats(0, 1)),
+            min_size=1,
+            max_size=30,
+        ),
+        thresholds=st.lists(st.sampled_from([0.0, 0.3, 0.5, 1.0]) | st.floats(0, 1), max_size=4),
+        grid=st.sampled_from(["exact", 2, 11, 101]),
+    )
+    def test_matches_per_threshold_truth_and_census_sweep(self, data, thresholds, grid):
+        """One tally of the fixed thresholds plus the grid serializes byte
+        for byte like the per-threshold ``population_truth`` rows and the
+        census sweep's AUROC; a one-class census is undefined either way."""
+        y, s = (list(col) for col in zip(*data))
+        truth = make_evaluation(y, s, np.ones(len(y)))
+        if len(set(y)) < 2:
+            with pytest.raises(UndefinedMetricError):
+                population_summary(truth, thresholds, grid)
+            with pytest.raises(UndefinedMetricError):
+                roc_sweep(truth, resolve_grid(grid, truth.scores), "unweighted")
+            return
+        area = auroc(roc_sweep(truth, resolve_grid(grid, truth.scores), "unweighted"))
+        expected = EvaluationSummary(
+            weighting="population-truth",
+            at_thresholds=tuple(
+                ThresholdMetrics(t, *population_truth(truth.outcomes, truth.scores, t))
+                for t in thresholds
+            ),
+            auroc=MetricResult(area, "auroc", "population-truth"),
+        )
+        got = population_summary(truth, thresholds, grid)
+        assert json.dumps(got.to_json_dict()) == json.dumps(expected.to_json_dict())
 
 
 class TestRocCurve:

@@ -1,9 +1,23 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import gini_impurity, numeric_columns
-from svymetrics.classifiers import ForestConfig, TreeConfig, fit_forest, fit_tree
-from svymetrics.classifiers.tree import grow_tree
+from helpers import gini_impurity, numeric_columns, route_one_row
+from svymetrics.classifiers import (
+    FeatureEncoder,
+    ForestConfig,
+    ForestModel,
+    TreeConfig,
+    TreeModel,
+    fit_forest,
+    fit_tree,
+    model_from_json_dict,
+    model_to_json_dict,
+)
+from svymetrics.classifiers.tree import FlatTree, grow_tree
 
 
 def _data(x_rows, y):
@@ -186,3 +200,213 @@ class TestGrowTreeInternals:
         tree = grow_tree(x, y)
         # splits at 0.5 and 2.5 tie; the smaller split point wins
         assert tree.threshold[0] == pytest.approx(0.5)
+
+
+_TRAIN_VALUES = (-1.0, -0.0, 0.0, 0.25, 0.5, 1.0, 2.0, 3.5)
+_SPECIAL_VALUES = (np.nan, np.inf, -np.inf, -0.0, 0.0)
+
+
+def _walk_scores(model, columns, n_rows=None):
+    """Reference scores: each encoded row walked through each tree on its
+    own, tree outputs summed in tree order from 0.0 and then averaged."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        x = model.encoder.transform(columns, n_rows)
+    if isinstance(model, TreeModel):
+        return np.array([route_one_row(model.tree, row) for row in x], dtype=np.float64)
+    out = []
+    for row in x:
+        total = 0.0
+        for tree in model.trees:
+            total += route_one_row(tree, row)
+        out.append(total / len(model.trees))
+    return np.array(out, dtype=np.float64)
+
+
+def _scores(model, columns, n_rows=None):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # unseen categories are expected here
+        return model.predict_proba(columns, n_rows)
+
+
+@st.composite
+def _fitted_models(draw):
+    """A tree or forest fitted on a small numeric-plus-categorical table."""
+    n = draw(st.integers(2, 30))
+    numeric = draw(st.lists(st.sampled_from(_TRAIN_VALUES), min_size=n, max_size=n))
+    floats = draw(st.lists(st.floats(-10, 10), min_size=n, max_size=n))
+    region = draw(st.lists(st.sampled_from("abc"), min_size=n, max_size=n))
+    y = np.asarray(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    columns = [np.asarray(numeric), np.asarray(floats), np.asarray(region, dtype=object)]
+    if draw(st.booleans()):
+        depth = draw(st.none() | st.integers(0, 4))
+        return fit_tree(columns, y, TreeConfig(max_depth=depth))
+    config = ForestConfig(
+        trees=draw(st.integers(1, 4)), m_try=draw(st.none() | st.integers(1, 5))
+    )
+    ids = [f"r{i}" for i in range(n)]
+    return fit_forest(columns, y, ids, config, rng=draw(st.integers(0, 99)))
+
+
+def _trees(model):
+    return (model.tree,) if isinstance(model, TreeModel) else model.trees
+
+
+def _probe_columns(data, model, rows):
+    """Scoring columns whose numbers hit every threshold of the model
+    exactly, along with training values, NaN, +-inf and -0.0, and whose
+    categories include one unseen in training."""
+    thresholds = tuple(float(t) for tree in _trees(model) for t in tree.threshold)
+    pool = st.sampled_from(_TRAIN_VALUES + _SPECIAL_VALUES + thresholds)
+
+    def column(values, dtype=np.float64):
+        return np.asarray(data.draw(st.lists(values, min_size=rows, max_size=rows)), dtype=dtype)
+
+    return [
+        column(pool),
+        column(pool | st.floats(allow_nan=True, allow_infinity=True)),
+        column(st.sampled_from(["a", "b", "c", "zz"]), dtype=object),
+    ]
+
+
+class TestThresholdCellScoring:
+    """Trees and forests score one representative row per threshold cell;
+    every row must still get exactly what a node-by-node walk gives."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(model=_fitted_models(), data=st.data())
+    def test_fitted_models_match_row_walk(self, model, data):
+        columns = _probe_columns(data, model, data.draw(st.integers(0, 40)))
+        got = _scores(model, columns)
+        assert got.tobytes() == _walk_scores(model, columns).tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(model=_fitted_models(), data=st.data())
+    def test_json_round_trip_with_short_route_steps(self, model, data):
+        """Routing that stops above the leaves returns internal-node values;
+        the deeper thresholds still split cells, which must not matter."""
+        payload = model_to_json_dict(model)
+        docs = [payload["tree"]] if "tree" in payload else payload["trees"]
+        for doc in docs:
+            doc["route_steps"] = data.draw(st.integers(0, doc["route_steps"]))
+        loaded = model_from_json_dict(payload)
+        columns = _probe_columns(data, loaded, data.draw(st.integers(1, 40)))
+        got = _scores(loaded, columns)
+        assert got.tobytes() == _walk_scores(loaded, columns).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_arbitrary_parsed_tree_documents_match_row_walk(self, data):
+        """Any node arrays the model parser accepts: nodes that route to
+        themselves on one side only, cycles, unreachable nodes, infinite
+        thresholds and routing that stops early."""
+        width = 3  # x, then the one-hot columns of region ("a", "b")
+        payload = {
+            "schema_version": "1", "model": "forest",
+            "encoder": {"features": [{"kind": "numeric", "categories": None},
+                                     {"kind": "categorical", "categories": ["a", "b"]}]},
+            "trees": [], "tree_seeds": [],
+            "config": {"trees": 1, "m_try": None, "min_node_size": 1, "max_depth": None,
+                       "bootstrap": True},
+        }
+        thresholds = st.sampled_from(_TRAIN_VALUES + (np.inf, -np.inf, 0.75))
+        for k in range(data.draw(st.integers(1, 3))):
+            m = data.draw(st.integers(1, 8))
+            nodes = st.integers(0, m - 1)
+            doc = {
+                "feature": data.draw(st.lists(st.integers(0, width - 1), min_size=m, max_size=m)),
+                "threshold": data.draw(st.lists(thresholds, min_size=m, max_size=m)),
+                "left": data.draw(st.lists(nodes, min_size=m, max_size=m)),
+                "right": data.draw(st.lists(nodes, min_size=m, max_size=m)),
+                "value": data.draw(st.lists(st.floats(0, 1), min_size=m, max_size=m)),
+            }
+            internal = sum(
+                (l, r) != (i, i) for i, (l, r) in enumerate(zip(doc["left"], doc["right"]))
+            )
+            doc["route_steps"] = data.draw(st.integers(0, internal))
+            payload["trees"].append(doc)
+            payload["tree_seeds"].append(k)
+        forest = model_from_json_dict(payload)
+        rows = data.draw(st.integers(1, 30))
+        pool = st.sampled_from(_TRAIN_VALUES + _SPECIAL_VALUES + (0.75,))
+        columns = [
+            np.asarray(data.draw(st.lists(pool, min_size=rows, max_size=rows))),
+            np.asarray(data.draw(st.lists(st.sampled_from("abz"), min_size=rows,
+                                          max_size=rows)), dtype=object),
+        ]
+        tree = TreeModel(forest.encoder, forest.trees[0], TreeConfig())
+        for model in (forest, tree):
+            got = _scores(model, columns)
+            assert got.tobytes() == _walk_scores(model, columns).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        y=st.lists(st.integers(0, 1), min_size=1, max_size=12),
+        rows=st.integers(0, 20),
+        forest=st.booleans(),
+    )
+    def test_zero_feature_models(self, y, rows, forest):
+        y = np.asarray(y)
+        if forest:
+            ids = [f"r{i}" for i in range(y.size)]
+            model = fit_forest([], y, ids, ForestConfig(trees=3), rng=1)
+        else:
+            model = fit_tree([], y)
+        assert all(tree.node_count == 1 for tree in _trees(model))
+        got = model.predict_proba([], n_rows=rows)
+        assert got.shape == (rows,)
+        assert got.tobytes() == _walk_scores(model, [], rows).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        label=st.integers(0, 1),
+        x=st.lists(st.sampled_from(_TRAIN_VALUES + _SPECIAL_VALUES), min_size=0, max_size=20),
+    )
+    def test_single_leaf_tree_scores_its_leaf_everywhere(self, label, x):
+        model = fit_tree([np.array([0.0, 1.0, 2.0])], np.full(3, label))
+        assert model.tree.node_count == 1
+        got = model.predict_proba([np.asarray(x, dtype=np.float64)])
+        assert got.tobytes() == np.full(len(x), float(label)).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_key_wider_than_int64_is_densified(self, data):
+        """Seventy columns with one threshold each give 2**70 possible cells,
+        more than an int64 key holds.  Rows share their last 62 columns and
+        differ in the first 8, whose codes a wrapped key would lose."""
+        width, varied = 70, 8
+        values = st.sampled_from((0.0, 0.5, 1.0, np.nan))
+        rows = data.draw(st.integers(1, 30))
+        base = data.draw(st.lists(values, min_size=width, max_size=width))
+        x = np.tile(np.asarray(base), (rows, 1))
+        x[:, :varied] = data.draw(
+            st.lists(st.lists(values, min_size=varied, max_size=varied),
+                     min_size=rows, max_size=rows)
+        )
+        columns = [x[:, j] for j in range(width)]
+        encoder = FeatureEncoder.fit([np.zeros(1)] * width)
+        trees = (_chain_tree(range(width)), _chain_tree(reversed(range(width))))
+        forest = ForestModel(encoder, trees, (0, 1), ForestConfig(trees=2))
+        tree = TreeModel(encoder, trees[0], TreeConfig())
+        for model in (forest, tree):
+            got = model.predict_proba(columns)
+            assert got.tobytes() == _walk_scores(model, columns).tobytes()
+
+
+def _chain_tree(features) -> FlatTree:
+    """Internal node k splits column features[k] at 0.5; its left child is a
+    leaf and its right child the next internal node, down to a last leaf."""
+    features = list(features)
+    h = len(features)
+    # internal nodes 0..h-1, left leaves h..2h-1, final right leaf 2h
+    left = list(range(h, 2 * h)) + list(range(h, 2 * h + 1))
+    right = list(range(1, h + 1)) + list(range(h, 2 * h + 1))
+    right[h - 1] = 2 * h
+    return FlatTree(
+        feature=np.asarray(features + [0] * (h + 1), dtype=np.int32),
+        threshold=np.asarray([0.5] * h + [np.inf] * (h + 1)),
+        left=np.asarray(left, dtype=np.int32),
+        right=np.asarray(right, dtype=np.int32),
+        value=np.linspace(0.0, 1.0, 2 * h + 1),
+        route_steps=h,
+    )
