@@ -1,10 +1,11 @@
 """Bootstrap-aggregated Gini trees (random forest).
 
 Each tree trains on a bootstrap resample of size n with ``m_try`` features
-considered per split.  Per-tree randomness derives from (seed, tree index),
-so trees are reproducible individually and the forest is deterministic for
-a fixed seed regardless of training-row order (rows are canonically sorted
-by id before fitting).
+considered per split.  The distinct training rows are found once per fit,
+and each resample is held as copy counts over them.  Per-tree randomness
+derives from (seed, tree index), so trees are reproducible individually and
+the forest is deterministic for a fixed seed regardless of training-row
+order (rows are canonically sorted by id before fitting).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from ..errors import DataValidationError
 from ..rng import stream_seed
 from .encoding import FeatureEncoder
-from .tree import FlatTree, grow_tree, threshold_cells
+from .tree import FlatTree, distinct_rows, grow_counted, row_counts, threshold_cells
 
 PAPER_PARITY_TREE_COUNT = 1000  # the cited simulations use 1,000 trees
 
@@ -86,6 +87,8 @@ def fit_forest(
     n, width = x.shape
     m_try = config.m_try if config.m_try is not None else max(1, math.isqrt(width))
     m_try = min(m_try, width)
+    representatives, inverse = distinct_rows(x)
+    patterns = x[representatives]
 
     trees = []
     seeds = []
@@ -94,10 +97,12 @@ def fit_forest(
         seeds.append(tree_seed)
         tree_rng = np.random.default_rng(tree_seed)
         rows = tree_rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
+        count, pos = row_counts(inverse[rows], y[rows], representatives.size)
         trees.append(
-            grow_tree(
-                x[rows],
-                y[rows],
+            grow_counted(
+                patterns,
+                count,
+                pos,
                 min_node_size=config.min_node_size,
                 max_depth=config.max_depth,
                 m_try=m_try if m_try < width else None,

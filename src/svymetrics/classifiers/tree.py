@@ -3,14 +3,16 @@
 Trees are stored flat (parallel node arrays) so prediction can route whole
 record batches level by level without Python recursion.  Leaf values are
 positive-class proportions of the training records that reached the leaf.
-Models score one representative row per threshold cell (see
-:func:`threshold_cells`) and expand the result to every row.
+Trees grow on the distinct rows of their training data, each weighted by
+its count of copies (see :func:`grow_counted`).  Models score one
+representative row per threshold cell (see :func:`threshold_cells`) and
+expand the result to every row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -51,7 +53,9 @@ class FlatTree:
     def to_json_dict(self) -> dict:
         return {
             "feature": self.feature.tolist(),
-            "threshold": ["inf" if not np.isfinite(t) else t for t in self.threshold],
+            "threshold": [
+                t if np.isfinite(t) else ("inf" if t > 0 else "-inf") for t in self.threshold
+            ],
             "left": self.left.tolist(),
             "right": self.right.tolist(),
             "value": self.value.tolist(),
@@ -64,9 +68,8 @@ class FlatTree:
         it routes every row to a leaf without leaving its arrays."""
         tree = cls(
             feature=np.asarray(payload["feature"], dtype=np.int32),
-            threshold=np.array(
-                [np.inf if t == "inf" else float(t) for t in payload["threshold"]]
-            ),
+            # float() reads the "inf" and "-inf" that to_json_dict writes.
+            threshold=np.array([float(t) for t in payload["threshold"]]),
             left=np.asarray(payload["left"], dtype=np.int32),
             right=np.asarray(payload["right"], dtype=np.int32),
             value=np.asarray(payload["value"], dtype=np.float64),
@@ -95,6 +98,29 @@ class FlatTree:
 _KEY_SPAN = 2**63
 
 
+def _fold_codes(
+    coded: Iterable[tuple[np.ndarray, int]], n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Group ``n`` rows by their codes on several columns.
+
+    ``coded`` yields ``(codes, radix)`` per column, every code in
+    ``[0, radix)``.  The codes are folded into one int64 key with a mixed
+    radix, densified whenever the next radix could overflow it.  Returns
+    ``(representatives, inverse)``: the first row of each distinct tuple
+    of codes, and each row's group.
+    """
+    key = np.zeros(n, dtype=np.int64)
+    span = 1  # key values lie in [0, span)
+    for codes, radix in coded:
+        if span * radix > _KEY_SPAN:
+            cells, key = np.unique(key, return_inverse=True)
+            span = cells.size
+        key = key * radix + codes
+        span *= radix
+    _, representatives, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return representatives, inverse
+
+
 def threshold_cells(
     trees: Sequence[FlatTree], x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -105,11 +131,10 @@ def threshold_cells(
     thresholds on ``f`` over all ``trees``, ``code = searchsorted(thr, x[:, f],
     "left")`` satisfies ``x[f] <= thr[k]`` exactly when ``code <= k`` (NaN
     sorts last and is never below a threshold), so rows with equal codes
-    on every split column reach the same nodes.  The codes are folded into
-    one int64 key with a mixed radix, densified whenever the next radix
-    could overflow it.  Returns ``(representatives, inverse)``: one row
-    index per distinct cell, and each row's cell, so that
-    ``tree.predict(x[representatives])[inverse]`` is ``tree.predict(x)``.
+    on every split column reach the same nodes.  Returns
+    ``(representatives, inverse)``: one row index per distinct cell, and
+    each row's cell, so that ``tree.predict(x[representatives])[inverse]``
+    is ``tree.predict(x)``.
     """
     split_features, split_thresholds = [], []
     for tree in trees:
@@ -119,36 +144,71 @@ def threshold_cells(
         split_thresholds.append(tree.threshold[internal])
     features = np.concatenate(split_features)
     thresholds = np.concatenate(split_thresholds)
-    key = np.zeros(x.shape[0], dtype=np.int64)
-    span = 1  # key values lie in [0, span)
-    for f in np.unique(features):
-        thr = np.unique(thresholds[features == f])
-        radix = thr.size + 1
-        if span * radix > _KEY_SPAN:
-            cells, key = np.unique(key, return_inverse=True)
-            span = cells.size
-        key = key * radix + np.searchsorted(thr, x[:, f], side="left")
-        span *= radix
-    _, representatives, inverse = np.unique(key, return_index=True, return_inverse=True)
-    return representatives, inverse
+    cuts = ((f, np.unique(thresholds[features == f])) for f in np.unique(features))
+    return _fold_codes(
+        ((np.searchsorted(thr, x[:, f], side="left"), thr.size + 1) for f, thr in cuts),
+        x.shape[0],
+    )
 
 
-def _best_split_on_feature(col: np.ndarray, y: np.ndarray):
+def distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the equal rows of an encoded matrix.
+
+    Returns ``(representatives, inverse)`` as :func:`threshold_cells` does.
+    Equal means equal under ``==``, except that NaN equals NaN, so a
+    representative may differ from its rows only in the sign of a zero.
+    """
+    columns = (np.unique(x[:, j], return_inverse=True) for j in range(x.shape[1]))
+    return _fold_codes(((codes, values.size) for values, codes in columns), x.shape[0])
+
+
+def row_counts(
+    groups: np.ndarray, y: np.ndarray, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and positives per group, as float64 counts, of the rows that
+    fall in ``groups`` (each in ``[0, size)``) with 0/1 outcomes ``y``."""
+    return (
+        np.bincount(groups, minlength=size).astype(np.float64),
+        np.bincount(groups, weights=y, minlength=size),
+    )
+
+
+def _split_threshold(lo: float, hi: float) -> float:
+    """A threshold ``t`` with ``lo <= t < hi`` for adjacent sorted values
+    ``lo < hi``, so that ``x <= t`` routes each value to the side it was
+    counted on.
+
+    The midpoint, when it qualifies.  It overflows to +-inf near the ends
+    of the float range, and rounds onto ``hi`` when the two values are
+    adjacent floats; then half of each, and last ``lo`` itself.  ``+ 0.0``
+    reads a zero ``lo`` as 0.0, because which of -0.0 and 0.0 sorts last
+    among tied zeros is arbitrary.
+    """
+    for t in ((lo + hi) / 2.0, lo / 2.0 + hi / 2.0):
+        if lo <= t < hi:
+            return t
+    return lo + 0.0
+
+
+def _best_split_on_feature(col: np.ndarray, count: np.ndarray, pos: np.ndarray):
     """Best boundary for one feature; returns (score, threshold, order, cut).
 
-    ``score`` is sum over children of (pos^2 + neg^2)/n_child, which is a
-    monotone transform of the Gini decrease, so maximizing it maximizes the
-    impurity decrease.  Returns None when the feature is constant.
+    Row ``i`` stands for ``count[i]`` training rows, ``pos[i]`` of them
+    positive.  ``score`` is sum over children of (pos^2 + neg^2)/n_child,
+    which is a monotone transform of the Gini decrease, so maximizing it
+    maximizes the impurity decrease.  Returns None when the feature is
+    constant.
     """
     order = np.argsort(col)
     xs = col[order]
     boundaries = np.nonzero(xs[:-1] < xs[1:])[0]
     if boundaries.size == 0:
         return None
-    cum_pos = np.cumsum(y[order])
-    m = col.size
+    cum_n = np.cumsum(count[order])
+    cum_pos = np.cumsum(pos[order])
+    m = cum_n[-1]
     total_pos = cum_pos[-1]
-    n_left = (boundaries + 1).astype(np.float64)
+    n_left = cum_n[boundaries]
     pos_left = cum_pos[boundaries]
     neg_left = n_left - pos_left
     n_right = m - n_left
@@ -159,8 +219,110 @@ def _best_split_on_feature(col: np.ndarray, y: np.ndarray):
     ) / n_right
     best = int(np.argmax(score))  # first max -> smallest split point
     cut = int(boundaries[best])
-    threshold = (xs[cut] + xs[cut + 1]) / 2.0
-    return float(score[best]), float(threshold), order, cut
+    threshold = _split_threshold(float(xs[cut]), float(xs[cut + 1]))
+    return float(score[best]), threshold, order, cut
+
+
+def grow_counted(
+    x: np.ndarray,
+    count: np.ndarray,
+    pos: np.ndarray,
+    *,
+    min_node_size: int = 1,
+    max_depth: int | None = None,
+    m_try: int | None = None,
+    rng: np.random.Generator | None = None,
+) -> FlatTree:
+    """Grow a Gini tree on distinct encoded rows ``x``, where row ``i``
+    stands for ``count[i]`` training rows, ``pos[i]`` of them positive.
+
+    The search reads a node only through cumulative sums of ``count`` and
+    ``pos`` in sorted order, which are exact integers in float64, so the
+    tree is bit for bit the one grown on the copies.  Rows with a zero
+    count take no part.  When ``m_try`` is given (and smaller than the
+    feature count) each node considers a random feature subset drawn from
+    ``rng``; otherwise the search is exhaustive and deterministic.  Ties
+    between equal-gain splits resolve to the lowest feature index, then
+    the smallest split point.
+    """
+    width = x.shape[1]
+    root_rows = np.flatnonzero(count)
+    if root_rows.size == 0:
+        raise DataValidationError("cannot grow a tree on empty data")
+    use_subset = m_try is not None and width > 0 and m_try < width
+    if use_subset and rng is None:
+        raise DataValidationError("feature subsetting requires an rng")
+
+    feature: list[int] = []
+    threshold: list[float] = []
+    left: list[int] = []
+    right: list[int] = []
+    value: list[float] = []
+
+    def new_node() -> int:
+        idx = len(feature)
+        feature.append(0)
+        threshold.append(np.inf)
+        left.append(idx)
+        right.append(idx)
+        value.append(0.0)
+        return idx
+
+    stack: list[tuple[int, np.ndarray, int]] = [(new_node(), root_rows, 0)]
+    max_internal_depth = -1
+    while stack:
+        node_id, rows, depth = stack.pop()
+        node_count = count[rows]
+        node_pos = pos[rows]
+        m = float(node_count.sum())
+        p = float(node_pos.sum())
+        value[node_id] = p / m
+        if (
+            m < 2
+            or m < min_node_size
+            or p == 0.0
+            or p == m
+            or (max_depth is not None and depth >= max_depth)
+        ):
+            continue
+        if use_subset:
+            if m_try == 1:
+                candidates = [int(rng.integers(width))]
+            else:
+                candidates = sorted(int(f) for f in rng.choice(width, size=m_try, replace=False))
+        else:
+            candidates = range(width)
+        parent_score = (p * p + (m - p) * (m - p)) / m
+        best = None
+        best_feature = -1
+        for f in candidates:
+            found = _best_split_on_feature(x[rows, f], node_count, node_pos)
+            if found is None:
+                continue
+            if best is None or found[0] > best[0]:
+                best = found
+                best_feature = f
+        if best is None or best[0] <= parent_score:
+            continue  # zero achievable gain
+        score, thr, order, cut = best
+        feature[node_id] = best_feature
+        threshold[node_id] = thr
+        left_id = new_node()
+        right_id = new_node()
+        left[node_id] = left_id
+        right[node_id] = right_id
+        max_internal_depth = max(max_internal_depth, depth)
+        stack.append((right_id, rows[order[cut + 1 :]], depth + 1))
+        stack.append((left_id, rows[order[: cut + 1]], depth + 1))
+
+    return FlatTree(
+        feature=np.asarray(feature, dtype=np.int32),
+        threshold=np.asarray(threshold, dtype=np.float64),
+        left=np.asarray(left, dtype=np.int32),
+        right=np.asarray(right, dtype=np.int32),
+        value=np.asarray(value, dtype=np.float64),
+        route_steps=max_internal_depth + 1,
+    )
 
 
 def grow_tree(
@@ -172,94 +334,18 @@ def grow_tree(
     m_try: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> FlatTree:
-    """Grow a Gini tree on an encoded matrix.
-
-    When ``m_try`` is given (and smaller than the feature count) each node
-    considers a random feature subset drawn from ``rng``; otherwise the
-    search is exhaustive and deterministic.  Ties between equal-gain splits
-    resolve to the lowest feature index, then the smallest split point.
-    """
-    n, width = x.shape
-    if n == 0:
-        raise DataValidationError("cannot grow a tree on empty data")
-    y = np.asarray(y, dtype=np.float64)
-    use_subset = m_try is not None and width > 0 and m_try < width
-    if use_subset and rng is None:
-        raise DataValidationError("feature subsetting requires an rng")
-
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
-    depth_of: list[int] = []
-
-    def new_node(depth: int, proportion: float) -> int:
-        idx = len(feature)
-        feature.append(0)
-        threshold.append(np.inf)
-        left.append(idx)
-        right.append(idx)
-        value.append(proportion)
-        depth_of.append(depth)
-        return idx
-
-    root_rows = np.arange(n)
-    root = new_node(0, float(y.mean()))
-    stack: list[tuple[int, np.ndarray, int]] = [(root, root_rows, 0)]
-    max_internal_depth = -1
-    while stack:
-        node_id, rows, depth = stack.pop()
-        m = rows.size
-        pos = float(y[rows].sum())
-        if (
-            m < 2
-            or m < min_node_size
-            or pos == 0.0
-            or pos == m
-            or (max_depth is not None and depth >= max_depth)
-        ):
-            continue
-        if use_subset:
-            if m_try == 1:
-                candidates = [int(rng.integers(width))]
-            else:
-                candidates = sorted(int(f) for f in rng.choice(width, size=m_try, replace=False))
-        else:
-            candidates = range(width)
-        parent_score = (pos * pos + (m - pos) * (m - pos)) / m
-        y_rows = y[rows]
-        best = None
-        best_feature = -1
-        for f in candidates:
-            found = _best_split_on_feature(x[rows, f], y_rows)
-            if found is None:
-                continue
-            if best is None or found[0] > best[0]:
-                best = found
-                best_feature = f
-        if best is None or best[0] <= parent_score:
-            continue  # zero achievable gain
-        score, thr, order, cut = best
-        left_rows = rows[order[: cut + 1]]
-        right_rows = rows[order[cut + 1 :]]
-        feature[node_id] = best_feature
-        threshold[node_id] = thr
-        left_id = new_node(depth + 1, float(y[left_rows].mean()))
-        right_id = new_node(depth + 1, float(y[right_rows].mean()))
-        left[node_id] = left_id
-        right[node_id] = right_id
-        max_internal_depth = max(max_internal_depth, depth)
-        stack.append((right_id, right_rows, depth + 1))
-        stack.append((left_id, left_rows, depth + 1))
-
-    return FlatTree(
-        feature=np.asarray(feature, dtype=np.int32),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int32),
-        right=np.asarray(right, dtype=np.int32),
-        value=np.asarray(value, dtype=np.float64),
-        route_steps=max_internal_depth + 1,
+    """Grow a Gini tree on an encoded matrix and 0/1 outcomes, by
+    :func:`grow_counted` on its distinct rows."""
+    representatives, inverse = distinct_rows(x)
+    count, pos = row_counts(inverse, y, representatives.size)
+    return grow_counted(
+        x[representatives],
+        count,
+        pos,
+        min_node_size=min_node_size,
+        max_depth=max_depth,
+        m_try=m_try,
+        rng=rng,
     )
 
 

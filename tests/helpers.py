@@ -14,6 +14,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
+from svymetrics.classifiers.tree import FlatTree
 from svymetrics.errors import DataValidationError
 from svymetrics.types import EvaluationSet, FinitePopulation
 
@@ -108,6 +109,97 @@ def route_one_row(tree, row):
         else:
             node = tree.right[node]
     return tree.value[node]
+
+
+def grow_tree_per_row(
+    x, y, *, min_node_size=1, max_depth=None, m_try=None, rng=None
+):
+    """Reference Gini grower over every training row, copies included.
+
+    Each node argsorts its own rows on each candidate column and scores
+    every boundary between distinct values from running counts of rows and
+    positives; the first best score wins, lowest feature index first.  The
+    split threshold is the midpoint when ``lo <= t < hi`` holds, then half
+    of each, then ``lo + 0.0``.  Feature subsets are drawn from ``rng`` per
+    node, in the same depth-first order (left child first) as the library.
+    """
+    n, width = x.shape
+    y = np.asarray(y, dtype=np.float64)
+    use_subset = m_try is not None and width > 0 and m_try < width
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def new_node(proportion):
+        idx = len(feature)
+        feature.append(0)
+        threshold.append(np.inf)
+        left.append(idx)
+        right.append(idx)
+        value.append(proportion)
+        return idx
+
+    stack = [(new_node(float(y.mean())), np.arange(n), 0)]
+    max_internal_depth = -1
+    while stack:
+        node_id, rows, depth = stack.pop()
+        m = rows.size
+        pos = float(y[rows].sum())
+        if (
+            m < 2
+            or m < min_node_size
+            or pos == 0.0
+            or pos == m
+            or (max_depth is not None and depth >= max_depth)
+        ):
+            continue
+        if not use_subset:
+            candidates = range(width)
+        elif m_try == 1:
+            candidates = [int(rng.integers(width))]
+        else:
+            candidates = sorted(int(f) for f in rng.choice(width, size=m_try, replace=False))
+        best = None
+        for f in candidates:
+            order = np.argsort(x[rows, f])
+            xs = x[rows, f][order]
+            cum_pos = np.cumsum(y[rows][order])
+            for cut in range(m - 1):
+                if not xs[cut] < xs[cut + 1]:
+                    continue
+                n_left = float(cut + 1)
+                pos_left = cum_pos[cut]
+                neg_left = n_left - pos_left
+                n_right = m - n_left
+                pos_right = cum_pos[-1] - pos_left
+                neg_right = n_right - pos_right
+                score = (pos_left * pos_left + neg_left * neg_left) / n_left + (
+                    pos_right * pos_right + neg_right * neg_right
+                ) / n_right
+                if best is None or score > best[0]:
+                    best = (score, f, order, cut)
+        if best is None or best[0] <= (pos * pos + (m - pos) * (m - pos)) / m:
+            continue
+        _, f, order, cut = best
+        col = x[rows, f][order]
+        lo, hi = float(col[cut]), float(col[cut + 1])
+        thr = next(
+            (t for t in ((lo + hi) / 2.0, lo / 2.0 + hi / 2.0) if lo <= t < hi), lo + 0.0
+        )
+        left_rows, right_rows = rows[order[: cut + 1]], rows[order[cut + 1 :]]
+        feature[node_id] = f
+        threshold[node_id] = thr
+        left[node_id] = new_node(float(y[left_rows].mean()))
+        right[node_id] = new_node(float(y[right_rows].mean()))
+        max_internal_depth = max(max_internal_depth, depth)
+        stack.append((right[node_id], right_rows, depth + 1))
+        stack.append((left[node_id], left_rows, depth + 1))
+    return FlatTree(
+        feature=np.asarray(feature, dtype=np.int32),
+        threshold=np.asarray(threshold, dtype=np.float64),
+        left=np.asarray(left, dtype=np.int32),
+        right=np.asarray(right, dtype=np.int32),
+        value=np.asarray(value, dtype=np.float64),
+        route_steps=max_internal_depth + 1,
+    )
 
 
 def enumerate_stratified_samples(ids_by_stratum, allocations):

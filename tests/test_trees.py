@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import gini_impurity, numeric_columns, route_one_row
+from helpers import gini_impurity, grow_tree_per_row, numeric_columns, route_one_row
 from svymetrics.classifiers import (
     FeatureEncoder,
     ForestConfig,
@@ -14,8 +14,10 @@ from svymetrics.classifiers import (
     TreeModel,
     fit_forest,
     fit_tree,
+    load_model,
     model_from_json_dict,
     model_to_json_dict,
+    save_model,
 )
 from svymetrics.classifiers.tree import FlatTree, grow_tree
 
@@ -200,6 +202,128 @@ class TestGrowTreeInternals:
         tree = grow_tree(x, y)
         # splits at 0.5 and 2.5 tie; the smaller split point wins
         assert tree.threshold[0] == pytest.approx(0.5)
+
+
+    def test_threshold_does_not_overflow(self):
+        """The midpoint of -1.7e308 and -1e308 overflows to -inf, which
+        would route the positive row right of its own split."""
+        x = np.array([[-1.7e308], [-1e308], [0.0], [1.0]])
+        y = np.array([1.0, 0.0, 0.0, 0.0])
+        tree = grow_tree(x, y)
+        assert -1.7e308 <= tree.threshold[0] < -1e308
+        internal = tree.left != np.arange(tree.node_count)
+        assert np.all(np.isfinite(tree.threshold[internal]))
+        assert tree.predict(x).tobytes() == y.tobytes()
+
+    def test_threshold_below_adjacent_upper_value(self):
+        """Between adjacent floats a and b the midpoint rounds onto b; the
+        threshold must stay below b so the negative row b routes right."""
+        a = np.nextafter(1.0, 2.0)
+        b = np.nextafter(a, 2.0)
+        x = np.array([[a], [b]])
+        y = np.array([1.0, 0.0])
+        tree = grow_tree(x, y)
+        assert a <= tree.threshold[0] < b
+        assert tree.predict(x).tobytes() == y.tobytes()
+
+
+_GROW_VALUES = (-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0)
+_NON_FINITE = (np.nan, np.inf, -np.inf)
+
+
+@st.composite
+def _training_tables(draw, values):
+    """An encoded table of a few distinct rows, each repeated, so rows
+    tie on columns and duplicate with mixed outcomes."""
+    width = draw(st.integers(1, 4))
+    row = st.lists(st.sampled_from(values) | st.floats(-5, 5), min_size=width, max_size=width)
+    pool = draw(st.lists(row, min_size=1, max_size=8))
+    n = draw(st.integers(1, 40))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    x = np.asarray([pool[i] for i in picks], dtype=np.float64).reshape(n, width)
+    y = np.asarray(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.float64)
+    return x, y
+
+
+def _node_arrays(tree):
+    return (
+        tree.feature.tobytes(),
+        tree.threshold.tobytes(),
+        tree.left.tobytes(),
+        tree.right.tobytes(),
+        tree.value.tobytes(),
+        tree.route_steps,
+    )
+
+
+class TestCountedGrower:
+    """Trees grow on distinct rows weighted by their copy counts; they
+    must equal, bit for bit, the trees grown on every copy."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(table=_training_tables(_GROW_VALUES + _NON_FINITE), data=st.data())
+    def test_matches_per_row_grower(self, table, data):
+        x, y = table
+        kwargs = {
+            "min_node_size": data.draw(st.integers(1, 6)),
+            "max_depth": data.draw(st.none() | st.integers(0, 4)),
+            "m_try": data.draw(st.none() | st.integers(1, x.shape[1])),
+        }
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        got = grow_tree(x, y, rng=np.random.default_rng(seed), **kwargs)
+        want = grow_tree_per_row(x, y, rng=np.random.default_rng(seed), **kwargs)
+        assert _node_arrays(got) == _node_arrays(want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(table=_training_tables(_GROW_VALUES), data=st.data())
+    def test_forest_matches_per_row_trees_on_resamples(self, table, data):
+        """Each tree equals the per-row grower on the copies ``x[rows]``
+        that its seed draws, the rng continuing into the feature subsets."""
+        x, y = table
+        n, width = x.shape
+        m_try = data.draw(st.integers(1, width))
+        config = ForestConfig(
+            trees=data.draw(st.integers(1, 4)),
+            m_try=m_try,
+            min_node_size=data.draw(st.integers(1, 4)),
+            max_depth=data.draw(st.none() | st.integers(0, 4)),
+            bootstrap=data.draw(st.booleans()),
+        )
+        ids = [f"r{i:02d}" for i in range(n)]  # already in id order
+        columns = numeric_columns(x)
+        forest = fit_forest(columns, y, ids, config, rng=data.draw(st.integers(0, 99)))
+        x = forest.encoder.transform(columns, n)
+        for tree, seed in zip(forest.trees, forest.tree_seeds):
+            tree_rng = np.random.default_rng(seed)
+            rows = tree_rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
+            want = grow_tree_per_row(
+                x[rows],
+                y[rows],
+                min_node_size=config.min_node_size,
+                max_depth=config.max_depth,
+                m_try=m_try,
+                rng=tree_rng,
+            )
+            assert _node_arrays(tree) == _node_arrays(want)
+
+
+class TestTreeJson:
+    def test_negative_infinite_threshold_round_trips(self, tmp_path):
+        """A split between -inf and finite values has threshold -inf; it
+        must reload as -inf, not +inf, and score the same."""
+        x = np.array([[-np.inf], [-np.inf], [0.0], [1.0]])
+        y = np.array([1.0, 1.0, 0.0, 0.0])
+        tree = grow_tree(x, y)
+        assert tree.threshold[0] == -np.inf
+        model = TreeModel(FeatureEncoder.fit([np.zeros(1)]), tree, TreeConfig())
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        probe = [np.array([-np.inf, -1e308, 0.0, 1.0, np.inf, np.nan])]
+        expected = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        assert loaded.tree.threshold.tobytes() == tree.threshold.tobytes()
+        assert loaded.predict_proba(probe).tobytes() == expected.tobytes()
+        assert model.predict_proba(probe).tobytes() == expected.tobytes()
 
 
 _TRAIN_VALUES = (-1.0, -0.0, 0.0, 0.25, 0.5, 1.0, 2.0, 3.5)
