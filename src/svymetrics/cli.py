@@ -173,15 +173,17 @@ def _cmd_split(args) -> int:
     training, evaluation = split_train_test(
         result.sample, args.eval_fraction, derive_stream(args.seed, "split")
     )
-    design_weight = {rid: w for rid, w in zip(result.sample.ids, result.sample.weights)}
+    index = result.data.index_by_id
+    train = [index[r] for r in training.ids]
+    held_out = [index[r] for r in evaluation.ids]
+    weights = result.sample.weights
     write_split_files(
-        args.input,
-        schema,
-        train_ids=training.ids,
-        train_weights=[design_weight[r] for r in training.ids],
-        eval_ids=evaluation.ids,
-        eval_design_weights=[design_weight[r] for r in evaluation.ids],
-        eval_compound_weights=list(evaluation.weights),
+        result.table,
+        train_rows=result.file_rows[train].tolist(),
+        train_weights=weights[train],
+        eval_rows=result.file_rows[held_out].tolist(),
+        eval_design_weights=weights[held_out],
+        eval_compound_weights=evaluation.weights,
         train_out=args.train_out,
         eval_out=args.eval_out,
     )
@@ -332,9 +334,9 @@ def _cmd_roc(args) -> int:
     grid = resolve_grid(_parse_grid(args.grid), evaluation.require_scores())
     curve = roc_sweep(evaluation, grid, args.weighting)
     columns = (curve.thresholds, curve.sensitivity, curve.specificity, curve.fpr)
-    rows = [[repr(v) for v in row] for row in zip(*(c.tolist() for c in columns))]
+    rows = zip(*(c.tolist() for c in columns))
     write_rows_csv(args.out, ["threshold", "sensitivity", "specificity", "fpr"], rows)
-    print(f"wrote {len(rows)} ROC points to {args.out}")
+    print(f"wrote {len(curve.thresholds)} ROC points to {args.out}")
     return EXIT_OK
 
 

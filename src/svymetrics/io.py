@@ -1,23 +1,26 @@
 """CSV ingestion and emission.
 
-Rows with missing or unparseable required fields are dropped and counted
-in a load report rather than aborting the load.  Weights written back out
-use full precision (repr round trip), so split files reproduce in-memory
-results exactly.
+A CSV is read once, as one string column per header field, and each check
+runs over whole columns.  Rows with missing or unparseable required fields
+are dropped and counted in a load report rather than aborting the load.
+Weights written back out use full precision (repr round trip), so split
+files reproduce in-memory results exactly.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import operator
 from dataclasses import dataclass, field
+from itertools import islice, repeat, zip_longest
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import DataValidationError, SchemaError
-from .types import FeatureValue, FinitePopulation, SurveySample
+from .types import FinitePopulation, SurveySample
 
 
 @dataclass(frozen=True)
@@ -109,6 +112,42 @@ def _lines(path: str | Path) -> Iterator[str]:
         raise DataValidationError(f"{path} is not UTF-8 text: {exc.reason}") from exc
 
 
+@dataclass(frozen=True)
+class CsvTable:
+    """A CSV file as read: its header, one string column per header field,
+    and the number of data rows."""
+
+    header: tuple[str, ...]
+    columns: tuple[tuple[str, ...], ...]
+    size: int
+
+    @property
+    def named(self) -> dict[str, tuple[str, ...]]:
+        """Each header name's last column, as ``csv.DictReader`` reads it."""
+        return dict(zip(self.header, self.columns))
+
+
+def _read_columns(path: str | Path, check_header) -> CsvTable:
+    """Read a CSV once, as string columns.
+
+    The first row is the header, even when it is blank, and
+    ``check_header`` sees it (None for an empty file) before any data row
+    is read.  Blank data rows are skipped.  A short row reads "" in the
+    fields it lacks, and fields past the header are ignored.
+    """
+    reader = csv.reader(_lines(path))
+    try:
+        header = next(reader, None)
+        check_header(header)
+        rows = list(filter(None, reader))
+    except csv.Error as exc:
+        raise DataValidationError(f"{path}: {exc}") from exc
+    width = len(header)
+    columns = list(islice(zip_longest(*rows, fillvalue=""), width))
+    columns += [("",) * len(rows)] * (width - len(columns))
+    return CsvTable(header=tuple(header), columns=tuple(columns), size=len(rows))
+
+
 def load_schema(path: str | Path) -> DataSchema:
     try:
         payload = json.loads(read_text(path))
@@ -143,25 +182,51 @@ class IngestResult:
     column) and ``sample`` the same ids with their weights.  A file whose
     schema declares no weight column is a census: unit weights, and
     ``population`` is ``data``; otherwise ``population`` is None.
+    ``table`` is the file as read, and ``file_rows`` the row of ``table``
+    each loaded record came from.
     """
 
     data: FinitePopulation
     sample: SurveySample
     population: FinitePopulation | None
     report: LoadReport
+    table: CsvTable
+    file_rows: np.ndarray
 
 
-def _parse_outcome(raw: str) -> int | None:
-    text = raw.strip()
-    if text in ("0", "1"):
-        return int(text)
+def _blank(texts: Sequence[str]) -> np.ndarray:
+    """True where a stripped cell is empty."""
+    return np.fromiter(map(operator.not_, texts), dtype=bool, count=len(texts))
+
+
+def _parse_floats(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``float()`` of every cell: the values (NaN where a cell fails), and
+    which cells are blank and which do not parse."""
+    n = len(texts)
     try:
-        value = float(text)
+        values = np.fromiter(map(float, texts), dtype=np.float64, count=n)
+        return values, np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
     except ValueError:
-        return None
-    if value in (0.0, 1.0):
-        return int(value)
-    return None
+        pass
+    values = np.full(n, np.nan)
+    blank = np.zeros(n, dtype=bool)
+    bad = np.zeros(n, dtype=bool)
+    for i, text in enumerate(texts):
+        if not text.strip():
+            blank[i] = True
+            continue
+        try:
+            values[i] = float(text)
+        except ValueError:
+            bad[i] = True
+    return values, blank, bad
+
+
+def _first_rows(keys: Sequence[str], rows: Sequence[int]) -> np.ndarray:
+    """For each key, the first of the ascending ``rows`` holding it, or
+    ``len(keys)`` when none does."""
+    first = dict(zip([keys[i] for i in reversed(rows)], reversed(rows)))
+    return np.fromiter(map(first.get, keys, repeat(len(keys))), dtype=np.intp, count=len(keys))
 
 
 def ingest_csv(path: str | Path, schema: DataSchema) -> IngestResult:
@@ -169,135 +234,113 @@ def ingest_csv(path: str | Path, schema: DataSchema) -> IngestResult:
 
     Rows missing any required field, with a non-binary outcome, an
     unparseable feature, or a non-positive weight are dropped and counted
-    by reason.
+    by reason.  A row's reason is its first failing check, in the order
+    id, duplicate id, outcome, weight, stratum, then each feature; a row
+    is a duplicate when an earlier row with its id was loaded.  Reasons
+    are counted in order of first occurrence.
     """
-    ids: list[str] = []
-    outcomes: list[int] = []
-    weights: list[float] = []
-    strata: list[str] = []
-    features: list[list[FeatureValue]] = [[] for _ in schema.features]
-    dropped: dict[str, int] = {}
-    rows_read = 0
 
-    def drop(reason: str) -> None:
-        dropped[reason] = dropped.get(reason, 0) + 1
+    def check_header(header):
+        if header is None:
+            raise DataValidationError(f"{path} has no header row")
+        missing = [c for c in schema.required_columns if c not in header]
+        if missing:
+            raise SchemaError(f"{path} lacks schema columns: {missing}")
+        repeated = [c for c in schema.required_columns if header.count(c) > 1]
+        if repeated:
+            raise SchemaError(f"{path} repeats schema columns: {repeated}")
 
-    reader = csv.DictReader(_lines(path))
-    if reader.fieldnames is None:
-        raise DataValidationError(f"{path} has no header row")
-    missing = [c for c in schema.required_columns if c not in reader.fieldnames]
-    if missing:
-        raise SchemaError(f"{path} lacks schema columns: {missing}")
-    seen_ids: set[str] = set()
-    for row in reader:
-        rows_read += 1
-        rid = (row.get(schema.id_column) or "").strip()
-        if not rid:
-            drop("missing id")
-            continue
-        if rid in seen_ids:
-            drop("duplicate id")
-            continue
-        outcome_raw = row.get(schema.outcome_column)
-        if outcome_raw is None or not outcome_raw.strip():
-            drop("missing outcome")
-            continue
-        outcome = _parse_outcome(outcome_raw)
-        if outcome is None:
-            drop("non-binary outcome")
-            continue
-        if schema.weight_column is not None:
-            weight_raw = row.get(schema.weight_column)
-            if weight_raw is None or not weight_raw.strip():
-                drop("missing weight")
-                continue
-            try:
-                weight = float(weight_raw)
-            except ValueError:
-                drop("unparseable weight")
-                continue
-            if not np.isfinite(weight) or weight <= 0:
-                drop("non-positive weight")
-                continue
+    table = _read_columns(path, check_header)
+    cols = table.named
+    n = table.size
+    ids = list(map(str.strip, cols[schema.id_column]))
+    checks = [("missing id", _blank(ids))]  # (reason, failing rows), in check order
+    outcome_text = list(map(str.strip, cols[schema.outcome_column]))
+    y, blank, _ = _parse_floats(outcome_text)
+    checks += [("missing outcome", blank), ("non-binary outcome", (y != 0) & (y != 1))]
+    if schema.weight_column is not None:
+        weights, blank, bad = _parse_floats(cols[schema.weight_column])
+        checks += [
+            ("missing weight", blank),
+            ("unparseable weight", bad),
+            ("non-positive weight", ~(np.isfinite(weights) & (weights > 0))),
+        ]
+    else:
+        weights = np.ones(n)
+    strata = [""] * n
+    if schema.stratum_column is not None:
+        strata = list(map(str.strip, cols[schema.stratum_column]))
+        checks.append(("missing stratum", _blank(strata)))
+    values = []
+    for col in schema.features:
+        if col.kind == "numeric":
+            value, blank, bad = _parse_floats(cols[col.name])
+            checks += [
+                (f"missing feature {col.name}", blank),
+                (f"unparseable feature {col.name}", bad),
+                (f"non-finite feature {col.name}", ~np.isfinite(value)),
+            ]
         else:
-            weight = 1.0
-        stratum = ""
-        if schema.stratum_column is not None:
-            stratum_raw = row.get(schema.stratum_column)
-            if stratum_raw is None or not stratum_raw.strip():
-                drop("missing stratum")
-                continue
-            stratum = stratum_raw.strip()
-        values: list[FeatureValue] = []
-        for col in schema.features:
-            raw = row.get(col.name)
-            if raw is None or not raw.strip():
-                drop(f"missing feature {col.name}")
-                break
-            if col.kind == "numeric":
-                try:
-                    value: FeatureValue = float(raw)
-                except ValueError:
-                    drop(f"unparseable feature {col.name}")
-                    break
-                if not np.isfinite(value):
-                    drop(f"non-finite feature {col.name}")
-                    break
-            else:
-                value = raw.strip()
-            values.append(value)
-        else:
-            seen_ids.add(rid)
-            ids.append(rid)
-            outcomes.append(outcome)
-            weights.append(weight)
-            strata.append(stratum)
-            for column, value in zip(features, values):
-                column.append(value)
+            value = list(map(str.strip, cols[col.name]))
+            checks.append((f"missing feature {col.name}", _blank(value)))
+        values.append(value)
 
-    if not ids:
-        raise DataValidationError(f"{path}: no usable rows ({rows_read} read)")
+    # Each id's first row passing every other check is loaded; any later
+    # row with that id is a duplicate, whatever else is wrong with it.
+    valid = np.flatnonzero(~np.logical_or.reduce([failing for _, failing in checks]))
+    checks.insert(1, ("duplicate id", np.arange(n) > _first_rows(ids, valid.tolist())))
+
+    code = np.full(n, len(checks))  # index of each row's first failing check
+    for k in reversed(range(len(checks))):
+        code[checks[k][1]] = k
+    kinds, first_at, counts = np.unique(
+        code[code < len(checks)], return_index=True, return_counts=True
+    )
+    dropped = {checks[kinds[k]][0]: int(counts[k]) for k in np.argsort(first_at)}
+
+    rows = np.flatnonzero(code == len(checks))
+    if not rows.size:
+        raise DataValidationError(f"{path}: no usable rows ({n} read)")
+    take = rows.tolist()
     data = FinitePopulation(
-        ids=tuple(ids),
-        outcomes=np.asarray(outcomes, dtype=np.int8),
-        strata=np.asarray(strata, dtype=str),
+        ids=tuple(ids[i] for i in take),
+        outcomes=y[rows].astype(np.int8),
+        strata=np.asarray([strata[i] for i in take], dtype=str),
         features=tuple(
-            np.asarray(values, dtype=np.float64 if col.kind == "numeric" else object)
-            for col, values in zip(schema.features, features)
+            value[rows] if col.kind == "numeric"
+            else np.asarray([value[i] for i in take], dtype=object)
+            for col, value in zip(schema.features, values)
         ),
     )
     return IngestResult(
         data=data,
-        sample=SurveySample(ids=data.ids, weights=np.asarray(weights, dtype=np.float64)),
+        sample=SurveySample(ids=data.ids, weights=weights[rows]),
         population=data if schema.weight_column is None else None,
-        report=LoadReport(rows_read=rows_read, rows_loaded=len(ids), dropped=dropped),
+        report=LoadReport(rows_read=n, rows_loaded=rows.size, dropped=dropped),
+        table=table,
+        file_rows=rows,
     )
 
 
-def write_rows_csv(path: str | Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+def write_rows_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a CSV; a Python float is written as its repr, at full precision."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
 
 
-def format_number(value: float) -> str:
-    """Full-precision float text (repr round trip)."""
-    return repr(float(value))
-
-
 def write_split_files(
-    input_path: str | Path,
-    schema: DataSchema,
-    train_ids: Sequence[str],
+    table: CsvTable,
+    train_rows: Sequence[int],
     train_weights: Sequence[float],
-    eval_ids: Sequence[str],
+    eval_rows: Sequence[int],
     eval_design_weights: Sequence[float],
     eval_compound_weights: Sequence[float],
     train_out: str | Path,
     eval_out: str | Path,
 ) -> None:
-    """Write train/eval CSVs preserving original columns.
+    """Write train/eval CSVs holding rows of ``table`` as they were read.
 
     Both files carry a canonical ``weight`` column holding the design
     weight (appended unless the file already has one); the evaluation file
@@ -305,64 +348,56 @@ def write_split_files(
     downstream evaluation needs no knowledge of the split fraction.
     Weights are serialized at full precision.
     """
-    reader = csv.DictReader(_lines(input_path))
-    original_columns = list(reader.fieldnames or [])
-    rows_by_id = {}
-    for row in reader:
-        rid = (row.get(schema.id_column) or "").strip()
-        if rid:
-            rows_by_id.setdefault(rid, row)
-    if "weight_eval" in original_columns:
+    if "weight_eval" in table.header:
         raise SchemaError("input file already has a 'weight_eval' column")
-    append_weight = "weight" not in original_columns
+    append_weight = "weight" not in table.header
 
-    def base_row(rid: str, design_weight: float) -> list:
-        row = rows_by_id[rid]
-        out = [row.get(c, "") for c in original_columns]
-        if append_weight:
-            out.append(format_number(design_weight))
-        return out
+    def rows_of(file_rows, *weight_columns):
+        fields = [list(map(col.__getitem__, file_rows)) for col in table.columns]
+        fields += [np.asarray(w, dtype=np.float64).tolist() for w in weight_columns]
+        return zip(*fields)
 
-    header = original_columns + (["weight"] if append_weight else [])
+    header = list(table.header) + (["weight"] if append_weight else [])
+    design = (train_weights,) if append_weight else ()
+    write_rows_csv(train_out, header, rows_of(train_rows, *design))
+    design = (eval_design_weights,) if append_weight else ()
     write_rows_csv(
-        train_out, header, [base_row(r, w) for r, w in zip(train_ids, train_weights)]
-    )
-    write_rows_csv(
-        eval_out,
-        header + ["weight_eval"],
-        [
-            base_row(r, w) + [format_number(we)]
-            for r, w, we in zip(eval_ids, eval_design_weights, eval_compound_weights)
-        ],
+        eval_out, header + ["weight_eval"], rows_of(eval_rows, *design, eval_compound_weights)
     )
 
 
 def read_predictions(path: str | Path) -> dict[str, float]:
-    """Read an ``id,score`` CSV into a mapping; scores must lie in [0, 1]."""
-    scores: dict[str, float] = {}
-    reader = csv.DictReader(_lines(path))
-    if reader.fieldnames is None or not {"id", "score"} <= set(reader.fieldnames):
-        raise SchemaError(f"{path} must have 'id' and 'score' columns")
-    for row in reader:
-        rid = (row.get("id") or "").strip()
-        raw = (row.get("score") or "").strip()
-        if not rid or not raw:
+    """Read an ``id,score`` CSV into a mapping; scores must lie in [0, 1].
+
+    The first bad row in file order raises, with its first failing check.
+    """
+
+    def check_header(header):
+        if header is None or not {"id", "score"} <= set(header):
+            raise SchemaError(f"{path} must have 'id' and 'score' columns")
+
+    table = _read_columns(path, check_header)
+    named = table.named
+    ids = list(map(str.strip, named["id"]))
+    texts = list(map(str.strip, named["score"]))
+    scores, blank, bad = _parse_floats(texts)
+    blank |= _blank(ids)
+    outside = ~((scores >= 0.0) & (scores <= 1.0))
+    duplicate = np.arange(table.size) > _first_rows(ids, range(table.size))
+    failing = np.flatnonzero(blank | bad | outside | duplicate)
+    if failing.size:
+        i = int(failing[0])
+        if blank[i]:
             raise DataValidationError(f"{path}: prediction row missing id or score")
-        try:
-            score = float(raw)
-        except ValueError as exc:
-            raise DataValidationError(f"{path}: unparseable score {raw!r}") from exc
-        if not (0.0 <= score <= 1.0):
-            raise DataValidationError(f"{path}: score {score} outside [0, 1]")
-        if rid in scores:
-            raise DataValidationError(f"{path}: duplicate prediction for id {rid!r}")
-        scores[rid] = score
-    if not scores:
+        if bad[i]:
+            raise DataValidationError(f"{path}: unparseable score {texts[i]!r}")
+        if outside[i]:
+            raise DataValidationError(f"{path}: score {float(scores[i])} outside [0, 1]")
+        raise DataValidationError(f"{path}: duplicate prediction for id {ids[i]!r}")
+    if not ids:
         raise DataValidationError(f"{path}: no predictions")
-    return scores
+    return dict(zip(ids, scores.tolist()))
 
 
 def write_predictions(path: str | Path, ids: Sequence[str], scores: Sequence[float]) -> None:
-    write_rows_csv(
-        path, ["id", "score"], [[rid, format_number(s)] for rid, s in zip(ids, scores)]
-    )
+    write_rows_csv(path, ["id", "score"], zip(ids, np.asarray(scores, dtype=np.float64).tolist()))

@@ -8,6 +8,7 @@ checks.
 from __future__ import annotations
 
 import copy
+import csv
 import itertools
 import math
 
@@ -15,7 +16,8 @@ import numpy as np
 from hypothesis import strategies as st
 
 from svymetrics.classifiers.tree import FlatTree
-from svymetrics.errors import DataValidationError
+from svymetrics.errors import DataValidationError, SchemaError
+from svymetrics.io import LoadReport
 from svymetrics.types import EvaluationSet, FinitePopulation
 
 
@@ -324,3 +326,151 @@ def parse_corrupted(data, payload, parse):
         parse(payload)
     except DataValidationError:
         pass
+
+
+def _parse_outcome(raw: str) -> int | None:
+    text = raw.strip()
+    if text in ("0", "1"):
+        return int(text)
+    try:
+        value = float(text)
+    except ValueError:
+        return None
+    if value in (0.0, 1.0):
+        return int(value)
+    return None
+
+
+def ingest_csv_per_row(path, schema):
+    """Row-at-a-time survey CSV ingest: a ``csv.DictReader`` loop that checks
+    each row field by field and stops at its first failing check.
+
+    Returns (population, weights, load report, raw rows), where a raw row is
+    a loaded record's fields as read, padded with "" or cut to the header.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        lines = list(fh)
+    raw_rows = iter([row for row in list(csv.reader(lines))[1:] if row])
+    ids, outcomes, weights, strata, loaded_raw = [], [], [], [], []
+    features = [[] for _ in schema.features]
+    dropped: dict[str, int] = {}
+    rows_read = 0
+
+    def drop(reason):
+        dropped[reason] = dropped.get(reason, 0) + 1
+
+    reader = csv.DictReader(lines)
+    if reader.fieldnames is None:
+        raise DataValidationError(f"{path} has no header row")
+    missing = [c for c in schema.required_columns if c not in reader.fieldnames]
+    if missing:
+        raise SchemaError(f"{path} lacks schema columns: {missing}")
+    width = len(reader.fieldnames)
+    seen_ids = set()
+    for row in reader:
+        raw = next(raw_rows)
+        rows_read += 1
+        rid = (row.get(schema.id_column) or "").strip()
+        if not rid:
+            drop("missing id")
+            continue
+        if rid in seen_ids:
+            drop("duplicate id")
+            continue
+        outcome_raw = row.get(schema.outcome_column)
+        if outcome_raw is None or not outcome_raw.strip():
+            drop("missing outcome")
+            continue
+        outcome = _parse_outcome(outcome_raw)
+        if outcome is None:
+            drop("non-binary outcome")
+            continue
+        if schema.weight_column is not None:
+            weight_raw = row.get(schema.weight_column)
+            if weight_raw is None or not weight_raw.strip():
+                drop("missing weight")
+                continue
+            try:
+                weight = float(weight_raw)
+            except ValueError:
+                drop("unparseable weight")
+                continue
+            if not np.isfinite(weight) or weight <= 0:
+                drop("non-positive weight")
+                continue
+        else:
+            weight = 1.0
+        stratum = ""
+        if schema.stratum_column is not None:
+            stratum_raw = row.get(schema.stratum_column)
+            if stratum_raw is None or not stratum_raw.strip():
+                drop("missing stratum")
+                continue
+            stratum = stratum_raw.strip()
+        values = []
+        for col in schema.features:
+            value = row.get(col.name)
+            if value is None or not value.strip():
+                drop(f"missing feature {col.name}")
+                break
+            if col.kind == "numeric":
+                try:
+                    value = float(value)
+                except ValueError:
+                    drop(f"unparseable feature {col.name}")
+                    break
+                if not np.isfinite(value):
+                    drop(f"non-finite feature {col.name}")
+                    break
+            else:
+                value = value.strip()
+            values.append(value)
+        else:
+            seen_ids.add(rid)
+            ids.append(rid)
+            outcomes.append(outcome)
+            weights.append(weight)
+            strata.append(stratum)
+            loaded_raw.append((raw + [""] * width)[:width])
+            for column, value in zip(features, values):
+                column.append(value)
+
+    if not ids:
+        raise DataValidationError(f"{path}: no usable rows ({rows_read} read)")
+    population = FinitePopulation(
+        ids=tuple(ids),
+        outcomes=np.asarray(outcomes, dtype=np.int8),
+        strata=np.asarray(strata, dtype=str),
+        features=tuple(
+            np.asarray(values, dtype=np.float64 if col.kind == "numeric" else object)
+            for col, values in zip(schema.features, features)
+        ),
+    )
+    report = LoadReport(rows_read=rows_read, rows_loaded=len(ids), dropped=dropped)
+    return population, np.asarray(weights, dtype=np.float64), report, loaded_raw
+
+
+def read_predictions_per_row(path):
+    """Row-at-a-time ``id,score`` reader: the first bad row raises."""
+    scores = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or not {"id", "score"} <= set(reader.fieldnames):
+            raise SchemaError(f"{path} must have 'id' and 'score' columns")
+        for row in reader:
+            rid = (row.get("id") or "").strip()
+            raw = (row.get("score") or "").strip()
+            if not rid or not raw:
+                raise DataValidationError(f"{path}: prediction row missing id or score")
+            try:
+                score = float(raw)
+            except ValueError as exc:
+                raise DataValidationError(f"{path}: unparseable score {raw!r}") from exc
+            if not (0.0 <= score <= 1.0):
+                raise DataValidationError(f"{path}: score {score} outside [0, 1]")
+            if rid in scores:
+                raise DataValidationError(f"{path}: duplicate prediction for id {rid!r}")
+            scores[rid] = score
+    if not scores:
+        raise DataValidationError(f"{path}: no predictions")
+    return scores

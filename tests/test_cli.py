@@ -168,6 +168,42 @@ class TestSplitTrainPredictEvaluate:
         assert np.array_equal(direct.predict_proba(probe), loaded.predict_proba(probe))
 
 
+class TestSplitWritesRowsAsLoaded:
+    def _split(self, tmp_path, text, *flags):
+        survey = tmp_path / "survey.csv"
+        survey.write_text(text, encoding="utf-8")
+        code = _run(["split", "--input", survey, "--id-col", "id", "--outcome-col", "y",
+                     *flags, "--seed", 1, "--eval-fraction", 0.4,
+                     "--train-out", tmp_path / "train.csv", "--eval-out", tmp_path / "eval.csv"])
+        return code, [
+            (tmp_path / name).read_text(encoding="utf-8").splitlines()
+            for name in ("train.csv", "eval.csv")
+        ] if code == 0 else None
+
+    def test_dropped_row_sharing_an_id_is_not_written(self, tmp_path):
+        """The first row of id a is dropped (missing outcome); the loaded
+        second row is the one written."""
+        code, (train, held_out) = self._split(
+            tmp_path, "id,y,x\na,,9.0\na,1,1.0\nb,0,2.0\nc,1,3.0\nd,0,4.0\n", "--feature", "x"
+        )
+        assert code == 0
+        assert train == ["id,y,x,weight", "b,0,2.0,1.0", "d,0,4.0,1.0"]
+        assert held_out == ["id,y,x,weight,weight_eval", "a,1,1.0,1.0,2.0", "c,1,3.0,1.0,2.0"]
+
+    def test_repeated_schema_column_is_a_one_line_schema_error(self, tmp_path, capsys):
+        code, _ = self._split(tmp_path, "id,y,x,x\na,1,1.0,7\nb,0,2.0,8\n", "--feature", "x")
+        err = _one_line_data_error(capsys, code)
+        assert "repeats schema columns: ['x']" in err
+
+    def test_repeated_column_outside_the_schema_is_written_as_read(self, tmp_path):
+        code, (train, held_out) = self._split(
+            tmp_path, "id,y,note,note\na,1,p,q\nb,0,r,s\nc,1,t,u\n"
+        )
+        assert code == 0
+        assert train == ["id,y,note,note,weight", "a,1,p,q,1.0", "b,0,r,s,1.0"]
+        assert held_out == ["id,y,note,note,weight,weight_eval", "c,1,t,u,1.0,3.0"]
+
+
 class TestPredictUnseenCategory:
     @pytest.mark.parametrize("model", ["logistic", "tree", "forest"])
     def test_unseen_category_warns_in_one_line(self, tmp_path, capsys, model):
@@ -412,6 +448,13 @@ class TestMalformedInputs:
         code = _run(["diagnose-weights", "--input", data, "--id-col", "id",
                      "--outcome-col", "y", "--weight-col", "wt"])
         assert "latin1.csv" in _one_line_data_error(capsys, code)
+
+    def test_field_over_the_csv_size_limit_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "wide.csv"
+        data.write_text("id,y,wt\na,1," + "9" * 200_000 + "\n", encoding="utf-8")
+        code = _run(["diagnose-weights", "--input", data, "--id-col", "id",
+                     "--outcome-col", "y", "--weight-col", "wt"])
+        assert "field larger than field limit" in _one_line_data_error(capsys, code)
 
     @pytest.mark.parametrize("defect", ["child", "feature", "route steps"])
     def test_tree_that_would_index_outside_its_arrays_is_schema_error(self, defect):

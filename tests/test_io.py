@@ -1,9 +1,14 @@
+import contextlib
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import parse_corrupted
+from helpers import ingest_csv_per_row, parse_corrupted, read_predictions_per_row
+from svymetrics.cli import main
 from svymetrics.errors import DataValidationError, SchemaError
 from svymetrics.io import (
     DataSchema,
@@ -162,3 +167,164 @@ class TestPredictions:
         path = tmp_path / "scores.csv"
         write_predictions(path, ["a"], [value])
         assert read_predictions(path)["a"] == value
+
+
+# ---------------------------------------------------------------------------
+# Columnar reading against the row-at-a-time oracles, on generated files
+# ---------------------------------------------------------------------------
+
+# Per column: cells that pass every check, then cells that fail one.
+NUMBERS = (["1", "2.5", " 3 ", "1_000", "+4", "1e-3"],
+           ["", " ", "0", "-1", "abc", "nan", "inf", "-inf", "1e400", "1,5", "0x1"])
+CATEGORIES = (["north", " south ", "a,b", "ü", "x\ny"], ["", " "])
+CELLS = {
+    "id": (["a", "b", "c", " a ", "é", "日本", "x,y", 'q"t'], ["", "  "]),
+    "y": (["0", "1", " 1 ", "1.0", "0e0", "-0"], ["", " ", "2", "yes", "nan", "1_0"]),
+    "wt": NUMBERS, "age": NUMBERS, "x2": NUMBERS, "weight": NUMBERS,
+    "grp": CATEGORIES, "region": CATEGORIES,
+    "note": (["", "n1", "n,2", "ñ"], []),
+    "score": (["0", "1", "0.5", " 0.25 ", "-0", "1e-3"],
+              ["", " ", "x", "nan", "1.5", "inf", "-0.1", "1_0"]),
+}
+
+
+@st.composite
+def survey_schemas(draw):
+    features = draw(st.lists(
+        st.sampled_from([FeatureColumn("age", "numeric"), FeatureColumn("x2", "numeric"),
+                         FeatureColumn("region", "categorical")]),
+        unique=True, max_size=3,
+    ))
+    return DataSchema(
+        id_column="id",
+        outcome_column="y",
+        weight_column=draw(st.sampled_from(["wt", None])),
+        stratum_column=draw(st.sampled_from(["grp", None])),
+        features=tuple(features),
+    )
+
+
+@st.composite
+def csv_texts(draw, columns, extras):
+    """A CSV over ``columns`` plus drawn ``extras`` (repeats allowed), with
+    blank lines, short and long rows, quoted fields and either line ending;
+    sometimes with a blank header line or no lines at all."""
+    header = draw(st.permutations(list(columns) + draw(st.lists(st.sampled_from(extras),
+                                                                 max_size=3))))
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 9)) == 0:
+            rows.append([])  # a blank line
+            continue
+        row = []
+        for name in header:
+            good, junk = CELLS[name]
+            junky = junk and draw(st.integers(0, 5)) == 5
+            row.append(draw(st.sampled_from(junk if junky else good)))
+        change = draw(st.integers(-2, 2)) if draw(st.integers(0, 4)) == 0 else 0
+        rows.append(row[:change] if change < 0 else row + ["extra"] * change)
+    kind = draw(st.sampled_from(["header"] * 18 + ["blank header", "empty"]))
+    if kind == "empty":
+        return ""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    writer.writerow(header if kind == "header" else [])
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DataValidationError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("generated")
+
+
+class TestColumnarReadersMatchOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_ingest_equals_row_loop(self, workdir, data):
+        schema = data.draw(survey_schemas())
+        path = _write(workdir, data.draw(csv_texts(schema.required_columns,
+                                                   ["note", "weight"])))
+        expected = _outcome(ingest_csv_per_row, path, schema)
+        got = _outcome(ingest_csv, path, schema)
+        if isinstance(expected, tuple) and isinstance(expected[0], type):
+            assert got == expected
+            return
+        population, weights, report, _ = expected
+        assert got.data.ids == population.ids
+        for ours, theirs in ((got.data.outcomes, population.outcomes),
+                             (got.data.strata, population.strata),
+                             (got.sample.weights, weights)):
+            assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+        for ours, theirs in zip(got.data.features, population.features, strict=True):
+            assert ours.dtype == theirs.dtype
+            if ours.dtype == object:
+                assert ours.tolist() == theirs.tolist()
+            else:
+                assert ours.tobytes() == theirs.tobytes()
+        assert got.report == report
+        assert list(got.report.dropped) == list(report.dropped)
+        assert (got.population is got.data) == (schema.weight_column is None)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_read_predictions_equals_row_loop(self, workdir, data):
+        path = _write(workdir, data.draw(csv_texts(["id", "score"], ["id", "score", "note"])),
+                      name="p.csv")
+        expected = _outcome(read_predictions_per_row, path)
+        got = _outcome(read_predictions, path)
+        assert got == expected
+        if isinstance(got, dict):
+            assert list(got) == list(expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_split_writes_each_loaded_row_as_read(self, workdir, data):
+        schema = data.draw(survey_schemas())
+        path = _write(workdir, data.draw(csv_texts(schema.required_columns,
+                                                   ["note", "weight"])))
+        flags = ["--id-col", "id", "--outcome-col", "y"]
+        if schema.weight_column:
+            flags += ["--weight-col", schema.weight_column]
+        if schema.stratum_column:
+            flags += ["--stratum-col", schema.stratum_column]
+        for col in schema.features:
+            flags += ["--feature", f"{col.name}:{col.kind}"]
+        train, held_out = workdir / "train.csv", workdir / "eval.csv"
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["split", "--input", str(path), *flags, "--eval-fraction", "0.5",
+                         "--seed", str(data.draw(st.integers(0, 3))),
+                         "--train-out", str(train), "--eval-out", str(held_out)])
+        expected = _outcome(ingest_csv_per_row, path, schema)
+        if isinstance(expected, tuple) and isinstance(expected[0], type):
+            assert code == 3
+            return
+        population, weights, _, raw_rows = expected
+        if population.size < 2:  # one record cannot be split
+            assert code == 3
+            return
+        assert code == 0
+        raw_by_id = dict(zip(population.ids, raw_rows))
+        weight_by_id = dict(zip(population.ids, weights.tolist()))
+        with path.open(newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh))
+        written = []
+        for out in (train, held_out):
+            with out.open(newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0][:len(header)] == header
+            for row in rows[1:]:
+                rid = row[header.index("id")].strip()
+                assert row[:len(header)] == raw_by_id[rid]
+                if "weight" not in header:  # split appends the design weight
+                    assert float(row[len(header)]) == weight_by_id[rid]
+                written.append(rid)
+        assert sorted(written) == sorted(population.ids)
