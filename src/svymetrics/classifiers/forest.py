@@ -87,7 +87,7 @@ def fit_forest(
     n, width = x.shape
     m_try = config.m_try if config.m_try is not None else max(1, math.isqrt(width))
     m_try = min(m_try, width)
-    representatives, inverse = distinct_rows(x)
+    representatives, inverse = distinct_rows(x.T, n)
     patterns = x[representatives]
 
     trees = []

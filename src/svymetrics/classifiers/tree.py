@@ -107,7 +107,7 @@ def _fold_codes(
     ``[0, radix)``.  The codes are folded into one int64 key with a mixed
     radix, densified whenever the next radix could overflow it.  Returns
     ``(representatives, inverse)``: the first row of each distinct tuple
-    of codes, and each row's group.
+    of codes, and each row's group, groups in ascending key order.
     """
     key = np.zeros(n, dtype=np.int64)
     span = 1  # key values lie in [0, span)
@@ -117,6 +117,12 @@ def _fold_codes(
             span = cells.size
         key = key * radix + codes
         span *= radix
+    if span <= 2 * n:
+        # Few enough keys to index an array by: no sort needed.
+        first = np.full(span, n, dtype=np.intp)
+        np.minimum.at(first, key, np.arange(n))
+        present = first < n
+        return first[present], (np.cumsum(present) - 1)[key]
     _, representatives, inverse = np.unique(key, return_index=True, return_inverse=True)
     return representatives, inverse
 
@@ -151,15 +157,19 @@ def threshold_cells(
     )
 
 
-def distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group the equal rows of an encoded matrix.
+def distinct_rows(
+    columns: Iterable[np.ndarray], n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Group the equal rows of a table held as ``n``-row columns: the
+    columns of an encoded matrix (``x.T``), or raw feature columns with
+    object arrays of strings among them.
 
     Returns ``(representatives, inverse)`` as :func:`threshold_cells` does.
     Equal means equal under ``==``, except that NaN equals NaN, so a
     representative may differ from its rows only in the sign of a zero.
     """
-    columns = (np.unique(x[:, j], return_inverse=True) for j in range(x.shape[1]))
-    return _fold_codes(((codes, values.size) for values, codes in columns), x.shape[0])
+    columns = (np.unique(col, return_inverse=True) for col in columns)
+    return _fold_codes(((codes, values.size) for values, codes in columns), n)
 
 
 def row_counts(
@@ -336,7 +346,7 @@ def grow_tree(
 ) -> FlatTree:
     """Grow a Gini tree on an encoded matrix and 0/1 outcomes, by
     :func:`grow_counted` on its distinct rows."""
-    representatives, inverse = distinct_rows(x)
+    representatives, inverse = distinct_rows(x.T, x.shape[0])
     count, pos = row_counts(inverse, y, representatives.size)
     return grow_counted(
         x[representatives],

@@ -173,19 +173,17 @@ def _cmd_split(args) -> int:
     training, evaluation = split_train_test(
         result.sample, args.eval_fraction, derive_stream(args.seed, "split")
     )
-    index = result.data.index_by_id
-    train = [index[r] for r in training.ids]
-    held_out = [index[r] for r in evaluation.ids]
     weights = result.sample.weights
     write_split_files(
         result.table,
-        train_rows=result.file_rows[train].tolist(),
-        train_weights=weights[train],
-        eval_rows=result.file_rows[held_out].tolist(),
-        eval_design_weights=weights[held_out],
+        train_rows=result.file_rows[training.rows].tolist(),
+        train_weights=weights[training.rows],
+        eval_rows=result.file_rows[evaluation.rows].tolist(),
+        eval_design_weights=weights[evaluation.rows],
         eval_compound_weights=evaluation.weights,
         train_out=args.train_out,
         eval_out=args.eval_out,
+        weight_column=schema.weight_column,
     )
     print(
         f"split {result.sample.size} rows -> {training.size} train ({args.train_out}), "

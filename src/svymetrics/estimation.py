@@ -30,29 +30,48 @@ def tally_confusion(evaluation: EvaluationSet, threshold) -> ConfusionTally:
     """
     if evaluation.size == 0:
         raise DataValidationError("evaluation set is empty")
+    actual = evaluation.outcomes == 1
+    w = evaluation.weights
     return _tally(
-        evaluation.require_scores(), evaluation.outcomes, evaluation.weights, threshold
+        evaluation.require_scores(),
+        np.where(actual, w, 0.0),
+        np.where(actual, 0.0, w),
+        actual,
+        ~actual,
+        threshold,
     )
 
 
-def _tally(scores, outcomes, weights, threshold) -> ConfusionTally:
+def tally_counts(scores, positives, negatives, threshold) -> ConfusionTally:
+    """Unit-weight confusion tally of groups of records.
+
+    Group i holds ``positives[i]`` positive and ``negatives[i]`` negative
+    records, all scoring ``scores[i]``.  The counts are float64 holding
+    exact integers, so every rate equals the one counted record by record.
+    Thresholds work as in :func:`tally_confusion`.
+    """
+    if not np.any(positives + negatives):
+        raise DataValidationError("evaluation set is empty")
+    return _tally(scores, positives, negatives, positives, negatives, threshold)
+
+
+def _tally(scores, pos_w, neg_w, pos_n, neg_n, threshold) -> ConfusionTally:
     """The engine behind every tally, from a single sort.
 
-    Scores are sorted once, descending and stable, and positive and negative
-    weights and counts are summed cumulatively in that order.  The records
-    positive at t are a prefix of the order, so one ``searchsorted`` reads
-    every threshold at the boundary of its block of tied scores (Fawcett
-    2006, "An introduction to ROC analysis", Algorithm 1; scikit-learn's
-    ``_binary_clf_curve`` with ``sample_weight`` uses the same sums).
+    Record i adds ``pos_w[i]`` and ``neg_w[i]`` to the weighted totals of
+    its class and ``pos_n[i]`` and ``neg_n[i]`` to the counts.  Scores are
+    sorted once, descending and stable, and the four are summed
+    cumulatively in that order.  The records positive at t are a prefix of
+    the order, so one ``searchsorted`` reads every threshold at the
+    boundary of its block of tied scores (Fawcett 2006, "An introduction to
+    ROC analysis", Algorithm 1; scikit-learn's ``_binary_clf_curve`` with
+    ``sample_weight`` uses the same sums).
     """
     order = np.argsort(-scores, kind="stable")
-    actual = outcomes[order] == 1
-    w = weights[order]
     # Prefix sums with a leading zero: entry k covers the k top-scored records.
-    pos_w = np.concatenate(([0.0], np.cumsum(np.where(actual, w, 0.0))))
-    neg_w = np.concatenate(([0.0], np.cumsum(np.where(actual, 0.0, w))))
-    pos_n = np.concatenate(([0], np.cumsum(actual)))
-    neg_n = np.arange(actual.size + 1) - pos_n
+    pos_w, neg_w, pos_n, neg_n = (
+        np.concatenate(([0], np.cumsum(v[order]))) for v in (pos_w, neg_w, pos_n, neg_n)
+    )
     # s >= t  <=>  -s <= -t, and -scores[order] is ascending.
     k = np.searchsorted(-scores[order], -np.asarray(threshold, dtype=np.float64), "right")
     cells = dict(
@@ -158,7 +177,8 @@ def population_truth(
     s = np.asarray(scores, dtype=np.float64)
     if y.shape != s.shape or y.ndim != 1 or y.size == 0:
         raise DataValidationError("outcomes and scores must be aligned non-empty vectors")
-    tally = _tally(s, y, np.ones(y.size), threshold)
+    positive = (y == 1).astype(np.float64)
+    tally = tally_counts(s, positive, 1.0 - positive, threshold)
     sn, sp = (
         MetricResult(float(confusion_rate(tally, kind, "population-truth")), kind,
                      "population-truth")

@@ -16,6 +16,7 @@ from .estimation import (
     confusion_rate,
     ratio_standard_error,
     tally_confusion,
+    tally_counts,
 )
 from .roc import RocCurve, auroc, roc_sweep, score_adapted_grid, uniform_grid
 from .types import EvaluationSet, MetricResult, Weighting
@@ -97,16 +98,25 @@ def evaluation_summary(
 
 
 def population_summary(
-    truth: EvaluationSet, thresholds: Sequence[float], grid: int | str
+    scores: np.ndarray,
+    positives: np.ndarray,
+    negatives: np.ndarray,
+    thresholds: Sequence[float],
+    grid: int | str,
 ) -> EvaluationSummary:
-    """Finite-population truth of a scored census: sensitivity and
-    specificity at each fixed threshold and AUROC over the grid, all read
-    from one unit-weight tally of the fixed thresholds plus the grid.
-    Rates are plain count ratios, with no standard errors.
+    """Finite-population truth of a scored census held as groups of records.
+
+    Group i holds ``positives[i]`` positive and ``negatives[i]`` negative
+    records, all scoring ``scores[i]`` (see :func:`tally_counts`).
+    Sensitivity and specificity at each fixed threshold and AUROC over the
+    grid are read from one tally of the fixed thresholds plus the grid.
+    Empty groups take no part, not even in an exact grid.  Rates are plain
+    count ratios, with no standard errors.
     """
-    g = resolve_grid(grid, truth.require_scores())
+    g = resolve_grid(grid, scores[positives + negatives > 0])
     k = len(thresholds)
-    tally = tally_confusion(truth, np.concatenate([np.asarray(thresholds, dtype=np.float64), g]))
+    fixed = np.asarray(thresholds, dtype=np.float64)
+    tally = tally_counts(scores, positives, negatives, np.concatenate([fixed, g]))
     sens = confusion_rate(tally, "sensitivity", "population-truth")
     spec = confusion_rate(tally, "specificity", "population-truth")
     rows = tuple(

@@ -179,9 +179,10 @@ class IngestResult:
     """Loaded rows as columns, their weights, and the load report.
 
     ``data`` holds every loaded row (the stratum is "" without a stratum
-    column) and ``sample`` the same ids with their weights.  A file whose
-    schema declares no weight column is a census: unit weights, and
-    ``population`` is ``data``; otherwise ``population`` is None.
+    column) and ``sample`` the same ids with their weights and their rows
+    of ``data``.  A file whose schema declares no weight column is a
+    census: unit weights, and ``population`` is ``data``; otherwise
+    ``population`` is None.
     ``table`` is the file as read, and ``file_rows`` the row of ``table``
     each loaded record came from.
     """
@@ -314,7 +315,9 @@ def ingest_csv(path: str | Path, schema: DataSchema) -> IngestResult:
     )
     return IngestResult(
         data=data,
-        sample=SurveySample(ids=data.ids, weights=weights[rows]),
+        sample=SurveySample(
+            ids=data.ids, weights=weights[rows], rows=np.arange(rows.size)
+        ),
         population=data if schema.weight_column is None else None,
         report=LoadReport(rows_read=n, rows_loaded=rows.size, dropped=dropped),
         table=table,
@@ -339,18 +342,26 @@ def write_split_files(
     eval_compound_weights: Sequence[float],
     train_out: str | Path,
     eval_out: str | Path,
+    weight_column: str | None,
 ) -> None:
     """Write train/eval CSVs holding rows of ``table`` as they were read.
 
     Both files carry a canonical ``weight`` column holding the design
-    weight (appended unless the file already has one); the evaluation file
-    additionally carries the compound weight in ``weight_eval``, so
-    downstream evaluation needs no knowledge of the split fraction.
-    Weights are serialized at full precision.
+    weight (appended unless ``weight_column``, the schema's weight column,
+    is named ``weight``); the evaluation file additionally carries the
+    compound weight in ``weight_eval``, so downstream evaluation needs no
+    knowledge of the split fraction.  An input column of either name that
+    would be written over is a SchemaError.  Weights are serialized at
+    full precision.
     """
     if "weight_eval" in table.header:
         raise SchemaError("input file already has a 'weight_eval' column")
-    append_weight = "weight" not in table.header
+    append_weight = weight_column != "weight"
+    if append_weight and "weight" in table.header:
+        raise SchemaError(
+            "input file has a 'weight' column that is not the schema's weight column "
+            f"{weight_column!r}"
+        )
 
     def rows_of(file_rows, *weight_columns):
         fields = [list(map(col.__getitem__, file_rows)) for col in table.columns]

@@ -55,11 +55,12 @@ def stratified_sample(
 
     Every sampled record carries pi_i = n_h/N_h and w_i = 1/pi_i, so the
     weight identity w_i = 1/pi_i holds exactly.  Strata are visited in
-    allocation order, which fixes the rng consumption sequence.
+    allocation order, which fixes the rng consumption sequence.  The
+    sample's ``rows`` are the population rows drawn.
     """
     design.validate_against(population)
     indices = population.stratum_indices
-    ids: list[str] = []
+    rows: list[np.ndarray] = []
     weights: list[np.ndarray] = []
     probs: list[np.ndarray] = []
     for label, n_h in design.allocations.items():
@@ -68,13 +69,15 @@ def stratified_sample(
         chosen = stratum_rows[rng.choice(n_big, size=n_h, replace=False)]
         chosen.sort()
         pi = n_h / n_big
-        ids.extend(population.ids[i] for i in chosen)
+        rows.append(chosen)
         probs.append(np.full(n_h, pi))
         weights.append(np.full(n_h, 1.0 / pi))
+    drawn = np.concatenate(rows)
     return SurveySample(
-        ids=tuple(ids),
+        ids=tuple(map(population.ids.__getitem__, drawn.tolist())),
         weights=np.concatenate(weights),
         inclusion_probs=np.concatenate(probs),
+        rows=drawn,
     )
 
 
@@ -89,7 +92,8 @@ def split_train_test(
     n_e = round(eval_fraction * n) (round-half-to-even); its members carry
     the compound weight w*_i = w_i * (n / n_e) and, when the input sample
     has inclusion probabilities, pi*_i = pi_i * (n_e / n).  Training
-    members keep their original weights.
+    members keep their original weights.  Both parts carry the rows of
+    their members when the input sample has rows.
     """
     if not (0.0 < eval_fraction < 1.0):
         raise DegenerateSplitError(f"eval fraction must be in (0, 1), got {eval_fraction}")
@@ -112,6 +116,7 @@ def split_train_test(
         inclusion_probs=None
         if sample.inclusion_probs is None
         else sample.inclusion_probs[train_rows],
+        rows=None if sample.rows is None else sample.rows[train_rows],
     )
     evaluation = SurveySample(
         ids=tuple(sample.ids[i] for i in eval_rows),
@@ -119,5 +124,6 @@ def split_train_test(
         inclusion_probs=None
         if sample.inclusion_probs is None
         else sample.inclusion_probs[eval_rows] * (n_e / n),
+        rows=None if sample.rows is None else sample.rows[eval_rows],
     )
     return training, evaluation

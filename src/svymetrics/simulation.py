@@ -2,10 +2,11 @@
 
 A replicate draws a stratified sample from a fixed finite population,
 splits it into training and test parts, trains the configured classifiers
-(unweighted; upsampling only for the balanced variant), scores the entire
-population for truth metrics, and computes weighted and unweighted
-test-split estimates.  Replicates are aggregated into means and Monte
-Carlo standard deviations.
+(unweighted; upsampling only for the balanced variant), scores the
+population, reads the truth metrics from each distinct feature pattern's
+score and its count of positive and negative rows, and computes weighted
+and unweighted test-split estimates.  Replicates are aggregated
+into means and Monte Carlo standard deviations.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .roc import auroc, roc_sweep  # noqa: F401
 from .classifiers.forest import ForestConfig, fit_forest
 from .classifiers.imbalance import upsample_minority
 from .classifiers.logistic import LogisticConfig, fit_logistic
-from .classifiers.tree import TreeConfig, fit_tree
+from .classifiers.tree import TreeConfig, distinct_rows, fit_tree, row_counts
 from .errors import (
     AggregationError,
     DataValidationError,
@@ -412,6 +413,31 @@ class ReplicateReport:
         }
 
 
+@dataclass(frozen=True)
+class PatternTable:
+    """The distinct raw feature rows of a population.
+
+    ``representatives`` holds the first row of each pattern, ``inverse``
+    (int32) each row's pattern, and ``positives`` and ``negatives`` the
+    rows of each pattern by outcome, as float64 counts.  A replicate reads
+    the census truth from each pattern's score and counts.
+    """
+
+    representatives: np.ndarray
+    inverse: np.ndarray
+    positives: np.ndarray
+    negatives: np.ndarray
+
+    @classmethod
+    def of(cls, population: FinitePopulation) -> "PatternTable":
+        representatives, inverse = distinct_rows(population.features, population.size)
+        count, positives = row_counts(inverse, population.outcomes, representatives.size)
+        arrays = (representatives, inverse.astype(np.int32), positives, count - positives)
+        for arr in arrays:
+            arr.setflags(write=False)
+        return cls(*arrays)
+
+
 def _fit_and_score(
     spec: ClassifierSpec,
     population: FinitePopulation,
@@ -419,7 +445,8 @@ def _fit_and_score(
     master_seed: int,
     index: int,
 ) -> np.ndarray:
-    """Train one classifier on the given population rows and score every row."""
+    """Train one classifier on the given population rows and score every
+    row; DataValidationError unless every score lies in [0, 1]."""
     name = spec.resolved_name
     if spec.kind == "constant":
         if not (0.0 <= spec.constant_score <= 1.0):
@@ -448,7 +475,7 @@ def _fit_and_score(
         model = fit_forest(
             columns,
             y,
-            [population.ids[i] for i in rows],
+            list(map(population.ids.__getitem__, rows.tolist())),
             ForestConfig(
                 trees=spec.trees,
                 m_try=spec.m_try,
@@ -458,16 +485,23 @@ def _fit_and_score(
             ),
             rng=derive_stream(master_seed, index, f"train:{name}"),
         )
-    return model.predict_proba_columns(population.features, n_rows=population.size)
+    scores = model.predict_proba_columns(population.features, n_rows=population.size)
+    if not np.all(np.isfinite(scores)) or np.any((scores < 0.0) | (scores > 1.0)):
+        raise DataValidationError("scores must lie in [0, 1]")
+    return scores
 
 
 def run_replicate(
-    experiment: ExperimentSpec, population: FinitePopulation, index: int
+    experiment: ExperimentSpec,
+    population: FinitePopulation,
+    index: int,
+    patterns: PatternTable,
 ) -> ReplicateReport:
     """Run one sample/split/train/evaluate cycle.
 
-    Classifier and estimator failures are recorded per classifier rather
-    than aborting the replicate set.
+    ``patterns`` is the population's :class:`PatternTable`.  Classifier and
+    estimator failures are recorded per classifier rather than aborting the
+    replicate set.
     """
     design = StratifiedDesign(experiment.design_allocations)
     sample = stratified_sample(
@@ -476,42 +510,35 @@ def run_replicate(
     train_sample, eval_sample = split_train_test(
         sample, experiment.eval_fraction, derive_stream(experiment.seed, index, "split")
     )
-    row_of = population.index_by_id
-    train_rows = np.array([row_of[rid] for rid in train_sample.ids], dtype=np.intp)
-    eval_rows = np.array([row_of[rid] for rid in eval_sample.ids], dtype=np.intp)
+    eval_rows = eval_sample.rows
 
-    # One census skeleton per replicate; each classifier attaches its scores.
-    truth_rows = None
-    if experiment.include_sample_in_truth:
-        census = EvaluationSet(
-            ids=population.ids, weights=np.ones(population.size), outcomes=population.outcomes
+    # The census truth counts each pattern's rows, less the sample's when
+    # the sample is left out of the truth.
+    positives, negatives = patterns.positives, patterns.negatives
+    if not experiment.include_sample_in_truth:
+        count, pos = row_counts(
+            patterns.inverse[sample.rows],
+            population.outcomes[sample.rows],
+            patterns.representatives.size,
         )
-    else:
-        in_sample = np.zeros(population.size, dtype=bool)
-        in_sample[train_rows] = True
-        in_sample[eval_rows] = True
-        truth_rows = np.flatnonzero(~in_sample)
-        census = EvaluationSet(
-            ids=tuple(population.ids[i] for i in truth_rows),
-            weights=np.ones(truth_rows.size),
-            outcomes=population.outcomes[truth_rows],
-        )
+        positives, negatives = positives - pos, negatives - (count - pos)
 
     outcomes: list[ClassifierReport | ClassifierFailure] = []
     for spec in experiment.classifiers:
         try:
-            pop_scores = _fit_and_score(spec, population, train_rows, experiment.seed, index)
-            truth = census.with_scores(
-                pop_scores if truth_rows is None else pop_scores[truth_rows]
-            )
+            scores = _fit_and_score(spec, population, train_sample.rows, experiment.seed, index)
             truth_summary = population_summary(
-                truth, experiment.thresholds, experiment.auroc_grid
+                scores[patterns.representatives],
+                positives,
+                negatives,
+                experiment.thresholds,
+                experiment.auroc_grid,
             )
             evaluation = EvaluationSet(
                 ids=eval_sample.ids,
                 weights=eval_sample.weights,
                 outcomes=population.outcomes[eval_rows],
-                scores=pop_scores[eval_rows],
+                scores=scores[eval_rows],
             )
             weighted = evaluation_summary(
                 evaluation, experiment.thresholds, experiment.auroc_grid, "weighted"
@@ -712,13 +739,14 @@ def run_experiment(
     if population is None:
         population = resolve_population(experiment)
     StratifiedDesign(experiment.design_allocations).validate_against(population)
+    patterns = PatternTable.of(population)
     indices = range(experiment.replicates)
     if workers <= 1:
-        reports = [run_replicate(experiment, population, i) for i in indices]
+        reports = [run_replicate(experiment, population, i, patterns) for i in indices]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             reports = list(
-                pool.map(lambda i: run_replicate(experiment, population, i), indices)
+                pool.map(lambda i: run_replicate(experiment, population, i, patterns), indices)
             )
     summary = aggregate(reports, experiment)
     return ExperimentResult(

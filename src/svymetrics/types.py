@@ -146,12 +146,16 @@ class SurveySample:
 
     ``inclusion_probs`` is None for samples ingested from files, where only
     the (possibly adjusted) weight is known.  When this library's samplers
-    construct the sample, w_i = 1/pi_i exactly.
+    construct the sample, w_i = 1/pi_i exactly.  ``rows`` holds each
+    record's row in the population it was drawn from (or, for an ingested
+    sample, in the loaded data), so that callers slice columns by row
+    instead of looking ids up.
     """
 
     ids: tuple[str, ...]
     weights: np.ndarray
     inclusion_probs: np.ndarray | None = None
+    rows: np.ndarray | None = None
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -167,6 +171,12 @@ class SurveySample:
             object.__setattr__(self, "inclusion_probs", p)
             if p.size != w.size:
                 raise DataValidationError("inclusion_probs length mismatch")
+        if self.rows is not None:
+            r = np.asarray(self.rows, dtype=np.intp)
+            r.setflags(write=False)
+            object.__setattr__(self, "rows", r)
+            if r.shape != w.shape:
+                raise DataValidationError("rows length mismatch")
 
     @property
     def size(self) -> int:

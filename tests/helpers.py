@@ -17,8 +17,11 @@ from hypothesis import strategies as st
 
 from svymetrics.classifiers.tree import FlatTree
 from svymetrics.errors import DataValidationError, SchemaError
+from svymetrics.estimation import confusion_rate, tally_confusion
+from svymetrics.evaluation import EvaluationSummary, ThresholdMetrics, resolve_grid
 from svymetrics.io import LoadReport
-from svymetrics.types import EvaluationSet, FinitePopulation
+from svymetrics.roc import RocCurve, auroc
+from svymetrics.types import EvaluationSet, FinitePopulation, MetricResult
 
 
 def make_population(outcomes, strata=None, features=(), ids=None):
@@ -202,6 +205,30 @@ def grow_tree_per_row(
         value=np.asarray(value, dtype=np.float64),
         route_steps=max_internal_depth + 1,
     )
+
+
+def population_summary_per_row(truth, thresholds, grid):
+    """Row-form census truth: the scored census ``truth`` (an EvaluationSet
+    with unit weights, one entry per record) tallied record by record at
+    the fixed thresholds plus the grid, which an exact grid builds from the
+    records' scores.  The library reads the same truth from per-group
+    counts (``evaluation.population_summary``)."""
+    g = resolve_grid(grid, truth.require_scores())
+    k = len(thresholds)
+    tally = tally_confusion(truth, np.concatenate([np.asarray(thresholds, dtype=np.float64), g]))
+    sens = confusion_rate(tally, "sensitivity", "population-truth")
+    spec = confusion_rate(tally, "specificity", "population-truth")
+    rows = tuple(
+        ThresholdMetrics(
+            threshold=t,
+            sensitivity=MetricResult(sn, "sensitivity", "population-truth"),
+            specificity=MetricResult(sp, "specificity", "population-truth"),
+        )
+        for t, sn, sp in zip(thresholds, sens[:k].tolist(), spec[:k].tolist())
+    )
+    curve = RocCurve(thresholds=g, sensitivity=sens[k:], specificity=spec[k:])
+    area = MetricResult(value=auroc(curve), kind="auroc", weighting="population-truth")
+    return EvaluationSummary(weighting="population-truth", at_thresholds=rows, auroc=area)
 
 
 def enumerate_stratified_samples(ids_by_stratum, allocations):

@@ -204,6 +204,21 @@ class TestSplitWritesRowsAsLoaded:
         assert held_out == ["id,y,note,note,weight,weight_eval", "c,1,t,u,1.0,3.0"]
 
 
+    def test_weight_column_that_is_not_the_schema_weight_is_a_schema_error(
+        self, tmp_path, capsys
+    ):
+        """An unrelated ``weight`` column would be written where the design
+        weight goes; split refuses the file and writes nothing."""
+        code, _ = self._split(
+            tmp_path, "id,y,wt,weight\na,1,2.0,junk\nb,0,3.0,\nc,1,4.0,7\n",
+            "--weight-col", "wt",
+        )
+        err = _one_line_data_error(capsys, code)
+        assert "'weight' column that is not the schema's weight column 'wt'" in err
+        assert not (tmp_path / "train.csv").exists()
+        assert not (tmp_path / "eval.csv").exists()
+
+
 class TestPredictUnseenCategory:
     @pytest.mark.parametrize("model", ["logistic", "tree", "forest"])
     def test_unseen_category_warns_in_one_line(self, tmp_path, capsys, model):

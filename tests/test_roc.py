@@ -1,11 +1,17 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_force_tally, make_evaluation, weighted_pairwise_auc
+from helpers import (
+    brute_force_tally,
+    make_evaluation,
+    population_summary_per_row,
+    weighted_pairwise_auc,
+)
 from svymetrics import evaluation as evaluation_module
 from svymetrics import roc as roc_module
 from svymetrics.errors import DataValidationError, UndefinedMetricError
@@ -151,19 +157,21 @@ class TestRocSweep:
 
     def test_one_tally_per_sweep_and_per_summary(self, monkeypatch, rng):
         """An exact-grid sweep tallies once whatever its size; a summary
-        tallies its fixed thresholds once plus once for its sweep."""
+        tallies its fixed thresholds once plus once for its sweep, and the
+        census truth tallies both at once."""
         calls = []
 
         def counting(tally):
-            def wrapper(evaluation, threshold):
-                calls.append(np.size(threshold))
-                return tally(evaluation, threshold)
+            def wrapper(*args):
+                calls.append(np.size(args[-1]))
+                return tally(*args)
             return wrapper
 
         monkeypatch.setattr(roc_module, "tally_confusion", counting(roc_module.tally_confusion))
-        monkeypatch.setattr(
-            evaluation_module, "tally_confusion", counting(evaluation_module.tally_confusion)
-        )
+        for name in ("tally_confusion", "tally_counts"):
+            monkeypatch.setattr(
+                evaluation_module, name, counting(getattr(evaluation_module, name))
+            )
         n = 200
         evaluation = make_evaluation(rng.integers(0, 2, n), rng.random(n), rng.uniform(1, 5, n))
         roc_sweep(evaluation, score_adapted_grid(evaluation.scores), "weighted")
@@ -172,8 +180,14 @@ class TestRocSweep:
         evaluation_summary(evaluation, (0.25, 0.5), "exact", "unweighted")
         assert calls == [2, n + 1]
         calls.clear()
-        population_summary(evaluation, (0.25, 0.5), "exact")
+        population_summary(*census_counts(evaluation), (0.25, 0.5), "exact")
         assert calls == [2 + n + 1]
+
+
+def census_counts(truth):
+    """(scores, positives, negatives) of a census with one group per record."""
+    positive = (truth.outcomes == 1).astype(np.float64)
+    return truth.scores, positive, 1.0 - positive
 
 
 class TestPopulationSummary:
@@ -195,7 +209,7 @@ class TestPopulationSummary:
         truth = make_evaluation(y, s, np.ones(len(y)))
         if len(set(y)) < 2:
             with pytest.raises(UndefinedMetricError):
-                population_summary(truth, thresholds, grid)
+                population_summary(*census_counts(truth), thresholds, grid)
             with pytest.raises(UndefinedMetricError):
                 roc_sweep(truth, resolve_grid(grid, truth.scores), "unweighted")
             return
@@ -208,8 +222,59 @@ class TestPopulationSummary:
             ),
             auroc=MetricResult(area, "auroc", "population-truth"),
         )
-        got = population_summary(truth, thresholds, grid)
+        got = population_summary(*census_counts(truth), thresholds, grid)
         assert json.dumps(got.to_json_dict()) == json.dumps(expected.to_json_dict())
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cells=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0, 1),
+                st.integers(0, 3),
+                st.integers(0, 3),
+                st.integers(0, 3),
+                st.integers(0, 3),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        thresholds=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0, 1), max_size=3),
+        grid=st.sampled_from(["exact", 2, 101]),
+    )
+    def test_counts_equal_the_row_form_oracle(self, cells, thresholds, grid):
+        """Groups of tied records, less a sample that may empty whole groups,
+        give the truth the row-form oracle counts record by record: the same
+        JSON, the same grid, or the same error."""
+        scores, positives, negatives, y, s = [], [], [], [], []
+        for score, pos, neg, pos_out, neg_out in cells:
+            # pos_out/neg_out of the group's records are in the sample
+            pos_out, neg_out = min(pos_out, pos), min(neg_out, neg)
+            scores.append(score)
+            positives.append(pos - pos_out)
+            negatives.append(neg - neg_out)
+            y += [1] * (pos - pos_out) + [0] * (neg - neg_out)
+            s += [score] * (pos + neg - pos_out - neg_out)
+        truth = make_evaluation(y, s, np.ones(len(y)))
+        curves = []
+        with mock.patch.object(evaluation_module, "auroc",
+                               side_effect=lambda c: curves.append(c) or auroc(c)):
+            got = _outcome(population_summary, np.asarray(scores),
+                           np.asarray(positives, dtype=np.float64),
+                           np.asarray(negatives, dtype=np.float64), thresholds, grid)
+        expected = _outcome(population_summary_per_row, truth, thresholds, grid)
+        if isinstance(expected, tuple):
+            assert got == expected
+            return
+        assert json.dumps(got.to_json_dict()) == json.dumps(expected.to_json_dict())
+        assert curves[0].thresholds.tobytes() == resolve_grid(grid, truth.scores).tobytes()
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except (DataValidationError, UndefinedMetricError) as exc:
+        return type(exc), str(exc)
 
 
 class TestRocCurve:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import enumerate_stratified_samples, make_population, two_class_toy_population
 from svymetrics.errors import DegenerateSplitError, DesignError
@@ -190,3 +192,35 @@ class TestInclusionProbabilityOfEvaluation:
         )
         _, evaluation = split_train_test(sample, 0.5, np.random.default_rng(2))
         assert evaluation.inclusion_probs == pytest.approx(np.full(5, 0.5))
+
+
+class TestSampleRows:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 30), min_size=1, max_size=4),
+        data=st.data(),
+    )
+    def test_rows_name_the_ids_of_the_sample_and_of_both_split_parts(self, sizes, data):
+        """A stratified draw carries the population row of each member, and
+        the split carries them to both parts, in the order of their ids."""
+        labels = [f"s{k}" for k in range(len(sizes))]
+        labelled = [lab for lab, m in zip(labels, sizes) for _ in range(m)]
+        strata = data.draw(st.permutations(labelled))
+        order = data.draw(st.permutations(range(len(strata))))
+        population = make_population(
+            [i % 2 for i in range(len(strata))], strata, ids=[f"id{i:03d}" for i in order]
+        )
+        allocations = {lab: data.draw(st.integers(1, m)) for lab, m in zip(labels, sizes)}
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        sample = stratified_sample(
+            population, StratifiedDesign(allocations), np.random.default_rng(seed)
+        )
+        assert sample.rows.dtype == np.intp
+        assert tuple(population.ids[i] for i in sample.rows) == sample.ids
+        if sample.size < 2:
+            return
+        parts = split_train_test(sample, 0.5, np.random.default_rng(seed + 1))
+        for part in parts:
+            assert tuple(population.ids[i] for i in part.rows) == part.ids
+        both = np.concatenate([part.rows for part in parts])
+        assert sorted(both.tolist()) == sorted(sample.rows.tolist())

@@ -1,18 +1,35 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import parse_corrupted, prevalence_by_quadrature
+from helpers import (
+    make_population,
+    parse_corrupted,
+    population_summary_per_row,
+    prevalence_by_quadrature,
+)
+from svymetrics.classifiers import (
+    FeatureEncoder,
+    ForestConfig,
+    LogisticModel,
+    fit_forest,
+    fit_logistic,
+    fit_tree,
+)
 from svymetrics.errors import AggregationError, DataValidationError, SchemaError
+from svymetrics.evaluation import evaluation_summary
 from svymetrics.rng import derive_stream
+from svymetrics.sampling import StratifiedDesign, split_train_test, stratified_sample
 from svymetrics.simulation import (
     ClassifierSpec,
     ExperimentSpec,
     OutcomeModel,
+    PatternTable,
     PopulationSpec,
     UniformCovariate,
     aggregate,
@@ -122,7 +139,7 @@ class TestRunReplicate:
         SP = 0, and both weighted and unweighted estimates equal 1 and 0."""
         exp = _tiny_experiment(classifiers=(ClassifierSpec(kind="constant", constant_score=1.0),))
         population = generate_population(exp.population, derive_stream(exp.seed, "population"))
-        report = run_replicate(exp, population, 0)
+        report = run_replicate(exp, population, 0, PatternTable.of(population))
         cr = report.outcomes[0]
         tm = cr.population.at_thresholds[0]
         assert tm.sensitivity.value == 1.0 and tm.specificity.value == 0.0
@@ -143,7 +160,7 @@ class TestRunReplicate:
             classifiers=(ClassifierSpec(kind="logistic"),),
             population=spec,
         )
-        report = run_replicate(exp, population, 0)
+        report = run_replicate(exp, population, 0, PatternTable.of(population))
         cr = report.outcomes[0]
         for metric in ("sensitivity", "specificity"):
             w = getattr(cr.weighted.at_thresholds[0], metric).value
@@ -160,16 +177,16 @@ class TestRunReplicate:
             )
         )
         population = generate_population(exp.population, derive_stream(exp.seed, "population"))
-        report = run_replicate(exp, population, 0)
+        report = run_replicate(exp, population, 0, PatternTable.of(population))
         assert report.outcomes[0].name == "logistic"
         assert hasattr(report.outcomes[1], "error")
 
     def test_truth_can_exclude_sampled_records(self):
         exp = _tiny_experiment(include_sample_in_truth=False)
         population = generate_population(exp.population, derive_stream(exp.seed, "population"))
-        report_excl = run_replicate(exp, population, 0)
+        report_excl = run_replicate(exp, population, 0, PatternTable.of(population))
         exp_incl = _tiny_experiment(include_sample_in_truth=True)
-        report_incl = run_replicate(exp_incl, population, 0)
+        report_incl = run_replicate(exp_incl, population, 0, PatternTable.of(population))
         sn_excl = report_excl.outcomes[0].population.at_thresholds[0].sensitivity.value
         sn_incl = report_incl.outcomes[0].population.at_thresholds[0].sensitivity.value
         assert sn_excl != sn_incl  # same model, different truth universe
@@ -192,7 +209,7 @@ class TestRunReplicate:
             population, StratifiedDesign(exp.design_allocations), derive_stream(exp.seed, 0, "sample")
         )
         _, evaluation = split_train_test(sample, exp.eval_fraction, derive_stream(exp.seed, 0, "split"))
-        report = run_replicate(exp, population, 0)
+        report = run_replicate(exp, population, 0, PatternTable.of(population))
         assert not isinstance(report.outcomes[0], type(report.outcomes[1])) or True
         # both classifiers succeeded and were evaluated on the same split
         assert {o.name for o in report.outcomes} == {"forest", "balanced_forest"}
@@ -205,11 +222,200 @@ class TestRunReplicate:
         assert np.array_equal(evaluation.weights, evaluation2.weights)
 
 
+class TestPatternTable:
+    def test_counts_and_inverse_describe_the_rows(self):
+        population = make_population(
+            [1, 0, 1, 1, 0],
+            features=(np.array([0.0, -0.0, 1.0, 0.0, 1.0]),
+                      np.array(["a", "a", "b", "a", "b"], dtype=object)),
+        )
+        patterns = PatternTable.of(population)
+        assert patterns.inverse.dtype == np.int32
+        assert patterns.inverse.tolist() == [0, 0, 1, 0, 1]
+        assert patterns.representatives.tolist() == [0, 2]
+        assert patterns.positives.tolist() == [2.0, 1.0]
+        assert patterns.negatives.tolist() == [1.0, 1.0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["logistic", "tree", "forest"]))
+    def test_pattern_scores_expand_to_the_row_scores(self, data, kind):
+        """Every row scores as its pattern's representative does, and so
+        does scoring one row per pattern and expanding by ``inverse``, bit
+        for bit, categorical columns and signed zeros included."""
+        n = data.draw(st.integers(2, 150))
+
+        def column(values):
+            return data.draw(st.lists(values, min_size=n, max_size=n))
+
+        tied = st.sampled_from([0.0, -0.0, 1.0, 2.5])
+        population = make_population(
+            column(st.integers(0, 1)),
+            features=(
+                np.array(column(st.sampled_from(["n", "s", "e"])), dtype=object),
+                np.array(column(tied | st.floats(-50, 50))),
+                np.array(column(tied)),
+            ),
+        )
+        train = np.arange(0, n, 2)
+        columns = [col[train] for col in population.features]
+        y = population.outcomes[train]
+        if kind == "logistic":
+            encoder = FeatureEncoder.fit(columns)
+            coefficients = data.draw(st.lists(st.floats(-5, 5), min_size=encoder.width + 1,
+                                              max_size=encoder.width + 1))
+            model = LogisticModel(encoder, np.array(coefficients), 0, 0.0, ())
+        elif kind == "tree":
+            model = fit_tree(columns, y)
+        else:
+            model = fit_forest(columns, y, [str(i) for i in train], ForestConfig(trees=4), rng=3)
+        patterns = PatternTable.of(population)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # categories unseen in training
+            one_per_pattern = model.predict_proba_columns(
+                [col[patterns.representatives] for col in population.features]
+            )
+            expected = model.predict_proba(population.features)
+        assert one_per_pattern[patterns.inverse].tobytes() == expected.tobytes()
+        assert expected[patterns.representatives][patterns.inverse].tobytes() == (
+            expected.tobytes())
+
+    @pytest.mark.parametrize("make_spec", [default_population_spec,
+                                           default_experiment_population_spec])
+    def test_fitted_logistic_pattern_scores_match_at_scale(self, make_spec):
+        population = generate_population(make_spec(size=40_000), derive_stream(2, "population"))
+        train = np.arange(0, population.size, 13)
+        model = fit_logistic([col[train] for col in population.features],
+                             population.outcomes[train])
+        patterns = PatternTable.of(population)
+        got = model.predict_proba_columns(
+            [col[patterns.representatives] for col in population.features]
+        )
+        expected = model.predict_proba(population.features)
+        assert got[patterns.inverse].tobytes() == expected.tobytes()
+        assert expected[patterns.representatives][patterns.inverse].tobytes() == (
+            expected.tobytes())
+
+
+class TestReplicateMatchesRowFormReplay:
+    @pytest.mark.parametrize("grid", [101, "exact"])
+    @pytest.mark.parametrize("include", [True, False])
+    @pytest.mark.parametrize("kind", ["logistic", "tree", "forest"])
+    def test_report_equals_a_replay_scored_row_by_row(self, kind, include, grid):
+        """A replicate's report equals a replay that finds the split's rows
+        by id, fits with the public fitters, scores every row, and counts
+        the truth record by record over the census (less the sample when
+        the sample is left out)."""
+        exp = _tiny_experiment(
+            classifiers=(ClassifierSpec(kind=kind, trees=5),), thresholds=(0.3, 0.5),
+            include_sample_in_truth=include, auroc_grid=grid,
+        )
+        population = generate_population(exp.population, derive_stream(exp.seed, "population"))
+        report = run_replicate(exp, population, 1, PatternTable.of(population))
+
+        sample = stratified_sample(population, StratifiedDesign(exp.design_allocations),
+                                   derive_stream(exp.seed, 1, "sample"))
+        training, evaluation = split_train_test(sample, exp.eval_fraction,
+                                                derive_stream(exp.seed, 1, "split"))
+        row_of = population.index_by_id
+        train_rows = np.array([row_of[i] for i in training.ids])
+        eval_rows = np.array([row_of[i] for i in evaluation.ids])
+        columns = [col[train_rows] for col in population.features]
+        y = population.outcomes[train_rows]
+        if kind == "logistic":
+            model = fit_logistic(columns, y)
+        elif kind == "tree":
+            model = fit_tree(columns, y)
+        else:
+            model = fit_forest(columns, y, training.ids, ForestConfig(trees=5),
+                               rng=derive_stream(exp.seed, 1, f"train:{kind}"))
+        scores = model.predict_proba(population.features)
+        census = np.ones(population.size, dtype=bool)
+        if not include:
+            census[[row_of[i] for i in sample.ids]] = False
+        truth = EvaluationSet(
+            ids=tuple(rid for rid, keep in zip(population.ids, census) if keep),
+            weights=np.ones(int(census.sum())),
+            outcomes=population.outcomes[census],
+            scores=scores[census],
+        )
+        held_out = EvaluationSet(
+            ids=evaluation.ids,
+            weights=evaluation.weights,
+            outcomes=population.outcomes[eval_rows],
+            scores=scores[eval_rows],
+        )
+        expected = {
+            "name": kind,
+            "population": population_summary_per_row(truth, exp.thresholds, grid).to_json_dict(),
+            **{
+                weighting: evaluation_summary(
+                    held_out, exp.thresholds, grid, weighting
+                ).to_json_dict()
+                for weighting in ("weighted", "unweighted")
+            },
+        }
+        assert json.dumps(report.outcomes[0].to_json_dict()) == json.dumps(expected)
+
+    @pytest.mark.parametrize("include", [True, False])
+    def test_a_bad_score_on_a_pattern_outside_the_sample_fails_the_classifier(
+        self, monkeypatch, include
+    ):
+        """Stratum b is never sampled and its rows alone have x = 5; a model
+        that scores them NaN is a recorded failure, not a truth."""
+        strata = ["a"] * 40 + ["b"] * 10
+        x = np.array([float(i % 2) for i in range(40)] + [5.0] * 10)
+        population = make_population([int(i % 3 == 0) for i in range(50)], strata, (x,))
+        exp = ExperimentSpec(
+            seed=3,
+            replicates=1,
+            design_allocations={"a": 30},
+            classifiers=(ClassifierSpec(kind="logistic"),),
+            population=default_experiment_population_spec(size=100),  # unused: given below
+            eval_fraction=0.3,
+            include_sample_in_truth=include,
+        )
+        original = LogisticModel.predict_proba_columns
+
+        def nan_at_five(self, columns, n_rows=None):
+            return np.where(columns[0] == 5.0, np.nan, original(self, columns, n_rows))
+
+        monkeypatch.setattr(LogisticModel, "predict_proba_columns", nan_at_five)
+        report = run_replicate(exp, population, 0, PatternTable.of(population))
+        assert report.outcomes[0].to_json_dict() == {
+            "name": "logistic", "error": "DataValidationError: scores must lie in [0, 1]"
+        }
+
+    @pytest.mark.parametrize("kind", ["logistic", "tree", "forest"])
+    def test_unseen_category_warning_counts_records(self, kind):
+        """Stratum b is never sampled; its 7 rows, in 2 feature patterns,
+        are the only ones with category "z", and the warning counts rows."""
+        strata = ["a"] * 40 + ["b"] * 7
+        x = np.array([float(i % 2) for i in range(40)] + [0.0] * 4 + [1.0] * 3)
+        c = np.array(["p", "q"] * 20 + ["z"] * 7, dtype=object)
+        population = make_population([int(i % 3 == 0) for i in range(47)], strata, (x, c))
+        exp = ExperimentSpec(
+            seed=3,
+            replicates=1,
+            design_allocations={"a": 30},
+            classifiers=(ClassifierSpec(kind=kind, trees=3),),
+            population=default_experiment_population_spec(size=100),  # unused: given below
+            eval_fraction=0.3,
+        )
+        patterns = PatternTable.of(population)
+        assert np.unique(patterns.inverse[40:]).size == 2
+        with pytest.warns(UserWarning) as caught:
+            run_replicate(exp, population, 0, patterns)
+        assert [str(w.message) for w in caught] == [
+            "7 record(s) carry categories unseen in training; encoded as all zeros"
+        ]
+
+
 class TestAggregate:
     def test_identical_replicates_have_zero_sd(self):
         exp = _tiny_experiment(classifiers=(ClassifierSpec(kind="constant", constant_score=1.0),), replicates=3)
         population = generate_population(exp.population, derive_stream(exp.seed, "population"))
-        reports = [run_replicate(exp, population, i) for i in range(3)]
+        patterns = PatternTable.of(population)
+        reports = [run_replicate(exp, population, i, patterns) for i in range(3)]
         summary = aggregate(reports, exp)
         agg = summary.tables["constant"]["weighted"]["sensitivity@0.5"]
         assert agg.mean == 1.0 and agg.mc_sd == 0.0
@@ -222,7 +428,8 @@ class TestAggregate:
         assert values.std(ddof=1) == pytest.approx(0.14142135623, abs=1e-9)
         exp = _tiny_experiment(replicates=2)
         population = generate_population(exp.population, derive_stream(exp.seed, "population"))
-        reports = [run_replicate(exp, population, i) for i in range(2)]
+        patterns = PatternTable.of(population)
+        reports = [run_replicate(exp, population, i, patterns) for i in range(2)]
         summary = aggregate(reports, exp)
         agg = summary.tables["logistic"]["weighted"]["sensitivity@0.5"]
         manual = np.array(
@@ -235,7 +442,8 @@ class TestAggregate:
     def test_fewer_than_two_successes_is_an_error(self):
         exp = _tiny_experiment(classifiers=(ClassifierSpec(kind="constant", constant_score=5.0),), replicates=3)
         population = generate_population(exp.population, derive_stream(exp.seed, "population"))
-        reports = [run_replicate(exp, population, i) for i in range(3)]
+        patterns = PatternTable.of(population)
+        reports = [run_replicate(exp, population, i, patterns) for i in range(3)]
         with pytest.raises(AggregationError):
             aggregate(reports, exp)
 
