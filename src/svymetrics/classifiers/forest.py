@@ -32,6 +32,10 @@ class ForestConfig:
     max_depth: int | None = None
     bootstrap: bool = True
 
+    def __post_init__(self):
+        if self.m_try is not None and self.m_try < 1:
+            raise DataValidationError(f"m_try must be >= 1, got {self.m_try}")
+
 
 @dataclass(frozen=True)
 class ForestModel:
@@ -79,7 +83,9 @@ def fit_forest(
         base_seed = int(rng)
     else:
         base_seed = int(rng.integers(np.iinfo(np.int64).max))
-    order = np.array(sorted(range(y.size), key=ids.__getitem__), dtype=np.intp)
+    # An object column sorts with Python's ``<``, so this stable order is
+    # the one ``sorted(range(n), key=ids.__getitem__)`` gives.
+    order = np.argsort(np.asarray(ids, dtype=object), kind="stable")
     columns = [col[order] for col in columns]
     encoder = FeatureEncoder.fit(columns)
     x = encoder.transform(columns, y.size)

@@ -99,6 +99,17 @@ def _add_schema_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: a non-negative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def _parse_thresholds(text: str) -> tuple[float, ...]:
     try:
         values = tuple(float(part) for part in text.split(","))
@@ -223,7 +234,7 @@ def _cmd_train(args) -> int:
         model = fit_forest(
             columns,
             y,
-            [data.ids[i] for i in rows],
+            data.ids[rows],
             ForestConfig(
                 trees=args.trees,
                 m_try=args.m_try,
@@ -245,7 +256,7 @@ def _cmd_predict(args) -> int:
     data = ingest_csv(args.input, schema).data
     model = load_model(args.model)
     scores = model.predict_proba(data.features)
-    write_predictions(args.out, data.ids, scores)
+    write_predictions(args.out, data.ids.tolist(), scores)
     print(f"wrote {len(scores)} predictions to {args.out}")
     return EXIT_OK
 
@@ -261,7 +272,7 @@ def _load_scored_evaluation(args) -> tuple[EvaluationSet, dict]:
         features=(),
     )
     result = ingest_csv(args.input, eval_schema)
-    ids = result.data.ids
+    ids = result.data.ids.tolist()
     predictions = read_predictions(args.predictions)
     missing = [rid for rid in ids if rid not in predictions]
     if missing:
@@ -269,7 +280,7 @@ def _load_scored_evaluation(args) -> tuple[EvaluationSet, dict]:
             f"{len(missing)} evaluation record(s) lack predictions, e.g. {missing[:3]}"
         )
     evaluation = EvaluationSet(
-        ids=ids,
+        ids=result.data.ids,
         weights=result.sample.weights,
         outcomes=result.data.outcomes,
         scores=np.array([predictions[rid] for rid in ids]),
@@ -362,8 +373,15 @@ def _cmd_diagnose_weights(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one line of stderr and exits 2."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="svymetrics",
         description="Design-based evaluation of binary classifiers on survey data",
     )
@@ -380,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     _add_schema_flags(p)
     p.add_argument("--eval-fraction", type=float, default=0.2)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--train-out", default="train.csv")
     p.add_argument("--eval-out", default="eval.csv")
     p.set_defaults(func=_cmd_split)
@@ -394,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["logistic", "tree", "forest", "balanced-forest"],
     )
     p.add_argument("--out", required=True, help="model JSON output path")
-    p.add_argument("--seed", type=int, help="required for forest variants")
+    p.add_argument("--seed", type=_seed, help="required for forest variants")
     p.add_argument("--trees", type=int, default=100)
     p.add_argument("--m-try", type=int, default=None)
     p.add_argument("--min-node-size", type=int, default=1)

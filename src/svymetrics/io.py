@@ -304,7 +304,7 @@ def ingest_csv(path: str | Path, schema: DataSchema) -> IngestResult:
         raise DataValidationError(f"{path}: no usable rows ({n} read)")
     take = rows.tolist()
     data = FinitePopulation(
-        ids=tuple(ids[i] for i in take),
+        ids=np.asarray(ids, dtype=object)[rows],
         outcomes=y[rows].astype(np.int8),
         strata=np.asarray([strata[i] for i in take], dtype=str),
         features=tuple(

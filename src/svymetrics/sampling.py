@@ -74,7 +74,7 @@ def stratified_sample(
         weights.append(np.full(n_h, 1.0 / pi))
     drawn = np.concatenate(rows)
     return SurveySample(
-        ids=tuple(map(population.ids.__getitem__, drawn.tolist())),
+        ids=population.ids[drawn],
         weights=np.concatenate(weights),
         inclusion_probs=np.concatenate(probs),
         rows=drawn,
@@ -111,7 +111,7 @@ def split_train_test(
 
     inflation = n / n_e
     training = SurveySample(
-        ids=tuple(sample.ids[i] for i in train_rows),
+        ids=sample.ids[train_rows],
         weights=sample.weights[train_rows],
         inclusion_probs=None
         if sample.inclusion_probs is None
@@ -119,7 +119,7 @@ def split_train_test(
         rows=None if sample.rows is None else sample.rows[train_rows],
     )
     evaluation = SurveySample(
-        ids=tuple(sample.ids[i] for i in eval_rows),
+        ids=sample.ids[eval_rows],
         weights=sample.weights[eval_rows] * inflation,
         inclusion_probs=None
         if sample.inclusion_probs is None

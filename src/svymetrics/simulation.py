@@ -147,6 +147,30 @@ class PopulationSpec:
                 )
 
 
+_ID_CHUNK = 1 << 14  # rows per label conversion; bounds the temporary digit matrix
+
+
+def record_ids(n: int) -> np.ndarray:
+    """Ids of ``n`` generated rows, ``r%0{w}d`` with ``w`` one more than the
+    digits below ``max(n, 10)``, as an object column of Python strings.
+
+    Each chunk of rows is a matrix of character codes viewed as fixed-width
+    unicode, so no Python-level format call runs per row.
+    """
+    width = int(math.log10(max(n, 10))) + 1
+    ids = np.empty(n, dtype=object)
+    for start in range(0, n, _ID_CHUNK):
+        stop = min(start + _ID_CHUNK, n)
+        rows = np.arange(start, stop)
+        codes = np.empty((rows.size, width + 1), dtype=np.uint32)
+        codes[:, 0] = ord("r")
+        for j in range(width, 0, -1):
+            codes[:, j] = rows % 10 + ord("0")
+            rows //= 10
+        ids[start:stop] = codes.view(f"U{width + 1}").ravel()
+    return ids
+
+
 def generate_population(spec: PopulationSpec, rng: np.random.Generator) -> FinitePopulation:
     """Generate the columns of a population: stratum, covariates, outcome.
 
@@ -180,9 +204,8 @@ def generate_population(spec: PopulationSpec, rng: np.random.Generator) -> Finit
             linear += coef * columns[-1].astype(np.float64)
 
     prob = 1.0 / (1.0 + np.exp(-linear))
-    width = int(math.log10(max(n, 10))) + 1
     return FinitePopulation(
-        ids=tuple(map(f"r%0{width}d".__mod__, range(n))),
+        ids=record_ids(n),
         outcomes=(rng.random(n) < prob).astype(np.int8),
         strata=np.asarray(spec.strata)[stratum_idx],
         features=tuple(columns),
@@ -261,6 +284,8 @@ class ClassifierSpec:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise DataValidationError(f"unknown classifier kind {self.kind!r}")
+        if self.m_try is not None and self.m_try < 1:
+            raise DataValidationError(f"m_try must be >= 1, got {self.m_try}")
 
     @property
     def resolved_name(self) -> str:
@@ -283,6 +308,8 @@ class ExperimentSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "design_allocations", dict(self.design_allocations))
+        if self.seed < 0:
+            raise DataValidationError(f"seed must be non-negative, got {self.seed}")
         if self.replicates < 1:
             raise DataValidationError("replicates must be >= 1")
         if (self.population is None) == (self.population_file is None):
@@ -475,7 +502,7 @@ def _fit_and_score(
         model = fit_forest(
             columns,
             y,
-            list(map(population.ids.__getitem__, rows.tolist())),
+            population.ids[rows],
             ForestConfig(
                 trees=spec.trees,
                 m_try=spec.m_try,

@@ -2,7 +2,9 @@
 
 All types are immutable after construction and safe to share across
 concurrent tasks.  Identifiers are opaque strings throughout; numeric ids
-read from files are stored as strings.
+read from files are stored as strings.  Every type holds its ids as one
+read-only 1-d NumPy column of dtype object whose elements are the Python
+strings, so ids are sliced by row like the other columns.
 """
 
 from __future__ import annotations
@@ -19,6 +21,19 @@ from .errors import DataValidationError
 FeatureValue = float | str
 MetricKind = Literal["sensitivity", "specificity", "auroc"]
 Weighting = Literal["weighted", "unweighted", "population-truth"]
+
+
+def _id_column(ids: Sequence[str]) -> np.ndarray:
+    """Any sequence of id strings as a read-only 1-d object column.
+
+    Object dtype keeps each id exactly as given: a fixed-width ``U`` column
+    would drop trailing ``"\\x00"`` and size every cell to the longest id.
+    """
+    column = np.asarray(ids, dtype=object)
+    if column.ndim != 1:
+        raise DataValidationError("ids must be a 1-d sequence of strings")
+    column.setflags(write=False)
+    return column
 
 
 @dataclass(frozen=True)
@@ -45,13 +60,13 @@ class FinitePopulation:
     categorical ones.  Every column has one entry per id.
     """
 
-    ids: tuple[str, ...]
+    ids: np.ndarray
     outcomes: np.ndarray
     strata: np.ndarray
     features: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self):
-        ids = tuple(self.ids)
+        ids = _id_column(self.ids)
         n = len(ids)
         if n == 0:
             raise DataValidationError("population must contain at least one record")
@@ -152,12 +167,13 @@ class SurveySample:
     instead of looking ids up.
     """
 
-    ids: tuple[str, ...]
+    ids: np.ndarray
     weights: np.ndarray
     inclusion_probs: np.ndarray | None = None
     rows: np.ndarray | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "ids", _id_column(self.ids))
         w = np.asarray(self.weights, dtype=np.float64)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -192,12 +208,13 @@ class EvaluationSet:
     scored by a model yet; attach predictions with :meth:`with_scores`.
     """
 
-    ids: tuple[str, ...]
+    ids: np.ndarray
     weights: np.ndarray
     outcomes: np.ndarray
     scores: np.ndarray | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "ids", _id_column(self.ids))
         w = np.asarray(self.weights, dtype=np.float64)
         y = np.asarray(self.outcomes, dtype=np.int8)
         for name, arr in (("weights", w), ("outcomes", y)):

@@ -35,6 +35,13 @@ def make_population(outcomes, strata=None, features=(), ids=None):
     )
 
 
+def record_ids_by_format(n):
+    """Ids of ``n`` generated rows, one format string per row: ``r%0{w}d``
+    with ``w`` one more than the digits below ``max(n, 10)``."""
+    width = int(math.log10(max(n, 10))) + 1
+    return [f"r%0{width}d" % i for i in range(n)]
+
+
 def numeric_columns(x_rows):
     """Float64 feature columns of an (n, h) table given as rows."""
     x = np.asarray(x_rows, dtype=np.float64).reshape(len(x_rows), -1)

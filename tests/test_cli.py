@@ -383,13 +383,19 @@ class TestSimulateCommand:
         spec.write_text(json.dumps(payload))
         assert _run(["simulate", spec, "--json", tmp_path / "summary.json"]) == 0
 
-    @pytest.mark.parametrize("defect", ["no design", "unknown preset"])
+    @pytest.mark.parametrize(
+        "defect", ["no design", "unknown preset", "negative seed", "m_try below one"]
+    )
     def test_malformed_spec_is_data_error(self, tmp_path, capsys, defect):
         payload = json.loads(self._spec_file(tmp_path).read_text())
         if defect == "no design":
             del payload["design"]
-        else:
+        elif defect == "unknown preset":
             payload["population"] = {"preset": "census", "size": 3000}
+        elif defect == "negative seed":
+            payload["seed"] = -1
+        else:
+            payload["classifiers"][0].update(kind="forest", m_try=0)
         spec = tmp_path / "bad.json"
         spec.write_text(json.dumps(payload))
         assert _run(["simulate", spec]) == 3
@@ -436,6 +442,28 @@ class TestMalformedInputs:
         code = _run(["split", "--input", survey_csv, "--schema", schema, "--seed", 1,
                      "--train-out", tmp_path / "t.csv", "--eval-out", tmp_path / "e.csv"])
         _one_line_data_error(capsys, code)
+
+    @pytest.mark.parametrize("command", ["split", "train logistic", "train forest"])
+    def test_negative_seed_is_one_line_usage_error(
+        self, tmp_path, survey_csv, schema_file, capsys, command
+    ):
+        name, _, model = command.partition(" ")
+        argv = [name, "--input", survey_csv, "--schema", schema_file, "--seed", -1]
+        if model:
+            argv += ["--model", model, "--out", tmp_path / "model.json"]
+        with pytest.raises(SystemExit) as exc:
+            _run(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "--seed" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("m_try", [0, -3])
+    def test_m_try_below_one_is_data_error(self, tmp_path, survey_csv, schema_file, capsys, m_try):
+        model_json = tmp_path / "model.json"
+        code = _run(["train", "--input", survey_csv, "--schema", schema_file, "--model", "forest",
+                     "--seed", 1, "--m-try", m_try, "--out", model_json])
+        assert "m_try" in _one_line_data_error(capsys, code)
+        assert not model_json.exists()
 
     @pytest.mark.parametrize("defect", ["no encoder", "list", "bad coefficients"])
     def test_malformed_model_file_is_data_error(

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import sys
 
 import numpy as np
 import pytest
@@ -119,7 +120,21 @@ class TestIngestCsv:
             tmp_path, "id,y,wt,grp,age,region\n101,1,2,g,30,n\n102,0,2,g,40,n\n"
         )
         result = ingest_csv(path, SCHEMA)
-        assert result.sample.ids == ("101", "102")
+        assert result.sample.ids.tolist() == ["101", "102"]
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="csv rejects NUL before 3.11")
+    def test_ids_kept_exactly_with_trailing_nul_and_at_length_ten_thousand(self, tmp_path):
+        """A fixed-width string column would strip the NUL, making "a" and
+        "a\x00" one id, and size every cell to the longest id."""
+        ids = ["a", "a\x00", "x" * 10_000]
+        path = _write(
+            tmp_path, "id,y,wt,grp,age,region\n" + "".join(f"{rid},1,2,g,30,n\n" for rid in ids)
+        )
+        result = ingest_csv(path, SCHEMA)
+        assert result.report.rows_dropped == 0
+        assert result.data.ids.tolist() == ids
+        assert result.sample.ids.tolist() == ids
+        assert result.data.ids.dtype == object
 
 
 class TestSchema:
@@ -258,7 +273,7 @@ class TestColumnarReadersMatchOracles:
             assert got == expected
             return
         population, weights, report, _ = expected
-        assert got.data.ids == population.ids
+        assert got.data.ids.tolist() == population.ids.tolist()
         for ours, theirs in ((got.data.outcomes, population.outcomes),
                              (got.data.strata, population.strata),
                              (got.sample.weights, weights)):

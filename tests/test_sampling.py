@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import enumerate_stratified_samples, make_population, two_class_toy_population
-from svymetrics.errors import DegenerateSplitError, DesignError
+from svymetrics.errors import DataValidationError, DegenerateSplitError, DesignError
 from svymetrics.sampling import StratifiedDesign, split_train_test, stratified_sample
-from svymetrics.types import SurveySample
+from svymetrics.types import EvaluationSet, SurveySample
 
 
 def _population(sizes_by_stratum):
@@ -216,11 +216,35 @@ class TestSampleRows:
             population, StratifiedDesign(allocations), np.random.default_rng(seed)
         )
         assert sample.rows.dtype == np.intp
-        assert tuple(population.ids[i] for i in sample.rows) == sample.ids
+        assert [population.ids[i] for i in sample.rows] == sample.ids.tolist()
         if sample.size < 2:
             return
         parts = split_train_test(sample, 0.5, np.random.default_rng(seed + 1))
         for part in parts:
-            assert tuple(population.ids[i] for i in part.rows) == part.ids
+            assert [population.ids[i] for i in part.rows] == part.ids.tolist()
         both = np.concatenate([part.rows for part in parts])
         assert sorted(both.tolist()) == sorted(sample.rows.tolist())
+
+
+class TestIdColumns:
+    def test_ids_are_read_only_object_columns_of_str(self):
+        """The population, the sample, both split parts and an evaluation set
+        built from a plain tuple hold ids as read-only 1-d object columns."""
+        population = _population({"s1": 30, "s2": 20})
+        sample = stratified_sample(
+            population, StratifiedDesign({"s1": 12, "s2": 8}), np.random.default_rng(4)
+        )
+        training, evaluation = split_train_test(sample, 0.25, np.random.default_rng(5))
+        scored = EvaluationSet(
+            ids=("a", "b"), weights=np.ones(2), outcomes=np.array([1, 0])
+        )
+        for ids in (population.ids, sample.ids, training.ids, evaluation.ids, scored.ids):
+            assert ids.dtype == object and ids.ndim == 1
+            assert not ids.flags.writeable
+            assert all(type(rid) is str for rid in ids.tolist())
+            with pytest.raises(ValueError):
+                ids[0] = "changed"
+
+    def test_ids_must_be_one_dimensional(self):
+        with pytest.raises(DataValidationError, match="1-d"):
+            SurveySample(ids=[["a"], ["b"]], weights=np.ones(2))

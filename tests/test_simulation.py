@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -12,6 +12,7 @@ from helpers import (
     parse_corrupted,
     population_summary_per_row,
     prevalence_by_quadrature,
+    record_ids_by_format,
 )
 from svymetrics.classifiers import (
     FeatureEncoder,
@@ -40,6 +41,7 @@ from svymetrics.simulation import (
     experiment_to_json_dict,
     generate_population,
     population_spec_from_json_dict,
+    record_ids,
     render_summary,
     run_experiment,
     run_replicate,
@@ -124,6 +126,28 @@ class TestGeneratePopulation:
         a = generate_population(spec, derive_stream(9, "population"))
         b = generate_population(spec, derive_stream(9, "population"))
         assert list(a.records) == list(b.records)
+
+    @pytest.mark.parametrize("n", [1, 9, 10, 11, 99, 100, 101])
+    def test_population_ids_equal_the_format_string_oracle(self, n):
+        spec = PopulationSpec(
+            size=n,
+            strata=("a",),
+            proportions=(1.0,),
+            covariates=(),
+            outcome=OutcomeModel(intercept=0.0, coefficients={}),
+        )
+        population = generate_population(spec, derive_stream(1, "population"))
+        assert population.ids.tolist() == record_ids_by_format(n)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 3 * 2**14 + 5))
+    @example(n=2**14)
+    @example(n=2**14 + 1)
+    def test_ids_equal_the_format_string_oracle_across_chunks(self, n):
+        ids = record_ids(n)
+        assert ids.dtype == object and ids.shape == (n,)
+        assert ids.tolist() == record_ids_by_format(n)
+        assert all(type(rid) is str for rid in ids.tolist())
 
     def test_stratum_shares_near_proportions(self):
         spec = default_experiment_population_spec(size=50_000)
@@ -218,7 +242,7 @@ class TestRunReplicate:
             population, StratifiedDesign(exp.design_allocations), derive_stream(exp.seed, 0, "sample")
         )
         _, evaluation2 = split_train_test(sample2, exp.eval_fraction, derive_stream(exp.seed, 0, "split"))
-        assert evaluation.ids == evaluation2.ids
+        assert evaluation.ids.tolist() == evaluation2.ids.tolist()
         assert np.array_equal(evaluation.weights, evaluation2.weights)
 
 

@@ -307,6 +307,38 @@ class TestCountedGrower:
             assert _node_arrays(tree) == _node_arrays(want)
 
 
+class TestForestIdOrder:
+    """A forest fits its rows in the stable order of their ids under
+    Python's ``<``, whatever sequence holds the ids."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(table=_training_tables(_GROW_VALUES), data=st.data())
+    def test_trees_equal_across_id_sequences_and_row_orders(self, table, data):
+        x, y = table
+        n = y.size
+        unique = data.draw(st.booleans())
+        ids = data.draw(
+            st.lists(st.text("ab\x00\xe9", max_size=3), min_size=n, max_size=n, unique=unique)
+        )
+        columns = numeric_columns(x)
+        config = ForestConfig(trees=3, m_try=data.draw(st.integers(1, x.shape[1])))
+        seed = data.draw(st.integers(0, 99))
+
+        def trees(rows, as_ids):
+            forest = fit_forest(
+                [col[rows] for col in columns], y[rows], as_ids([ids[i] for i in rows]),
+                config, rng=seed,
+            )
+            return [_node_arrays(tree) for tree in forest.trees]
+
+        # rows handed over already in ``sorted`` order are fitted as they come
+        want = trees(sorted(range(n), key=ids.__getitem__), list)
+        for as_ids in (list, tuple, lambda v: np.array(v, dtype=object)):
+            assert trees(list(range(n)), as_ids) == want
+        if unique:
+            assert trees(data.draw(st.permutations(range(n))), list) == want
+
+
 class TestTreeJson:
     def test_negative_infinite_threshold_round_trips(self, tmp_path):
         """A split between -inf and finite values has threshold -inf; it
