@@ -19,7 +19,9 @@ import numpy as np
 from ..errors import DataValidationError
 from ..rng import stream_seed
 from .encoding import FeatureEncoder
-from .tree import FlatTree, distinct_rows, grow_counted, row_counts, threshold_cells
+from .tree import (
+    FlatTree, check_tree_limits, distinct_rows, grow_counted, row_counts, threshold_cells,
+)
 
 PAPER_PARITY_TREE_COUNT = 1000  # the cited simulations use 1,000 trees
 
@@ -35,6 +37,7 @@ class ForestConfig:
     def __post_init__(self):
         if self.m_try is not None and self.m_try < 1:
             raise DataValidationError(f"m_try must be >= 1, got {self.m_try}")
+        check_tree_limits(self.max_depth, self.min_node_size)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ parameters, so the CLI's train/predict pipeline can run statelessly.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,43 +24,28 @@ MODEL_SCHEMA_VERSION = "1"
 
 def model_to_json_dict(model) -> dict:
     if isinstance(model, LogisticModel):
-        return {
-            "schema_version": MODEL_SCHEMA_VERSION,
+        body = {
             "model": "logistic",
-            "encoder": model.encoder.to_json_dict(),
             "coefficients": model.coefficients.tolist(),
             "coefficient_standard_errors": model.coefficient_standard_errors.tolist(),
             "iterations": model.iterations,
             "final_deviance_change": model.final_deviance_change,
             "deviance_path": list(model.deviance_path),
         }
-    if isinstance(model, TreeModel):
-        return {
-            "schema_version": MODEL_SCHEMA_VERSION,
-            "model": "tree",
-            "encoder": model.encoder.to_json_dict(),
-            "tree": model.tree.to_json_dict(),
-            "config": {
-                "max_depth": model.config.max_depth,
-                "min_node_size": model.config.min_node_size,
-            },
-        }
-    if isinstance(model, ForestModel):
-        return {
-            "schema_version": MODEL_SCHEMA_VERSION,
+    elif isinstance(model, TreeModel):
+        body = {"model": "tree", "tree": model.tree.to_json_dict(), "config": asdict(model.config)}
+    elif isinstance(model, ForestModel):
+        body = {
             "model": "forest",
-            "encoder": model.encoder.to_json_dict(),
             "trees": [t.to_json_dict() for t in model.trees],
             "tree_seeds": list(model.tree_seeds),
-            "config": {
-                "trees": model.config.trees,
-                "m_try": model.config.m_try,
-                "min_node_size": model.config.min_node_size,
-                "max_depth": model.config.max_depth,
-                "bootstrap": model.config.bootstrap,
-            },
+            "config": asdict(model.config),
         }
-    raise SchemaError(f"cannot serialize model of type {type(model).__name__}")
+    else:
+        raise SchemaError(f"cannot serialize model of type {type(model).__name__}")
+    return {
+        "schema_version": MODEL_SCHEMA_VERSION, "encoder": model.encoder.to_json_dict(), **body
+    }
 
 
 def model_from_json_dict(payload: dict):
@@ -102,7 +88,7 @@ def _parse_model(kind: str, payload: dict):
         return TreeModel(
             encoder=encoder,
             tree=FlatTree.from_json_dict(payload["tree"], encoder.width),
-            config=TreeConfig(max_depth=cfg["max_depth"], min_node_size=cfg["min_node_size"]),
+            config=_config(TreeConfig, cfg),
         )
     trees = tuple(FlatTree.from_json_dict(t, encoder.width) for t in payload["trees"])
     if not trees:
@@ -111,14 +97,13 @@ def _parse_model(kind: str, payload: dict):
         encoder=encoder,
         trees=trees,
         tree_seeds=tuple(int(s) for s in payload["tree_seeds"]),
-        config=ForestConfig(
-            trees=cfg["trees"],
-            m_try=cfg["m_try"],
-            min_node_size=cfg["min_node_size"],
-            max_depth=cfg["max_depth"],
-            bootstrap=cfg["bootstrap"],
-        ),
+        config=_config(ForestConfig, cfg),
     )
+
+
+def _config(cls, cfg: dict):
+    """A fitting config from its document object; every field is required."""
+    return cls(**{f.name: cfg[f.name] for f in fields(cls)})
 
 
 def save_model(model, path: str | Path) -> None:

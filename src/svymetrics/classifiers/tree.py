@@ -20,10 +20,21 @@ from ..errors import DataValidationError, SchemaError
 from .encoding import FeatureEncoder
 
 
+def check_tree_limits(max_depth: int | None, min_node_size: int) -> None:
+    """The tree and forest configs' checks: max_depth None or >= 0, min_node_size >= 1."""
+    if max_depth is not None and max_depth < 0:
+        raise DataValidationError(f"max_depth must be >= 0, got {max_depth}")
+    if min_node_size < 1:
+        raise DataValidationError(f"min_node_size must be >= 1, got {min_node_size}")
+
+
 @dataclass(frozen=True)
 class TreeConfig:
     max_depth: int | None = None
     min_node_size: int = 1  # nodes smaller than this are not split
+
+    def __post_init__(self):
+        check_tree_limits(self.max_depth, self.min_node_size)
 
 
 @dataclass(frozen=True)

@@ -30,10 +30,6 @@ class StratifiedDesign:
             if n_h < 1:
                 raise DesignError(f"allocation for stratum {label!r} must be positive")
 
-    @property
-    def sample_size(self) -> int:
-        return sum(self.allocations.values())
-
     def validate_against(self, population: FinitePopulation) -> None:
         """Raise DesignError unless 0 < n_h <= N_h for every stratum."""
         sizes = population.stratum_sizes

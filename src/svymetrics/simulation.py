@@ -11,9 +11,12 @@ into means and Monte Carlo standard deviations.
 
 from __future__ import annotations
 
+import collections.abc
 import math
+import types
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -110,7 +113,7 @@ class PopulationSpec:
             raise DataValidationError("population size must be >= 1")
         if len(self.strata) != len(self.proportions) or not self.strata:
             raise DataValidationError("strata and proportions must align and be non-empty")
-        if any(p < 0 or p > 1 for p in self.proportions):
+        if any(not (0.0 <= p <= 1.0) for p in self.proportions):  # NaN too
             raise DataValidationError("stratum proportions must lie in [0, 1]")
         if abs(sum(self.proportions) - 1.0) > 1e-9:
             raise DataValidationError("stratum proportions must sum to 1")
@@ -284,12 +287,15 @@ class ClassifierSpec:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise DataValidationError(f"unknown classifier kind {self.kind!r}")
-        if self.m_try is not None and self.m_try < 1:
-            raise DataValidationError(f"m_try must be >= 1, got {self.m_try}")
+        self.forest_config()  # checks the tree hyperparameters for every kind
 
     @property
     def resolved_name(self) -> str:
         return self.name or self.kind
+
+    def forest_config(self) -> ForestConfig:
+        names = (f.name for f in fields(ForestConfig))
+        return ForestConfig(**{name: getattr(self, name) for name in names})
 
 
 @dataclass(frozen=True)
@@ -432,13 +438,6 @@ class ReplicateReport:
     seed_path: tuple[int, int]
     outcomes: tuple[ClassifierReport | ClassifierFailure, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "seed_path": list(self.seed_path),
-            "classifiers": [o.to_json_dict() for o in self.outcomes],
-        }
-
 
 @dataclass(frozen=True)
 class PatternTable:
@@ -503,13 +502,7 @@ def _fit_and_score(
             columns,
             y,
             population.ids[rows],
-            ForestConfig(
-                trees=spec.trees,
-                m_try=spec.m_try,
-                min_node_size=spec.min_node_size,
-                max_depth=spec.max_depth,
-                bootstrap=spec.bootstrap,
-            ),
+            spec.forest_config(),
             rng=derive_stream(master_seed, index, f"train:{name}"),
         )
     scores = model.predict_proba_columns(population.features, n_rows=population.size)
@@ -612,15 +605,6 @@ class MetricAggregate:
     replicates: int
     mean_linearized_se: float | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "mc_sd": self.mc_sd,
-            "mc_se_of_mean": self.mc_se_of_mean,
-            "replicates": self.replicates,
-            "mean_linearized_se": self.mean_linearized_se,
-        }
-
 
 @dataclass(frozen=True)
 class ExperimentSummary:
@@ -634,7 +618,7 @@ class ExperimentSummary:
             "replicates_requested": self.replicates_requested,
             "classifiers": {
                 name: {
-                    weighting: {key: agg.to_json_dict() for key, agg in metrics.items()}
+                    weighting: {key: asdict(agg) for key, agg in metrics.items()}
                     for weighting, metrics in by_weighting.items()
                 }
                 for name, by_weighting in self.tables.items()
@@ -786,61 +770,6 @@ def run_experiment(
 # ---------------------------------------------------------------------------
 
 
-def _covariate_to_json(cov: Covariate) -> dict:
-    if isinstance(cov, UniformCovariate):
-        return {
-            "name": cov.name,
-            "kind": "uniform",
-            "ranges": {s: list(r) for s, r in cov.ranges.items()},
-        }
-    if isinstance(cov, BernoulliCovariate):
-        return {"name": cov.name, "kind": "bernoulli", "rates": dict(cov.rates)}
-    return {
-        "name": cov.name,
-        "kind": "categorical",
-        "levels": list(cov.levels),
-        "probs": {s: list(p) for s, p in cov.probs.items()},
-    }
-
-
-def _covariate_from_json(payload: dict, strata: Sequence[str]) -> Covariate:
-    kind = payload.get("kind")
-    name = payload["name"]
-    if kind == "uniform":
-        if "range" in payload:  # shared across strata
-            ranges = {s: tuple(payload["range"]) for s in strata}
-        else:
-            ranges = {s: tuple(r) for s, r in payload["ranges"].items()}
-        return UniformCovariate(name=name, ranges=ranges)
-    if kind == "bernoulli":
-        if "rate" in payload:
-            rates = {s: float(payload["rate"]) for s in strata}
-        else:
-            rates = {s: float(r) for s, r in payload["rates"].items()}
-        return BernoulliCovariate(name=name, rates=rates)
-    if kind == "categorical":
-        levels = tuple(payload["levels"])
-        if isinstance(payload["probs"], list):
-            probs = {s: tuple(payload["probs"]) for s in strata}
-        else:
-            probs = {s: tuple(p) for s, p in payload["probs"].items()}
-        return CategoricalCovariate(name=name, levels=levels, probs=probs)
-    raise SchemaError(f"unknown covariate kind {kind!r}")
-
-
-def population_spec_to_json_dict(spec: PopulationSpec) -> dict:
-    return {
-        "size": spec.size,
-        "strata": list(spec.strata),
-        "proportions": list(spec.proportions),
-        "covariates": [_covariate_to_json(c) for c in spec.covariates],
-        "outcome": {
-            "intercept": spec.outcome.intercept,
-            "coefficients": dict(spec.outcome.coefficients),
-        },
-    }
-
-
 # "default" names the population the default experiment draws from.
 POPULATION_PRESETS = {
     "experiment": default_experiment_population_spec,
@@ -849,8 +778,102 @@ POPULATION_PRESETS = {
 }
 
 
+def _to_json(value):
+    """A spec value as JSON: a dataclass becomes an object of its fields (a
+    covariate also names its ``kind``), a tuple a list, a mapping a dict."""
+    if is_dataclass(value):
+        out = {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+        if isinstance(value, Covariate):
+            out["kind"] = value.kind
+        return out
+    if isinstance(value, (tuple, list)):
+        return [_to_json(v) for v in value]
+    if isinstance(value, Mapping):
+        return {k: _to_json(v) for k, v in value.items()}
+    return value
+
+
+def experiment_to_json_dict(experiment: ExperimentSpec) -> dict:
+    payload = _to_json(experiment)
+    payload["design"] = {"allocations": payload.pop("design_allocations")}
+    return {"spec_version": SPEC_VERSION, **payload}
+
+
+def _expect(value, kind, what: str):
+    if not isinstance(value, kind):
+        raise SchemaError(f"expected {what}, got {type(value).__name__}")
+    return value
+
+
+def _read(hint, value):
+    """Read a JSON value as the spec field type ``hint``.
+
+    Numbers go through ``int()``, ``float()`` or ``bool()``, a ``str`` must
+    be one already, and a covariate is chosen by its ``kind``.  ``int | str``
+    (``auroc_grid``) and a bare ``dict`` (``population_schema``) pass as given.
+    """
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint is PopulationSpec:
+        return population_spec_from_json_dict(value)
+    if hint == Covariate:
+        kinds = {c.kind: c for c in args}
+        kind = _expect(value, dict, "a JSON object").get("kind")
+        if kind not in kinds:
+            raise SchemaError(f"unknown covariate kind {kind!r}")
+        return _read_fields(kinds[kind], value)
+    if is_dataclass(hint):
+        return _read_fields(hint, value)
+    if origin in (typing.Union, types.UnionType):
+        options = [a for a in args if a is not type(None)]
+        if value is None and len(options) < len(args):
+            return None
+        return _read(options[0], value) if len(options) == 1 else value
+    if origin is tuple:
+        items = _expect(value, (list, tuple), "a list")
+        if args[-1] is Ellipsis:
+            args = (args[0],) * len(items)
+        if len(args) != len(items):
+            raise SchemaError(f"expected a list of {len(args)} values, got {len(items)}")
+        return tuple(map(_read, args, items))
+    if origin is collections.abc.Mapping:
+        items = _expect(value, dict, "a JSON object").items()
+        return {_read(args[0], k): _read(args[1], v) for k, v in items}
+    if hint is str:
+        return _expect(value, str, "a string")
+    return hint(value) if hint in (int, float, bool) else value
+
+
+def _read_fields(cls, payload):
+    """The dataclass ``cls`` from a JSON object, field by field; a missing
+    key takes the field's default, and is a SchemaError without one."""
+    _expect(payload, dict, f"a JSON object for {cls.__name__}")
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        if f.name in payload:
+            try:
+                values[f.name] = _read(hints[f.name], payload[f.name])
+            except (SchemaError, TypeError, ValueError, OverflowError) as exc:
+                raise SchemaError(f"{f.name}: {exc}") from exc
+        elif f.default is MISSING:
+            raise SchemaError(f"missing key {f.name!r}")
+    return cls(**values)
+
+
+def _per_stratum(covariate, strata: tuple[str, ...]):
+    """Spread a covariate's ``range``, ``rate`` or list ``probs`` over every stratum."""
+    if not isinstance(covariate, dict):
+        return covariate
+    covariate = dict(covariate)
+    for short, table in (("range", "ranges"), ("rate", "rates"), ("probs", "probs")):
+        if short in covariate and (short != "probs" or isinstance(covariate[short], list)):
+            covariate[table] = {s: covariate[short] for s in strata}
+    return covariate
+
+
 def population_spec_from_json_dict(payload: dict) -> PopulationSpec:
-    if "preset" in payload:
+    """A preset population (``{"preset": name, "size": N}``) or an inline spec."""
+    if "preset" in _expect(payload, dict, "a JSON object for the population"):
         preset = payload["preset"]
         if preset not in POPULATION_PRESETS:
             raise SchemaError(
@@ -860,71 +883,11 @@ def population_spec_from_json_dict(payload: dict) -> PopulationSpec:
         return POPULATION_PRESETS[preset](
             size=int(payload.get("size", DEFAULT_EXPERIMENT_POPULATION_SIZE))
         )
-    strata = tuple(payload["strata"])
-    return PopulationSpec(
-        size=int(payload["size"]),
-        strata=strata,
-        proportions=tuple(float(p) for p in payload["proportions"]),
-        covariates=tuple(
-            _covariate_from_json(c, strata) for c in payload["covariates"]
-        ),
-        outcome=OutcomeModel(
-            intercept=float(payload["outcome"]["intercept"]),
-            coefficients={
-                k: float(v) for k, v in payload["outcome"]["coefficients"].items()
-            },
-        ),
-    )
-
-
-def classifier_spec_to_json_dict(spec: ClassifierSpec) -> dict:
-    return {
-        "kind": spec.kind,
-        "name": spec.name,
-        "trees": spec.trees,
-        "m_try": spec.m_try,
-        "min_node_size": spec.min_node_size,
-        "max_depth": spec.max_depth,
-        "bootstrap": spec.bootstrap,
-        "max_iterations": spec.max_iterations,
-        "tolerance": spec.tolerance,
-        "constant_score": spec.constant_score,
-    }
-
-
-def classifier_spec_from_json_dict(payload: dict) -> ClassifierSpec:
-    defaults = ClassifierSpec(kind=payload["kind"])
-    return ClassifierSpec(
-        kind=payload["kind"],
-        name=payload.get("name", defaults.name),
-        trees=int(payload.get("trees", defaults.trees)),
-        m_try=payload.get("m_try", defaults.m_try),
-        min_node_size=int(payload.get("min_node_size", defaults.min_node_size)),
-        max_depth=payload.get("max_depth", defaults.max_depth),
-        bootstrap=bool(payload.get("bootstrap", defaults.bootstrap)),
-        max_iterations=int(payload.get("max_iterations", defaults.max_iterations)),
-        tolerance=float(payload.get("tolerance", defaults.tolerance)),
-        constant_score=float(payload.get("constant_score", defaults.constant_score)),
-    )
-
-
-def experiment_to_json_dict(experiment: ExperimentSpec) -> dict:
-    return {
-        "spec_version": SPEC_VERSION,
-        "seed": experiment.seed,
-        "replicates": experiment.replicates,
-        "design": {"allocations": dict(experiment.design_allocations)},
-        "classifiers": [classifier_spec_to_json_dict(c) for c in experiment.classifiers],
-        "population": None
-        if experiment.population is None
-        else population_spec_to_json_dict(experiment.population),
-        "population_file": experiment.population_file,
-        "population_schema": experiment.population_schema,
-        "eval_fraction": experiment.eval_fraction,
-        "thresholds": list(experiment.thresholds),
-        "auroc_grid": experiment.auroc_grid,
-        "include_sample_in_truth": experiment.include_sample_in_truth,
-    }
+    covariates = payload.get("covariates")
+    if isinstance(covariates, list):
+        strata = _read(tuple[str, ...], payload.get("strata", []))
+        payload = {**payload, "covariates": [_per_stratum(c, strata) for c in covariates]}
+    return _read_fields(PopulationSpec, payload)
 
 
 def experiment_from_json_dict(payload: dict) -> ExperimentSpec:
@@ -938,27 +901,11 @@ def experiment_from_json_dict(payload: dict) -> ExperimentSpec:
     if "seed" not in payload:
         raise SchemaError("experiment spec must carry an explicit seed")
     try:
-        population = payload.get("population")
-        return ExperimentSpec(
-            seed=int(payload["seed"]),
-            replicates=int(payload["replicates"]),
-            design_allocations={
-                k: int(v) for k, v in payload["design"]["allocations"].items()
-            },
-            classifiers=tuple(
-                classifier_spec_from_json_dict(c) for c in payload["classifiers"]
-            ),
-            population=None if population is None else population_spec_from_json_dict(population),
-            population_file=payload.get("population_file"),
-            population_schema=payload.get("population_schema"),
-            eval_fraction=float(payload.get("eval_fraction", 0.2)),
-            thresholds=tuple(float(t) for t in payload.get("thresholds", [0.5])),
-            auroc_grid=payload.get("auroc_grid", 101),
-            include_sample_in_truth=bool(payload.get("include_sample_in_truth", True)),
-        )
+        allocations = payload["design"]["allocations"]
+        return _read_fields(ExperimentSpec, {**payload, "design_allocations": allocations})
     except KeyError as exc:
         raise SchemaError(f"experiment spec is missing key {exc.args[0]!r}") from exc
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (SchemaError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise SchemaError(f"malformed experiment spec: {exc}") from exc
 
 
@@ -987,7 +934,3 @@ def render_summary_json(payload: dict) -> str:
     lines.append("Parentheses hold Monte Carlo standard deviations across replicates;")
     lines.append("the JSON mirror also carries SD/sqrt(R) for each entry.")
     return "\n".join(lines)
-
-
-def render_summary(summary: ExperimentSummary) -> str:
-    return render_summary_json(summary.to_json_dict())

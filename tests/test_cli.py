@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import re
 import shlex
 from pathlib import Path
@@ -20,7 +21,7 @@ from svymetrics.classifiers import (
     model_from_json_dict,
     model_to_json_dict,
 )
-from svymetrics.errors import SchemaError
+from svymetrics.errors import DataValidationError, SchemaError
 from svymetrics.evaluation import evaluation_summary
 from svymetrics.io import DataSchema, ingest_csv
 from svymetrics.rng import derive_stream
@@ -383,8 +384,34 @@ class TestSimulateCommand:
         spec.write_text(json.dumps(payload))
         assert _run(["simulate", spec, "--json", tmp_path / "summary.json"]) == 0
 
+    def test_readme_inline_population_runs(self, tmp_path, capsys):
+        """README's inline population, in its simulation spec with two
+        replicates and allocations for its strata, exits 0, and its
+        shared integer range is echoed as floats."""
+        blocks = _readme_blocks("json")
+        payload = json.loads(next(b for b in blocks if '"spec_version"' in b))
+        payload["population"] = json.loads(next(b for b in blocks if '"covariates"' in b))
+        payload.update(replicates=2, design={"allocations": {"a": 120, "b": 80}})
+        spec = tmp_path / "inline.json"
+        spec.write_text(json.dumps(payload))
+        assert _run(["simulate", spec, "--json", tmp_path / "summary.json"]) == 0
+        echoed = json.loads((tmp_path / "summary.json").read_text())["experiment"]
+        assert echoed["population"]["covariates"][0]["ranges"] == {"a": [18.0, 80.0],
+                                                                  "b": [18.0, 80.0]}
+
     @pytest.mark.parametrize(
-        "defect", ["no design", "unknown preset", "negative seed", "m_try below one"]
+        "defect",
+        [
+            "no design",
+            "unknown preset",
+            "negative seed",
+            "m_try below one",
+            "population_file not a string",
+            "infinite replicates",
+            "max_depth below zero",
+            "min_node_size below one",
+            "NaN proportion",
+        ],
     )
     def test_malformed_spec_is_data_error(self, tmp_path, capsys, defect):
         payload = json.loads(self._spec_file(tmp_path).read_text())
@@ -394,13 +421,35 @@ class TestSimulateCommand:
             payload["population"] = {"preset": "census", "size": 3000}
         elif defect == "negative seed":
             payload["seed"] = -1
-        else:
+        elif defect == "m_try below one":
             payload["classifiers"][0].update(kind="forest", m_try=0)
+        elif defect == "population_file not a string":
+            del payload["population"]
+            payload.update(population_file=5, population_schema={"id": "id", "outcome": "y"})
+        elif defect == "infinite replicates":
+            payload["replicates"] = math.inf  # written as the JSON literal Infinity
+        elif defect == "max_depth below zero":
+            payload["classifiers"][0].update(kind="tree", max_depth=-1)
+        elif defect == "min_node_size below one":  # checked for every kind, as m_try is
+            payload["classifiers"][0].update(min_node_size=0)
+        else:
+            payload["population"]["proportions"][0] = math.nan  # the JSON literal NaN
         spec = tmp_path / "bad.json"
         spec.write_text(json.dumps(payload))
         assert _run(["simulate", spec]) == 3
         err = capsys.readouterr().err
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+    def test_fractional_m_try_reads_as_int(self, tmp_path, capsys):
+        """``m_try`` 2.5 reads as 2, as ``trees`` 2.5 does, and is echoed as 2."""
+        payload = json.loads(self._spec_file(tmp_path).read_text())
+        payload["classifiers"] = [{"kind": "forest", "trees": 3, "m_try": 2.5}]
+        spec = tmp_path / "forest.json"
+        spec.write_text(json.dumps(payload))
+        assert _run(["simulate", spec, "--json", tmp_path / "s.json"]) == 0
+        echoed = json.loads((tmp_path / "s.json").read_text())["experiment"]["classifiers"][0]
+        assert type(echoed["m_try"]) is int and echoed["m_try"] == 2
 
 
 def _one_line_data_error(capsys, code):
@@ -464,6 +513,43 @@ class TestMalformedInputs:
                      "--seed", 1, "--m-try", m_try, "--out", model_json])
         assert "m_try" in _one_line_data_error(capsys, code)
         assert not model_json.exists()
+
+    @pytest.mark.parametrize(
+        "model, flag, value",
+        [
+            ("tree", "--max-depth", -1),
+            ("tree", "--min-node-size", -2),
+            ("tree", "--min-node-size", 0),
+            ("forest", "--max-depth", -1),
+            ("forest", "--min-node-size", 0),
+        ],
+    )
+    def test_tree_limits_out_of_range_are_data_errors(
+        self, tmp_path, survey_csv, schema_file, capsys, model, flag, value
+    ):
+        model_json = tmp_path / "model.json"
+        code = _run(["train", "--input", survey_csv, "--schema", schema_file, "--model", model,
+                     "--seed", 1, flag, value, "--out", model_json])
+        assert flag[2:].replace("-", "_") in _one_line_data_error(capsys, code)
+        assert not model_json.exists()
+
+    @pytest.mark.parametrize("model", ["tree", "forest"])
+    @pytest.mark.parametrize("key, value", [("max_depth", -1), ("min_node_size", 0)])
+    def test_model_config_out_of_range_is_data_error(
+        self, tmp_path, survey_csv, schema_file, capsys, model, key, value
+    ):
+        model_json = tmp_path / "model.json"
+        assert _run(["train", "--input", survey_csv, "--schema", schema_file,
+                     "--model", model, "--seed", 1, "--trees", 3, "--out", model_json]) == 0
+        payload = json.loads(model_json.read_text())
+        payload["config"][key] = value
+        with pytest.raises(DataValidationError, match=key):
+            model_from_json_dict(payload)
+        model_json.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = _run(["predict", "--input", survey_csv, "--schema", schema_file,
+                     "--model", model_json, "--out", tmp_path / "p.csv"])
+        assert key in _one_line_data_error(capsys, code)
 
     @pytest.mark.parametrize("defect", ["no encoder", "list", "bad coefficients"])
     def test_malformed_model_file_is_data_error(

@@ -22,11 +22,13 @@ from svymetrics.classifiers import (
     fit_logistic,
     fit_tree,
 )
-from svymetrics.errors import AggregationError, DataValidationError, SchemaError
+from svymetrics.errors import AggregationError, DataValidationError, SchemaError, SvymetricsError
 from svymetrics.evaluation import evaluation_summary
 from svymetrics.rng import derive_stream
 from svymetrics.sampling import StratifiedDesign, split_train_test, stratified_sample
 from svymetrics.simulation import (
+    BernoulliCovariate,
+    CategoricalCovariate,
     ClassifierSpec,
     ExperimentSpec,
     OutcomeModel,
@@ -42,7 +44,7 @@ from svymetrics.simulation import (
     generate_population,
     population_spec_from_json_dict,
     record_ids,
-    render_summary,
+    render_summary_json,
     run_experiment,
     run_replicate,
 )
@@ -615,6 +617,140 @@ class TestForestVersusTreeAuroc:
             assert forest_auc >= tree_auc - 0.02
 
 
+_SMALL_CLASSIFIERS = [
+    {"kind": "logistic"},
+    {"kind": "tree", "max_depth": 3},
+    {"kind": "forest", "trees": 3, "m_try": 1},
+]
+
+# Small valid specs (N = 2,000, R = 2) that run in milliseconds: the
+# experiment preset, the same population written inline, and an inline
+# population with every covariate kind, each table given per stratum and
+# as a shorthand shared by every stratum.
+_SMALL_SPECS = [
+    {
+        "spec_version": "1",
+        "seed": 8,
+        "replicates": 2,
+        "design": {"allocations": {"18-25": 39, "26-34": 26, "35-49": 33, "50-64": 30, "65+": 43}},
+        "classifiers": _SMALL_CLASSIFIERS,
+        "population": {"preset": "experiment", "size": 2000},
+    },
+    experiment_to_json_dict(
+        ExperimentSpec(
+            seed=8,
+            replicates=2,
+            design_allocations={"18-25": 39, "26-34": 26, "35-49": 33, "50-64": 30, "65+": 43},
+            classifiers=tuple(ClassifierSpec(**c) for c in _SMALL_CLASSIFIERS),
+            population=default_experiment_population_spec(size=2000),
+        )
+    ),
+    {
+        "spec_version": "1",
+        "seed": 8,
+        "replicates": 2,
+        "design": {"allocations": {"a": 60, "b": 40, "c": 30}},
+        "classifiers": _SMALL_CLASSIFIERS,
+        "population": {
+            "size": 2000,
+            "strata": ["a", "b", "c"],
+            "proportions": [0.5, 0.3, 0.2],
+            "covariates": [
+                {"name": "age", "kind": "uniform", "range": [18.0, 80.0]},
+                {"name": "sex", "kind": "bernoulli", "rate": 0.5},
+                {"name": "region", "kind": "categorical", "levels": ["n", "s", "e"],
+                 "probs": [0.2, 0.3, 0.5]},
+                {"name": "income", "kind": "uniform",
+                 "ranges": {"a": [0.0, 1.0], "b": [0.5, 2.0], "c": [1.0, 3.0]}},
+                {"name": "smoker", "kind": "bernoulli", "rates": {"a": 0.1, "b": 0.2, "c": 0.3}},
+                {"name": "school", "kind": "categorical", "levels": ["lo", "hi"],
+                 "probs": {"a": [0.7, 0.3], "b": [0.5, 0.5], "c": [0.2, 0.8]}},
+            ],
+            "outcome": {"intercept": -1.0,
+                        "coefficients": {"age": 0.02, "sex": -0.5, "smoker": 0.8}},
+        },
+        "thresholds": [0.3, 0.5],
+    },
+]
+
+# Each covariate kind's per-stratum table and the shorthand for a shared value.
+_SHORTHAND = {
+    "uniform": ("ranges", "range"),
+    "bernoulli": ("rates", "rate"),
+    "categorical": ("probs", "probs"),
+}
+
+_FINITE = st.floats(-1e6, 1e6, allow_nan=False)
+_UNIT = st.floats(0.0, 1.0)
+
+
+def _shares(draw, n):
+    weights = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    return tuple(w / sum(weights) for w in weights)
+
+
+@st.composite
+def _inline_experiments(draw):
+    """An experiment spec with an inline population that draws on every
+    covariate kind, some tables shared by every stratum, and classifiers
+    with unset and set ``m_try`` and ``max_depth``."""
+    strata = tuple(draw(st.lists(st.text(max_size=3), min_size=1, max_size=3, unique=True)))
+    per_stratum = lambda value: {s: value() for s in strata}  # noqa: E731
+    covariates = []
+    for i, kind in enumerate(draw(st.permutations(["uniform", "bernoulli", "categorical"]))):
+        shared = draw(st.booleans())
+        if kind == "uniform":
+            low = draw(_FINITE)
+            span = lambda: (low, low + draw(st.floats(0.0, 100.0)))  # noqa: E731
+            table = dict.fromkeys(strata, span()) if shared else per_stratum(span)
+            covariates.append(UniformCovariate(name=f"c{i}", ranges=table))
+        elif kind == "bernoulli":
+            rate = lambda: draw(_UNIT)  # noqa: E731
+            table = dict.fromkeys(strata, rate()) if shared else per_stratum(rate)
+            covariates.append(BernoulliCovariate(name=f"c{i}", rates=table))
+        else:
+            levels = tuple(draw(st.lists(st.text(max_size=2), min_size=1, max_size=3, unique=True)))
+            probs = lambda: _shares(draw, len(levels))  # noqa: E731
+            table = dict.fromkeys(strata, probs()) if shared else per_stratum(probs)
+            covariates.append(CategoricalCovariate(name=f"c{i}", levels=levels, probs=table))
+    numeric = [c.name for c in covariates if not isinstance(c, CategoricalCovariate)]
+    coefficients = {name: draw(_FINITE) for name in numeric if draw(st.booleans())}
+    classifiers = tuple(
+        ClassifierSpec(
+            kind=kind,
+            name=f"k{i}",
+            trees=draw(st.integers(1, 500)),
+            m_try=draw(st.none() | st.integers(1, 9)),
+            min_node_size=draw(st.integers(1, 50)),
+            max_depth=draw(st.none() | st.integers(0, 9)),
+            bootstrap=draw(st.booleans()),
+            max_iterations=draw(st.integers(1, 200)),
+            tolerance=draw(st.floats(1e-12, 1.0)),
+            constant_score=draw(_UNIT),
+        )
+        for i, kind in enumerate(
+            draw(st.lists(st.sampled_from(ClassifierSpec.KINDS), min_size=1, max_size=5))
+        )
+    )
+    return ExperimentSpec(
+        seed=draw(st.integers(0, 2**63)),
+        replicates=draw(st.integers(1, 1000)),
+        design_allocations={s: draw(st.integers(1, 10_000)) for s in strata},
+        classifiers=classifiers,
+        population=PopulationSpec(
+            size=draw(st.integers(1, 10**7)),
+            strata=strata,
+            proportions=_shares(draw, len(strata)),
+            covariates=tuple(covariates),
+            outcome=OutcomeModel(intercept=draw(_FINITE), coefficients=coefficients),
+        ),
+        eval_fraction=draw(_UNIT),
+        thresholds=tuple(draw(st.lists(_UNIT, max_size=3))),
+        auroc_grid=draw(st.sampled_from(["exact"]) | st.integers(2, 1001)),
+        include_sample_in_truth=draw(st.booleans()),
+    )
+
+
 class TestExperimentJson:
     def test_round_trip(self):
         exp = default_experiment(seed=8, replicates=5)
@@ -633,7 +769,7 @@ class TestExperimentJson:
     def test_render_contains_all_metrics(self):
         exp = _tiny_experiment(replicates=2)
         result = run_experiment(exp)
-        text = render_summary(result.summary)
+        text = render_summary_json(result.summary.to_json_dict())
         for token in ("sensitivity@0.5", "specificity@0.5", "auroc", "logistic"):
             assert token in text
 
@@ -657,8 +793,133 @@ class TestExperimentJson:
     @given(data=st.data())
     def test_corrupted_specs_raise_only_data_errors(self, data):
         """Deleting keys or swapping values for junk anywhere in a valid spec
-        raises SchemaError or DataValidationError, never anything else."""
-        payload = experiment_to_json_dict(default_experiment(seed=8))
-        if data.draw(st.booleans()):
-            payload["population"] = {"preset": "experiment", "size": 2000}
-        parse_corrupted(data, payload, experiment_from_json_dict)
+        raises SchemaError or DataValidationError, never anything else, and
+        a corrupted spec that still parses runs or fails with a library error."""
+        payload = json.loads(json.dumps(data.draw(st.sampled_from(_SMALL_SPECS))))
+
+        def parse_and_run(p):
+            spec = experiment_from_json_dict(p)
+            try:
+                run_experiment(spec)
+            except SvymetricsError:
+                pass
+
+        parse_corrupted(data, payload, parse_and_run)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_inline_specs_round_trip(self, data):
+        """Writing a spec, then reading its JSON text back, gives the same
+        spec, also when a table shared by every stratum is written with the
+        ``range``, ``rate`` or list ``probs`` shorthand."""
+        spec = data.draw(_inline_experiments())
+        payload = json.loads(json.dumps(experiment_to_json_dict(spec)))
+        for cov in payload["population"]["covariates"]:
+            table, short = _SHORTHAND[cov["kind"]]
+            values = list(cov[table].values())
+            if all(v == values[0] for v in values) and data.draw(st.booleans()):
+                del cov[table]
+                cov[short] = values[0]
+        assert experiment_from_json_dict(payload) == spec
+
+    def test_json_document_is_pinned(self):
+        spec = ExperimentSpec(
+            seed=4,
+            replicates=3,
+            design_allocations={"a": 20, "b": 10},
+            classifiers=(ClassifierSpec(kind="forest", trees=3, m_try=1, name="rf"),),
+            population=PopulationSpec(
+                size=500,
+                strata=("a", "b"),
+                proportions=(0.75, 0.25),
+                covariates=(
+                    UniformCovariate(name="age", ranges={"a": (18.0, 40.0), "b": (40.0, 90.0)}),
+                    BernoulliCovariate(name="sex", rates={"a": 0.5, "b": 0.5}),
+                    CategoricalCovariate(
+                        name="region", levels=("n", "s"), probs={"a": (0.5, 0.5), "b": (0.2, 0.8)}
+                    ),
+                ),
+                outcome=OutcomeModel(intercept=-1.0, coefficients={"age": 0.03}),
+            ),
+            thresholds=(0.3, 0.5),
+            auroc_grid="exact",
+        )
+        expected = {
+            "spec_version": "1",
+            "seed": 4,
+            "replicates": 3,
+            "design": {"allocations": {"a": 20, "b": 10}},
+            "classifiers": [
+                {
+                    "kind": "forest",
+                    "name": "rf",
+                    "trees": 3,
+                    "m_try": 1,
+                    "min_node_size": 1,
+                    "max_depth": None,
+                    "bootstrap": True,
+                    "max_iterations": 100,
+                    "tolerance": 1e-08,
+                    "constant_score": 1.0,
+                }
+            ],
+            "population": {
+                "size": 500,
+                "strata": ["a", "b"],
+                "proportions": [0.75, 0.25],
+                "covariates": [
+                    {"name": "age", "kind": "uniform",
+                     "ranges": {"a": [18.0, 40.0], "b": [40.0, 90.0]}},
+                    {"name": "sex", "kind": "bernoulli", "rates": {"a": 0.5, "b": 0.5}},
+                    {"name": "region", "kind": "categorical", "levels": ["n", "s"],
+                     "probs": {"a": [0.5, 0.5], "b": [0.2, 0.8]}},
+                ],
+                "outcome": {"intercept": -1.0, "coefficients": {"age": 0.03}},
+            },
+            "population_file": None,
+            "population_schema": None,
+            "eval_fraction": 0.2,
+            "thresholds": [0.3, 0.5],
+            "auroc_grid": "exact",
+            "include_sample_in_truth": True,
+        }
+        got = experiment_to_json_dict(spec)
+        assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
+        assert experiment_from_json_dict(expected) == spec
+
+    def test_numbers_are_converted_by_field_type(self):
+        """Integer literals in float fields (``range`` included) are echoed
+        as floats, and a fractional ``m_try`` or ``trees`` reads as int()."""
+        payload = json.loads(json.dumps(_SMALL_SPECS[2]))
+        payload["population"]["covariates"][0]["range"] = [18, 80]
+        payload["population"]["covariates"][1]["rate"] = 1
+        payload["thresholds"] = [0, 1]
+        payload["classifiers"] = [{"kind": "forest", "trees": 2.5, "m_try": 2.5}]
+        doc = experiment_to_json_dict(experiment_from_json_dict(payload))
+        covariates = doc["population"]["covariates"]
+        assert json.dumps(covariates[0]["ranges"]["a"]) == "[18.0, 80.0]"
+        assert json.dumps(covariates[1]["rates"]) == '{"a": 1.0, "b": 1.0, "c": 1.0}'
+        assert json.dumps(doc["thresholds"]) == "[0.0, 1.0]"
+        assert (doc["classifiers"][0]["trees"], doc["classifiers"][0]["m_try"]) == (2, 2)
+        assert type(doc["classifiers"][0]["m_try"]) is int
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("replicates",), math.inf),
+            (("auroc_grid",), math.inf),
+            (("population_file",), 5),
+            (("population", "strata"), "abc"),
+            (("population", "covariates", 0, "range"), [18.0]),
+            (("population", "covariates", 2, "kind"), "poisson"),
+            (("population", "covariates", 2, "levels", 0), 3),
+        ],
+    )
+    def test_wrong_types_are_schema_errors(self, path, value):
+        payload = json.loads(json.dumps(_SMALL_SPECS[2]))
+        parent = payload
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(SchemaError):
+            experiment_from_json_dict(payload)
