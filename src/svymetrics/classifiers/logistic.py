@@ -15,6 +15,7 @@ from ..errors import DataValidationError, NonConvergenceError, SeparationError
 from .encoding import FeatureEncoder
 
 MAX_ABS_COEF = 30.0  # separation declared beyond this on the encoded scale
+MAX_HALVINGS = 10  # step halvings tried before an IRLS step counts as converged
 _MU_EPS = 1e-12
 
 
@@ -22,7 +23,6 @@ _MU_EPS = 1e-12
 class LogisticConfig:
     max_iterations: int = 100
     tolerance: float = 1e-8  # on deviance change
-    max_halvings: int = 10
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ def fit_logistic(
         candidate = proposal
         new_dev = _deviance(y, _sigmoid(design @ candidate))
         halvings = 0
-        while new_dev > deviance and halvings < config.max_halvings:
+        while new_dev > deviance and halvings < MAX_HALVINGS:
             candidate = (candidate + beta) / 2.0
             new_dev = _deviance(y, _sigmoid(design @ candidate))
             halvings += 1

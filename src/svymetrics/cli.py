@@ -12,21 +12,12 @@ import argparse
 import json
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .classifiers import (
-    ForestConfig,
-    LogisticConfig,
-    TreeConfig,
-    fit_forest,
-    fit_logistic,
-    fit_tree,
-    load_model,
-    save_model,
-    upsample_minority,
-)
+from .classifiers import load_model, save_model
 from .errors import DataValidationError, NumericalError, SchemaError
 from .estimation import weight_diagnostics
 from .evaluation import evaluation_summary, resolve_grid
@@ -46,14 +37,18 @@ from .roc import roc_sweep
 from .sampling import split_train_test
 from .simulation import (
     SPEC_VERSION,
-    ClassifierFailure,
+    ClassifierSpec,
     experiment_from_json_dict,
     experiment_to_json_dict,
-    metric_values,
+    fit_classifier,
     render_summary_json,
+    replicate_rows,
     run_experiment,
 )
 from .types import EvaluationSet
+
+# No caller here; re-exported because perfbench's tracer swaps these names.
+from .classifiers import fit_forest, fit_logistic, upsample_minority  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -160,20 +155,10 @@ def _cmd_simulate(args) -> int:
             },
         )
     if args.replicates_csv:
-        rows = []
-        for rep in result.reports:
-            for outcome in rep.outcomes:
-                if isinstance(outcome, ClassifierFailure):
-                    rows.append([rep.index, outcome.name, "failure", outcome.error, "", ""])
-                    continue
-                for weighting in ("population", "weighted", "unweighted"):
-                    for key, (value, se) in metric_values(getattr(outcome, weighting)).items():
-                        rows.append([rep.index, outcome.name, weighting, key, repr(value),
-                                     "" if se is None else repr(se)])
         write_rows_csv(
             args.replicates_csv,
             ["replicate", "classifier", "weighting", "metric", "value", "standard_error"],
-            rows,
+            replicate_rows(result.reports),
         )
     return EXIT_OK
 
@@ -213,36 +198,23 @@ def _cmd_train(args) -> int:
     kind = args.model
     if kind in ("forest", "balanced-forest") and args.seed is None:
         raise SchemaError(f"--seed is required for stochastic model {kind!r}")
-    rows = np.arange(data.size)
-    if kind == "balanced-forest":
-        rows = upsample_minority(data.outcomes, derive_stream(args.seed, "upsample"))
-    columns = [col[rows] for col in data.features]
-    y = data.outcomes[rows]
+    spec = ClassifierSpec(
+        kind=kind.replace("-", "_"),
+        trees=args.trees,
+        m_try=args.m_try,
+        min_node_size=args.min_node_size,
+        max_depth=args.max_depth,
+        max_iterations=args.max_iterations,
+        tolerance=args.tolerance,
+    )
+    model = fit_classifier(
+        spec, data, np.arange(data.size), lambda stage: derive_stream(args.seed, stage)
+    )
     if kind == "logistic":
-        model = fit_logistic(
-            columns,
-            y,
-            LogisticConfig(max_iterations=args.max_iterations, tolerance=args.tolerance),
-        )
         print(f"logistic: converged in {model.iterations} iterations")
     elif kind == "tree":
-        model = fit_tree(
-            columns, y, TreeConfig(max_depth=args.max_depth, min_node_size=args.min_node_size)
-        )
         print(f"tree: {model.tree.node_count} nodes")
     else:
-        model = fit_forest(
-            columns,
-            y,
-            data.ids[rows],
-            ForestConfig(
-                trees=args.trees,
-                m_try=args.m_try,
-                min_node_size=args.min_node_size,
-                max_depth=args.max_depth,
-            ),
-            rng=derive_stream(args.seed, "train"),
-        )
         print(f"forest: {len(model.trees)} trees")
     save_model(model, args.out)
     print(f"wrote model to {args.out}")
@@ -285,7 +257,7 @@ def _load_scored_evaluation(args) -> tuple[EvaluationSet, dict]:
         outcomes=result.data.outcomes,
         scores=np.array([predictions[rid] for rid in ids]),
     )
-    return evaluation, result.report.to_json_dict()
+    return evaluation, asdict(result.report)
 
 
 def _format_metric(value: float, se) -> str:
@@ -357,7 +329,7 @@ def _cmd_diagnose_weights(args) -> int:
         "spec_version": SPEC_VERSION,
         "kind": "weight-diagnostics",
         "count": result.sample.size,
-        **diag.to_json_dict(),
+        **asdict(diag),
     }
     print(f"weights: {report['count']}")
     for key in ("cv", "mean", "min", "max"):

@@ -197,15 +197,6 @@ class WeightDiagnostics:
     max: float
     deciles: tuple[float, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "cv": self.cv,
-            "mean": self.mean,
-            "min": self.min,
-            "max": self.max,
-            "deciles": list(self.deciles),
-        }
-
 
 def weight_diagnostics(weights: Sequence[float] | np.ndarray) -> WeightDiagnostics:
     """Coefficient of variation (population-style SD over mean) and summaries."""

@@ -18,7 +18,10 @@ from .estimation import (
     tally_confusion,
     tally_counts,
 )
-from .roc import RocCurve, auroc, roc_sweep, score_adapted_grid, uniform_grid
+from .roc import RocCurve, auroc, score_adapted_grid, uniform_grid
+
+# No caller here; re-exported because perfbench's tracer swaps this name.
+from .roc import roc_sweep  # noqa: F401
 from .types import EvaluationSet, MetricResult, Weighting
 
 
@@ -69,32 +72,17 @@ def evaluation_summary(
 ) -> EvaluationSummary:
     """Evaluate a scored set at fixed thresholds and compute AUROC.
 
-    All fixed thresholds are read from one confusion tally.  Standard
-    errors come from Taylor linearization; for the unweighted estimators
-    they are computed against a unit-weight copy of the set (the SRS
-    special case of the same formula).
+    The fixed thresholds and the grid are read from one confusion tally.
+    Standard errors come from Taylor linearization; for the unweighted
+    estimators they are computed against a unit-weight copy of the set
+    (the SRS special case of the same formula).
     """
     se_set = evaluation
     if weighting == "unweighted":
         se_set = replace(evaluation, weights=np.ones(evaluation.size))
-    tally = tally_confusion(evaluation, np.asarray(thresholds, dtype=np.float64))
-    sens = confusion_rate(tally, "sensitivity", weighting).tolist()
-    spec = confusion_rate(tally, "specificity", weighting).tolist()
-    rows = tuple(
-        ThresholdMetrics(
-            threshold=float(t),
-            sensitivity=MetricResult(
-                sn, "sensitivity", weighting, ratio_standard_error(se_set, t, "sensitivity")
-            ),
-            specificity=MetricResult(
-                sp, "specificity", weighting, ratio_standard_error(se_set, t, "specificity")
-            ),
-        )
-        for t, sn, sp in zip(thresholds, sens, spec)
-    )
-    curve = roc_sweep(evaluation, resolve_grid(grid, evaluation.require_scores()), weighting)
-    area = MetricResult(value=auroc(curve), kind="auroc", weighting=weighting)
-    return EvaluationSummary(weighting=weighting, at_thresholds=rows, auroc=area)
+    g = resolve_grid(grid, evaluation.require_scores())
+    tally = tally_confusion(evaluation, np.concatenate([np.asarray(thresholds, np.float64), g]))
+    return _summary(tally, thresholds, g, weighting, se_set)
 
 
 def population_summary(
@@ -114,19 +102,30 @@ def population_summary(
     count ratios, with no standard errors.
     """
     g = resolve_grid(grid, scores[positives + negatives > 0])
-    k = len(thresholds)
     fixed = np.asarray(thresholds, dtype=np.float64)
     tally = tally_counts(scores, positives, negatives, np.concatenate([fixed, g]))
-    sens = confusion_rate(tally, "sensitivity", "population-truth")
-    spec = confusion_rate(tally, "specificity", "population-truth")
+    return _summary(tally, thresholds, g, "population-truth", None)
+
+
+def _summary(tally, thresholds, grid, weighting, se_set) -> EvaluationSummary:
+    """The summary of a tally of ``thresholds`` followed by ``grid``.
+
+    Rates at the fixed thresholds carry linearized standard errors
+    computed on ``se_set`` when one is given; AUROC is the area under the
+    grid's curve.
+    """
+    k = len(thresholds)
+    sens = confusion_rate(tally, "sensitivity", weighting)
+    spec = confusion_rate(tally, "specificity", weighting)
+
+    def metric(value, kind, t):
+        se = None if se_set is None else ratio_standard_error(se_set, t, kind)
+        return MetricResult(value, kind, weighting, se)
+
     rows = tuple(
-        ThresholdMetrics(
-            threshold=t,
-            sensitivity=MetricResult(sn, "sensitivity", "population-truth"),
-            specificity=MetricResult(sp, "specificity", "population-truth"),
-        )
+        ThresholdMetrics(float(t), metric(sn, "sensitivity", t), metric(sp, "specificity", t))
         for t, sn, sp in zip(thresholds, sens[:k].tolist(), spec[:k].tolist())
     )
-    curve = RocCurve(thresholds=g, sensitivity=sens[k:], specificity=spec[k:])
-    area = MetricResult(value=auroc(curve), kind="auroc", weighting="population-truth")
-    return EvaluationSummary(weighting="population-truth", at_thresholds=rows, auroc=area)
+    curve = RocCurve(thresholds=grid, sensitivity=sens[k:], specificity=spec[k:])
+    area = MetricResult(value=auroc(curve), kind="auroc", weighting=weighting)
+    return EvaluationSummary(weighting=weighting, at_thresholds=rows, auroc=area)

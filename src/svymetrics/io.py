@@ -166,13 +166,6 @@ class LoadReport:
     def rows_dropped(self) -> int:
         return sum(self.dropped.values())
 
-    def to_json_dict(self) -> dict:
-        return {
-            "rows_read": self.rows_read,
-            "rows_loaded": self.rows_loaded,
-            "dropped": dict(self.dropped),
-        }
-
 
 @dataclass(frozen=True)
 class IngestResult:

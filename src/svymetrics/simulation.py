@@ -130,19 +130,31 @@ class PopulationSpec:
                 raise DataValidationError(
                     f"covariate {cov.name!r} lacks parameters for strata {missing}"
                 )
+            if isinstance(cov, UniformCovariate):
+                for s, (lo, hi) in cov.ranges.items():
+                    if not (lo <= hi and math.isfinite(hi - lo)):  # NaN too
+                        raise DataValidationError(
+                            f"range of {cov.name!r} in stratum {s!r} must have low <= high "
+                            f"and a finite width, got [{lo}, {hi}]"
+                        )
             if isinstance(cov, BernoulliCovariate):
                 if any(not (0.0 <= r <= 1.0) for r in cov.rates.values()):
                     raise DataValidationError(f"rates of {cov.name!r} must lie in [0, 1]")
             if isinstance(cov, CategoricalCovariate):
                 for s, p in cov.probs.items():
-                    if len(p) != len(cov.levels) or abs(sum(p) - 1.0) > 1e-9:
+                    in_range = all(0.0 <= q <= 1.0 for q in p)  # NaN too
+                    if len(p) != len(cov.levels) or not in_range or abs(sum(p) - 1.0) > 1e-9:
                         raise DataValidationError(
                             f"probabilities of {cov.name!r} invalid in stratum {s!r}"
                         )
-        for name in self.outcome.coefficients:
+        if not math.isfinite(self.outcome.intercept):
+            raise DataValidationError("outcome intercept must be finite")
+        for name, coef in self.outcome.coefficients.items():
             cov = next((c for c in self.covariates if c.name == name), None)
             if cov is None:
                 raise DataValidationError(f"outcome references unknown covariate {name!r}")
+            if not math.isfinite(coef):
+                raise DataValidationError(f"outcome coefficient of {name!r} must be finite")
             if isinstance(cov, CategoricalCovariate):
                 raise DataValidationError(
                     "outcome model supports numeric covariates only; "
@@ -464,6 +476,27 @@ class PatternTable:
         return cls(*arrays)
 
 
+def fit_classifier(spec: ClassifierSpec, data: FinitePopulation, rows: np.ndarray, stream):
+    """Fit ``spec`` (any kind but ``constant``) on ``rows`` of ``data``.
+
+    ``stream(stage)`` gives the random stream of the ``"upsample"`` and
+    ``"train"`` stages; only the kinds that draw call it.
+    """
+    if spec.kind == "constant":
+        raise DataValidationError("a constant classifier has no model to fit")
+    if spec.kind == "balanced_forest":
+        rows = rows[upsample_minority(data.outcomes[rows], stream("upsample"))]
+    columns = [col[rows] for col in data.features]
+    y = data.outcomes[rows]
+    if spec.kind == "logistic":
+        return fit_logistic(columns, y, LogisticConfig(spec.max_iterations, spec.tolerance))
+    if spec.kind == "tree":
+        return fit_tree(
+            columns, y, TreeConfig(max_depth=spec.max_depth, min_node_size=spec.min_node_size)
+        )
+    return fit_forest(columns, y, data.ids[rows], spec.forest_config(), rng=stream("train"))
+
+
 def _fit_and_score(
     spec: ClassifierSpec,
     population: FinitePopulation,
@@ -473,38 +506,13 @@ def _fit_and_score(
 ) -> np.ndarray:
     """Train one classifier on the given population rows and score every
     row; DataValidationError unless every score lies in [0, 1]."""
-    name = spec.resolved_name
     if spec.kind == "constant":
         if not (0.0 <= spec.constant_score <= 1.0):
             raise DataValidationError("constant score must lie in [0, 1]")
         return np.full(population.size, spec.constant_score)
-    rows = train_rows
-    if spec.kind == "balanced_forest":
-        rows = rows[
-            upsample_minority(
-                population.outcomes[rows], derive_stream(master_seed, index, f"upsample:{name}")
-            )
-        ]
-    columns = [col[rows] for col in population.features]
-    y = population.outcomes[rows]
-    if spec.kind == "logistic":
-        model = fit_logistic(
-            columns,
-            y,
-            LogisticConfig(max_iterations=spec.max_iterations, tolerance=spec.tolerance),
-        )
-    elif spec.kind == "tree":
-        model = fit_tree(
-            columns, y, TreeConfig(max_depth=spec.max_depth, min_node_size=spec.min_node_size)
-        )
-    else:
-        model = fit_forest(
-            columns,
-            y,
-            population.ids[rows],
-            spec.forest_config(),
-            rng=derive_stream(master_seed, index, f"train:{name}"),
-        )
+    name = spec.resolved_name
+    stream = lambda stage: derive_stream(master_seed, index, f"{stage}:{name}")  # noqa: E731
+    model = fit_classifier(spec, population, train_rows, stream)
     scores = model.predict_proba_columns(population.features, n_rows=population.size)
     if not np.all(np.isfinite(scores)) or np.any((scores < 0.0) | (scores > 1.0)):
         raise DataValidationError("scores must lie in [0, 1]")
@@ -643,6 +651,23 @@ def metric_values(summary: EvaluationSummary) -> dict[str, tuple[float, float | 
             out[metric_key(metric.kind, tm.threshold)] = (metric.value, metric.standard_error)
     out[metric_key("auroc")] = (summary.auroc.value, summary.auroc.standard_error)
     return out
+
+
+def replicate_rows(reports: Sequence[ReplicateReport]) -> list[list]:
+    """Rows of the per-replicate dump: replicate, classifier, weighting,
+    metric, value and standard error (as ``repr``; "" for none), or a
+    ``failure`` row that carries the error in the metric column."""
+    rows = []
+    for rep in reports:
+        for outcome in rep.outcomes:
+            if isinstance(outcome, ClassifierFailure):
+                rows.append([rep.index, outcome.name, "failure", outcome.error, "", ""])
+                continue
+            for weighting in ("population", "weighted", "unweighted"):
+                for key, (value, se) in metric_values(getattr(outcome, weighting)).items():
+                    rows.append([rep.index, outcome.name, weighting, key, repr(value),
+                                 "" if se is None else repr(se)])
+    return rows
 
 
 def aggregate(

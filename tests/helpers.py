@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import dataclasses
 import itertools
 import math
 
@@ -17,10 +18,10 @@ from hypothesis import strategies as st
 
 from svymetrics.classifiers.tree import FlatTree
 from svymetrics.errors import DataValidationError, SchemaError
-from svymetrics.estimation import confusion_rate, tally_confusion
+from svymetrics.estimation import confusion_rate, ratio_standard_error, tally_confusion
 from svymetrics.evaluation import EvaluationSummary, ThresholdMetrics, resolve_grid
 from svymetrics.io import LoadReport
-from svymetrics.roc import RocCurve, auroc
+from svymetrics.roc import RocCurve, auroc, roc_sweep
 from svymetrics.types import EvaluationSet, FinitePopulation, MetricResult
 
 
@@ -236,6 +237,34 @@ def population_summary_per_row(truth, thresholds, grid):
     curve = RocCurve(thresholds=g, sensitivity=sens[k:], specificity=spec[k:])
     area = MetricResult(value=auroc(curve), kind="auroc", weighting="population-truth")
     return EvaluationSummary(weighting="population-truth", at_thresholds=rows, auroc=area)
+
+
+def evaluation_summary_two_tallies(evaluation, thresholds, grid, weighting):
+    """``evaluation_summary`` in two passes: one tally of the fixed
+    thresholds, with a linearized SE per threshold (on a unit-weight copy
+    for the unweighted estimators), then an ROC sweep of the grid for the
+    AUROC.  The library reads both from one tally."""
+    se_set = evaluation
+    if weighting == "unweighted":
+        se_set = dataclasses.replace(evaluation, weights=np.ones(evaluation.size))
+    tally = tally_confusion(evaluation, np.asarray(thresholds, dtype=np.float64))
+    sens = confusion_rate(tally, "sensitivity", weighting).tolist()
+    spec = confusion_rate(tally, "specificity", weighting).tolist()
+    rows = tuple(
+        ThresholdMetrics(
+            threshold=float(t),
+            sensitivity=MetricResult(
+                sn, "sensitivity", weighting, ratio_standard_error(se_set, t, "sensitivity")
+            ),
+            specificity=MetricResult(
+                sp, "specificity", weighting, ratio_standard_error(se_set, t, "specificity")
+            ),
+        )
+        for t, sn, sp in zip(thresholds, sens, spec)
+    )
+    curve = roc_sweep(evaluation, resolve_grid(grid, evaluation.require_scores()), weighting)
+    area = MetricResult(value=auroc(curve), kind="auroc", weighting=weighting)
+    return EvaluationSummary(weighting=weighting, at_thresholds=rows, auroc=area)
 
 
 def enumerate_stratified_samples(ids_by_stratum, allocations):

@@ -31,6 +31,7 @@ from svymetrics.simulation import (
     default_experiment_population_spec,
     experiment_to_json_dict,
     ExperimentSpec,
+    fit_classifier,
 )
 from svymetrics.types import EvaluationSet
 
@@ -153,6 +154,20 @@ class TestSplitTrainPredictEvaluate:
         ) == 0
         model = load_model(out)
         assert len(model.trees) == 5
+
+    @pytest.mark.parametrize("model", ["logistic", "tree", "forest", "balanced-forest"])
+    def test_train_writes_the_harness_fit(self, tmp_path, survey_csv, schema_file, model):
+        """``train`` writes the model the harness's ``fit_classifier`` fits on
+        every loaded row, with the streams of the command's seed."""
+        out = tmp_path / "model.json"
+        assert _run(["train", "--input", survey_csv, "--schema", schema_file, "--model", model,
+                     "--seed", 5, "--trees", 4, "--max-depth", 3, "--out", out]) == 0
+        schema = DataSchema.from_json_dict(json.loads(schema_file.read_text()))
+        data = ingest_csv(survey_csv, schema).data
+        spec = ClassifierSpec(kind=model.replace("-", "_"), trees=4, max_depth=3)
+        fitted = fit_classifier(spec, data, np.arange(data.size), lambda s: derive_stream(5, s))
+        expected = json.dumps(model_to_json_dict(fitted), indent=2, sort_keys=True) + "\n"
+        assert out.read_text() == expected
 
     def test_model_round_trip_preserves_predictions(self, tmp_path, survey_csv, schema_file):
         model_json = tmp_path / "model.json"
@@ -411,6 +426,14 @@ class TestSimulateCommand:
             "max_depth below zero",
             "min_node_size below one",
             "NaN proportion",
+            "negative probability",
+            "NaN probability",
+            "infinite range",
+            "NaN range",
+            "reversed range",
+            "overflowing range",
+            "infinite coefficient",
+            "NaN intercept",
         ],
     )
     def test_malformed_spec_is_data_error(self, tmp_path, capsys, defect):
@@ -432,13 +455,32 @@ class TestSimulateCommand:
             payload["classifiers"][0].update(kind="tree", max_depth=-1)
         elif defect == "min_node_size below one":  # checked for every kind, as m_try is
             payload["classifiers"][0].update(min_node_size=0)
-        else:
+        elif defect == "NaN proportion":
             payload["population"]["proportions"][0] = math.nan  # the JSON literal NaN
+        elif defect.endswith("probability"):
+            probs = [-0.5, 1.5, 0.0] if defect.startswith("negative") else [math.nan, 1.0, 0.0]
+            payload["population"]["covariates"].append(
+                {"kind": "categorical", "name": "region", "levels": ["n", "s", "e"],
+                 "probs": probs}
+            )
+        elif defect.endswith("range"):
+            bounds = {"infinite": [-math.inf, 1], "NaN": [0, math.nan], "reversed": [80, 18],
+                      "overflowing": [-1e308, 1e308]}  # finite bounds, infinite width
+            payload["population"]["covariates"].append(
+                {"kind": "uniform", "name": "age", "range": bounds[defect.split()[0]]}
+            )
+        elif defect == "infinite coefficient":
+            payload["population"]["outcome"]["coefficients"]["risk_major"] = math.inf
+        else:
+            payload["population"]["outcome"]["intercept"] = math.nan
         spec = tmp_path / "bad.json"
         spec.write_text(json.dumps(payload))
         assert _run(["simulate", spec]) == 3
         err = capsys.readouterr().err
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        named = {"probability": "'region'", "range": "'age'", "coefficient": "'risk_major'",
+                 "intercept": "intercept"}.get(defect.split()[-1])
+        assert named is None or named in err
 
 
     def test_fractional_m_try_reads_as_int(self, tmp_path, capsys):
@@ -522,6 +564,10 @@ class TestMalformedInputs:
             ("tree", "--min-node-size", 0),
             ("forest", "--max-depth", -1),
             ("forest", "--min-node-size", 0),
+            # checked for every kind, as in simulate, though logistic uses none
+            ("logistic", "--max-depth", -1),
+            ("logistic", "--m-try", 0),
+            ("logistic", "--min-node-size", 0),
         ],
     )
     def test_tree_limits_out_of_range_are_data_errors(

@@ -3,11 +3,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     brute_force_tally,
+    evaluation_summary_two_tallies,
     make_evaluation,
     population_summary_per_row,
     weighted_pairwise_auc,
@@ -157,8 +158,8 @@ class TestRocSweep:
 
     def test_one_tally_per_sweep_and_per_summary(self, monkeypatch, rng):
         """An exact-grid sweep tallies once whatever its size; a summary
-        tallies its fixed thresholds once plus once for its sweep, and the
-        census truth tallies both at once."""
+        and the census truth each tally their fixed thresholds and their
+        grid at once."""
         calls = []
 
         def counting(tally):
@@ -178,7 +179,7 @@ class TestRocSweep:
         assert calls == [n + 1]
         calls.clear()
         evaluation_summary(evaluation, (0.25, 0.5), "exact", "unweighted")
-        assert calls == [2, n + 1]
+        assert calls == [2 + n + 1]
         calls.clear()
         population_summary(*census_counts(evaluation), (0.25, 0.5), "exact")
         assert calls == [2 + n + 1]
@@ -267,6 +268,47 @@ class TestPopulationSummary:
             return
         assert json.dumps(got.to_json_dict()) == json.dumps(expected.to_json_dict())
         assert curves[0].thresholds.tobytes() == resolve_grid(grid, truth.scores).tobytes()
+
+
+class TestEvaluationSummary:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        records=st.lists(
+            st.tuples(
+                st.integers(0, 1),
+                st.sampled_from([0.0, 0.3, 0.5, 1.0]) | st.floats(0, 1),
+                st.sampled_from([1.0, 2.5]) | st.floats(0.01, 100),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        thresholds=st.lists(
+            st.sampled_from([0, 1, 0.0, 0.3, 0.5, 1.0]) | st.floats(0, 1), max_size=4
+        ),
+        grid=st.sampled_from(["exact", 2, 101]),
+        weighting=st.sampled_from(["weighted", "unweighted"]),
+    )
+    @example(
+        records=[(1, 0.5, 1.0), (0, 0.5, 2.0), (1, 1.0, 3.0), (0, 0.0, 1.0), (1, 0.0, 1.0)],
+        thresholds=[0.0, 0.5, 0.5, 1.0],
+        grid="exact",
+        weighting="unweighted",
+    )
+    def test_one_tally_equals_the_two_tally_oracle(self, records, thresholds, grid, weighting):
+        """The fixed thresholds and the grid read from one tally give the
+        summary of a threshold tally plus a separate ROC sweep bit for bit,
+        with tied scores, scores at 0 and 1 and repeated thresholds; a
+        one-class set raises the same error either way."""
+        y, s, w = (list(col) for col in zip(*records))
+        evaluation = make_evaluation(y, s, w)
+        args = (evaluation, thresholds, grid, weighting)
+        got = _outcome(evaluation_summary, *args)
+        expected = _outcome(evaluation_summary_two_tallies, *args)
+        if isinstance(expected, tuple):
+            assert got == expected
+            return
+        assert json.dumps(got.to_json_dict()) == json.dumps(expected.to_json_dict())
+        assert np.float64(got.auroc.value).tobytes() == np.float64(expected.auroc.value).tobytes()
 
 
 def _outcome(fn, *args):
