@@ -35,6 +35,8 @@ class ForestConfig:
     bootstrap: bool = True
 
     def __post_init__(self):
+        if self.trees < 1:
+            raise DataValidationError(f"trees must be >= 1, got {self.trees}")
         if self.m_try is not None and self.m_try < 1:
             raise DataValidationError(f"m_try must be >= 1, got {self.m_try}")
         check_tree_limits(self.max_depth, self.min_node_size)
@@ -80,8 +82,6 @@ def fit_forest(
         raise DataValidationError("no training records")
     if len(ids) != y.size:
         raise DataValidationError("ids and outcomes must have equal length")
-    if config.trees < 1:
-        raise DataValidationError("forest needs at least one tree")
     if isinstance(rng, (int, np.integer)):
         base_seed = int(rng)
     else:

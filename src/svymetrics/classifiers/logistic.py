@@ -24,6 +24,12 @@ class LogisticConfig:
     max_iterations: int = 100
     tolerance: float = 1e-8  # on deviance change
 
+    def __post_init__(self):
+        if self.max_iterations < 1:
+            raise DataValidationError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        if not self.tolerance >= 0:  # NaN too
+            raise DataValidationError(f"tolerance must be >= 0, got {self.tolerance}")
+
 
 @dataclass(frozen=True)
 class LogisticModel:

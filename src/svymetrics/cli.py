@@ -312,7 +312,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_roc(args) -> int:
     evaluation, _ = _load_scored_evaluation(args)
-    grid = resolve_grid(_parse_grid(args.grid), evaluation.require_scores())
+    grid = resolve_grid(_parse_grid(args.grid), evaluation.scores)
     curve = roc_sweep(evaluation, grid, args.weighting)
     columns = (curve.thresholds, curve.sensitivity, curve.specificity, curve.fpr)
     rows = zip(*(c.tolist() for c in columns))

@@ -33,7 +33,7 @@ def tally_confusion(evaluation: EvaluationSet, threshold) -> ConfusionTally:
     actual = evaluation.outcomes == 1
     w = evaluation.weights
     return _tally(
-        evaluation.require_scores(),
+        evaluation.scores,
         np.where(actual, w, 0.0),
         np.where(actual, 0.0, w),
         actual,
@@ -147,7 +147,7 @@ def ratio_standard_error(
     if kind not in _RATE_CELLS:
         raise DataValidationError(f"no ratio standard error for kind {kind!r}")
     w = evaluation.weights
-    predicted = evaluation.require_scores() >= threshold
+    predicted = evaluation.scores >= threshold
     in_class = evaluation.outcomes == (1 if kind == "sensitivity" else 0)
     hits = in_class & (predicted if kind == "sensitivity" else ~predicted)
     x = hits.astype(np.float64)

@@ -80,7 +80,7 @@ def evaluation_summary(
     se_set = evaluation
     if weighting == "unweighted":
         se_set = replace(evaluation, weights=np.ones(evaluation.size))
-    g = resolve_grid(grid, evaluation.require_scores())
+    g = resolve_grid(grid, evaluation.scores)
     tally = tally_confusion(evaluation, np.concatenate([np.asarray(thresholds, np.float64), g]))
     return _summary(tally, thresholds, g, weighting, se_set)
 

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DataValidationError, SchemaError
-from .types import FinitePopulation, SurveySample
+from .types import FinitePopulation, SurveySample, code_labels
 
 
 @dataclass(frozen=True)
@@ -171,11 +171,11 @@ class LoadReport:
 class IngestResult:
     """Loaded rows as columns, their weights, and the load report.
 
-    ``data`` holds every loaded row (the stratum is "" without a stratum
-    column) and ``sample`` the same ids with their weights and their rows
-    of ``data``.  A file whose schema declares no weight column is a
-    census: unit weights, and ``population`` is ``data``; otherwise
-    ``population`` is None.
+    ``data`` holds every loaded row, its strata coded in order of first
+    appearance (one stratum, "", without a stratum column), and ``sample``
+    the same ids with their weights and their rows of ``data``.  A file
+    whose schema declares no weight column is a census: unit weights, and
+    ``population`` is ``data``; otherwise ``population`` is None.
     ``table`` is the file as read, and ``file_rows`` the row of ``table``
     each loaded record came from.
     """
@@ -296,10 +296,12 @@ def ingest_csv(path: str | Path, schema: DataSchema) -> IngestResult:
     if not rows.size:
         raise DataValidationError(f"{path}: no usable rows ({n} read)")
     take = rows.tolist()
+    codes, labels = code_labels(map(strata.__getitem__, take), rows.size)
     data = FinitePopulation(
         ids=np.asarray(ids, dtype=object)[rows],
         outcomes=y[rows].astype(np.int8),
-        strata=np.asarray([strata[i] for i in take], dtype=str),
+        strata=codes,
+        stratum_labels=labels,
         features=tuple(
             value[rows] if col.kind == "numeric"
             else np.asarray([value[i] for i in take], dtype=object)
@@ -308,9 +310,7 @@ def ingest_csv(path: str | Path, schema: DataSchema) -> IngestResult:
     )
     return IngestResult(
         data=data,
-        sample=SurveySample(
-            ids=data.ids, weights=weights[rows], rows=np.arange(rows.size)
-        ),
+        sample=SurveySample(ids=data.ids, weights=weights[rows], rows=np.arange(rows.size)),
         population=data if schema.weight_column is None else None,
         report=LoadReport(rows_read=n, rows_loaded=rows.size, dropped=dropped),
         table=table,

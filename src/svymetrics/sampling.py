@@ -49,16 +49,15 @@ def stratified_sample(
 ) -> SurveySample:
     """Draw an SRS without replacement of size n_h within each stratum.
 
-    Every sampled record carries pi_i = n_h/N_h and w_i = 1/pi_i, so the
-    weight identity w_i = 1/pi_i holds exactly.  Strata are visited in
-    allocation order, which fixes the rng consumption sequence.  The
-    sample's ``rows`` are the population rows drawn.
+    Every sampled record carries w_i = 1/pi_i, with pi_i = n_h/N_h its
+    inclusion probability.  Strata are visited in allocation order, which
+    fixes the rng consumption sequence.  The sample's ``rows`` are the
+    population rows drawn.
     """
     design.validate_against(population)
     indices = population.stratum_indices
     rows: list[np.ndarray] = []
     weights: list[np.ndarray] = []
-    probs: list[np.ndarray] = []
     for label, n_h in design.allocations.items():
         stratum_rows = indices[label]
         n_big = stratum_rows.size
@@ -66,15 +65,9 @@ def stratified_sample(
         chosen.sort()
         pi = n_h / n_big
         rows.append(chosen)
-        probs.append(np.full(n_h, pi))
         weights.append(np.full(n_h, 1.0 / pi))
     drawn = np.concatenate(rows)
-    return SurveySample(
-        ids=population.ids[drawn],
-        weights=np.concatenate(weights),
-        inclusion_probs=np.concatenate(probs),
-        rows=drawn,
-    )
+    return SurveySample(ids=population.ids[drawn], weights=np.concatenate(weights), rows=drawn)
 
 
 def split_train_test(
@@ -82,14 +75,12 @@ def split_train_test(
     eval_fraction: float,
     rng: np.random.Generator,
 ) -> tuple[SurveySample, SurveySample]:
-    """Split a sample into a training part and an evaluation skeleton.
+    """Split a sample into a training part and an evaluation part.
 
     The evaluation part is an SRS without replacement of size
     n_e = round(eval_fraction * n) (round-half-to-even); its members carry
-    the compound weight w*_i = w_i * (n / n_e) and, when the input sample
-    has inclusion probabilities, pi*_i = pi_i * (n_e / n).  Training
-    members keep their original weights.  Both parts carry the rows of
-    their members when the input sample has rows.
+    the compound weight w*_i = w_i * (n / n_e).  Training members keep
+    their original weights.  Both parts carry the rows of their members.
     """
     if not (0.0 < eval_fraction < 1.0):
         raise DegenerateSplitError(f"eval fraction must be in (0, 1), got {eval_fraction}")
@@ -104,22 +95,14 @@ def split_train_test(
     eval_mask[chosen] = True
     train_rows = np.nonzero(~eval_mask)[0]
     eval_rows = np.nonzero(eval_mask)[0]
-
-    inflation = n / n_e
     training = SurveySample(
         ids=sample.ids[train_rows],
         weights=sample.weights[train_rows],
-        inclusion_probs=None
-        if sample.inclusion_probs is None
-        else sample.inclusion_probs[train_rows],
-        rows=None if sample.rows is None else sample.rows[train_rows],
+        rows=sample.rows[train_rows],
     )
     evaluation = SurveySample(
         ids=sample.ids[eval_rows],
-        weights=sample.weights[eval_rows] * inflation,
-        inclusion_probs=None
-        if sample.inclusion_probs is None
-        else sample.inclusion_probs[eval_rows] * (n_e / n),
-        rows=None if sample.rows is None else sample.rows[eval_rows],
+        weights=sample.weights[eval_rows] * (n / n_e),
+        rows=sample.rows[eval_rows],
     )
     return training, evaluation

@@ -113,6 +113,8 @@ class PopulationSpec:
             raise DataValidationError("population size must be >= 1")
         if len(self.strata) != len(self.proportions) or not self.strata:
             raise DataValidationError("strata and proportions must align and be non-empty")
+        if len(set(self.strata)) != len(self.strata):
+            raise DataValidationError(f"strata must be distinct, got {list(self.strata)}")
         if any(not (0.0 <= p <= 1.0) for p in self.proportions):  # NaN too
             raise DataValidationError("stratum proportions must lie in [0, 1]")
         if abs(sum(self.proportions) - 1.0) > 1e-9:
@@ -222,7 +224,8 @@ def generate_population(spec: PopulationSpec, rng: np.random.Generator) -> Finit
     return FinitePopulation(
         ids=record_ids(n),
         outcomes=(rng.random(n) < prob).astype(np.int8),
-        strata=np.asarray(spec.strata)[stratum_idx],
+        strata=stratum_idx,
+        stratum_labels=spec.strata,
         features=tuple(columns),
     )
 
@@ -299,15 +302,23 @@ class ClassifierSpec:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise DataValidationError(f"unknown classifier kind {self.kind!r}")
-        self.forest_config()  # checks the tree hyperparameters for every kind
+        if not (0.0 <= self.constant_score <= 1.0):  # NaN too
+            raise DataValidationError(
+                f"constant_score must lie in [0, 1], got {self.constant_score}"
+            )
+        # Build both configs so their checks apply to every kind.
+        self.forest_config()
+        self.logistic_config()
 
     @property
     def resolved_name(self) -> str:
         return self.name or self.kind
 
     def forest_config(self) -> ForestConfig:
-        names = (f.name for f in fields(ForestConfig))
-        return ForestConfig(**{name: getattr(self, name) for name in names})
+        return ForestConfig(**{f.name: getattr(self, f.name) for f in fields(ForestConfig)})
+
+    def logistic_config(self) -> LogisticConfig:
+        return LogisticConfig(**{f.name: getattr(self, f.name) for f in fields(LogisticConfig)})
 
 
 @dataclass(frozen=True)
@@ -489,7 +500,7 @@ def fit_classifier(spec: ClassifierSpec, data: FinitePopulation, rows: np.ndarra
     columns = [col[rows] for col in data.features]
     y = data.outcomes[rows]
     if spec.kind == "logistic":
-        return fit_logistic(columns, y, LogisticConfig(spec.max_iterations, spec.tolerance))
+        return fit_logistic(columns, y, spec.logistic_config())
     if spec.kind == "tree":
         return fit_tree(
             columns, y, TreeConfig(max_depth=spec.max_depth, min_node_size=spec.min_node_size)
@@ -507,8 +518,6 @@ def _fit_and_score(
     """Train one classifier on the given population rows and score every
     row; DataValidationError unless every score lies in [0, 1]."""
     if spec.kind == "constant":
-        if not (0.0 <= spec.constant_score <= 1.0):
-            raise DataValidationError("constant score must lie in [0, 1]")
         return np.full(population.size, spec.constant_score)
     name = spec.resolved_name
     stream = lambda stage: derive_stream(master_seed, index, f"{stage}:{name}")  # noqa: E731

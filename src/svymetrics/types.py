@@ -9,8 +9,8 @@ strings, so ids are sliced by row like the other columns.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, replace
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal
 
@@ -21,6 +21,16 @@ from .errors import DataValidationError
 FeatureValue = float | str
 MetricKind = Literal["sensitivity", "specificity", "auroc"]
 Weighting = Literal["weighted", "unweighted", "population-truth"]
+
+
+def code_labels(labels: Iterable[str], count: int) -> tuple[np.ndarray, tuple[str, ...]]:
+    """``count`` labels as int32 codes into a tuple of the distinct labels,
+    in order of first appearance, in one dict pass."""
+    index: dict[str, int] = {}
+    codes = np.fromiter(
+        (index.setdefault(label, len(index)) for label in labels), dtype=np.int32, count=count
+    )
+    return codes, tuple(index)
 
 
 def _id_column(ids: Sequence[str]) -> np.ndarray:
@@ -55,14 +65,17 @@ class FinitePopulation:
     """The full universe of records with known outcomes, as parallel columns.
 
     ``ids`` are unique strings, ``outcomes`` lie in {0, 1} (stored int8),
-    ``strata`` holds one label per record, and ``features`` holds one column
-    per feature: float64 for numeric features, object arrays of strings for
-    categorical ones.  Every column has one entry per id.
+    ``strata`` holds each record's stratum as an int32 code into
+    ``stratum_labels`` (distinct strings, kept exactly as given; a label
+    may have no records), and ``features`` holds one column per feature:
+    float64 for numeric features, object arrays of strings for categorical
+    ones.  Every column has one entry per id.
     """
 
     ids: np.ndarray
     outcomes: np.ndarray
     strata: np.ndarray
+    stratum_labels: tuple[str, ...]
     features: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self):
@@ -71,9 +84,19 @@ class FinitePopulation:
         if n == 0:
             raise DataValidationError("population must contain at least one record")
         y = np.asarray(self.outcomes)
-        strata = np.asarray(self.strata, dtype=str)
+        strata = np.asarray(self.strata)
         if y.shape != (n,) or strata.shape != (n,):
             raise DataValidationError("outcomes and strata must have one entry per id")
+        labels = tuple(self.stratum_labels)
+        if not all(isinstance(label, str) for label in labels):
+            raise DataValidationError("stratum labels must be strings")
+        if len(set(labels)) != len(labels):
+            raise DataValidationError("stratum labels must be distinct")
+        if strata.dtype.kind not in "iu" or strata.min() < 0 or strata.max() >= len(labels):
+            raise DataValidationError(
+                f"strata must be integer codes in [0, {len(labels)}) into stratum_labels"
+            )
+        strata = strata.astype(np.int32)
         bad = np.flatnonzero((y != 0) & (y != 1))
         if bad.size:
             i = int(bad[0])
@@ -99,6 +122,7 @@ class FinitePopulation:
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "outcomes", y)
         object.__setattr__(self, "strata", strata)
+        object.__setattr__(self, "stratum_labels", labels)
         object.__setattr__(self, "features", tuple(columns))
 
     @property
@@ -116,16 +140,17 @@ class FinitePopulation:
 
     @cached_property
     def stratum_indices(self) -> Mapping[str, np.ndarray]:
-        """Row indices of each stratum, in row order; strata by first appearance."""
-        labels, first, inverse, counts = np.unique(
-            self.strata, return_index=True, return_inverse=True, return_counts=True
-        )
-        order = np.argsort(inverse, kind="stable")
-        groups = np.split(order, np.cumsum(counts)[:-1])
+        """Row indices of each stratum with records, in row order; strata by
+        first appearance."""
+        counts = np.bincount(self.strata, minlength=len(self.stratum_labels))
+        starts = np.cumsum(counts) - counts
+        order = np.argsort(self.strata, kind="stable")
+        groups = np.split(order, starts[1:])
+        present = np.flatnonzero(counts)
         out = {}
-        for k in np.argsort(first):
+        for k in present[np.argsort(order[starts[present]])]:
             groups[k].setflags(write=False)
-            out[labels[k].item()] = groups[k]
+            out[self.stratum_labels[k]] = groups[k]
         return out
 
     @property
@@ -151,48 +176,36 @@ class _RecordView(Sequence):
             record_id=p.ids[i],
             features=tuple(col.item(i) for col in p.features),
             outcome=p.outcomes.item(i),
-            stratum=p.strata.item(i),
+            stratum=p.stratum_labels[p.strata.item(i)],
         )
 
 
 @dataclass(frozen=True)
 class SurveySample:
-    """Sampled record ids with design weights w_i and, when known, pi_i.
+    """Sampled record ids with their design weights w_i.
 
-    ``inclusion_probs`` is None for samples ingested from files, where only
-    the (possibly adjusted) weight is known.  When this library's samplers
-    construct the sample, w_i = 1/pi_i exactly.  ``rows`` holds each
-    record's row in the population it was drawn from (or, for an ingested
-    sample, in the loaded data), so that callers slice columns by row
-    instead of looking ids up.
+    ``rows`` holds each record's row in the population it was drawn from
+    (or, for an ingested sample, in the loaded data), so that callers slice
+    columns by row instead of looking ids up.
     """
 
     ids: np.ndarray
     weights: np.ndarray
-    inclusion_probs: np.ndarray | None = None
-    rows: np.ndarray | None = None
+    rows: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "ids", _id_column(self.ids))
         w = np.asarray(self.weights, dtype=np.float64)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        r = np.asarray(self.rows, dtype=np.intp)
         if len(self.ids) != w.size:
             raise DataValidationError("ids and weights must have equal length")
         if w.size == 0:
             raise DataValidationError("sample must be non-empty")
-        if self.inclusion_probs is not None:
-            p = np.asarray(self.inclusion_probs, dtype=np.float64)
-            p.setflags(write=False)
-            object.__setattr__(self, "inclusion_probs", p)
-            if p.size != w.size:
-                raise DataValidationError("inclusion_probs length mismatch")
-        if self.rows is not None:
-            r = np.asarray(self.rows, dtype=np.intp)
-            r.setflags(write=False)
-            object.__setattr__(self, "rows", r)
-            if r.shape != w.shape:
-                raise DataValidationError("rows length mismatch")
+        if r.shape != w.shape:
+            raise DataValidationError("rows length mismatch")
+        for name, arr in (("weights", w), ("rows", r)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def size(self) -> int:
@@ -204,14 +217,13 @@ class EvaluationSet:
     """Test-split records with compound weights, outcomes, and scores.
 
     Weights are the compound w*_i = w_i * (n / n_e) for the split that
-    produced the set.  ``scores`` is None for a skeleton that has not been
-    scored by a model yet; attach predictions with :meth:`with_scores`.
+    produced the set, and ``scores`` the model's scores, in [0, 1].
     """
 
     ids: np.ndarray
     weights: np.ndarray
     outcomes: np.ndarray
-    scores: np.ndarray | None = None
+    scores: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "ids", _id_column(self.ids))
@@ -224,31 +236,18 @@ class EvaluationSet:
             raise DataValidationError("evaluation weights must be positive and finite")
         if not np.all((y == 0) | (y == 1)):
             raise DataValidationError("outcomes must be 0 or 1")
-        w.setflags(write=False)
-        y.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "outcomes", y)
-        if self.scores is not None:
-            s = np.asarray(self.scores, dtype=np.float64)
-            if s.shape != w.shape:
-                raise DataValidationError("scores must align with ids")
-            if not np.all(np.isfinite(s)) or np.any((s < 0.0) | (s > 1.0)):
-                raise DataValidationError("scores must lie in [0, 1]")
-            s.setflags(write=False)
-            object.__setattr__(self, "scores", s)
+        s = np.asarray(self.scores, dtype=np.float64)
+        if s.shape != w.shape:
+            raise DataValidationError("scores must align with ids")
+        if not np.all(np.isfinite(s)) or np.any((s < 0.0) | (s > 1.0)):
+            raise DataValidationError("scores must lie in [0, 1]")
+        for name, arr in (("weights", w), ("outcomes", y), ("scores", s)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def size(self) -> int:
         return len(self.ids)
-
-    def with_scores(self, scores: np.ndarray) -> "EvaluationSet":
-        """Return a copy with model scores attached."""
-        return replace(self, scores=scores)
-
-    def require_scores(self) -> np.ndarray:
-        if self.scores is None:
-            raise DataValidationError("evaluation set has no scores attached")
-        return self.scores
 
 
 @dataclass(frozen=True)
@@ -267,10 +266,6 @@ class ConfusionTally:
     @property
     def count(self) -> int:
         return self.tp + self.tn + self.fp + self.fn
-
-    @property
-    def weighted_total(self) -> float:
-        return self.nhat_tp + self.nhat_tn + self.nhat_fp + self.nhat_fn
 
 
 @dataclass(frozen=True)

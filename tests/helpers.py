@@ -22,18 +22,30 @@ from svymetrics.estimation import confusion_rate, ratio_standard_error, tally_co
 from svymetrics.evaluation import EvaluationSummary, ThresholdMetrics, resolve_grid
 from svymetrics.io import LoadReport
 from svymetrics.roc import RocCurve, auroc, roc_sweep
-from svymetrics.types import EvaluationSet, FinitePopulation, MetricResult
+from svymetrics.types import EvaluationSet, FinitePopulation, MetricResult, code_labels
 
 
 def make_population(outcomes, strata=None, features=(), ids=None):
-    """A population from plain sequences; ids default to "r0", "r1", ..."""
+    """A population from plain sequences, its stratum labels (default "s1")
+    coded in order of first appearance; ids default to "r0", "r1", ..."""
     n = len(outcomes)
+    codes, labels = code_labels(strata if strata is not None else ["s1"] * n, n)
     return FinitePopulation(
         ids=tuple(ids) if ids is not None else tuple(f"r{i}" for i in range(n)),
         outcomes=np.asarray(outcomes),
-        strata=np.asarray(strata if strata is not None else ["s1"] * n),
+        strata=codes,
+        stratum_labels=labels,
         features=tuple(features),
     )
+
+
+def stratum_rows_by_grouping(codes, labels):
+    """Row lists of each stratum that has rows, grouped by a dict walk over
+    the rows: rows in order, strata by first appearance."""
+    groups = {}
+    for row, code in enumerate(codes):
+        groups.setdefault(labels[code], []).append(row)
+    return groups
 
 
 def record_ids_by_format(n):
@@ -221,7 +233,7 @@ def population_summary_per_row(truth, thresholds, grid):
     the fixed thresholds plus the grid, which an exact grid builds from the
     records' scores.  The library reads the same truth from per-group
     counts (``evaluation.population_summary``)."""
-    g = resolve_grid(grid, truth.require_scores())
+    g = resolve_grid(grid, truth.scores)
     k = len(thresholds)
     tally = tally_confusion(truth, np.concatenate([np.asarray(thresholds, dtype=np.float64), g]))
     sens = confusion_rate(tally, "sensitivity", "population-truth")
@@ -262,7 +274,7 @@ def evaluation_summary_two_tallies(evaluation, thresholds, grid, weighting):
         )
         for t, sn, sp in zip(thresholds, sens, spec)
     )
-    curve = roc_sweep(evaluation, resolve_grid(grid, evaluation.require_scores()), weighting)
+    curve = roc_sweep(evaluation, resolve_grid(grid, evaluation.scores), weighting)
     area = MetricResult(value=auroc(curve), kind="auroc", weighting=weighting)
     return EvaluationSummary(weighting=weighting, at_thresholds=rows, auroc=area)
 
@@ -500,10 +512,12 @@ def ingest_csv_per_row(path, schema):
 
     if not ids:
         raise DataValidationError(f"{path}: no usable rows ({rows_read} read)")
+    codes, labels = code_labels(strata, len(strata))
     population = FinitePopulation(
         ids=tuple(ids),
         outcomes=np.asarray(outcomes, dtype=np.int8),
-        strata=np.asarray(strata, dtype=str),
+        strata=codes,
+        stratum_labels=labels,
         features=tuple(
             np.asarray(values, dtype=np.float64 if col.kind == "numeric" else object)
             for col, values in zip(schema.features, features)

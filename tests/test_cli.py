@@ -434,6 +434,14 @@ class TestSimulateCommand:
             "overflowing range",
             "infinite coefficient",
             "NaN intercept",
+            # classifier settings that used to pass the read and fail every replicate
+            "zero trees",
+            "zero max_iterations",
+            "negative tolerance",
+            "NaN tolerance",
+            "out-of-range constant_score",
+            "NaN constant_score",
+            "duplicate strata",
         ],
     )
     def test_malformed_spec_is_data_error(self, tmp_path, capsys, defect):
@@ -471,6 +479,19 @@ class TestSimulateCommand:
             )
         elif defect == "infinite coefficient":
             payload["population"]["outcome"]["coefficients"]["risk_major"] = math.inf
+        elif defect == "zero trees":
+            payload["classifiers"][0].update(kind="forest", trees=0)
+        elif defect == "zero max_iterations":
+            payload["classifiers"][0].update(max_iterations=0)
+        elif defect.endswith("tolerance"):
+            tolerance = -1 if defect.startswith("negative") else math.nan
+            payload["classifiers"][0].update(tolerance=tolerance)
+        elif defect.endswith("constant_score"):
+            score = math.nan if defect.startswith("NaN") else 1.5
+            payload["classifiers"][0].update(kind="constant", constant_score=score)
+        elif defect == "duplicate strata":
+            strata = payload["population"]["strata"]
+            strata[1] = strata[0]
         else:
             payload["population"]["outcome"]["intercept"] = math.nan
         spec = tmp_path / "bad.json"
@@ -479,7 +500,9 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
         named = {"probability": "'region'", "range": "'age'", "coefficient": "'risk_major'",
-                 "intercept": "intercept"}.get(defect.split()[-1])
+                 "intercept": "intercept", "trees": "trees", "max_iterations": "max_iterations",
+                 "tolerance": "tolerance", "constant_score": "constant_score",
+                 "strata": "strata"}.get(defect.split()[-1])
         assert named is None or named in err
 
 
@@ -568,6 +591,10 @@ class TestMalformedInputs:
             ("logistic", "--max-depth", -1),
             ("logistic", "--m-try", 0),
             ("logistic", "--min-node-size", 0),
+            ("forest", "--trees", 0),
+            ("logistic", "--max-iterations", 0),
+            ("logistic", "--tolerance", -1),
+            ("logistic", "--tolerance", "nan"),
         ],
     )
     def test_tree_limits_out_of_range_are_data_errors(

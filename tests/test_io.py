@@ -50,7 +50,8 @@ class TestIngestCsv:
         assert np.all(result.sample.weights == 1.0)
         assert result.report.rows_read == 5 and result.report.rows_dropped == 0
         assert result.data.records[0].features == (34.0, "north")
-        assert result.data.strata.tolist() == ["g1", "g1", "g2", "g2", "g2"]
+        assert result.data.strata.tolist() == [0, 0, 1, 1, 1]
+        assert result.data.stratum_labels == ("g1", "g2")
         assert result.population is None
 
     def test_blank_outcome_dropped_and_counted(self, tmp_path):
@@ -114,6 +115,35 @@ class TestIngestCsv:
         assert result.population is result.data
         assert result.population.size == 2
         assert np.all(result.sample.weights == 1.0)
+
+    def test_long_stratum_label_is_one_code_and_kept_intact(self, tmp_path):
+        """One 10,000-character label among 2,000 rows costs 4 bytes a row:
+        strata are int32 codes into the labels, not a fixed-width column."""
+        long_label = "q" * 10_000
+        rows = "".join(
+            f"r{i},{i % 2},2,{long_label if i == 7 else f'g{i % 3}'},30,n\n" for i in range(2000)
+        )
+        result = ingest_csv(_write(tmp_path, "id,y,wt,grp,age,region\n" + rows), SCHEMA)
+        data = result.data
+        assert data.size == 2000
+        assert data.strata.dtype == np.int32 and not data.strata.flags.writeable
+        assert data.strata.nbytes == 4 * data.size
+        assert data.stratum_labels == ("g0", "g1", "g2", long_label)
+        assert data.records[7].stratum == long_label
+        assert data.stratum_sizes[long_label] == 1
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="csv rejects NUL before 3.11")
+    def test_strata_kept_exactly_with_trailing_nul(self, tmp_path):
+        path = _write(tmp_path, "id,y,wt,grp,age,region\na,1,2,s,30,n\nb,0,2,s\x00,40,n\n")
+        data = ingest_csv(path, SCHEMA).data
+        assert data.stratum_labels == ("s", "s\x00")
+        assert data.stratum_sizes == {"s": 1, "s\x00": 1}
+
+    def test_file_without_stratum_column_is_one_blank_stratum(self, tmp_path):
+        schema = DataSchema(id_column="id", outcome_column="y", weight_column="wt")
+        result = ingest_csv(_write(tmp_path, "id,y,wt\na,1,2\nb,0,3\n"), schema)
+        assert result.data.stratum_labels == ("",)
+        assert result.data.strata.tolist() == [0, 0]
 
     def test_numeric_ids_stored_as_strings(self, tmp_path):
         path = _write(
@@ -278,6 +308,7 @@ class TestColumnarReadersMatchOracles:
                              (got.data.strata, population.strata),
                              (got.sample.weights, weights)):
             assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+        assert got.data.stratum_labels == population.stratum_labels
         for ours, theirs in zip(got.data.features, population.features, strict=True):
             assert ours.dtype == theirs.dtype
             if ours.dtype == object:

@@ -45,8 +45,8 @@ class TestStratifiedSample:
         assert sample.size == 10_000
         by_stratum = {}
         for rid, w in zip(sample.ids, sample.weights):
-            stratum = population.strata[population.index_by_id[rid]]
-            by_stratum.setdefault(str(stratum), set()).add(float(w))
+            stratum = population.stratum_labels[population.strata[population.index_by_id[rid]]]
+            by_stratum.setdefault(stratum, set()).add(float(w))
         expected = {"h1": 16.728, "h2": 15.969, "h3": 15.788, "h4": 7.641, "h5": 4.070}
         for label, weights in by_stratum.items():
             assert len(weights) == 1
@@ -57,7 +57,7 @@ class TestStratifiedSample:
         sample = stratified_sample(
             population, StratifiedDesign({"a": 3, "b": 4}), np.random.default_rng(3)
         )
-        assert np.all(sample.weights == 1.0 / sample.inclusion_probs)
+        assert sample.weights.tolist() == [1.0 / (3 / 7)] * 3 + [1.0 / (4 / 9)] * 4
 
     def test_unknown_stratum_rejected(self):
         population = _population({"a": 4})
@@ -119,7 +119,8 @@ class TestExhaustiveEnumerationUnbiasedness:
                 counts[rid] += 1
         slack = 4.0 / np.sqrt(r)
         for rid, hits in counts.items():
-            target = 0.4 if population.strata[population.index_by_id[rid]] == "a" else 0.6
+            code = population.strata[population.index_by_id[rid]]
+            target = 0.4 if population.stratum_labels[code] == "a" else 0.6
             assert abs(hits / r - target) <= slack
 
 
@@ -128,7 +129,7 @@ class TestSplitTrainTest:
         """n = 100, f = 0.2, all w_i = 50: the evaluation side has
         n_e = 20 members, each with compound weight 50 * (100/20) = 250."""
         sample = SurveySample(
-            ids=tuple(f"r{i}" for i in range(100)), weights=np.full(100, 50.0)
+            ids=tuple(f"r{i}" for i in range(100)), weights=np.full(100, 50.0), rows=np.arange(100)
         )
         training, evaluation = split_train_test(sample, 0.2, np.random.default_rng(5))
         assert evaluation.size == 20
@@ -150,7 +151,9 @@ class TestSplitTrainTest:
         evaluation weight equals its design weight times that factor by
         construction."""
         weights = np.random.default_rng(4).uniform(0.5, 40.0, size=10)
-        sample = SurveySample(ids=tuple(f"r{i}" for i in range(10)), weights=weights)
+        sample = SurveySample(
+            ids=tuple(f"r{i}" for i in range(10)), weights=weights, rows=np.arange(10)
+        )
         _, evaluation = split_train_test(sample, 0.2, np.random.default_rng(0))
         index = {rid: i for i, rid in enumerate(sample.ids)}
         for rid, w_eval in zip(evaluation.ids, evaluation.weights):
@@ -158,40 +161,17 @@ class TestSplitTrainTest:
 
     def test_round_half_to_even(self):
         sample_ids = tuple(f"r{i}" for i in range(10))
-        sample = SurveySample(ids=sample_ids, weights=np.ones(10))
+        sample = SurveySample(ids=sample_ids, weights=np.ones(10), rows=np.arange(10))
         # 0.25 * 10 = 2.5 rounds to 2 under round-half-to-even
         _, evaluation = split_train_test(sample, 0.25, np.random.default_rng(0))
         assert evaluation.size == 2
 
     def test_degenerate_split_rejected(self):
-        sample = SurveySample(ids=("a", "b"), weights=np.ones(2))
+        sample = SurveySample(ids=("a", "b"), weights=np.ones(2), rows=np.arange(2))
         with pytest.raises(DegenerateSplitError):
             split_train_test(sample, 0.95, np.random.default_rng(0))
         with pytest.raises(DegenerateSplitError):
             split_train_test(sample, 1.0, np.random.default_rng(0))
-
-
-class TestInclusionProbabilityOfEvaluation:
-    """The split carries pi*_i = pi_i * (n_e / n) into the evaluation side."""
-
-    def test_product_of_stage_probabilities(self):
-        sample = SurveySample(
-            ids=tuple(f"r{i}" for i in range(100)),
-            weights=np.full(100, 10.0),
-            inclusion_probs=np.full(100, 0.1),
-        )
-        training, evaluation = split_train_test(sample, 0.2, np.random.default_rng(1))
-        assert evaluation.inclusion_probs == pytest.approx(np.full(20, 0.02))
-        assert np.all(training.inclusion_probs == 0.1)
-
-    def test_certain_first_stage(self):
-        sample = SurveySample(
-            ids=tuple(f"r{i}" for i in range(10)),
-            weights=np.ones(10),
-            inclusion_probs=np.ones(10),
-        )
-        _, evaluation = split_train_test(sample, 0.5, np.random.default_rng(2))
-        assert evaluation.inclusion_probs == pytest.approx(np.full(5, 0.5))
 
 
 class TestSampleRows:
@@ -236,7 +216,7 @@ class TestIdColumns:
         )
         training, evaluation = split_train_test(sample, 0.25, np.random.default_rng(5))
         scored = EvaluationSet(
-            ids=("a", "b"), weights=np.ones(2), outcomes=np.array([1, 0])
+            ids=("a", "b"), weights=np.ones(2), outcomes=np.array([1, 0]), scores=np.ones(2)
         )
         for ids in (population.ids, sample.ids, training.ids, evaluation.ids, scored.ids):
             assert ids.dtype == object and ids.ndim == 1
@@ -247,4 +227,4 @@ class TestIdColumns:
 
     def test_ids_must_be_one_dimensional(self):
         with pytest.raises(DataValidationError, match="1-d"):
-            SurveySample(ids=[["a"], ["b"]], weights=np.ones(2))
+            SurveySample(ids=[["a"], ["b"]], weights=np.ones(2), rows=np.arange(2))

@@ -22,7 +22,9 @@ from svymetrics.classifiers import (
     fit_logistic,
     fit_tree,
 )
-from svymetrics.errors import AggregationError, DataValidationError, SchemaError, SvymetricsError
+from svymetrics.errors import (
+    AggregationError, DataValidationError, DesignError, SchemaError, SvymetricsError,
+)
 from svymetrics.evaluation import evaluation_summary
 from svymetrics.rng import derive_stream
 from svymetrics.sampling import StratifiedDesign, split_train_test, stratified_sample
@@ -151,6 +153,36 @@ class TestGeneratePopulation:
         assert ids.tolist() == record_ids_by_format(n)
         assert all(type(rid) is str for rid in ids.tolist())
 
+    def test_strata_are_the_drawn_codes_into_the_spec_labels(self):
+        """Generation keeps the spec's labels, unused ones too, and holds
+        each row's stratum as a read-only int32 code; a design that
+        allocates to a stratum without rows names it as unknown."""
+        spec = PopulationSpec(
+            size=200,
+            strata=("a", "never", "b"),
+            proportions=(0.5, 0.0, 0.5),
+            covariates=(),
+            outcome=OutcomeModel(intercept=0.0, coefficients={}),
+        )
+        population = generate_population(spec, derive_stream(5, "population"))
+        assert population.stratum_labels == spec.strata
+        assert population.strata.dtype == np.int32 and not population.strata.flags.writeable
+        assert set(population.strata.tolist()) == {0, 2}
+        first_seen = dict.fromkeys(spec.strata[code] for code in population.strata.tolist())
+        assert list(population.stratum_sizes) == list(first_seen) and "never" not in first_seen
+        with pytest.raises(DesignError, match="unknown stratum label 'never'"):
+            stratified_sample(population, StratifiedDesign({"never": 1}), derive_stream(5, "s"))
+
+    def test_duplicate_strata_rejected(self):
+        with pytest.raises(DataValidationError, match="strata must be distinct"):
+            PopulationSpec(
+                size=10,
+                strata=("a", "a"),
+                proportions=(0.5, 0.5),
+                covariates=(),
+                outcome=OutcomeModel(intercept=0.0, coefficients={}),
+            )
+
     def test_stratum_shares_near_proportions(self):
         spec = default_experiment_population_spec(size=50_000)
         population = generate_population(spec, derive_stream(2, "population"))
@@ -195,17 +227,17 @@ class TestRunReplicate:
         assert cr.weighted.auroc.value == pytest.approx(cr.unweighted.auroc.value, abs=1e-12)
 
     def test_failures_recorded_not_raised(self):
-        # a constant score outside [0, 1] trips validation inside the replicate
+        # a logistic fit allowed one IRLS iteration fails to converge inside the replicate
         exp = _tiny_experiment(
             classifiers=(
                 ClassifierSpec(kind="logistic"),
-                ClassifierSpec(kind="constant", name="bad", constant_score=2.0),
+                ClassifierSpec(kind="logistic", name="bad", max_iterations=1),
             )
         )
         population = generate_population(exp.population, derive_stream(exp.seed, "population"))
         report = run_replicate(exp, population, 0, PatternTable.of(population))
         assert report.outcomes[0].name == "logistic"
-        assert hasattr(report.outcomes[1], "error")
+        assert report.outcomes[1].error.startswith("NonConvergenceError")
 
     def test_truth_can_exclude_sampled_records(self):
         exp = _tiny_experiment(include_sample_in_truth=False)
@@ -466,7 +498,8 @@ class TestAggregate:
         assert agg.mc_se_of_mean == pytest.approx(manual.std(ddof=1) / math.sqrt(2))
 
     def test_fewer_than_two_successes_is_an_error(self):
-        exp = _tiny_experiment(classifiers=(ClassifierSpec(kind="constant", constant_score=5.0),), replicates=3)
+        unconverged = ClassifierSpec(kind="logistic", max_iterations=1)
+        exp = _tiny_experiment(classifiers=(unconverged,), replicates=3)
         population = generate_population(exp.population, derive_stream(exp.seed, "population"))
         patterns = PatternTable.of(population)
         reports = [run_replicate(exp, population, i, patterns) for i in range(3)]

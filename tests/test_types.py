@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import make_population
+from helpers import make_population, stratum_rows_by_grouping
 from svymetrics.errors import DataValidationError
-from svymetrics.types import ConfusionTally, EvaluationSet, MetricResult, Record
+from svymetrics.types import (
+    ConfusionTally, EvaluationSet, FinitePopulation, MetricResult, Record, code_labels,
+)
 
 
 class TestPopulationInvariants:
@@ -51,11 +55,61 @@ class TestPopulationViews:
         assert population.stratum_sizes == {"b": 3, "a": 2, "c": 1}
         assert population.index_by_id == {f"r{i}": i for i in range(6)}
 
+    def test_labels_differing_by_a_trailing_nul_or_blank_stay_apart(self):
+        population = make_population([0, 1, 0, 1], ["s", "s\x00", "", "s"])
+        assert population.stratum_labels == ("s", "s\x00", "")
+        assert population.strata.tolist() == [0, 1, 2, 0]
+        assert population.stratum_sizes == {"s": 2, "s\x00": 1, "": 1}
+        assert [r.stratum for r in population.records] == ["s", "s\x00", "", "s"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_stratum_indices_match_dict_grouping(self, data):
+        """Random labels (some never used, some on one row) and random codes:
+        the argsort-and-bincount grouping equals a dict walk over the rows."""
+        labels = data.draw(st.lists(st.text(max_size=3), min_size=1, max_size=6, unique=True))
+        codes = data.draw(
+            st.lists(st.integers(0, len(labels) - 1), min_size=1, max_size=40)
+        )
+        population = FinitePopulation(
+            ids=[f"r{i}" for i in range(len(codes))],
+            outcomes=np.zeros(len(codes)),
+            strata=np.asarray(codes, dtype=data.draw(st.sampled_from([np.int64, np.uint8]))),
+            stratum_labels=labels,
+        )
+        expected = stratum_rows_by_grouping(codes, labels)
+        indices = population.stratum_indices
+        assert list(indices) == list(expected)
+        assert {k: v.tolist() for k, v in indices.items()} == expected
+        assert population.stratum_sizes == {k: len(v) for k, v in expected.items()}
+        assert all(not v.flags.writeable for v in indices.values())
+        assert code_labels([labels[c] for c in codes], len(codes))[1] == tuple(expected)
+
+    @pytest.mark.parametrize(
+        "strata, labels, match",
+        [
+            ([0, 2], ("a", "b"), "codes in \\[0, 2\\)"),
+            ([-1, 0], ("a", "b"), "codes"),
+            ([0.0, 1.0], ("a", "b"), "codes"),
+            (["a", "b"], ("a", "b"), "codes"),
+            ([0, 0], (), "codes"),
+            ([0, 1], ("a", "a"), "distinct"),
+            ([0, 1], ("a", 1), "strings"),
+            ([0], ("a",), "one entry per id"),
+        ],
+    )
+    def test_malformed_strata_rejected(self, strata, labels, match):
+        with pytest.raises(DataValidationError, match=match):
+            FinitePopulation(
+                ids=("r0", "r1"), outcomes=np.zeros(2), strata=strata, stratum_labels=labels
+            )
+
     def test_columns_are_read_only(self):
         population = make_population([0, 1], features=[np.array([1.0, 2.0])])
         for column in (population.outcomes, population.strata, *population.features):
             assert not column.flags.writeable
         assert population.outcomes.dtype == np.int8
+        assert population.strata.dtype == np.int32
 
 
 class TestEvaluationSet:
@@ -74,22 +128,8 @@ class TestEvaluationSet:
                 ids=("a", "b"),
                 weights=np.array([1.0, 0.0]),
                 outcomes=np.array([1, 0]),
+                scores=np.array([0.8, 0.3]),
             )
-
-    def test_with_scores_attaches_predictions(self):
-        skeleton = EvaluationSet(
-            ids=("a", "b"), weights=np.array([2.0, 2.0]), outcomes=np.array([1, 0])
-        )
-        scored = skeleton.with_scores(np.array([0.8, 0.3]))
-        assert skeleton.scores is None
-        assert scored.scores is not None and scored.scores[0] == 0.8
-
-    def test_require_scores_raises_on_skeleton(self):
-        skeleton = EvaluationSet(
-            ids=("a",), weights=np.array([1.0]), outcomes=np.array([0])
-        )
-        with pytest.raises(DataValidationError):
-            skeleton.require_scores()
 
 
 class TestConfusionTally:
@@ -98,7 +138,7 @@ class TestConfusionTally:
             nhat_tp=2.0, nhat_tn=5.0, nhat_fp=1.0, nhat_fn=3.0, tp=1, tn=1, fp=1, fn=1
         )
         assert tally.count == 4
-        assert tally.weighted_total == pytest.approx(11.0)
+        assert tally.nhat_tp + tally.nhat_tn + tally.nhat_fp + tally.nhat_fn == pytest.approx(11.0)
 
 
 class TestMetricResult:
