@@ -20,7 +20,7 @@ from ..errors import DataValidationError
 from ..rng import stream_seed
 from .encoding import FeatureEncoder
 from .tree import (
-    FlatTree, check_tree_limits, distinct_rows, grow_counted, row_counts, threshold_cells,
+    FlatTree, check_tree_limits, distinct_rows, grow_counted, threshold_cells,
 )
 
 PAPER_PARITY_TREE_COUNT = 1000  # the cited simulations use 1,000 trees
@@ -80,6 +80,8 @@ def fit_forest(
     y = np.asarray(y, dtype=np.float64)
     if y.size == 0:
         raise DataValidationError("no training records")
+    if not np.all((y == 0.0) | (y == 1.0)):
+        raise DataValidationError("forest outcomes must be 0 or 1")
     if len(ids) != y.size:
         raise DataValidationError("ids and outcomes must have equal length")
     if isinstance(rng, (int, np.integer)):
@@ -92,12 +94,14 @@ def fit_forest(
     columns = [col[order] for col in columns]
     encoder = FeatureEncoder.fit(columns)
     x = encoder.transform(columns, y.size)
-    y = y[order]
     n, width = x.shape
     m_try = config.m_try if config.m_try is not None else max(1, math.isqrt(width))
     m_try = min(m_try, width)
     representatives, inverse = distinct_rows(x.T, n)
     patterns = x[representatives]
+    # One bincount of a resample's cells gives each pattern's negatives and
+    # positives, interleaved.
+    cell = inverse * 2 + y[order].astype(np.intp)
 
     trees = []
     seeds = []
@@ -106,7 +110,9 @@ def fit_forest(
         seeds.append(tree_seed)
         tree_rng = np.random.default_rng(tree_seed)
         rows = tree_rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
-        count, pos = row_counts(inverse[rows], y[rows], representatives.size)
+        cells = np.bincount(cell[rows], minlength=2 * representatives.size)
+        pos = cells[1::2].astype(np.float64)
+        count = cells[::2] + pos
         trees.append(
             grow_counted(
                 patterns,

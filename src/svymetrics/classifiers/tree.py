@@ -244,6 +244,51 @@ def _best_split_on_feature(col: np.ndarray, count: np.ndarray, pos: np.ndarray):
     return float(score[best]), threshold, order, cut
 
 
+def _best_small_split(col: list, count: list, pos: list, rows: list, m: float, p: float):
+    """:func:`_best_split_on_feature` on Python floats, for a node holding
+    the rows ``rows`` of a small table, ``m`` training rows, ``p`` of them
+    positive.
+
+    ``col``, ``count`` and ``pos`` are the table's lists.  NaN sorts last,
+    as in numpy, and no boundary precedes it, so its rows always go right.
+    The running sums are exact integers and the score is the same float
+    expression, so the result equals numpy's.  Returns (score, threshold,
+    order, cut) with ``order`` a list of rows, or None.
+    """
+    order = [i for i in rows if col[i] == col[i]]
+    order.sort(key=col.__getitem__)
+    if len(order) < len(rows):
+        order += [i for i in rows if col[i] != col[i]]
+    best = None
+    n_left = pos_left = 0.0
+    lo = col[order[0]]
+    for k in range(len(order) - 1):
+        i = order[k]
+        n_left += count[i]
+        pos_left += pos[i]
+        hi = col[order[k + 1]]
+        if lo < hi:
+            neg_left = n_left - pos_left
+            n_right = m - n_left
+            pos_right = p - pos_left
+            neg_right = n_right - pos_right
+            score = (pos_left * pos_left + neg_left * neg_left) / n_left + (
+                pos_right * pos_right + neg_right * neg_right
+            ) / n_right
+            if best is None or score > best:
+                best = score
+                cut = k
+        lo = hi
+    if best is None:
+        return None
+    return best, _split_threshold(col[order[cut]], col[order[cut + 1]]), order, cut
+
+
+# Nodes with at most this many distinct rows search on Python floats: below
+# it numpy's per-call overhead outweighs its per-element speed.
+SMALL_NODE = 32
+
+
 def grow_counted(
     x: np.ndarray,
     count: np.ndarray,
@@ -265,6 +310,10 @@ def grow_counted(
     ``rng``; otherwise the search is exhaustive and deterministic.  Ties
     between equal-gain splits resolve to the lowest feature index, then
     the smallest split point.
+
+    A node of at most :data:`SMALL_NODE` distinct rows converts its rows
+    to Python lists once, and its whole subtree searches them with
+    :func:`_best_small_split`; larger nodes search with numpy.
     """
     width = x.shape[1]
     root_rows = np.flatnonzero(count)
@@ -289,14 +338,25 @@ def grow_counted(
         value.append(0.0)
         return idx
 
-    stack: list[tuple[int, np.ndarray, int]] = [(new_node(), root_rows, 0)]
+    # ``table`` is None on the numpy path, where ``rows`` index ``x``;
+    # below the switch it is (columns, counts, positives) as lists, which
+    # ``rows`` (a list) index.
+    stack: list = [(new_node(), root_rows, 0, None)]
     max_internal_depth = -1
     while stack:
-        node_id, rows, depth = stack.pop()
-        node_count = count[rows]
-        node_pos = pos[rows]
-        m = float(node_count.sum())
-        p = float(node_pos.sum())
+        node_id, rows, depth, table = stack.pop()
+        if table is None and rows.size <= SMALL_NODE:
+            table = (x[rows].T.tolist(), count[rows].tolist(), pos[rows].tolist())
+            rows = list(range(len(table[1])))
+        if table is None:
+            node_count = count[rows]
+            node_pos = pos[rows]
+            m = float(node_count.sum())
+            p = float(node_pos.sum())
+        else:
+            cols, table_count, table_pos = table
+            m = sum([table_count[i] for i in rows])
+            p = sum([table_pos[i] for i in rows])
         value[node_id] = p / m
         if (
             m < 2
@@ -317,7 +377,10 @@ def grow_counted(
         best = None
         best_feature = -1
         for f in candidates:
-            found = _best_split_on_feature(x[rows, f], node_count, node_pos)
+            if table is None:
+                found = _best_split_on_feature(x[rows, f], node_count, node_pos)
+            else:
+                found = _best_small_split(cols[f], table_count, table_pos, rows, m, p)
             if found is None:
                 continue
             if best is None or found[0] > best[0]:
@@ -333,8 +396,10 @@ def grow_counted(
         left[node_id] = left_id
         right[node_id] = right_id
         max_internal_depth = max(max_internal_depth, depth)
-        stack.append((right_id, rows[order[cut + 1 :]], depth + 1))
-        stack.append((left_id, rows[order[: cut + 1]], depth + 1))
+        if table is None:
+            order = rows[order]
+        stack.append((right_id, order[cut + 1 :], depth + 1, table))
+        stack.append((left_id, order[: cut + 1], depth + 1, table))
 
     return FlatTree(
         feature=np.asarray(feature, dtype=np.int32),

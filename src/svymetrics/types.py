@@ -33,6 +33,13 @@ def code_labels(labels: Iterable[str], count: int) -> tuple[np.ndarray, tuple[st
     return codes, tuple(index)
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of ``arr``, so a caller's own array stays writable."""
+    view = arr.view()
+    view.setflags(write=False)
+    return view
+
+
 def _id_column(ids: Sequence[str]) -> np.ndarray:
     """Any sequence of id strings as a read-only 1-d object column.
 
@@ -42,8 +49,7 @@ def _id_column(ids: Sequence[str]) -> np.ndarray:
     column = np.asarray(ids, dtype=object)
     if column.ndim != 1:
         raise DataValidationError("ids must be a 1-d sequence of strings")
-    column.setflags(write=False)
-    return column
+    return _read_only(column)
 
 
 @dataclass(frozen=True)
@@ -116,14 +122,11 @@ class FinitePopulation:
                 if rid in seen:
                     raise DataValidationError(f"duplicate record id {rid!r}")
                 seen.add(rid)
-        y = y.astype(np.int8)
-        for arr in (y, strata, *columns):
-            arr.setflags(write=False)
         object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "outcomes", y)
-        object.__setattr__(self, "strata", strata)
+        object.__setattr__(self, "outcomes", _read_only(y.astype(np.int8)))
+        object.__setattr__(self, "strata", _read_only(strata))
         object.__setattr__(self, "stratum_labels", labels)
-        object.__setattr__(self, "features", tuple(columns))
+        object.__setattr__(self, "features", tuple(_read_only(col) for col in columns))
 
     @property
     def size(self) -> int:
@@ -203,9 +206,8 @@ class SurveySample:
             raise DataValidationError("sample must be non-empty")
         if r.shape != w.shape:
             raise DataValidationError("rows length mismatch")
-        for name, arr in (("weights", w), ("rows", r)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "weights", _read_only(w))
+        object.__setattr__(self, "rows", _read_only(r))
 
     @property
     def size(self) -> int:
@@ -242,8 +244,7 @@ class EvaluationSet:
         if not np.all(np.isfinite(s)) or np.any((s < 0.0) | (s > 1.0)):
             raise DataValidationError("scores must lie in [0, 1]")
         for name, arr in (("weights", w), ("outcomes", y), ("scores", s)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _read_only(arr))
 
     @property
     def size(self) -> int:

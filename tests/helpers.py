@@ -16,7 +16,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from svymetrics.classifiers.tree import FlatTree
+from svymetrics.classifiers.tree import FlatTree, _best_split_on_feature
 from svymetrics.errors import DataValidationError, SchemaError
 from svymetrics.estimation import confusion_rate, ratio_standard_error, tally_confusion
 from svymetrics.evaluation import EvaluationSummary, ThresholdMetrics, resolve_grid
@@ -217,6 +217,82 @@ def grow_tree_per_row(
         max_internal_depth = max(max_internal_depth, depth)
         stack.append((right[node_id], right_rows, depth + 1))
         stack.append((left[node_id], left_rows, depth + 1))
+    return FlatTree(
+        feature=np.asarray(feature, dtype=np.int32),
+        threshold=np.asarray(threshold, dtype=np.float64),
+        left=np.asarray(left, dtype=np.int32),
+        right=np.asarray(right, dtype=np.int32),
+        value=np.asarray(value, dtype=np.float64),
+        route_steps=max_internal_depth + 1,
+    )
+
+
+def grow_counted_numpy(
+    x, count, pos, *, min_node_size=1, max_depth=None, m_try=None, rng=None
+):
+    """Reference counted grower that searches every node with numpy.
+
+    Every node, whatever its size, gathers its counts and runs the
+    library's ``_best_split_on_feature`` on each candidate column, with
+    feature subsets drawn from ``rng`` in depth-first order (left child
+    first).  Much faster than :func:`grow_tree_per_row` on tables of
+    many copies, so it checks the library's small-node search on tables
+    near and above its size switch.
+    """
+    width = x.shape[1]
+    root_rows = np.flatnonzero(count)
+    use_subset = m_try is not None and width > 0 and m_try < width
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def new_node():
+        idx = len(feature)
+        feature.append(0)
+        threshold.append(np.inf)
+        left.append(idx)
+        right.append(idx)
+        value.append(0.0)
+        return idx
+
+    stack = [(new_node(), root_rows, 0)]
+    max_internal_depth = -1
+    while stack:
+        node_id, rows, depth = stack.pop()
+        node_count = count[rows]
+        node_pos = pos[rows]
+        m = float(node_count.sum())
+        p = float(node_pos.sum())
+        value[node_id] = p / m
+        if (
+            m < 2
+            or m < min_node_size
+            or p == 0.0
+            or p == m
+            or (max_depth is not None and depth >= max_depth)
+        ):
+            continue
+        if not use_subset:
+            candidates = range(width)
+        elif m_try == 1:
+            candidates = [int(rng.integers(width))]
+        else:
+            candidates = sorted(int(f) for f in rng.choice(width, size=m_try, replace=False))
+        best = None
+        best_feature = -1
+        for f in candidates:
+            found = _best_split_on_feature(x[rows, f], node_count, node_pos)
+            if found is not None and (best is None or found[0] > best[0]):
+                best = found
+                best_feature = f
+        if best is None or best[0] <= (p * p + (m - p) * (m - p)) / m:
+            continue
+        _, thr, order, cut = best
+        feature[node_id] = best_feature
+        threshold[node_id] = thr
+        left[node_id] = new_node()
+        right[node_id] = new_node()
+        max_internal_depth = max(max_internal_depth, depth)
+        stack.append((right[node_id], rows[order[cut + 1 :]], depth + 1))
+        stack.append((left[node_id], rows[order[: cut + 1]], depth + 1))
     return FlatTree(
         feature=np.asarray(feature, dtype=np.int32),
         threshold=np.asarray(threshold, dtype=np.float64),

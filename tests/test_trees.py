@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import gini_impurity, grow_tree_per_row, numeric_columns, route_one_row
+from helpers import (
+    gini_impurity, grow_counted_numpy, grow_tree_per_row, numeric_columns, route_one_row,
+)
 from svymetrics.classifiers import (
     FeatureEncoder,
     ForestConfig,
@@ -19,7 +22,13 @@ from svymetrics.classifiers import (
     model_to_json_dict,
     save_model,
 )
-from svymetrics.classifiers.tree import FlatTree, grow_tree
+from svymetrics.classifiers import tree as tree_module
+from svymetrics.classifiers.imbalance import upsample_minority
+from svymetrics.classifiers.tree import (
+    SMALL_NODE, FlatTree, distinct_rows, grow_counted, grow_tree, row_counts,
+)
+from svymetrics.errors import DataValidationError
+from svymetrics.simulation import POPULATION_PRESETS, generate_population
 
 
 def _data(x_rows, y):
@@ -178,6 +187,16 @@ class TestForest:
             float(np.mean(per_tree))
         )
 
+    @pytest.mark.parametrize("bad", [2.0, -1.0, 0.5, np.nan, np.inf])
+    def test_non_binary_outcome_is_refused(self, bad):
+        """Resamples are counted by one bincount over (row, outcome) cells,
+        which holds only for 0/1 outcomes."""
+        columns, y, ids = _forest_data([[0.0], [1.0], [2.0], [3.0]], [0, 1, 1, 0])
+        y = y.astype(np.float64)
+        y[2] = bad
+        with pytest.raises(DataValidationError, match="0 or 1"):
+            fit_forest(columns, y, ids, ForestConfig(trees=2), rng=1)
+
     def test_scores_in_unit_interval(self, rng):
         x = rng.normal(size=(100, 2))
         y = rng.integers(0, 2, size=100)
@@ -245,6 +264,40 @@ def _training_tables(draw, values):
     return x, y
 
 
+def _row_key(row):
+    """A row as the grower's distinct-row grouping sees it: NaN equals NaN
+    and -0.0 equals 0.0."""
+    return tuple("nan" if v != v else v + 0.0 for v in row)
+
+
+@st.composite
+def _switch_pools(draw, values):
+    """Exactly ``SMALL_NODE - 1``, ``SMALL_NODE``, ``SMALL_NODE + 1`` or
+    ``2 * SMALL_NODE`` distinct encoded rows, so that a root and its
+    children fall on both sides of the grower's small-node switch."""
+    width = draw(st.integers(1, 4))
+    k = draw(st.sampled_from((SMALL_NODE - 1, SMALL_NODE, SMALL_NODE + 1, 2 * SMALL_NODE)))
+    row = st.lists(st.sampled_from(values) | st.floats(-5, 5), min_size=width, max_size=width)
+    pool = draw(st.lists(row, min_size=k, max_size=k, unique_by=_row_key))
+    return np.asarray(pool, dtype=np.float64).reshape(k, width)
+
+
+@st.composite
+def _switch_tables(draw, values):
+    """A table holding every row of a switch pool once and a few of them
+    again, with 0/1 outcomes."""
+    pool = draw(_switch_pools(values))
+    extra = draw(st.lists(st.integers(0, len(pool) - 1), max_size=20))
+    x = np.concatenate([pool, pool[extra]])
+    y = draw(st.lists(st.integers(0, 1), min_size=len(x), max_size=len(x)))
+    return x, np.asarray(y, dtype=np.float64)
+
+
+def _m_try_values(width):
+    """m_try of 1, 2 and the full width."""
+    return st.sampled_from(sorted({1, min(2, width), width}))
+
+
 def _node_arrays(tree):
     return (
         tree.feature.tobytes(),
@@ -274,37 +327,135 @@ class TestCountedGrower:
         want = grow_tree_per_row(x, y, rng=np.random.default_rng(seed), **kwargs)
         assert _node_arrays(got) == _node_arrays(want)
 
+    @settings(max_examples=40, deadline=None)
+    @given(table=_switch_tables(_GROW_VALUES + _NON_FINITE), data=st.data())
+    def test_matches_per_row_grower_across_size_switch(self, table, data):
+        """Tables around the small-node switch: the library, the per-row
+        grower and the all-numpy counted grower give one tree."""
+        x, y = table
+        kwargs = {
+            "min_node_size": data.draw(st.integers(1, 4)),
+            "max_depth": data.draw(st.none() | st.integers(1, 6)),
+            "m_try": data.draw(st.none() | _m_try_values(x.shape[1])),
+        }
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        got = grow_tree(x, y, rng=np.random.default_rng(seed), **kwargs)
+        want = grow_tree_per_row(x, y, rng=np.random.default_rng(seed), **kwargs)
+        assert _node_arrays(got) == _node_arrays(want)
+        representatives, inverse = distinct_rows(x.T, y.size)
+        count, pos = row_counts(inverse, y, representatives.size)
+        oracle = grow_counted_numpy(
+            x[representatives], count, pos, rng=np.random.default_rng(seed), **kwargs
+        )
+        assert _node_arrays(got) == _node_arrays(oracle)
+
+    @settings(max_examples=40, deadline=None)
+    @given(patterns=_switch_pools(_GROW_VALUES + _NON_FINITE), data=st.data())
+    def test_matches_numpy_grower_on_large_counts(self, patterns, data):
+        """Copy counts in the hundreds, and zero counts, on tables around
+        the switch; the per-row grower would be too slow here."""
+        k, width = patterns.shape
+        count = data.draw(st.lists(st.integers(0, 500), min_size=k, max_size=k))
+        count[0] = max(count[0], 1)
+        pos = [data.draw(st.integers(0, c)) for c in count]
+        kwargs = {
+            "min_node_size": data.draw(st.integers(1, 50)),
+            "max_depth": data.draw(st.none() | st.integers(1, 8)),
+            "m_try": data.draw(st.none() | _m_try_values(width)),
+        }
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        count, pos = np.asarray(count, dtype=np.float64), np.asarray(pos, dtype=np.float64)
+        got = grow_counted(patterns, count, pos, rng=np.random.default_rng(seed), **kwargs)
+        want = grow_counted_numpy(patterns, count, pos, rng=np.random.default_rng(seed), **kwargs)
+        assert _node_arrays(got) == _node_arrays(want)
+
+    def test_switch_tables_reach_both_searches(self, monkeypatch):
+        """A table of 2 * SMALL_NODE distinct rows searches its root with
+        numpy and its small descendants on Python floats."""
+        calls = {"_best_split_on_feature": 0, "_best_small_split": 0}
+        for name in calls:
+            def counted(*args, _name=name, _search=getattr(tree_module, name)):
+                calls[_name] += 1
+                return _search(*args)
+            monkeypatch.setattr(tree_module, name, counted)
+        k = 2 * SMALL_NODE
+        x = np.arange(k, dtype=np.float64).reshape(k, 1)
+        y = (np.arange(k) % 3 == 0).astype(np.float64)
+        got = grow_tree(x, y)
+        assert all(calls.values()), calls
+        assert _node_arrays(got) == _node_arrays(grow_tree_per_row(x, y))
+
     @settings(max_examples=80, deadline=None)
     @given(table=_training_tables(_GROW_VALUES), data=st.data())
     def test_forest_matches_per_row_trees_on_resamples(self, table, data):
         """Each tree equals the per-row grower on the copies ``x[rows]``
         that its seed draws, the rng continuing into the feature subsets."""
-        x, y = table
-        n, width = x.shape
-        m_try = data.draw(st.integers(1, width))
-        config = ForestConfig(
-            trees=data.draw(st.integers(1, 4)),
+        m_try = data.draw(st.integers(1, table[0].shape[1]))
+        _assert_forest_matches_per_row_trees(table, m_try, data)
+
+    @settings(max_examples=30, deadline=None)
+    @given(table=_switch_tables(_GROW_VALUES), data=st.data())
+    def test_forest_matches_per_row_trees_across_size_switch(self, table, data):
+        """As above, on tables around the small-node switch."""
+        m_try = data.draw(_m_try_values(table[0].shape[1]))
+        _assert_forest_matches_per_row_trees(table, m_try, data)
+
+
+def _assert_forest_matches_per_row_trees(table, m_try, data):
+    x, y = table
+    n = y.size
+    config = ForestConfig(
+        trees=data.draw(st.integers(1, 4)),
+        m_try=m_try,
+        min_node_size=data.draw(st.integers(1, 4)),
+        max_depth=data.draw(st.none() | st.integers(0, 4)),
+        bootstrap=data.draw(st.booleans()),
+    )
+    ids = [f"r{i:03d}" for i in range(n)]  # already in id order
+    columns = numeric_columns(x)
+    forest = fit_forest(columns, y, ids, config, rng=data.draw(st.integers(0, 99)))
+    x = forest.encoder.transform(columns, n)
+    for tree, seed in zip(forest.trees, forest.tree_seeds):
+        tree_rng = np.random.default_rng(seed)
+        rows = tree_rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
+        want = grow_tree_per_row(
+            x[rows],
+            y[rows],
+            min_node_size=config.min_node_size,
+            max_depth=config.max_depth,
             m_try=m_try,
-            min_node_size=data.draw(st.integers(1, 4)),
-            max_depth=data.draw(st.none() | st.integers(0, 4)),
-            bootstrap=data.draw(st.booleans()),
+            rng=tree_rng,
         )
-        ids = [f"r{i:02d}" for i in range(n)]  # already in id order
-        columns = numeric_columns(x)
-        forest = fit_forest(columns, y, ids, config, rng=data.draw(st.integers(0, 99)))
-        x = forest.encoder.transform(columns, n)
-        for tree, seed in zip(forest.trees, forest.tree_seeds):
-            tree_rng = np.random.default_rng(seed)
-            rows = tree_rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
-            want = grow_tree_per_row(
-                x[rows],
-                y[rows],
-                min_node_size=config.min_node_size,
-                max_depth=config.max_depth,
-                m_try=m_try,
-                rng=tree_rng,
-            )
-            assert _node_arrays(tree) == _node_arrays(want)
+        assert _node_arrays(tree) == _node_arrays(want)
+
+
+class TestGoldenForest:
+    """Fixed-seed 100-tree balanced forests on two preset populations of
+    20,000 rows must keep these sha256 digests of their node arrays.  The
+    experiment population has 8 distinct rows, so every node searches on
+    Python floats; the paper population's continuous age sends the upper
+    nodes through numpy."""
+
+    @pytest.mark.parametrize("preset, digest", [
+        ("experiment", "ce61aff68c62f27882ed4f5bf7af1f494af2f8d157eaf27d08072751d6445175"),
+        ("paper", "0b3bbb208652095b39980bf0ad9f7324d0fa3f4be88d8e1c4f89f286845537a9"),
+    ])
+    def test_node_arrays_digest(self, preset, digest):
+        population = generate_population(
+            POPULATION_PRESETS[preset](20_000), np.random.default_rng(2023)
+        )
+        rows = upsample_minority(population.outcomes, np.random.default_rng(7))
+        forest = fit_forest(
+            [col[rows] for col in population.features], population.outcomes[rows],
+            population.ids[rows], ForestConfig(trees=100), rng=9,
+        )
+        h = hashlib.sha256()
+        for tree in forest.trees:
+            *arrays, route_steps = _node_arrays(tree)
+            for data in arrays:
+                h.update(data)
+            h.update(str(route_steps).encode())
+        assert h.hexdigest() == digest
 
 
 class TestForestIdOrder:

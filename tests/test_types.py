@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from helpers import make_population, stratum_rows_by_grouping
 from svymetrics.errors import DataValidationError
 from svymetrics.types import (
-    ConfusionTally, EvaluationSet, FinitePopulation, MetricResult, Record, code_labels,
+    ConfusionTally, EvaluationSet, FinitePopulation, MetricResult, Record, SurveySample,
+    code_labels,
 )
 
 
@@ -110,6 +111,49 @@ class TestPopulationViews:
             assert not column.flags.writeable
         assert population.outcomes.dtype == np.int8
         assert population.strata.dtype == np.int32
+
+
+def _caller_arrays(kind):
+    """Arrays a caller hands to a constructor, already of the stored dtype,
+    and the constructor applied to them."""
+    ids = np.array(["a", "b", "c"], dtype=object)
+    if kind == "population":
+        arrays = {"ids": ids, "outcomes": np.array([0, 1, 1], dtype=np.int8),
+                  "strata": np.zeros(3, dtype=np.int32), "features": np.array([1.0, 2.0, 3.0])}
+        build = lambda a: FinitePopulation(  # noqa: E731
+            ids=a["ids"], outcomes=a["outcomes"], strata=a["strata"],
+            stratum_labels=("s",), features=(a["features"],),
+        )
+    elif kind == "sample":
+        arrays = {"ids": ids, "weights": np.array([1.0, 2.0, 3.0]),
+                  "rows": np.arange(3, dtype=np.intp)}
+        build = lambda a: SurveySample(**a)  # noqa: E731
+    else:
+        arrays = {"ids": ids, "weights": np.array([1.0, 2.0, 3.0]),
+                  "outcomes": np.array([0, 1, 1], dtype=np.int8),
+                  "scores": np.array([0.1, 0.5, 0.9])}
+        build = lambda a: EvaluationSet(**a)  # noqa: E731
+    return arrays, build
+
+
+@pytest.mark.parametrize(
+    "kind, column",
+    [("population", c) for c in ("ids", "outcomes", "strata", "features")]
+    + [("sample", c) for c in ("ids", "weights", "rows")]
+    + [("evaluation", c) for c in ("ids", "weights", "outcomes", "scores")],
+)
+def test_constructor_leaves_caller_array_writable(kind, column):
+    """Each type freezes a view of the caller's array, never the array
+    itself; the stored column is read-only and costs no copy."""
+    arrays, build = _caller_arrays(kind)
+    built = build(arrays)
+    stored = getattr(built, column)
+    stored = stored[0] if column == "features" else stored
+    assert arrays[column].flags.writeable
+    assert not stored.flags.writeable
+    assert np.array_equal(stored, arrays[column])
+    if column not in ("outcomes", "strata"):  # population recasts these to its own copy
+        assert np.shares_memory(stored, arrays[column])
 
 
 class TestEvaluationSet:
