@@ -20,7 +20,8 @@ from ..errors import DataValidationError
 from ..rng import stream_seed
 from .encoding import FeatureEncoder
 from .tree import (
-    FlatTree, check_tree_limits, distinct_rows, grow_counted, threshold_cells,
+    FlatTree, binary_outcomes, check_tree_limits, distinct_rows, grow_counted,
+    threshold_cells,
 )
 
 PAPER_PARITY_TREE_COUNT = 1000  # the cited simulations use 1,000 trees
@@ -77,11 +78,7 @@ def fit_forest(
     ``ids`` names each row; rows are fitted in stable id order.  ``rng``
     may be a generator or a bare integer seed.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if y.size == 0:
-        raise DataValidationError("no training records")
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise DataValidationError("forest outcomes must be 0 or 1")
+    y = binary_outcomes(y)
     if len(ids) != y.size:
         raise DataValidationError("ids and outcomes must have equal length")
     if isinstance(rng, (int, np.integer)):

@@ -6,14 +6,13 @@ parameters, so the CLI's train/predict pipeline can run statelessly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import SchemaError
-from ..io import read_text
+from ..io import read_json, write_json
 from .encoding import FeatureEncoder
 from .forest import ForestConfig, ForestModel
 from .logistic import LogisticModel
@@ -107,15 +106,8 @@ def _config(cls, cfg: dict):
 
 
 def save_model(model, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(model_to_json_dict(model), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_json(path, model_to_json_dict(model))
 
 
 def load_model(path: str | Path):
-    try:
-        payload = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"model file {path} is not valid JSON: {exc}") from exc
-    return model_from_json_dict(payload)
+    return model_from_json_dict(read_json(path, "model file"))

@@ -28,6 +28,16 @@ def check_tree_limits(max_depth: int | None, min_node_size: int) -> None:
         raise DataValidationError(f"min_node_size must be >= 1, got {min_node_size}")
 
 
+def binary_outcomes(y) -> np.ndarray:
+    """The tree and forest fitters' outcomes: float64, not empty, each 0 or 1."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.size == 0:
+        raise DataValidationError("no training records")
+    if not np.all((y == 0.0) | (y == 1.0)):
+        raise DataValidationError("outcomes must be 0 or 1")
+    return y
+
+
 @dataclass(frozen=True)
 class TreeConfig:
     max_depth: int | None = None
@@ -460,9 +470,7 @@ def fit_tree(
 ) -> TreeModel:
     """Fit a CART tree on raw feature columns and 0/1 outcomes ``y`` by
     greedy binary splitting on Gini impurity decrease."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.size == 0:
-        raise DataValidationError("no training records")
+    y = binary_outcomes(y)
     encoder = FeatureEncoder.fit(columns)
     x = encoder.transform(columns, y.size)
     tree = grow_tree(

@@ -9,11 +9,9 @@ experiment file); there is no hidden entropy.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import warnings
 from dataclasses import asdict
-from pathlib import Path
 
 import numpy as np
 
@@ -27,7 +25,8 @@ from .io import (
     ingest_csv,
     load_schema,
     read_predictions,
-    read_text,
+    read_json,
+    write_json,
     write_predictions,
     write_rows_csv,
     write_split_files,
@@ -124,28 +123,18 @@ def _parse_grid(text: str):
         raise DataValidationError(f"grid must be an integer or 'exact', got {text!r}") from exc
 
 
-def _write_json(path: str, payload: dict) -> None:
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 
 def _cmd_simulate(args) -> int:
-    try:
-        payload = json.loads(read_text(args.experiment))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"experiment file is not valid JSON: {exc}") from exc
-    experiment = experiment_from_json_dict(payload)
-    result = run_experiment(experiment, workers=args.workers)
+    experiment = experiment_from_json_dict(read_json(args.experiment, "experiment file"))
+    result = run_experiment(experiment)
     summary_json = result.summary.to_json_dict()
     print(render_summary_json(summary_json))
     if args.json:
-        _write_json(
+        write_json(
             args.json,
             {
                 "spec_version": SPEC_VERSION,
@@ -306,7 +295,7 @@ def _cmd_evaluate(args) -> int:
     }
     print(render_evaluate_text(report))
     if args.json:
-        _write_json(args.json, report)
+        write_json(args.json, report)
     return EXIT_OK
 
 
@@ -336,7 +325,7 @@ def _cmd_diagnose_weights(args) -> int:
         print(f"{key}: {report[key]:.4f}")
     print("deciles: " + " ".join(f"{d:.4f}" for d in report["deciles"]))
     if args.json:
-        _write_json(args.json, report)
+        write_json(args.json, report)
     return EXIT_OK
 
 
@@ -363,7 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("experiment", help="experiment spec JSON file (carries the seed)")
     p.add_argument("--json", help="write the summary JSON mirror to this path")
     p.add_argument("--replicates-csv", help="dump per-replicate metrics as CSV")
-    p.add_argument("--workers", type=int, default=1, help="thread count (default 1)")
+    p.add_argument(
+        "--workers", type=int, default=1,
+        help="accepted, no effect: replicates run in order on one thread",
+    )
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("split", help="SRS train/test split with compound weights")

@@ -95,11 +95,6 @@ class DataSchema:
             raise SchemaError(f"malformed schema: {exc}") from exc
 
 
-def read_text(path: str | Path) -> str:
-    """A whole UTF-8 text file; undecodable bytes raise DataValidationError."""
-    return "".join(_lines(path))
-
-
 def _lines(path: str | Path) -> Iterator[str]:
     """Lines of a UTF-8 text file, newlines kept as written."""
     path = Path(path)
@@ -148,12 +143,27 @@ def _read_columns(path: str | Path, check_header) -> CsvTable:
     return CsvTable(header=tuple(header), columns=tuple(columns), size=len(rows))
 
 
-def load_schema(path: str | Path) -> DataSchema:
+def read_json(path: str | Path, what: str):
+    """A UTF-8 JSON file's value.
+
+    Malformed JSON raises SchemaError naming ``what`` and the path; a
+    missing file or undecodable bytes raise DataValidationError.
+    """
     try:
-        payload = json.loads(read_text(path))
+        return json.loads("".join(_lines(path)))
     except json.JSONDecodeError as exc:
-        raise SchemaError(f"schema file {path} is not valid JSON: {exc}") from exc
-    return DataSchema.from_json_dict(payload)
+        raise SchemaError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def write_json(path: str | Path, payload) -> None:
+    """Write ``payload`` as indented JSON with sorted keys and a final newline."""
+    Path(path).write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+
+
+def load_schema(path: str | Path) -> DataSchema:
+    return DataSchema.from_json_dict(read_json(path, "schema file"))
 
 
 @dataclass(frozen=True)

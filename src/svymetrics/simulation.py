@@ -15,7 +15,6 @@ import collections.abc
 import math
 import types
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from typing import Mapping, Sequence
 
@@ -458,7 +457,6 @@ class ClassifierFailure:
 @dataclass(frozen=True)
 class ReplicateReport:
     index: int
-    seed_path: tuple[int, int]
     outcomes: tuple[ClassifierReport | ClassifierFailure, ...]
 
 
@@ -597,9 +595,7 @@ def run_replicate(
                     name=spec.resolved_name, error=f"{type(exc).__name__}: {exc}"
                 )
             )
-    return ReplicateReport(
-        index=index, seed_path=(experiment.seed, index), outcomes=tuple(outcomes)
-    )
+    return ReplicateReport(index=index, outcomes=tuple(outcomes))
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +741,6 @@ def aggregate(
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    experiment: ExperimentSpec
     reports: tuple[ReplicateReport, ...]
     summary: ExperimentSummary
 
@@ -775,28 +770,21 @@ def run_experiment(
     workers: int = 1,
     population: FinitePopulation | None = None,
 ) -> ExperimentResult:
-    """Run all replicates (optionally on a thread pool) and aggregate.
+    """Run all replicates in index order on the calling thread, and aggregate.
 
-    Output is independent of ``workers``: every replicate derives its own
-    random streams from (seed, index, stage) and aggregation consumes
-    reports in index order.
+    ``workers`` is accepted and has no effect.  Every replicate derives its
+    own random streams from (seed, index, stage), so a parallel runner may
+    give it a meaning again without changing any output.
     """
     if population is None:
         population = resolve_population(experiment)
     StratifiedDesign(experiment.design_allocations).validate_against(population)
     patterns = PatternTable.of(population)
-    indices = range(experiment.replicates)
-    if workers <= 1:
-        reports = [run_replicate(experiment, population, i, patterns) for i in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(
-                pool.map(lambda i: run_replicate(experiment, population, i, patterns), indices)
-            )
-    summary = aggregate(reports, experiment)
-    return ExperimentResult(
-        experiment=experiment, reports=tuple(reports), summary=summary
+    reports = tuple(
+        run_replicate(experiment, population, i, patterns)
+        for i in range(experiment.replicates)
     )
+    return ExperimentResult(reports=reports, summary=aggregate(reports, experiment))
 
 
 # ---------------------------------------------------------------------------

@@ -27,11 +27,15 @@ from svymetrics.io import DataSchema, ingest_csv
 from svymetrics.rng import derive_stream
 from svymetrics.sampling import split_train_test
 from svymetrics.simulation import (
+    BernoulliCovariate,
+    CategoricalCovariate,
     ClassifierSpec,
     default_experiment_population_spec,
     experiment_to_json_dict,
     ExperimentSpec,
     fit_classifier,
+    OutcomeModel,
+    PopulationSpec,
 )
 from svymetrics.types import EvaluationSet
 
@@ -376,6 +380,45 @@ class TestSimulateCommand:
         assert _run(["simulate", spec, "--json", out2, "--workers", 8]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_stderr_is_the_same_at_every_worker_count(self, tmp_path, capsys):
+        """Levels w and z occur only in the small stratum b, so some
+        replicates train without one or both; the unseen-category warnings
+        (three different counts here) print in replicate order."""
+        population = PopulationSpec(
+            size=2000,
+            strata=("a", "b"),
+            proportions=(0.9, 0.1),
+            covariates=(
+                BernoulliCovariate(name="x", rates={"a": 0.4, "b": 0.6}),
+                CategoricalCovariate(
+                    name="c",
+                    levels=("p", "q", "w", "z"),
+                    probs={"a": (0.5, 0.5, 0.0, 0.0), "b": (0.44, 0.44, 0.06, 0.06)},
+                ),
+            ),
+            outcome=OutcomeModel(intercept=-1.0, coefficients={"x": 2.0}),
+        )
+        exp = ExperimentSpec(
+            seed=4,
+            replicates=8,
+            design_allocations={"a": 100, "b": 8},
+            classifiers=(
+                ClassifierSpec(kind="logistic"),
+                ClassifierSpec(kind="balanced_forest", trees=5),
+            ),
+            population=population,
+        )
+        spec = tmp_path / "rare.json"
+        spec.write_text(json.dumps(experiment_to_json_dict(exp)))
+        streams = []
+        for workers in (1, 3):
+            assert _run(["simulate", spec, "--workers", workers]) == 0
+            streams.append(capsys.readouterr())
+        assert streams[0] == streams[1]
+        warned = streams[0].err.splitlines()
+        assert len(set(warned)) == 3
+        assert all(line.endswith("unseen in training; encoded as all zeros") for line in warned)
+
     def test_replicates_csv_dump(self, tmp_path):
         spec = self._spec_file(tmp_path)
         out = tmp_path / "reps.csv"
@@ -556,6 +599,21 @@ class TestMalformedInputs:
         code = _run(["split", "--input", survey_csv, "--schema", schema, "--seed", 1,
                      "--train-out", tmp_path / "t.csv", "--eval-out", tmp_path / "e.csv"])
         _one_line_data_error(capsys, code)
+
+    @pytest.mark.parametrize("kind", ["experiment", "schema", "model"])
+    def test_invalid_json_file_is_data_error_naming_the_file(
+        self, tmp_path, survey_csv, schema_file, capsys, kind
+    ):
+        bad = tmp_path / f"bad_{kind}.json"
+        bad.write_text("{not json", encoding="utf-8")
+        argv = {
+            "experiment": ["simulate", bad],
+            "schema": ["diagnose-weights", "--input", survey_csv, "--schema", bad],
+            "model": ["predict", "--input", survey_csv, "--schema", schema_file,
+                      "--model", bad, "--out", tmp_path / "p.csv"],
+        }[kind]
+        err = _one_line_data_error(capsys, _run(argv))
+        assert f"{kind} file {bad} is not valid JSON" in err
 
     @pytest.mark.parametrize("command", ["split", "train logistic", "train forest"])
     def test_negative_seed_is_one_line_usage_error(

@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from svymetrics.classifiers import (
     fit_logistic,
     fit_tree,
 )
+from svymetrics import simulation
 from svymetrics.errors import (
     AggregationError, DataValidationError, DesignError, SchemaError, SvymetricsError,
 )
@@ -521,9 +523,24 @@ class TestAggregate:
 class TestDeterminismAndParallelism:
     def test_workers_do_not_change_results(self):
         exp = _tiny_experiment(replicates=6)
-        serial = run_experiment(exp, workers=1)
-        threaded = run_experiment(exp, workers=8)
-        assert serial.summary.to_json_dict() == threaded.summary.to_json_dict()
+        one = run_experiment(exp, workers=1)
+        eight = run_experiment(exp, workers=8)
+        assert one.summary.to_json_dict() == eight.summary.to_json_dict()
+
+    def test_replicates_run_in_order_on_the_calling_thread(self, monkeypatch):
+        """``workers`` is accepted and has no effect: replicates run one
+        after another, in index order, on the caller's thread."""
+        calls = []
+        run = simulation.run_replicate
+
+        def recording(experiment, population, index, patterns):
+            calls.append((index, threading.get_ident()))
+            return run(experiment, population, index, patterns)
+
+        monkeypatch.setattr(simulation, "run_replicate", recording)
+        result = run_experiment(_tiny_experiment(replicates=5), workers=4)
+        assert calls == [(i, threading.get_ident()) for i in range(5)]
+        assert [r.index for r in result.reports] == list(range(5))
 
     def test_byte_identical_json(self):
         exp = _tiny_experiment(replicates=4)

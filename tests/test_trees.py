@@ -132,6 +132,20 @@ class TestFitTree:
         model = fit_tree(*_data(x, y), TreeConfig(max_depth=3))
         assert np.all((model.tree.value >= 0) & (model.tree.value <= 1))
 
+    @pytest.mark.parametrize("bad", [2.0, -1.0, 0.5, np.nan, np.inf])
+    def test_non_binary_outcome_is_refused(self, bad):
+        """Leaf values are outcome means, so an outcome outside {0, 1} would
+        make a score outside [0, 1]."""
+        columns, y = _data([[0.0], [1.0], [2.0], [3.0]], [0, 1, 1, 0])
+        y = np.asarray(y, dtype=np.float64)
+        y[2] = bad
+        with pytest.raises(DataValidationError, match="0 or 1"):
+            fit_tree(columns, y)
+
+    def test_empty_outcomes_are_refused(self):
+        with pytest.raises(DataValidationError, match="no training records"):
+            fit_tree([np.array([])], np.array([]))
+
 
 class TestForest:
     def test_degenerate_forest_equals_single_tree(self, rng):
