@@ -10,12 +10,13 @@ files reproduce in-memory results exactly.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import operator
 from dataclasses import dataclass, field
 from itertools import islice, repeat, zip_longest
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -95,29 +96,60 @@ class DataSchema:
             raise SchemaError(f"malformed schema: {exc}") from exc
 
 
-def _lines(path: str | Path) -> Iterator[str]:
-    """Lines of a UTF-8 text file, newlines kept as written."""
+def _read_text(path: str | Path) -> str:
+    """A UTF-8 text file's contents, newlines kept as written; a leading
+    byte-order mark is dropped."""
     path = Path(path)
     if not path.exists():
         raise DataValidationError(f"file not found: {path}")
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            yield from fh
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            return fh.read()
     except UnicodeDecodeError as exc:
         raise DataValidationError(f"{path} is not UTF-8 text: {exc.reason}") from exc
+
+
+def _plain_lines(text: str) -> list[str] | None:
+    """The lines of ``text`` without their endings, when ``csv.reader``
+    reads each one as its split on ","; otherwise None.
+
+    That holds when the text has no quote character and no NUL (which
+    ``csv`` rejects before Python 3.11), every "\\r" ends a "\\r\\n", and no
+    line is longer than ``csv.field_size_limit()``.  Lines end at "\\n"
+    alone, as in file iteration: ``str.splitlines`` would also end them at
+    "\\v", "\\f", "\\x1c" to "\\x1e", "\\x85", "\\u2028" and "\\u2029".
+    """
+    if '"' in text or "\0" in text:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
+    lines = text.split("\n")
+    if not lines[-1]:  # the text is empty or ends with a newline
+        lines.pop()
+    if lines and max(map(len, lines)) > csv.field_size_limit():
+        return None
+    return lines
 
 
 @dataclass(frozen=True)
 class CsvTable:
     """A CSV file as read: its header, one string column per header field,
-    and the number of data rows."""
+    and the number of data rows.
+
+    ``lines`` holds each data row as written, without its line ending,
+    when every row is a plain split on "," (no quoting) into exactly the
+    header's fields; otherwise it is None.
+    """
 
     header: tuple[str, ...]
-    columns: tuple[tuple[str, ...], ...]
+    columns: tuple[Sequence[str], ...]
     size: int
+    lines: tuple[str, ...] | None = None
 
     @property
-    def named(self) -> dict[str, tuple[str, ...]]:
+    def named(self) -> dict[str, Sequence[str]]:
         """Each header name's last column, as ``csv.DictReader`` reads it."""
         return dict(zip(self.header, self.columns))
 
@@ -128,15 +160,30 @@ def _read_columns(path: str | Path, check_header) -> CsvTable:
     The first row is the header, even when it is blank, and
     ``check_header`` sees it (None for an empty file) before any data row
     is read.  Blank data rows are skipped.  A short row reads "" in the
-    fields it lacks, and fields past the header are ignored.
+    fields it lacks, and fields past the header are ignored.  A file
+    without quoting is split on "," directly; any other goes through
+    ``csv.reader``.
     """
-    reader = csv.reader(_lines(path))
-    try:
-        header = next(reader, None)
+    text = _read_text(path)
+    lines = _plain_lines(text)
+    if lines is None:
+        reader = csv.reader(io.StringIO(text, newline=""))
+        try:
+            header = next(reader, None)
+            check_header(header)
+            rows = list(filter(None, reader))
+        except csv.Error as exc:
+            raise DataValidationError(f"{path}: {exc}") from exc
+    else:
+        header = (lines[0].split(",") if lines[0] else []) if lines else None
         check_header(header)
-        rows = list(filter(None, reader))
-    except csv.Error as exc:
-        raise DataValidationError(f"{path}: {exc}") from exc
+        lines = list(filter(None, islice(lines, 1, None)))
+        width = len(header)
+        if lines and set(map(str.count, lines, repeat(","))) == {width - 1}:
+            flat = ",".join(lines).split(",")
+            columns = tuple(flat[j::width] for j in range(width))
+            return CsvTable(tuple(header), columns, len(lines), tuple(lines))
+        rows = [line.split(",") for line in lines]
     width = len(header)
     columns = list(islice(zip_longest(*rows, fillvalue=""), width))
     columns += [("",) * len(rows)] * (width - len(columns))
@@ -144,13 +191,13 @@ def _read_columns(path: str | Path, check_header) -> CsvTable:
 
 
 def read_json(path: str | Path, what: str):
-    """A UTF-8 JSON file's value.
+    """A UTF-8 JSON file's value (a leading byte-order mark is dropped).
 
     Malformed JSON raises SchemaError naming ``what`` and the path; a
     missing file or undecodable bytes raise DataValidationError.
     """
     try:
-        return json.loads("".join(_lines(path)))
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{what} {path} is not valid JSON: {exc}") from exc
 
@@ -208,7 +255,7 @@ def _parse_floats(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndar
     which cells are blank and which do not parse."""
     n = len(texts)
     try:
-        values = np.fromiter(map(float, texts), dtype=np.float64, count=n)
+        values = np.array(texts, dtype=np.float64)
         return values, np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
     except ValueError:
         pass
@@ -271,7 +318,6 @@ def ingest_csv(path: str | Path, schema: DataSchema) -> IngestResult:
         ]
     else:
         weights = np.ones(n)
-    strata = [""] * n
     if schema.stratum_column is not None:
         strata = list(map(str.strip, cols[schema.stratum_column]))
         checks.append(("missing stratum", _blank(strata)))
@@ -306,7 +352,10 @@ def ingest_csv(path: str | Path, schema: DataSchema) -> IngestResult:
     if not rows.size:
         raise DataValidationError(f"{path}: no usable rows ({n} read)")
     take = rows.tolist()
-    codes, labels = code_labels(map(strata.__getitem__, take), rows.size)
+    if schema.stratum_column is None:
+        codes, labels = np.zeros(rows.size, dtype=np.int32), ("",)
+    else:
+        codes, labels = code_labels([strata[i] for i in take], rows.size)
     data = FinitePopulation(
         ids=np.asarray(ids, dtype=object)[rows],
         outcomes=y[rows].astype(np.int8),
@@ -366,18 +415,26 @@ def write_split_files(
             f"{weight_column!r}"
         )
 
-    def rows_of(file_rows, *weight_columns):
-        fields = [list(map(col.__getitem__, file_rows)) for col in table.columns]
-        fields += [np.asarray(w, dtype=np.float64).tolist() for w in weight_columns]
-        return zip(*fields)
+    def write(path, header, file_rows, *weight_columns):
+        weights = [np.asarray(w, dtype=np.float64).tolist() for w in weight_columns]
+        if table.lines is None:
+            fields = [list(map(col.__getitem__, file_rows)) for col in table.columns]
+            write_rows_csv(path, header, zip(*fields, *weights))
+            return
+        # No field of a plain line needs quoting, so the line as read is
+        # what ``csv.writer`` would write for its fields.
+        line_format = "{}" + ",{!r}" * len(weights) + "\r\n"
+        with Path(path).open("w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerow(header)
+            fh.writelines(
+                map(line_format.format, map(table.lines.__getitem__, file_rows), *weights)
+            )
 
     header = list(table.header) + (["weight"] if append_weight else [])
     design = (train_weights,) if append_weight else ()
-    write_rows_csv(train_out, header, rows_of(train_rows, *design))
+    write(train_out, header, train_rows, *design)
     design = (eval_design_weights,) if append_weight else ()
-    write_rows_csv(
-        eval_out, header + ["weight_eval"], rows_of(eval_rows, *design, eval_compound_weights)
-    )
+    write(eval_out, header + ["weight_eval"], eval_rows, *design, eval_compound_weights)
 
 
 def read_predictions(path: str | Path) -> dict[str, float]:

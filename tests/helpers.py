@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
@@ -627,3 +628,40 @@ def read_predictions_per_row(path):
     if not scores:
         raise DataValidationError(f"{path}: no predictions")
     return scores
+
+
+def write_split_files_per_row(
+    table,
+    train_rows,
+    train_weights,
+    eval_rows,
+    eval_design_weights,
+    eval_compound_weights,
+    train_out,
+    eval_out,
+    weight_column,
+):
+    """``io.write_split_files`` with every row written by ``csv.writer``
+    from the table's columns: the reference for the bytes of both files."""
+    if "weight_eval" in table.header:
+        raise SchemaError("input file already has a 'weight_eval' column")
+    append_weight = weight_column != "weight"
+    if append_weight and "weight" in table.header:
+        raise SchemaError(
+            "input file has a 'weight' column that is not the schema's weight column "
+            f"{weight_column!r}"
+        )
+
+    def write(path, header, file_rows, *weight_columns):
+        fields = [[col[i] for i in file_rows] for col in table.columns]
+        fields += [[float(w) for w in weights] for weights in weight_columns]
+        with Path(path).open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(zip(*fields))
+
+    header = list(table.header) + (["weight"] if append_weight else [])
+    design = (train_weights,) if append_weight else ()
+    write(train_out, header, train_rows, *design)
+    design = (eval_design_weights,) if append_weight else ()
+    write(eval_out, header + ["weight_eval"], eval_rows, *design, eval_compound_weights)

@@ -1,22 +1,34 @@
 import contextlib
 import csv
 import io
+import json
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ingest_csv_per_row, parse_corrupted, read_predictions_per_row
+from helpers import (
+    ingest_csv_per_row,
+    parse_corrupted,
+    read_predictions_per_row,
+    write_split_files_per_row,
+)
+from svymetrics import io as io_module
 from svymetrics.cli import main
 from svymetrics.errors import DataValidationError, SchemaError
 from svymetrics.io import (
     DataSchema,
     FeatureColumn,
+    _parse_floats,
+    _plain_lines,
     ingest_csv,
+    load_schema,
     read_predictions,
     write_predictions,
+    write_split_files,
 )
 
 SCHEMA = DataSchema(
@@ -32,6 +44,14 @@ def _write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def _main_quietly(argv):
+    """``main(argv)``'s exit code and what it printed on stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([str(arg) for arg in argv])
+    return code, err.getvalue()
 
 
 class TestIngestCsv:
@@ -167,6 +187,61 @@ class TestIngestCsv:
         assert result.data.ids.dtype == object
 
 
+    @pytest.mark.parametrize("first_id", ["a", '"a"'])  # plain split, then csv.reader
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path, first_id):
+        path = _write(tmp_path, "\ufeffid,y,wt,grp,age,region\r\n"
+                                f"{first_id},1,2,g,30,n\r\nb,0,3,g,40,s\r\n")
+        result = ingest_csv(path, SCHEMA)
+        assert result.table.header[0] == "id"
+        assert result.data.ids.tolist() == ["a", "b"]
+
+    def test_byte_order_mark_file_passes_diagnose_weights(self, tmp_path):
+        path = _write(tmp_path, "\ufeffid,y,wt\na,1,2\nb,0,3\n", name="bom.csv")
+        code, err = _main_quietly(["diagnose-weights", "--input", path, "--id-col", "id",
+                                   "--outcome-col", "y", "--weight-col", "wt"])
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("ending", ["\r", "\r\n\r"])
+    def test_bare_carriage_returns_end_lines(self, tmp_path, ending):
+        """A lone "\\r" ends a line, as in file iteration; such a file goes
+        through ``csv.reader``."""
+        text = "id,y,wt,grp,age,region" + ending + "a,1,2,g,30,n\r\nb,0,3,g,40,s" + ending
+        assert _plain_lines(text) is None
+        result = ingest_csv(_write(tmp_path, text), SCHEMA)
+        population, weights, report, _ = ingest_csv_per_row(tmp_path / "data.csv", SCHEMA)
+        assert result.data.ids.tolist() == ["a", "b"] == population.ids.tolist()
+        assert result.sample.weights.tolist() == [2.0, 3.0] == weights.tolist()
+        assert result.report == report
+
+    def test_quote_free_field_over_the_csv_limit_is_a_data_error(self, tmp_path):
+        limit = csv.field_size_limit()
+        path = _write(tmp_path, f"id,y,wt\n{'a' * (limit + 1)},1,2\n")
+        schema = DataSchema(id_column="id", outcome_column="y", weight_column="wt")
+        with pytest.raises(DataValidationError,
+                           match=rf"field larger than field limit \({limit}\)"):
+            ingest_csv(path, schema)
+        code, err = _main_quietly(["diagnose-weights", "--input", path, "--id-col", "id",
+                                   "--outcome-col", "y", "--weight-col", "wt"])
+        assert code == 3
+        assert err == f"error: {path}: field larger than field limit ({limit})\n"
+
+    def test_field_at_the_csv_limit_is_read(self, tmp_path):
+        limit = csv.field_size_limit()
+        path = _write(tmp_path, f"id,y,wt\n{'a' * limit},1,2\n")
+        schema = DataSchema(id_column="id", outcome_column="y", weight_column="wt")
+        assert ingest_csv(path, schema).data.ids.tolist() == ["a" * limit]
+
+    def test_missing_schema_column_with_a_bad_byte_later_is_not_utf8(self, tmp_path):
+        """The whole file is decoded before the header is checked, so a bad
+        byte is reported wherever it lies, here about 70 KB in."""
+        path = tmp_path / "late.csv"
+        path.write_bytes(b"id,y\n" + b"".join(b"r%d,1\n" % i for i in range(9000)) + b"\xff\n")
+        code, err = _main_quietly(["diagnose-weights", "--input", path, "--id-col", "id",
+                                   "--outcome-col", "y", "--weight-col", "wt"])
+        assert code == 3
+        assert err == f"error: {path} is not UTF-8 text: invalid start byte\n"
+
+
 class TestSchema:
     def test_round_trip(self):
         payload = SCHEMA.to_json_dict()
@@ -188,6 +263,10 @@ class TestSchema:
     @given(data=st.data())
     def test_corrupted_schemas_raise_only_data_errors(self, data):
         parse_corrupted(data, SCHEMA.to_json_dict(), DataSchema.from_json_dict)
+
+    def test_schema_file_with_byte_order_mark(self, tmp_path):
+        path = _write(tmp_path, "\ufeff" + json.dumps(SCHEMA.to_json_dict()), name="s.json")
+        assert load_schema(path) == SCHEMA
 
 
 class TestPredictions:
@@ -213,6 +292,51 @@ class TestPredictions:
         write_predictions(path, ["a"], [value])
         assert read_predictions(path)["a"] == value
 
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path):
+        path = _write(tmp_path, "\ufeffid,score\r\na,0.25\r\n", name="p.csv")
+        assert read_predictions(path) == {"a": 0.25}
+
+
+class TestSplitFiles:
+    def test_byte_order_mark_is_not_written(self, tmp_path):
+        path = _write(tmp_path, "\ufeffid,y,wt\n" + "".join(f"r{i},{i % 2},2\n" for i in range(6)))
+        train, held_out = tmp_path / "train.csv", tmp_path / "eval.csv"
+        code, err = _main_quietly(["split", "--input", path, "--id-col", "id", "--outcome-col", "y",
+                                   "--weight-col", "wt", "--seed", 1,
+                                   "--train-out", train, "--eval-out", held_out])
+        assert (code, err) == (0, "")
+        assert train.read_bytes().startswith(b"id,y,wt,weight\r\n")
+        assert held_out.read_bytes().startswith(b"id,y,wt,weight,weight_eval\r\n")
+
+
+class TestPlainLines:
+    """Which texts are split on "," directly; each other one goes through
+    ``csv.reader``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=st.text(alphabet=',"\r\n\x00\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029 a', max_size=30))
+    def test_plain_lines_split_as_csv_reader_reads_them(self, text):
+        lines = _plain_lines(text)
+        if lines is None:
+            assert '"' in text or "\x00" in text or text.count("\r") != text.count("\r\n")
+            return
+        expected = list(csv.reader(io.StringIO(text, newline="")))
+        assert [line.split(",") if line else [] for line in lines] == expected
+
+    @pytest.mark.parametrize("text", [
+        'id\n"a"\n',  # quoted
+        "id\na\x00\n",  # NUL: csv.reader keeps it on 3.11 and raises before
+        "id\ra\r",  # bare carriage returns
+        "id\r\r\na\n",
+        "id\n" + "a" * (csv.field_size_limit() + 1) + "\n",
+    ])
+    def test_texts_left_to_csv_reader(self, text):
+        assert _plain_lines(text) is None
+
+    def test_only_newline_ends_a_line(self):
+        text = "a\x0bb\x0cc\x1c\x1d\x1e\x85\u2028\u2029,d\r\ne"
+        assert _plain_lines(text) == ["a\x0bb\x0cc\x1c\x1d\x1e\x85\u2028\u2029,d", "e"]
+
 
 # ---------------------------------------------------------------------------
 # Columnar reading against the row-at-a-time oracles, on generated files
@@ -234,7 +358,7 @@ CELLS = {
 
 
 @st.composite
-def survey_schemas(draw):
+def survey_schemas(draw, weight_columns=("wt", None)):
     features = draw(st.lists(
         st.sampled_from([FeatureColumn("age", "numeric"), FeatureColumn("x2", "numeric"),
                          FeatureColumn("region", "categorical")]),
@@ -243,17 +367,22 @@ def survey_schemas(draw):
     return DataSchema(
         id_column="id",
         outcome_column="y",
-        weight_column=draw(st.sampled_from(["wt", None])),
+        weight_column=draw(st.sampled_from(weight_columns)),
         stratum_column=draw(st.sampled_from(["grp", None])),
         features=tuple(features),
     )
 
 
+def _needs_no_quotes(cell):
+    return not any(c in cell for c in ',"\r\n')
+
+
 @st.composite
-def csv_texts(draw, columns, extras):
+def csv_texts(draw, columns, extras, plain=False):
     """A CSV over ``columns`` plus drawn ``extras`` (repeats allowed), with
     blank lines, short and long rows, quoted fields and either line ending;
-    sometimes with a blank header line or no lines at all."""
+    sometimes with a blank header line or no lines at all.  A ``plain``
+    CSV draws only cells that ``csv.writer`` writes unquoted."""
     header = draw(st.permutations(list(columns) + draw(st.lists(st.sampled_from(extras),
                                                                  max_size=3))))
     rows = []
@@ -264,6 +393,8 @@ def csv_texts(draw, columns, extras):
         row = []
         for name in header:
             good, junk = CELLS[name]
+            if plain:
+                good, junk = (list(filter(_needs_no_quotes, cells)) for cells in (good, junk))
             junky = junk and draw(st.integers(0, 5)) == 5
             row.append(draw(st.sampled_from(junk if junky else good)))
         change = draw(st.integers(-2, 2)) if draw(st.integers(0, 4)) == 0 else 0
@@ -295,8 +426,8 @@ class TestColumnarReadersMatchOracles:
     @given(data=st.data())
     def test_ingest_equals_row_loop(self, workdir, data):
         schema = data.draw(survey_schemas())
-        path = _write(workdir, data.draw(csv_texts(schema.required_columns,
-                                                   ["note", "weight"])))
+        path = _write(workdir, data.draw(csv_texts(schema.required_columns, ["note", "weight"],
+                                                   plain=data.draw(st.booleans()))))
         expected = _outcome(ingest_csv_per_row, path, schema)
         got = _outcome(ingest_csv, path, schema)
         if isinstance(expected, tuple) and isinstance(expected[0], type):
@@ -322,7 +453,8 @@ class TestColumnarReadersMatchOracles:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_read_predictions_equals_row_loop(self, workdir, data):
-        path = _write(workdir, data.draw(csv_texts(["id", "score"], ["id", "score", "note"])),
+        path = _write(workdir, data.draw(csv_texts(["id", "score"], ["id", "score", "note"],
+                                                   plain=data.draw(st.booleans()))),
                       name="p.csv")
         expected = _outcome(read_predictions_per_row, path)
         got = _outcome(read_predictions, path)
@@ -334,8 +466,8 @@ class TestColumnarReadersMatchOracles:
     @given(data=st.data())
     def test_split_writes_each_loaded_row_as_read(self, workdir, data):
         schema = data.draw(survey_schemas())
-        path = _write(workdir, data.draw(csv_texts(schema.required_columns,
-                                                   ["note", "weight"])))
+        path = _write(workdir, data.draw(csv_texts(schema.required_columns, ["note", "weight"],
+                                                   plain=data.draw(st.booleans()))))
         flags = ["--id-col", "id", "--outcome-col", "y"]
         if schema.weight_column:
             flags += ["--weight-col", schema.weight_column]
@@ -376,3 +508,94 @@ class TestColumnarReadersMatchOracles:
                 assert float(row[len(header)]) == weight_by_id[rid]  # the design weight
                 written.append(rid)
         assert sorted(written) == sorted(population.ids)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_split_files_equal_csv_writer_bytes(self, workdir, data):
+        """Both split files, byte for byte, against ``csv.writer`` writing
+        every row from the table's columns."""
+        schema = data.draw(survey_schemas(weight_columns=("wt", "weight", None)))
+        path = _write(workdir, data.draw(csv_texts(schema.required_columns, ["note", "weight"],
+                                                   plain=data.draw(st.booleans()))))
+        try:
+            result = ingest_csv(path, schema)
+        except DataValidationError:
+            return
+        rows = data.draw(st.permutations(result.file_rows.tolist()))
+        cut = data.draw(st.integers(0, len(rows)))
+        weights = st.floats(min_value=1e-300, max_value=1e300)
+        args = (
+            rows[:cut],
+            data.draw(st.lists(weights, min_size=cut, max_size=cut)),
+            rows[cut:],
+            *(data.draw(st.lists(weights, min_size=len(rows) - cut, max_size=len(rows) - cut))
+              for _ in range(2)),
+        )
+        outs = {}
+        for name, write in (("ours", write_split_files), ("oracle", write_split_files_per_row)):
+            train, held_out = workdir / f"{name}_train.csv", workdir / f"{name}_eval.csv"
+            try:
+                write(result.table, *args, train, held_out, schema.weight_column)
+            except SchemaError as exc:
+                outs[name] = str(exc)
+            else:
+                outs[name] = (train.read_bytes(), held_out.read_bytes())
+        assert outs["ours"] == outs["oracle"]
+
+    def test_generated_files_reach_both_tokenizers_and_transposes(self, workdir, monkeypatch):
+        """The drawn files above are read both by a plain split on "," and
+        by ``csv.reader``, and transposed both by stride slices of one flat
+        list (``table.lines`` is kept) and by padding with ``zip_longest``."""
+        seen = Counter()
+
+        def plain_lines(text, _real=io_module._plain_lines):
+            lines = _real(text)
+            seen["csv.reader" if lines is None else "plain split"] += 1
+            return lines
+
+        def read_columns(path, check_header, _real=io_module._read_columns):
+            table = _real(path, check_header)
+            seen["stride slices" if table.lines is not None else "zip_longest"] += 1
+            return table
+
+        monkeypatch.setattr(io_module, "_plain_lines", plain_lines)
+        monkeypatch.setattr(io_module, "_read_columns", read_columns)
+
+        @settings(max_examples=60, deadline=None, database=None)
+        @given(data=st.data())
+        def read_drawn_files(data):
+            schema = data.draw(survey_schemas())
+            text = data.draw(csv_texts(schema.required_columns, ["note", "weight"],
+                                       plain=data.draw(st.booleans())))
+            _outcome(ingest_csv, _write(workdir, text), schema)
+            text = data.draw(csv_texts(["id", "score"], ["id", "score", "note"],
+                                       plain=data.draw(st.booleans())))
+            _outcome(read_predictions, _write(workdir, text, name="p.csv"))
+
+        read_drawn_files()
+        assert set(seen) == {"csv.reader", "plain split", "stride slices", "zip_longest"}, seen
+
+
+_NUMBER_CELLS = NUMBERS[0] + NUMBERS[1] + CELLS["score"][0] + CELLS["score"][1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts=st.lists(st.sampled_from(_NUMBER_CELLS)
+                      | st.text(alphabet="0123456789+-._eEinfxa \t\x00\u00a0\u0661", max_size=6),
+                      max_size=8))
+def test_float_parse_equals_float_per_cell(texts):
+    """``_parse_floats`` reads each cell as ``float()`` does: NaN where it
+    fails, which cells are blank and which do not parse."""
+    values, blank, bad = _parse_floats(texts)
+    expected, unparseable = [], []
+    for text in texts:
+        try:
+            expected.append(float(text))
+            unparseable.append(False)
+        except ValueError:
+            expected.append(float("nan"))
+            unparseable.append(bool(text.strip()))
+    assert values.dtype == np.float64
+    assert values.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+    assert blank.tolist() == [not text.strip() for text in texts]
+    assert bad.tolist() == unparseable
