@@ -110,14 +110,17 @@ def _read_text(path: str | Path) -> str:
 
 
 def _plain_lines(text: str) -> list[str] | None:
-    """The lines of ``text`` without their endings, when ``csv.reader``
-    reads each one as its split on ","; otherwise None.
+    """The header line and the non-blank data lines of ``text``, without
+    their endings, when ``csv.reader`` reads each one as its split on ","
+    into as many fields as the header has; otherwise None.
 
-    That holds when the text has no quote character and no NUL (which
-    ``csv`` rejects before Python 3.11), every "\\r" ends a "\\r\\n", and no
-    line is longer than ``csv.field_size_limit()``.  Lines end at "\\n"
-    alone, as in file iteration: ``str.splitlines`` would also end them at
-    "\\v", "\\f", "\\x1c" to "\\x1e", "\\x85", "\\u2028" and "\\u2029".
+    A line reads as its split when the text has no quote character and no
+    NUL (which ``csv`` rejects before Python 3.11), every "\\r" ends a
+    "\\r\\n", and no line is longer than ``csv.field_size_limit()``.  Lines
+    end at "\\n" alone, as in file iteration: ``str.splitlines`` would also
+    end them at "\\v", "\\f", "\\x1c" to "\\x1e", "\\x85", "\\u2028" and
+    "\\u2029".  A text with no header, a blank one or no data line is
+    None too.
     """
     if '"' in text or "\0" in text:
         return None
@@ -125,10 +128,12 @@ def _plain_lines(text: str) -> list[str] | None:
         text = text.replace("\r\n", "\n")
         if "\r" in text:
             return None
-    lines = text.split("\n")
-    if not lines[-1]:  # the text is empty or ends with a newline
-        lines.pop()
-    if lines and max(map(len, lines)) > csv.field_size_limit():
+    if not text or text[0] == "\n":
+        return None
+    lines = list(filter(None, text.split("\n")))
+    if len(lines) < 2 or len(set(map(str.count, lines, repeat(",")))) > 1:
+        return None
+    if max(map(len, lines)) > csv.field_size_limit():
         return None
     return lines
 
@@ -139,8 +144,7 @@ class CsvTable:
     and the number of data rows.
 
     ``lines`` holds each data row as written, without its line ending,
-    when every row is a plain split on "," (no quoting) into exactly the
-    header's fields; otherwise it is None.
+    when the file was split on "," directly; otherwise it is None.
     """
 
     header: tuple[str, ...]
@@ -161,29 +165,25 @@ def _read_columns(path: str | Path, check_header) -> CsvTable:
     ``check_header`` sees it (None for an empty file) before any data row
     is read.  Blank data rows are skipped.  A short row reads "" in the
     fields it lacks, and fields past the header are ignored.  A file
-    without quoting is split on "," directly; any other goes through
-    ``csv.reader``.
+    without quoting whose data rows all have the header's width is split
+    on "," directly; any other goes through ``csv.reader``.
     """
     text = _read_text(path)
     lines = _plain_lines(text)
-    if lines is None:
-        reader = csv.reader(io.StringIO(text, newline=""))
-        try:
-            header = next(reader, None)
-            check_header(header)
-            rows = list(filter(None, reader))
-        except csv.Error as exc:
-            raise DataValidationError(f"{path}: {exc}") from exc
-    else:
-        header = (lines[0].split(",") if lines[0] else []) if lines else None
+    if lines is not None:
+        header = lines.pop(0).split(",")
         check_header(header)
-        lines = list(filter(None, islice(lines, 1, None)))
         width = len(header)
-        if lines and set(map(str.count, lines, repeat(","))) == {width - 1}:
-            flat = ",".join(lines).split(",")
-            columns = tuple(flat[j::width] for j in range(width))
-            return CsvTable(tuple(header), columns, len(lines), tuple(lines))
-        rows = [line.split(",") for line in lines]
+        flat = ",".join(lines).split(",")
+        columns = tuple(flat[j::width] for j in range(width))
+        return CsvTable(tuple(header), columns, len(lines), tuple(lines))
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader, None)
+        check_header(header)
+        rows = list(filter(None, reader))
+    except csv.Error as exc:
+        raise DataValidationError(f"{path}: {exc}") from exc
     width = len(header)
     columns = list(islice(zip_longest(*rows, fillvalue=""), width))
     columns += [("",) * len(rows)] * (width - len(columns))
@@ -255,7 +255,7 @@ def _parse_floats(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndar
     which cells are blank and which do not parse."""
     n = len(texts)
     try:
-        values = np.array(texts, dtype=np.float64)
+        values = np.fromiter(map(float, texts), dtype=np.float64, count=n)
         return values, np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
     except ValueError:
         pass
@@ -318,6 +318,7 @@ def ingest_csv(path: str | Path, schema: DataSchema) -> IngestResult:
         ]
     else:
         weights = np.ones(n)
+    strata = [""] * n
     if schema.stratum_column is not None:
         strata = list(map(str.strip, cols[schema.stratum_column]))
         checks.append(("missing stratum", _blank(strata)))
@@ -352,10 +353,7 @@ def ingest_csv(path: str | Path, schema: DataSchema) -> IngestResult:
     if not rows.size:
         raise DataValidationError(f"{path}: no usable rows ({n} read)")
     take = rows.tolist()
-    if schema.stratum_column is None:
-        codes, labels = np.zeros(rows.size, dtype=np.int32), ("",)
-    else:
-        codes, labels = code_labels([strata[i] for i in take], rows.size)
+    codes, labels = code_labels(map(strata.__getitem__, take), rows.size)
     data = FinitePopulation(
         ids=np.asarray(ids, dtype=object)[rows],
         outcomes=y[rows].astype(np.int8),

@@ -314,14 +314,40 @@ class TestPlainLines:
     ``csv.reader``."""
 
     @settings(max_examples=400, deadline=None)
-    @given(text=st.text(alphabet=',"\r\n\x00\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029 a', max_size=30))
+    @given(text=st.text(alphabet=',"\r\n\x00\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029 a', max_size=30)
+           | st.text(alphabet=",\r\n\x0b\x85\u2028 a", max_size=30))
     def test_plain_lines_split_as_csv_reader_reads_them(self, text):
         lines = _plain_lines(text)
-        if lines is None:
-            assert '"' in text or "\x00" in text or text.count("\r") != text.count("\r\n")
+        if '"' in text or "\x00" in text or text.count("\r") != text.count("\r\n"):
+            assert lines is None
             return
-        expected = list(csv.reader(io.StringIO(text, newline="")))
-        assert [line.split(",") if line else [] for line in lines] == expected
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        header, data = (rows[0], list(filter(None, rows[1:]))) if rows else ([], [])
+        if lines is None:
+            assert not header or not data or {len(row) for row in data} != {len(header)}
+            return
+        assert [line.split(",") for line in lines] == [header, *data]
+        assert {len(row) for row in data} == {len(header)}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        width=st.integers(1, 4),
+        data=st.data(),
+        ending=st.sampled_from(["\n", "\r\n"]),
+    )
+    def test_rectangular_quote_free_texts_are_split(self, width, data, ending):
+        cell = st.text(alphabet="a \x0b\x0c\x1c\x85\u2028\t\u00e9", max_size=3)
+        rows = data.draw(st.lists(st.lists(cell, min_size=width, max_size=width)
+                                  .filter(lambda row: row != [""]), min_size=2, max_size=6))
+        rows[0][0] = "h" + rows[0][0]
+        blanks = data.draw(st.sets(st.integers(1, len(rows)), max_size=2))
+        lines = [",".join(row) for row in rows]
+        for at in sorted(blanks, reverse=True):
+            lines.insert(at, "")
+        text = ending.join(lines) + data.draw(st.sampled_from(["", ending]))
+        assert _plain_lines(text) == [",".join(row) for row in rows]
+        assert [line.split(",") for line in _plain_lines(text)] == list(
+            filter(None, csv.reader(io.StringIO(text, newline=""))))
 
     @pytest.mark.parametrize("text", [
         'id\n"a"\n',  # quoted
@@ -329,13 +355,20 @@ class TestPlainLines:
         "id\ra\r",  # bare carriage returns
         "id\r\r\na\n",
         "id\n" + "a" * (csv.field_size_limit() + 1) + "\n",
+        "id,y\na\n",  # a short row
+        "id,y\na,1\nb,0,x\n",  # a long row
+        "\nid\na\n",  # a blank header
+        "\r\nid\r\na\r\n",
+        "id\n",  # no data row
+        "id\n\n",
+        "",
     ])
     def test_texts_left_to_csv_reader(self, text):
         assert _plain_lines(text) is None
 
     def test_only_newline_ends_a_line(self):
-        text = "a\x0bb\x0cc\x1c\x1d\x1e\x85\u2028\u2029,d\r\ne"
-        assert _plain_lines(text) == ["a\x0bb\x0cc\x1c\x1d\x1e\x85\u2028\u2029,d", "e"]
+        text = "a\x0bb\x0cc\x1c\x1d\x1e\x85\u2028\u2029,d\r\ne,f"
+        assert _plain_lines(text) == ["a\x0bb\x0cc\x1c\x1d\x1e\x85\u2028\u2029,d", "e,f"]
 
 
 # ---------------------------------------------------------------------------
@@ -542,23 +575,23 @@ class TestColumnarReadersMatchOracles:
                 outs[name] = (train.read_bytes(), held_out.read_bytes())
         assert outs["ours"] == outs["oracle"]
 
-    def test_generated_files_reach_both_tokenizers_and_transposes(self, workdir, monkeypatch):
-        """The drawn files above are read both by a plain split on "," and
-        by ``csv.reader``, and transposed both by stride slices of one flat
-        list (``table.lines`` is kept) and by padding with ``zip_longest``."""
+    def test_generated_files_reach_both_read_paths(self, workdir, monkeypatch):
+        """The drawn files above are read both by a plain split on "," into
+        stride slices of one flat list (``table.lines`` is kept) and by
+        ``csv.reader`` with padding by ``zip_longest``, the latter on quoted
+        files and on quote-free files with short or long rows."""
         seen = Counter()
-
-        def plain_lines(text, _real=io_module._plain_lines):
-            lines = _real(text)
-            seen["csv.reader" if lines is None else "plain split"] += 1
-            return lines
 
         def read_columns(path, check_header, _real=io_module._read_columns):
             table = _real(path, check_header)
-            seen["stride slices" if table.lines is not None else "zip_longest"] += 1
+            if table.lines is not None:
+                seen["split on ','"] += 1
+            elif '"' in path.read_text(encoding="utf-8"):
+                seen["csv.reader, quoted"] += 1
+            else:
+                seen["csv.reader, quote-free"] += 1
             return table
 
-        monkeypatch.setattr(io_module, "_plain_lines", plain_lines)
         monkeypatch.setattr(io_module, "_read_columns", read_columns)
 
         @settings(max_examples=60, deadline=None, database=None)
@@ -573,7 +606,7 @@ class TestColumnarReadersMatchOracles:
             _outcome(read_predictions, _write(workdir, text, name="p.csv"))
 
         read_drawn_files()
-        assert set(seen) == {"csv.reader", "plain split", "stride slices", "zip_longest"}, seen
+        assert set(seen) == {"split on ','", "csv.reader, quoted", "csv.reader, quote-free"}, seen
 
 
 _NUMBER_CELLS = NUMBERS[0] + NUMBERS[1] + CELLS["score"][0] + CELLS["score"][1]
