@@ -6,13 +6,13 @@ parameters, so the CLI's train/predict pipeline can run statelessly.
 
 from __future__ import annotations
 
-from dataclasses import asdict, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import SchemaError
-from ..io import read_json, write_json
+from ..io import read_json, to_json, write_json
 from .encoding import FeatureEncoder
 from .forest import ForestConfig, ForestModel
 from .logistic import LogisticModel
@@ -32,13 +32,13 @@ def model_to_json_dict(model) -> dict:
             "deviance_path": list(model.deviance_path),
         }
     elif isinstance(model, TreeModel):
-        body = {"model": "tree", "tree": model.tree.to_json_dict(), "config": asdict(model.config)}
+        body = {"model": "tree", "tree": model.tree.to_json_dict(), "config": to_json(model.config)}
     elif isinstance(model, ForestModel):
         body = {
             "model": "forest",
             "trees": [t.to_json_dict() for t in model.trees],
             "tree_seeds": list(model.tree_seeds),
-            "config": asdict(model.config),
+            "config": to_json(model.config),
         }
     else:
         raise SchemaError(f"cannot serialize model of type {type(model).__name__}")

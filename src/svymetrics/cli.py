@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from dataclasses import asdict
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from .io import (
     load_schema,
     read_predictions,
     read_json,
+    to_json,
     write_json,
     write_predictions,
     write_rows_csv,
@@ -43,6 +43,7 @@ from .simulation import (
     render_summary_json,
     replicate_rows,
     run_experiment,
+    threshold_label,
 )
 from .types import EvaluationSet
 
@@ -53,6 +54,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
+
+# The ClassifierSpec fields that ``train`` takes as flags, with their defaults.
+_TUNING_FIELDS = ("trees", "m_try", "min_node_size", "max_depth", "max_iterations", "tolerance")
 
 
 def _schema_from_args(args, *, require_weight: bool = False) -> DataSchema:
@@ -188,13 +192,7 @@ def _cmd_train(args) -> int:
     if kind in ("forest", "balanced-forest") and args.seed is None:
         raise SchemaError(f"--seed is required for stochastic model {kind!r}")
     spec = ClassifierSpec(
-        kind=kind.replace("-", "_"),
-        trees=args.trees,
-        m_try=args.m_try,
-        min_node_size=args.min_node_size,
-        max_depth=args.max_depth,
-        max_iterations=args.max_iterations,
-        tolerance=args.tolerance,
+        kind=kind.replace("-", "_"), **{name: getattr(args, name) for name in _TUNING_FIELDS}
     )
     model = fit_classifier(
         spec, data, np.arange(data.size), lambda stage: derive_stream(args.seed, stage)
@@ -246,7 +244,7 @@ def _load_scored_evaluation(args) -> tuple[EvaluationSet, dict]:
         outcomes=result.data.outcomes,
         scores=np.array([predictions[rid] for rid in ids]),
     )
-    return evaluation, asdict(result.report)
+    return evaluation, to_json(result.report)
 
 
 def _format_metric(value: float, se) -> str:
@@ -262,14 +260,14 @@ def render_evaluate_text(report: dict) -> str:
     unweighted = report["unweighted"]
     weighted = report["weighted"]
     for uw_tm, w_tm in zip(unweighted["thresholds"], weighted["thresholds"]):
-        t = uw_tm["threshold"]
+        t = threshold_label(uw_tm["threshold"])
         lines.append(
-            f"{f'Sensitivity@{t:g}':<20} "
+            f"{f'Sensitivity@{t}':<20} "
             f"{_format_metric(uw_tm['sensitivity'], uw_tm['sensitivity_se']):<26} "
             f"{_format_metric(w_tm['sensitivity'], w_tm['sensitivity_se']):<26}".rstrip()
         )
         lines.append(
-            f"{f'Specificity@{t:g}':<20} "
+            f"{f'Specificity@{t}':<20} "
             f"{_format_metric(uw_tm['specificity'], uw_tm['specificity_se']):<26} "
             f"{_format_metric(w_tm['specificity'], w_tm['specificity_se']):<26}".rstrip()
         )
@@ -318,7 +316,7 @@ def _cmd_diagnose_weights(args) -> int:
         "spec_version": SPEC_VERSION,
         "kind": "weight-diagnostics",
         "count": result.sample.size,
-        **asdict(diag),
+        **to_json(diag),
     }
     print(f"weights: {report['count']}")
     for key in ("cv", "mean", "min", "max"):
@@ -377,12 +375,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", required=True, help="model JSON output path")
     p.add_argument("--seed", type=_seed, help="required for forest variants")
-    p.add_argument("--trees", type=int, default=100)
-    p.add_argument("--m-try", type=int, default=None)
-    p.add_argument("--min-node-size", type=int, default=1)
-    p.add_argument("--max-depth", type=int, default=None)
-    p.add_argument("--max-iterations", type=int, default=100)
-    p.add_argument("--tolerance", type=float, default=1e-8)
+    for name in _TUNING_FIELDS:
+        default = getattr(ClassifierSpec, name)
+        p.add_argument("--" + name.replace("_", "-"), default=default,
+                       type=float if isinstance(default, float) else int)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("predict", help="score a CSV with a saved model")

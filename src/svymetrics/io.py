@@ -1,4 +1,4 @@
-"""CSV ingestion and emission.
+"""CSV ingestion and emission, and the JSON codec of settings and reports.
 
 A CSV is read once, as one string column per header field, and each check
 runs over whole columns.  Rows with missing or unparseable required fields
@@ -9,14 +9,17 @@ files reproduce in-memory results exactly.
 
 from __future__ import annotations
 
+import collections.abc
 import csv
 import io
 import json
 import operator
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from itertools import islice, repeat, zip_longest
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -42,10 +45,10 @@ class DataSchema:
     record gets unit weight).
     """
 
-    id_column: str
-    outcome_column: str
-    weight_column: str | None = None
-    stratum_column: str | None = None
+    id_column: str = field(metadata={"json": "id"})
+    outcome_column: str = field(metadata={"json": "outcome"})
+    weight_column: str | None = field(default=None, metadata={"json": "weight"})
+    stratum_column: str | None = field(default=None, metadata={"json": "stratum"})
     features: tuple[FeatureColumn, ...] = ()
 
     def __post_init__(self):
@@ -64,36 +67,6 @@ class DataSchema:
             cols.append(self.stratum_column)
         cols.extend(f.name for f in self.features)
         return cols
-
-    def to_json_dict(self) -> dict:
-        return {
-            "id": self.id_column,
-            "outcome": self.outcome_column,
-            "weight": self.weight_column,
-            "stratum": self.stratum_column,
-            "features": [{"name": f.name, "kind": f.kind} for f in self.features],
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "DataSchema":
-        """Parse a schema document; a malformed one raises SchemaError only."""
-        if not isinstance(payload, dict):
-            raise SchemaError("schema must be a JSON object")
-        try:
-            return cls(
-                id_column=payload["id"],
-                outcome_column=payload["outcome"],
-                weight_column=payload.get("weight"),
-                stratum_column=payload.get("stratum"),
-                features=tuple(
-                    FeatureColumn(name=f["name"], kind=f["kind"])
-                    for f in payload.get("features", [])
-                ),
-            )
-        except KeyError as exc:
-            raise SchemaError(f"schema is missing required key {exc}") from exc
-        except TypeError as exc:
-            raise SchemaError(f"malformed schema: {exc}") from exc
 
 
 def _read_text(path: str | Path) -> str:
@@ -209,8 +182,96 @@ def write_json(path: str | Path, payload) -> None:
     )
 
 
+def to_json(value):
+    """A settings or report value as JSON.
+
+    A dataclass becomes an object of its fields, each under its metadata
+    ``json`` key or its name, plus a class-level ``kind`` that is not a
+    field; a tuple or list becomes a list, and a mapping a dict.
+    """
+    if is_dataclass(value):
+        out = {f.metadata.get("json", f.name): to_json(getattr(value, f.name))
+               for f in fields(value)}
+        if "kind" not in out and hasattr(value, "kind"):
+            out["kind"] = value.kind
+        return out
+    if isinstance(value, (tuple, list)):
+        return [to_json(v) for v in value]
+    if isinstance(value, Mapping):
+        return {k: to_json(v) for k, v in value.items()}
+    return value
+
+
+def expect(value, kind, what: str):
+    """``value``, when it is a ``kind``; otherwise a SchemaError naming ``what``."""
+    if not isinstance(value, kind):
+        raise SchemaError(f"expected {what}, got {type(value).__name__}")
+    return value
+
+
+def from_json(hint, value):
+    """Read a JSON value as the field type ``hint``.
+
+    Numbers go through ``int()``, ``float()`` or ``bool()``, and a ``str``
+    must be one already.  A dataclass with a ``from_json_dict`` classmethod
+    reads itself, any other is read field by field, and a union of
+    dataclasses takes the member whose class-level ``kind`` the object
+    names.  Any other union of several types, and a bare ``dict``, pass as
+    given.
+    """
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if is_dataclass(hint):
+        read = getattr(hint, "from_json_dict", None)
+        return read(value) if read else read_fields(hint, value)
+    if origin in (typing.Union, types.UnionType):
+        options = [a for a in args if a is not type(None)]
+        if value is None and len(options) < len(args):
+            return None
+        if len(options) == 1:
+            return from_json(options[0], value)
+        if not all(map(is_dataclass, options)):
+            return value
+        kinds = {c.kind: c for c in options}
+        kind = expect(value, dict, "a JSON object").get("kind")
+        if kind not in kinds:
+            raise SchemaError(f"unknown kind {kind!r}; expected one of {', '.join(kinds)}")
+        return from_json(kinds[kind], value)
+    if origin is tuple:
+        items = expect(value, (list, tuple), "a list")
+        if args[-1] is Ellipsis:
+            args = (args[0],) * len(items)
+        if len(args) != len(items):
+            raise SchemaError(f"expected a list of {len(args)} values, got {len(items)}")
+        return tuple(map(from_json, args, items))
+    if origin is collections.abc.Mapping:
+        items = expect(value, dict, "a JSON object").items()
+        return {from_json(args[0], k): from_json(args[1], v) for k, v in items}
+    if hint is str:
+        return expect(value, str, "a string")
+    return hint(value) if hint in (int, float, bool) else value
+
+
+def read_fields(cls, payload):
+    """The dataclass ``cls`` from a JSON object, field by field under the
+    keys :func:`to_json` writes; a missing key takes the field's default,
+    and is a SchemaError without one."""
+    expect(payload, dict, f"a JSON object for {cls.__name__}")
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        key = f.metadata.get("json", f.name)
+        if key in payload:
+            try:
+                values[f.name] = from_json(hints[f.name], payload[key])
+            except (SchemaError, TypeError, ValueError, OverflowError) as exc:
+                raise SchemaError(f"{key}: {exc}") from exc
+        elif f.default is MISSING:
+            raise SchemaError(f"missing key {key!r}")
+    return cls(**values)
+
+
 def load_schema(path: str | Path) -> DataSchema:
-    return DataSchema.from_json_dict(read_json(path, "schema file"))
+    return from_json(DataSchema, read_json(path, "schema file"))
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,8 @@ into means and Monte Carlo standard deviations.
 
 from __future__ import annotations
 
-import collections.abc
 import math
-import types
-import typing
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -35,6 +32,7 @@ from .errors import (
     SchemaError,
 )
 from .evaluation import EvaluationSummary, evaluation_summary, population_summary
+from .io import DataSchema, expect, from_json, ingest_csv, read_fields, to_json
 from .rng import derive_stream
 from .sampling import StratifiedDesign, split_train_test, stratified_sample
 from .types import EvaluationSet, FinitePopulation
@@ -106,6 +104,10 @@ class PopulationSpec:
     proportions: tuple[float, ...]
     covariates: tuple[Covariate, ...]
     outcome: OutcomeModel
+
+    @classmethod
+    def from_json_dict(cls, payload) -> "PopulationSpec":
+        return population_spec_from_json_dict(payload)
 
     def __post_init__(self):
         if self.size < 1:
@@ -287,13 +289,13 @@ class ClassifierSpec:
 
     kind: str
     name: str = ""
-    trees: int = 100
-    m_try: int | None = None
-    min_node_size: int = 1
-    max_depth: int | None = None
-    bootstrap: bool = True
-    max_iterations: int = 100
-    tolerance: float = 1e-8
+    trees: int = ForestConfig.trees
+    m_try: int | None = ForestConfig.m_try
+    min_node_size: int = ForestConfig.min_node_size
+    max_depth: int | None = ForestConfig.max_depth
+    bootstrap: bool = ForestConfig.bootstrap
+    max_iterations: int = LogisticConfig.max_iterations
+    tolerance: float = LogisticConfig.tolerance
     constant_score: float = 1.0
 
     KINDS = ("logistic", "tree", "forest", "balanced_forest", "constant")
@@ -451,7 +453,7 @@ class ClassifierFailure:
     error: str
 
     def to_json_dict(self) -> dict:
-        return {"name": self.name, "error": self.error}
+        return to_json(self)
 
 
 @dataclass(frozen=True)
@@ -622,30 +624,23 @@ class MetricAggregate:
 @dataclass(frozen=True)
 class ExperimentSummary:
     replicates_requested: int
-    tables: dict
+    tables: dict = field(metadata={"json": "classifiers"})
     failures: dict
     metadata: dict = field(default_factory=lambda: dict(OUTPUT_METADATA))
 
     def to_json_dict(self) -> dict:
-        return {
-            "replicates_requested": self.replicates_requested,
-            "classifiers": {
-                name: {
-                    weighting: {key: asdict(agg) for key, agg in metrics.items()}
-                    for weighting, metrics in by_weighting.items()
-                }
-                for name, by_weighting in self.tables.items()
-            },
-            "failures": {
-                name: {"count": info["count"], "errors": info["errors"]}
-                for name, info in self.failures.items()
-            },
-            "metadata": dict(self.metadata),
-        }
+        return to_json(self)
+
+
+def threshold_label(threshold: float) -> str:
+    """``threshold`` as ``:g`` writes it when that reads back exactly, else
+    its repr, so two distinct thresholds never share a label."""
+    text = f"{threshold:g}"
+    return text if float(text) == threshold else repr(threshold)
 
 
 def metric_key(kind: str, threshold: float | None = None) -> str:
-    return kind if threshold is None else f"{kind}@{threshold:g}"
+    return kind if threshold is None else f"{kind}@{threshold_label(threshold)}"
 
 
 def metric_values(summary: EvaluationSummary) -> dict[str, tuple[float, float | None]]:
@@ -751,11 +746,9 @@ def resolve_population(experiment: ExperimentSpec) -> FinitePopulation:
         return generate_population(
             experiment.population, derive_stream(experiment.seed, "population")
         )
-    from .io import DataSchema, ingest_csv  # deferred: io depends on nothing here
-
     if experiment.population_schema is None:
         raise SchemaError("population_file requires population_schema")
-    schema = DataSchema.from_json_dict(experiment.population_schema)
+    schema = from_json(DataSchema, experiment.population_schema)
     result = ingest_csv(experiment.population_file, schema)
     if result.population is None:
         raise SchemaError(
@@ -800,86 +793,10 @@ POPULATION_PRESETS = {
 }
 
 
-def _to_json(value):
-    """A spec value as JSON: a dataclass becomes an object of its fields (a
-    covariate also names its ``kind``), a tuple a list, a mapping a dict."""
-    if is_dataclass(value):
-        out = {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
-        if isinstance(value, Covariate):
-            out["kind"] = value.kind
-        return out
-    if isinstance(value, (tuple, list)):
-        return [_to_json(v) for v in value]
-    if isinstance(value, Mapping):
-        return {k: _to_json(v) for k, v in value.items()}
-    return value
-
-
 def experiment_to_json_dict(experiment: ExperimentSpec) -> dict:
-    payload = _to_json(experiment)
+    payload = to_json(experiment)
     payload["design"] = {"allocations": payload.pop("design_allocations")}
     return {"spec_version": SPEC_VERSION, **payload}
-
-
-def _expect(value, kind, what: str):
-    if not isinstance(value, kind):
-        raise SchemaError(f"expected {what}, got {type(value).__name__}")
-    return value
-
-
-def _read(hint, value):
-    """Read a JSON value as the spec field type ``hint``.
-
-    Numbers go through ``int()``, ``float()`` or ``bool()``, a ``str`` must
-    be one already, and a covariate is chosen by its ``kind``.  ``int | str``
-    (``auroc_grid``) and a bare ``dict`` (``population_schema``) pass as given.
-    """
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if hint is PopulationSpec:
-        return population_spec_from_json_dict(value)
-    if hint == Covariate:
-        kinds = {c.kind: c for c in args}
-        kind = _expect(value, dict, "a JSON object").get("kind")
-        if kind not in kinds:
-            raise SchemaError(f"unknown covariate kind {kind!r}")
-        return _read_fields(kinds[kind], value)
-    if is_dataclass(hint):
-        return _read_fields(hint, value)
-    if origin in (typing.Union, types.UnionType):
-        options = [a for a in args if a is not type(None)]
-        if value is None and len(options) < len(args):
-            return None
-        return _read(options[0], value) if len(options) == 1 else value
-    if origin is tuple:
-        items = _expect(value, (list, tuple), "a list")
-        if args[-1] is Ellipsis:
-            args = (args[0],) * len(items)
-        if len(args) != len(items):
-            raise SchemaError(f"expected a list of {len(args)} values, got {len(items)}")
-        return tuple(map(_read, args, items))
-    if origin is collections.abc.Mapping:
-        items = _expect(value, dict, "a JSON object").items()
-        return {_read(args[0], k): _read(args[1], v) for k, v in items}
-    if hint is str:
-        return _expect(value, str, "a string")
-    return hint(value) if hint in (int, float, bool) else value
-
-
-def _read_fields(cls, payload):
-    """The dataclass ``cls`` from a JSON object, field by field; a missing
-    key takes the field's default, and is a SchemaError without one."""
-    _expect(payload, dict, f"a JSON object for {cls.__name__}")
-    hints = typing.get_type_hints(cls)
-    values = {}
-    for f in fields(cls):
-        if f.name in payload:
-            try:
-                values[f.name] = _read(hints[f.name], payload[f.name])
-            except (SchemaError, TypeError, ValueError, OverflowError) as exc:
-                raise SchemaError(f"{f.name}: {exc}") from exc
-        elif f.default is MISSING:
-            raise SchemaError(f"missing key {f.name!r}")
-    return cls(**values)
 
 
 def _per_stratum(covariate, strata: tuple[str, ...]):
@@ -895,7 +812,7 @@ def _per_stratum(covariate, strata: tuple[str, ...]):
 
 def population_spec_from_json_dict(payload: dict) -> PopulationSpec:
     """A preset population (``{"preset": name, "size": N}``) or an inline spec."""
-    if "preset" in _expect(payload, dict, "a JSON object for the population"):
+    if "preset" in expect(payload, dict, "a JSON object for the population"):
         preset = payload["preset"]
         if preset not in POPULATION_PRESETS:
             raise SchemaError(
@@ -907,9 +824,9 @@ def population_spec_from_json_dict(payload: dict) -> PopulationSpec:
         )
     covariates = payload.get("covariates")
     if isinstance(covariates, list):
-        strata = _read(tuple[str, ...], payload.get("strata", []))
+        strata = from_json(tuple[str, ...], payload.get("strata", []))
         payload = {**payload, "covariates": [_per_stratum(c, strata) for c in covariates]}
-    return _read_fields(PopulationSpec, payload)
+    return read_fields(PopulationSpec, payload)
 
 
 def experiment_from_json_dict(payload: dict) -> ExperimentSpec:
@@ -924,7 +841,7 @@ def experiment_from_json_dict(payload: dict) -> ExperimentSpec:
         raise SchemaError("experiment spec must carry an explicit seed")
     try:
         allocations = payload["design"]["allocations"]
-        return _read_fields(ExperimentSpec, {**payload, "design_allocations": allocations})
+        return read_fields(ExperimentSpec, {**payload, "design_allocations": allocations})
     except KeyError as exc:
         raise SchemaError(f"experiment spec is missing key {exc.args[0]!r}") from exc
     except (SchemaError, TypeError, ValueError, AttributeError, OverflowError) as exc:

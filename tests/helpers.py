@@ -665,3 +665,34 @@ def write_split_files_per_row(
     write(train_out, header, train_rows, *design)
     design = (eval_design_weights,) if append_weight else ()
     write(eval_out, header + ["weight_eval"], eval_rows, *design, eval_compound_weights)
+
+
+def schema_json_by_hand(schema):
+    """A ``DataSchema`` as a schema file holds it, written key by key."""
+    return {
+        "id": schema.id_column,
+        "outcome": schema.outcome_column,
+        "weight": schema.weight_column,
+        "stratum": schema.stratum_column,
+        "features": [{"name": f.name, "kind": f.kind} for f in schema.features],
+    }
+
+
+def summary_json_by_hand(summary):
+    """An ``ExperimentSummary`` as ``simulate --json`` holds it, written key
+    by key, with each metric aggregate through ``dataclasses.asdict``."""
+    return {
+        "replicates_requested": summary.replicates_requested,
+        "classifiers": {
+            name: {
+                weighting: {key: dataclasses.asdict(agg) for key, agg in metrics.items()}
+                for weighting, metrics in by_weighting.items()
+            }
+            for name, by_weighting in summary.tables.items()
+        },
+        "failures": {
+            name: {"count": info["count"], "errors": info["errors"]}
+            for name, info in summary.failures.items()
+        },
+        "metadata": dict(summary.metadata),
+    }

@@ -23,7 +23,7 @@ from svymetrics.classifiers import (
 )
 from svymetrics.errors import DataValidationError, SchemaError
 from svymetrics.evaluation import evaluation_summary
-from svymetrics.io import DataSchema, ingest_csv
+from svymetrics.io import DataSchema, from_json, ingest_csv
 from svymetrics.rng import derive_stream
 from svymetrics.sampling import split_train_test
 from svymetrics.simulation import (
@@ -113,7 +113,7 @@ class TestSplitTrainPredictEvaluate:
         assert render_evaluate_text(report) in printed
 
         # file-based round trip reproduces the in-process computation exactly
-        ingest = ingest_csv(survey_csv, DataSchema.from_json_dict(json.loads(schema_file.read_text())))
+        ingest = ingest_csv(survey_csv, from_json(DataSchema, json.loads(schema_file.read_text())))
         _, evaluation = split_train_test(ingest.sample, 0.25, derive_stream(7, "split"))
         model = load_model(model_json)
         rows = [ingest.data.index_by_id[rid] for rid in evaluation.ids]
@@ -166,7 +166,7 @@ class TestSplitTrainPredictEvaluate:
         out = tmp_path / "model.json"
         assert _run(["train", "--input", survey_csv, "--schema", schema_file, "--model", model,
                      "--seed", 5, "--trees", 4, "--max-depth", 3, "--out", out]) == 0
-        schema = DataSchema.from_json_dict(json.loads(schema_file.read_text()))
+        schema = from_json(DataSchema, json.loads(schema_file.read_text()))
         data = ingest_csv(survey_csv, schema).data
         spec = ClassifierSpec(kind=model.replace("-", "_"), trees=4, max_depth=3)
         fitted = fit_classifier(spec, data, np.arange(data.size), lambda s: derive_stream(5, s))
@@ -178,7 +178,7 @@ class TestSplitTrainPredictEvaluate:
         _run(["train", "--input", survey_csv, "--schema", schema_file,
               "--model", "tree", "--out", model_json])
         ingest = ingest_csv(
-            survey_csv, DataSchema.from_json_dict(json.loads(schema_file.read_text()))
+            survey_csv, from_json(DataSchema, json.loads(schema_file.read_text()))
         )
         from svymetrics.classifiers import TreeConfig, fit_tree
 
@@ -428,6 +428,39 @@ class TestSimulateCommand:
         assert {r["weighting"] for r in rows} == {"population", "weighted", "unweighted"}
         assert {r["metric"] for r in rows} == {"sensitivity@0.5", "specificity@0.5", "auroc"}
 
+    def test_thresholds_that_print_alike_keep_their_own_results(self, tmp_path, capsys):
+        """0.3 and 0.3000001 both print as 0.3 under ``:g``; each keeps its
+        own key, in the summary and in the replicates CSV."""
+        spec = self._spec_file(tmp_path)
+        payload = json.loads(spec.read_text())
+        payload["thresholds"] = [0.3, 0.3000001]
+        spec.write_text(json.dumps(payload))
+        summary, reps = tmp_path / "s.json", tmp_path / "reps.csv"
+        assert _run(["simulate", spec, "--json", summary, "--replicates-csv", reps]) == 0
+        keys = {f"{kind}@{t}" for kind in ("sensitivity", "specificity")
+                for t in ("0.3", "0.3000001")} | {"auroc"}
+        tables = json.loads(summary.read_text())["summary"]["classifiers"]["logistic"]
+        assert all(set(table) == keys for table in tables.values())
+        with reps.open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert {r["metric"] for r in rows} == keys
+        assert len(rows) == 3 * 3 * len(keys)  # replicates x weightings x metrics
+        for weighting, table in tables.items():
+            for key, agg in table.items():
+                values = [float(r["value"]) for r in rows
+                          if r["weighting"] == weighting and r["metric"] == key]
+                assert agg["mean"] == pytest.approx(np.mean(values), rel=1e-12)
+
+    def test_evaluate_text_labels_thresholds_that_print_alike_apart(self):
+        block = {"thresholds": [{"threshold": t, "sensitivity": 0.5, "sensitivity_se": None,
+                                 "specificity": 0.5, "specificity_se": None}
+                                for t in (0.3, 0.3000001)], "auroc": 0.5}
+        report = {"load": {"rows_loaded": 1, "dropped": {}}, "weighted": block,
+                  "unweighted": block}
+        labels = [line.split()[0] for line in render_evaluate_text(report).splitlines()[2:6]]
+        assert labels == ["Sensitivity@0.3", "Specificity@0.3",
+                          "Sensitivity@0.3000001", "Specificity@0.3000001"]
+
     def test_missing_spec_file_is_data_error(self, tmp_path, capsys):
         assert _run(["simulate", tmp_path / "nope.json"]) == 3
 
@@ -591,7 +624,12 @@ class TestMalformedInputs:
     @pytest.mark.parametrize(
         "payload",
         [[], {"id": "id", "outcome": "y", "features": [1]},
-         {"id": "id", "outcome": "y", "features": "x"}],
+         {"id": "id", "outcome": "y", "features": "x"},
+         {"outcome": "y"},
+         {"id": None, "outcome": "y"},
+         {"id": "id", "outcome": "y", "features": None},
+         {"id": "id", "outcome": "y", "features": [{"name": "x1", "kind": "ordinal"}]},
+         {"id": "id", "outcome": "y", "weight": "y"}],
     )
     def test_malformed_schema_file_is_data_error(self, tmp_path, survey_csv, capsys, payload):
         schema = tmp_path / "bad_schema.json"

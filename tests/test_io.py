@@ -14,19 +14,24 @@ from helpers import (
     ingest_csv_per_row,
     parse_corrupted,
     read_predictions_per_row,
+    schema_json_by_hand,
+    summary_json_by_hand,
     write_split_files_per_row,
 )
 from svymetrics import io as io_module
 from svymetrics.cli import main
 from svymetrics.errors import DataValidationError, SchemaError
+from svymetrics.simulation import ExperimentSummary, MetricAggregate
 from svymetrics.io import (
     DataSchema,
     FeatureColumn,
     _parse_floats,
     _plain_lines,
+    from_json,
     ingest_csv,
     load_schema,
     read_predictions,
+    to_json,
     write_predictions,
     write_split_files,
 )
@@ -244,8 +249,8 @@ class TestIngestCsv:
 
 class TestSchema:
     def test_round_trip(self):
-        payload = SCHEMA.to_json_dict()
-        assert DataSchema.from_json_dict(payload) == SCHEMA
+        payload = to_json(SCHEMA)
+        assert from_json(DataSchema, payload) == SCHEMA
 
     def test_duplicate_columns_rejected(self):
         with pytest.raises(SchemaError):
@@ -257,16 +262,63 @@ class TestSchema:
 
     def test_missing_required_key(self):
         with pytest.raises(SchemaError):
-            DataSchema.from_json_dict({"id": "a"})
+            from_json(DataSchema, {"id": "a"})
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_corrupted_schemas_raise_only_data_errors(self, data):
-        parse_corrupted(data, SCHEMA.to_json_dict(), DataSchema.from_json_dict)
+        parse_corrupted(data, to_json(SCHEMA), lambda p: from_json(DataSchema, p))
 
     def test_schema_file_with_byte_order_mark(self, tmp_path):
-        path = _write(tmp_path, "\ufeff" + json.dumps(SCHEMA.to_json_dict()), name="s.json")
+        path = _write(tmp_path, "\ufeff" + json.dumps(to_json(SCHEMA)), name="s.json")
         assert load_schema(path) == SCHEMA
+
+
+_NAMES = st.text(st.sampled_from("abyz_ é"), min_size=1, max_size=4)
+_FLOATS = st.floats(allow_nan=False)
+
+
+@st.composite
+def _schemas(draw):
+    names = draw(st.lists(_NAMES, min_size=2, max_size=7, unique=True))
+    optional = lambda name: draw(st.sampled_from([None, name]))  # noqa: E731
+    kinds = st.sampled_from(["numeric", "categorical"])
+    return DataSchema(
+        id_column=names[0],
+        outcome_column=names[1],
+        weight_column=optional(names[2]) if len(names) > 2 else None,
+        stratum_column=optional(names[3]) if len(names) > 3 else None,
+        features=tuple(FeatureColumn(name, draw(kinds)) for name in names[4:]),
+    )
+
+
+_AGGREGATES = st.builds(
+    MetricAggregate, mean=_FLOATS, mc_sd=_FLOATS, mc_se_of_mean=_FLOATS,
+    replicates=st.integers(0, 500), mean_linearized_se=st.none() | _FLOATS,
+)
+_SUMMARIES = st.builds(
+    ExperimentSummary,
+    replicates_requested=st.integers(1, 500),
+    tables=st.dictionaries(_NAMES, st.dictionaries(
+        st.sampled_from(["population", "weighted", "unweighted"]),
+        st.dictionaries(_NAMES, _AGGREGATES, max_size=3), max_size=3), max_size=3),
+    # ``aggregate`` writes "count" before "errors".
+    failures=st.dictionaries(_NAMES, st.builds(
+        lambda count, errors: {"count": count, "errors": errors},
+        st.integers(0, 50), st.lists(_NAMES, max_size=3)), max_size=3),
+    metadata=st.dictionaries(_NAMES, _NAMES, max_size=3),
+)
+
+
+class TestJsonCodec:
+    @settings(max_examples=150, deadline=None)
+    @given(schema=_schemas(), summary=_SUMMARIES)
+    def test_codec_writes_what_the_hand_written_writers_wrote(self, schema, summary):
+        """``to_json`` writes schemas and summaries key for key, in the same
+        order, as their hand-written writers did, and reads a schema back."""
+        assert json.dumps(to_json(schema)) == json.dumps(schema_json_by_hand(schema))
+        assert json.dumps(summary.to_json_dict()) == json.dumps(summary_json_by_hand(summary))
+        assert from_json(DataSchema, to_json(schema)) == schema
 
 
 class TestPredictions:

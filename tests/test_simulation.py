@@ -51,6 +51,7 @@ from svymetrics.simulation import (
     render_summary_json,
     run_experiment,
     run_replicate,
+    threshold_label,
 )
 from svymetrics.types import EvaluationSet
 
@@ -471,6 +472,15 @@ class TestReplicateMatchesRowFormReplay:
 
 
 class TestAggregate:
+    @pytest.mark.parametrize(
+        "threshold, label",
+        [(0.0, "0"), (1.0, "1"), (0.5, "0.5"), (0.3, "0.3"), (1e-07, "1e-07"),
+         (0.3000001, "0.3000001"), (0.1234567891, "0.1234567891")],
+    )
+    def test_threshold_label_reads_back_as_its_threshold(self, threshold, label):
+        assert threshold_label(threshold) == label
+        assert float(label) == threshold
+
     def test_identical_replicates_have_zero_sd(self):
         exp = _tiny_experiment(classifiers=(ClassifierSpec(kind="constant", constant_score=1.0),), replicates=3)
         population = generate_population(exp.population, derive_stream(exp.seed, "population"))
