@@ -20,8 +20,7 @@ from ..errors import DataValidationError
 from ..rng import stream_seed
 from .encoding import FeatureEncoder
 from .tree import (
-    FlatTree, binary_outcomes, check_tree_limits, distinct_rows, grow_counted,
-    threshold_cells,
+    FlatTree, binary_outcomes, check_tree_limits, distinct_rows, grow_counted, score_trees,
 )
 
 PAPER_PARITY_TREE_COUNT = 1000  # the cited simulations use 1,000 trees
@@ -54,13 +53,7 @@ class ForestModel:
         self, columns: Sequence[np.ndarray], n_rows: int | None = None
     ) -> np.ndarray:
         """Mean of the trees' leaf proportions for the rows of raw feature columns."""
-        x = self.encoder.transform(columns, n_rows)
-        representatives, inverse = threshold_cells(self.trees, x)
-        cells = x[representatives]
-        total = np.zeros(cells.shape[0])
-        for tree in self.trees:
-            total += tree.predict(cells)
-        return (total / len(self.trees))[inverse]
+        return score_trees(self.trees, self.encoder.transform(columns, n_rows))
 
     # The simulation harness scores through this name; perfbench traces both names.
     predict_proba_columns = predict_proba
@@ -93,7 +86,6 @@ def fit_forest(
     x = encoder.transform(columns, y.size)
     n, width = x.shape
     m_try = config.m_try if config.m_try is not None else max(1, math.isqrt(width))
-    m_try = min(m_try, width)
     representatives, inverse = distinct_rows(x.T, n)
     patterns = x[representatives]
     # One bincount of a resample's cells gives each pattern's negatives and
@@ -117,7 +109,7 @@ def fit_forest(
                 pos,
                 min_node_size=config.min_node_size,
                 max_depth=config.max_depth,
-                m_try=m_try if m_try < width else None,
+                m_try=m_try,
                 rng=tree_rng,
             )
         )

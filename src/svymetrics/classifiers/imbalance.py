@@ -23,10 +23,7 @@ def upsample_minority(y: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     negatives = np.flatnonzero(y == 0)
     if not positives.size or not negatives.size:
         raise DataValidationError("upsampling requires both classes present")
-    rows = np.arange(y.size)
-    if positives.size == negatives.size:
-        return rows
     minority = positives if positives.size < negatives.size else negatives
     deficit = abs(positives.size - negatives.size)
     picks = rng.integers(0, minority.size, size=deficit)
-    return np.concatenate([rows, minority[picks]])
+    return np.concatenate([np.arange(y.size), minority[picks]])

@@ -62,6 +62,12 @@ class FlatTree:
     def node_count(self) -> int:
         return int(self.feature.size)
 
+    @property
+    def split_nodes(self) -> np.ndarray:
+        """True at each internal node: one whose children are not itself."""
+        nodes = np.arange(self.node_count)
+        return (self.left != nodes) | (self.right != nodes)
+
     def predict(self, x: np.ndarray) -> np.ndarray:
         n = x.shape[0]
         node = np.zeros(n, dtype=np.int32)
@@ -100,8 +106,7 @@ class FlatTree:
         arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
         if m == 0 or any(a.shape != (m,) for a in arrays):
             raise SchemaError("tree node arrays must be non-empty and aligned")
-        nodes = np.arange(m)
-        internal = (tree.left != nodes) | (tree.right != nodes)
+        internal = tree.split_nodes
         children = np.concatenate([tree.left, tree.right])
         if (
             np.any((children < 0) | (children >= m))
@@ -163,19 +168,21 @@ def threshold_cells(
     each row's cell, so that ``tree.predict(x[representatives])[inverse]``
     is ``tree.predict(x)``.
     """
-    split_features, split_thresholds = [], []
-    for tree in trees:
-        nodes = np.arange(tree.node_count)
-        internal = (tree.left != nodes) | (tree.right != nodes)
-        split_features.append(tree.feature[internal])
-        split_thresholds.append(tree.threshold[internal])
-    features = np.concatenate(split_features)
-    thresholds = np.concatenate(split_thresholds)
+    internal = [tree.split_nodes for tree in trees]
+    features = np.concatenate([t.feature[s] for t, s in zip(trees, internal)])
+    thresholds = np.concatenate([t.threshold[s] for t, s in zip(trees, internal)])
     cuts = ((f, np.unique(thresholds[features == f])) for f in np.unique(features))
     return _fold_codes(
         ((np.searchsorted(thr, x[:, f], side="left"), thr.size + 1) for f, thr in cuts),
         x.shape[0],
     )
+
+
+def score_trees(trees: Sequence[FlatTree], x: np.ndarray) -> np.ndarray:
+    """Mean leaf value of ``trees`` per row of ``x``, routed once per threshold cell."""
+    representatives, inverse = threshold_cells(trees, x)
+    cells = x[representatives]
+    return (sum(tree.predict(cells) for tree in trees) / len(trees))[inverse]
 
 
 def distinct_rows(
@@ -457,9 +464,7 @@ class TreeModel:
         self, columns: Sequence[np.ndarray], n_rows: int | None = None
     ) -> np.ndarray:
         """Leaf proportions reached by the rows of raw feature columns."""
-        x = self.encoder.transform(columns, n_rows)
-        representatives, inverse = threshold_cells((self.tree,), x)
-        return self.tree.predict(x[representatives])[inverse]
+        return score_trees((self.tree,), self.encoder.transform(columns, n_rows))
 
     # The simulation harness scores every model through this name.
     predict_proba_columns = predict_proba

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -223,13 +224,7 @@ def _cmd_predict(args) -> int:
 def _load_scored_evaluation(args) -> tuple[EvaluationSet, dict]:
     schema = _schema_from_args(args)
     weight_col = args.weight_col or "weight_eval"
-    eval_schema = DataSchema(
-        id_column=schema.id_column,
-        outcome_column=schema.outcome_column,
-        weight_column=weight_col,
-        stratum_column=None,
-        features=(),
-    )
+    eval_schema = replace(schema, weight_column=weight_col, stratum_column=None, features=())
     result = ingest_csv(args.input, eval_schema)
     ids = result.data.ids.tolist()
     predictions = read_predictions(args.predictions)

@@ -251,15 +251,23 @@ def from_json(hint, value):
     return hint(value) if hint in (int, float, bool) else value
 
 
+def check_keys(payload: dict, known, where: str = "") -> None:
+    """SchemaError, after ``where``, naming the first key of ``payload`` not in ``known``."""
+    for key in payload:
+        if key not in known:
+            raise SchemaError(f"{where}unknown key {key!r}")
+
+
 def read_fields(cls, payload):
     """The dataclass ``cls`` from a JSON object, field by field under the
     keys :func:`to_json` writes; a missing key takes the field's default,
-    and is a SchemaError without one."""
+    and is a SchemaError without one, as is a key no field or ``kind`` reads."""
     expect(payload, dict, f"a JSON object for {cls.__name__}")
+    keys = {f.metadata.get("json", f.name): f for f in fields(cls)}
+    check_keys(payload, [*keys, "kind"] if hasattr(cls, "kind") else keys)
     hints = typing.get_type_hints(cls)
     values = {}
-    for f in fields(cls):
-        key = f.metadata.get("json", f.name)
+    for key, f in keys.items():
         if key in payload:
             try:
                 values[f.name] = from_json(hints[f.name], payload[key])
@@ -271,7 +279,11 @@ def read_fields(cls, payload):
 
 
 def load_schema(path: str | Path) -> DataSchema:
-    return from_json(DataSchema, read_json(path, "schema file"))
+    payload = read_json(path, "schema file")
+    try:
+        return from_json(DataSchema, payload)
+    except SchemaError as exc:
+        raise SchemaError(f"schema file {path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -291,16 +303,13 @@ class IngestResult:
 
     ``data`` holds every loaded row, its strata coded in order of first
     appearance (one stratum, "", without a stratum column), and ``sample``
-    the same ids with their weights and their rows of ``data``.  A file
-    whose schema declares no weight column is a census: unit weights, and
-    ``population`` is ``data``; otherwise ``population`` is None.
-    ``table`` is the file as read, and ``file_rows`` the row of ``table``
-    each loaded record came from.
+    the same ids with their weights (1 without a weight column) and their
+    rows of ``data``.  ``table`` is the file as read, and ``file_rows`` the
+    row of ``table`` each loaded record came from.
     """
 
     data: FinitePopulation
     sample: SurveySample
-    population: FinitePopulation | None
     report: LoadReport
     table: CsvTable
     file_rows: np.ndarray
@@ -429,7 +438,6 @@ def ingest_csv(path: str | Path, schema: DataSchema) -> IngestResult:
     return IngestResult(
         data=data,
         sample=SurveySample(ids=data.ids, weights=weights[rows], rows=np.arange(rows.size)),
-        population=data if schema.weight_column is None else None,
         report=LoadReport(rows_read=n, rows_loaded=rows.size, dropped=dropped),
         table=table,
         file_rows=rows,

@@ -32,7 +32,7 @@ from .errors import (
     SchemaError,
 )
 from .evaluation import EvaluationSummary, evaluation_summary, population_summary
-from .io import DataSchema, expect, from_json, ingest_csv, read_fields, to_json
+from .io import DataSchema, check_keys, expect, from_json, ingest_csv, read_fields, to_json
 from .rng import derive_stream
 from .sampling import StratifiedDesign, split_train_test, stratified_sample
 from .types import EvaluationSet, FinitePopulation
@@ -107,7 +107,23 @@ class PopulationSpec:
 
     @classmethod
     def from_json_dict(cls, payload) -> "PopulationSpec":
-        return population_spec_from_json_dict(payload)
+        """A preset population (``{"preset": name, "size": N}``) or an inline spec."""
+        if "preset" in expect(payload, dict, "a JSON object for the population"):
+            check_keys(payload, ("preset", "size"))
+            preset = payload["preset"]
+            if preset not in POPULATION_PRESETS:
+                raise SchemaError(
+                    f"unknown population preset {preset!r}; "
+                    f"expected one of {', '.join(POPULATION_PRESETS)}"
+                )
+            return POPULATION_PRESETS[preset](
+                size=int(payload.get("size", DEFAULT_EXPERIMENT_POPULATION_SIZE))
+            )
+        covariates = payload.get("covariates")
+        if isinstance(covariates, list):
+            strata = from_json(tuple[str, ...], payload.get("strata", []))
+            payload = {**payload, "covariates": [_per_stratum(c, strata) for c in covariates]}
+        return read_fields(cls, payload)
 
     def __post_init__(self):
         if self.size < 1:
@@ -308,18 +324,16 @@ class ClassifierSpec:
                 f"constant_score must lie in [0, 1], got {self.constant_score}"
             )
         # Build both configs so their checks apply to every kind.
-        self.forest_config()
-        self.logistic_config()
+        self.config(ForestConfig)
+        self.config(LogisticConfig)
 
     @property
     def resolved_name(self) -> str:
         return self.name or self.kind
 
-    def forest_config(self) -> ForestConfig:
-        return ForestConfig(**{f.name: getattr(self, f.name) for f in fields(ForestConfig)})
-
-    def logistic_config(self) -> LogisticConfig:
-        return LogisticConfig(**{f.name: getattr(self, f.name) for f in fields(LogisticConfig)})
+    def config(self, cls):
+        """The config ``cls`` (forest, tree or logistic) built from this spec's fields."""
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -500,12 +514,10 @@ def fit_classifier(spec: ClassifierSpec, data: FinitePopulation, rows: np.ndarra
     columns = [col[rows] for col in data.features]
     y = data.outcomes[rows]
     if spec.kind == "logistic":
-        return fit_logistic(columns, y, spec.logistic_config())
+        return fit_logistic(columns, y, spec.config(LogisticConfig))
     if spec.kind == "tree":
-        return fit_tree(
-            columns, y, TreeConfig(max_depth=spec.max_depth, min_node_size=spec.min_node_size)
-        )
-    return fit_forest(columns, y, data.ids[rows], spec.forest_config(), rng=stream("train"))
+        return fit_tree(columns, y, spec.config(TreeConfig))
+    return fit_forest(columns, y, data.ids[rows], spec.config(ForestConfig), rng=stream("train"))
 
 
 def _fit_and_score(
@@ -748,13 +760,15 @@ def resolve_population(experiment: ExperimentSpec) -> FinitePopulation:
         )
     if experiment.population_schema is None:
         raise SchemaError("population_file requires population_schema")
-    schema = from_json(DataSchema, experiment.population_schema)
-    result = ingest_csv(experiment.population_file, schema)
-    if result.population is None:
+    try:
+        schema = from_json(DataSchema, experiment.population_schema)
+    except SchemaError as exc:
+        raise SchemaError(f"population_schema: {exc}") from exc
+    if schema.weight_column is not None:
         raise SchemaError(
             "population_file must be declared a population (schema without weight column)"
         )
-    return result.population
+    return ingest_csv(experiment.population_file, schema).data
 
 
 def run_experiment(
@@ -800,38 +814,20 @@ def experiment_to_json_dict(experiment: ExperimentSpec) -> dict:
 
 
 def _per_stratum(covariate, strata: tuple[str, ...]):
-    """Spread a covariate's ``range``, ``rate`` or list ``probs`` over every stratum."""
+    """Move a covariate's ``range``, ``rate`` or list ``probs`` into its kind's table."""
     if not isinstance(covariate, dict):
         return covariate
     covariate = dict(covariate)
-    for short, table in (("range", "ranges"), ("rate", "rates"), ("probs", "probs")):
-        if short in covariate and (short != "probs" or isinstance(covariate[short], list)):
-            covariate[table] = {s: covariate[short] for s in strata}
+    short, table = {"uniform": ("range", "ranges"), "bernoulli": ("rate", "rates"),
+                    "categorical": ("probs", "probs")}.get(covariate.get("kind"), ("", ""))
+    if short in covariate and (short != "probs" or isinstance(covariate[short], list)):
+        covariate[table] = dict.fromkeys(strata, covariate.pop(short))
     return covariate
 
 
-def population_spec_from_json_dict(payload: dict) -> PopulationSpec:
-    """A preset population (``{"preset": name, "size": N}``) or an inline spec."""
-    if "preset" in expect(payload, dict, "a JSON object for the population"):
-        preset = payload["preset"]
-        if preset not in POPULATION_PRESETS:
-            raise SchemaError(
-                f"unknown population preset {preset!r}; "
-                f"expected one of {', '.join(POPULATION_PRESETS)}"
-            )
-        return POPULATION_PRESETS[preset](
-            size=int(payload.get("size", DEFAULT_EXPERIMENT_POPULATION_SIZE))
-        )
-    covariates = payload.get("covariates")
-    if isinstance(covariates, list):
-        strata = from_json(tuple[str, ...], payload.get("strata", []))
-        payload = {**payload, "covariates": [_per_stratum(c, strata) for c in covariates]}
-    return read_fields(PopulationSpec, payload)
-
-
 def experiment_from_json_dict(payload: dict) -> ExperimentSpec:
-    """Parse an experiment spec; any missing key or wrong type raises
-    SchemaError, and an invalid value raises DataValidationError."""
+    """Parse an experiment spec; any missing or unknown key or wrong type
+    raises SchemaError, and an invalid value raises DataValidationError."""
     if not isinstance(payload, dict):
         raise SchemaError("experiment spec must be a JSON object")
     version = payload.get("spec_version")
@@ -841,7 +837,9 @@ def experiment_from_json_dict(payload: dict) -> ExperimentSpec:
         raise SchemaError("experiment spec must carry an explicit seed")
     try:
         allocations = payload["design"]["allocations"]
-        return read_fields(ExperimentSpec, {**payload, "design_allocations": allocations})
+        check_keys(payload["design"], ("allocations",), "design: ")
+        spec = {k: v for k, v in payload.items() if k not in ("spec_version", "design")}
+        return read_fields(ExperimentSpec, {**spec, "design_allocations": allocations})
     except KeyError as exc:
         raise SchemaError(f"experiment spec is missing key {exc.args[0]!r}") from exc
     except (SchemaError, TypeError, ValueError, AttributeError, OverflowError) as exc:

@@ -582,6 +582,47 @@ class TestSimulateCommand:
         assert named is None or named in err
 
 
+    def _census_spec(self, tmp_path, population_schema, population_file="census.csv"):
+        census = tmp_path / "census.csv"
+        census.write_text("id,y,grp,x1\n" + "".join(
+            f"c{i},{i % 2},g{i % 2},{i % 7}\n" for i in range(200)))
+        payload = json.loads(self._spec_file(tmp_path).read_text())
+        del payload["population"]
+        payload.update(design={"allocations": {"g0": 30, "g1": 30}},
+                       population_file=str(tmp_path / population_file),
+                       population_schema=population_schema)
+        spec = tmp_path / "census_spec.json"
+        spec.write_text(json.dumps(payload))
+        return spec
+
+    @pytest.mark.parametrize(
+        "population_schema, message",
+        [
+            ({"outcome": "y", "stratum": "grp"}, "missing key 'id'"),
+            ({"id": "id", "outcome": "y", "wieght": "grp"}, "unknown key 'wieght'"),
+            ({"id": "id", "outcome": "y", "features": [{"name": "x1"}]},
+             "features: missing key 'kind'"),
+        ],
+    )
+    def test_malformed_population_schema_is_named(
+        self, tmp_path, capsys, population_schema, message
+    ):
+        code = _run(["simulate", self._census_spec(tmp_path, population_schema)])
+        assert _one_line_data_error(capsys, code) == f"error: population_schema: {message}\n"
+
+    @pytest.mark.parametrize("population_file", ["census.csv", "absent.csv"])
+    def test_weighted_population_schema_is_refused_before_the_file_is_read(
+        self, tmp_path, capsys, population_file
+    ):
+        """A population file is a census; the schema says so before any
+        row is read, so a missing file gives the same error."""
+        population_schema = {"id": "id", "outcome": "y", "weight": "x1", "stratum": "grp"}
+        spec = self._census_spec(tmp_path, population_schema, population_file)
+        assert _one_line_data_error(capsys, _run(["simulate", spec])) == (
+            "error: population_file must be declared a population "
+            "(schema without weight column)\n"
+        )
+
     def test_fractional_m_try_reads_as_int(self, tmp_path, capsys):
         """``m_try`` 2.5 reads as 2, as ``trees`` 2.5 does, and is echoed as 2."""
         payload = json.loads(self._spec_file(tmp_path).read_text())
@@ -629,14 +670,27 @@ class TestMalformedInputs:
          {"id": None, "outcome": "y"},
          {"id": "id", "outcome": "y", "features": None},
          {"id": "id", "outcome": "y", "features": [{"name": "x1", "kind": "ordinal"}]},
-         {"id": "id", "outcome": "y", "weight": "y"}],
+         {"id": "id", "outcome": "y", "weight": "y"},
+         {"id": "id", "outcome": "y", "wieght": "wt"}],
     )
     def test_malformed_schema_file_is_data_error(self, tmp_path, survey_csv, capsys, payload):
+        """The one line names the schema file, and no split file is written;
+        a misspelled ``weight`` would otherwise split as unweighted."""
         schema = tmp_path / "bad_schema.json"
         schema.write_text(json.dumps(payload))
         code = _run(["split", "--input", survey_csv, "--schema", schema, "--seed", 1,
                      "--train-out", tmp_path / "t.csv", "--eval-out", tmp_path / "e.csv"])
-        _one_line_data_error(capsys, code)
+        err = _one_line_data_error(capsys, code)
+        assert err.startswith(f"error: schema file {schema}: ")
+        assert "wieght" not in payload or err.endswith("unknown key 'wieght'\n")
+        assert not (tmp_path / "t.csv").exists() and not (tmp_path / "e.csv").exists()
+
+    def test_diagnose_weights_names_the_schema_file(self, tmp_path, survey_csv, capsys):
+        schema = tmp_path / "no_id.json"
+        schema.write_text(json.dumps({"outcome": "y", "weight": "wt"}))
+        code = _run(["diagnose-weights", "--input", survey_csv, "--schema", schema])
+        err = _one_line_data_error(capsys, code)
+        assert err == f"error: schema file {schema}: missing key 'id'\n"
 
     @pytest.mark.parametrize("kind", ["experiment", "schema", "model"])
     def test_invalid_json_file_is_data_error_naming_the_file(

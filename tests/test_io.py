@@ -77,7 +77,6 @@ class TestIngestCsv:
         assert result.data.records[0].features == (34.0, "north")
         assert result.data.strata.tolist() == [0, 0, 1, 1, 1]
         assert result.data.stratum_labels == ("g1", "g2")
-        assert result.population is None
 
     def test_blank_outcome_dropped_and_counted(self, tmp_path):
         path = _write(
@@ -137,8 +136,7 @@ class TestIngestCsv:
         )
         path = _write(tmp_path, "id,y,age\na,1,30\nb,0,40\n")
         result = ingest_csv(path, schema)
-        assert result.population is result.data
-        assert result.population.size == 2
+        assert result.data.size == 2
         assert np.all(result.sample.weights == 1.0)
 
     def test_long_stratum_label_is_one_code_and_kept_intact(self, tmp_path):
@@ -263,6 +261,19 @@ class TestSchema:
     def test_missing_required_key(self):
         with pytest.raises(SchemaError):
             from_json(DataSchema, {"id": "a"})
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"id": "id", "outcome": "y", "wieght": "wt"}, "unknown key 'wieght'"),
+            ({"id": "id", "outcome": "y", "features": [{"name": "x", "knd": "numeric"}]},
+             "features: unknown key 'knd'"),
+        ],
+    )
+    def test_unknown_key_is_schema_error_naming_it(self, payload, message):
+        """A misspelled ``weight`` would otherwise read as a census schema."""
+        with pytest.raises(SchemaError, match=f"^{message}$"):
+            from_json(DataSchema, payload)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -533,7 +544,6 @@ class TestColumnarReadersMatchOracles:
                 assert ours.tobytes() == theirs.tobytes()
         assert got.report == report
         assert list(got.report.dropped) == list(report.dropped)
-        assert (got.population is got.data) == (schema.weight_column is None)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())

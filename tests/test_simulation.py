@@ -46,7 +46,6 @@ from svymetrics.simulation import (
     experiment_from_json_dict,
     experiment_to_json_dict,
     generate_population,
-    population_spec_from_json_dict,
     record_ids,
     render_summary_json,
     run_experiment,
@@ -842,12 +841,17 @@ class TestExperimentJson:
         ],
     )
     def test_population_presets(self, preset, build):
-        spec = population_spec_from_json_dict({"preset": preset, "size": 5000})
+        spec = PopulationSpec.from_json_dict({"preset": preset, "size": 5000})
         assert spec == build(size=5000)
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(SchemaError, match="unknown population preset"):
-            population_spec_from_json_dict({"preset": "census"})
+            PopulationSpec.from_json_dict({"preset": "census"})
+
+    @pytest.mark.parametrize("key", ["sise", "strata"])
+    def test_preset_form_holds_only_preset_and_size(self, key):
+        with pytest.raises(SchemaError, match=f"^unknown key '{key}'$"):
+            PopulationSpec.from_json_dict({"preset": "experiment", "size": 500, key: 1})
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -982,4 +986,30 @@ class TestExperimentJson:
             parent = parent[key]
         parent[path[-1]] = value
         with pytest.raises(SchemaError):
+            experiment_from_json_dict(payload)
+
+    @pytest.mark.parametrize(
+        "path, key",
+        [
+            ((), "eval_fractoin"),
+            ((), "populaton"),
+            (("design",), "strata"),
+            (("population",), "proportion"),
+            (("population", "covariates", 0), "rnage"),
+            (("population", "covariates", 4), "range"),  # a uniform shorthand on a bernoulli
+            (("population", "covariates", 2), "prob"),
+            (("population", "outcome"), "coefficient"),
+            (("classifiers", 0), "tress"),
+        ],
+    )
+    def test_unknown_keys_are_schema_errors_naming_the_key(self, path, key):
+        """A misspelled key would otherwise leave its field at the default."""
+        payload = json.loads(json.dumps(_SMALL_SPECS[2]))
+        parent = payload
+        for step in path:
+            parent = parent[step]
+        parent[key] = 1
+        where = "design: " if path == ("design",) else ""
+        message = f"^malformed experiment spec: .*{where}unknown key '{key}'$"
+        with pytest.raises(SchemaError, match=message):
             experiment_from_json_dict(payload)
