@@ -5,7 +5,7 @@ record batches level by level without Python recursion.  Leaf values are
 positive-class proportions of the training records that reached the leaf.
 Trees grow on the distinct rows of their training data, each weighted by
 its count of copies (see :func:`grow_counted`).  Models score one
-representative row per threshold cell (see :func:`threshold_cells`) and
+representative row per threshold cell (see :func:`score_trees`) and
 expand the result to every row.
 """
 
@@ -149,40 +149,73 @@ def _fold_codes(
         np.minimum.at(first, key, np.arange(n))
         present = first < n
         return first[present], (np.cumsum(present) - 1)[key]
-    _, representatives, inverse = np.unique(key, return_index=True, return_inverse=True)
-    return representatives, inverse
+    order = np.argsort(key)  # unstable: the least row of a group is its first
+    starts = np.diff(key[order], prepend=-1) != 0
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return np.minimum.reduceat(order, np.flatnonzero(starts)), inverse
 
 
-def threshold_cells(
-    trees: Sequence[FlatTree], x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Group the rows of ``x`` that every tree routes to the same node.
-
-    A tree reads a row only through ``x[f] <= t`` for the thresholds ``t``
-    of its internal nodes on column ``f``.  With ``thr`` the sorted unique
-    thresholds on ``f`` over all ``trees``, ``code = searchsorted(thr, x[:, f],
-    "left")`` satisfies ``x[f] <= thr[k]`` exactly when ``code <= k`` (NaN
-    sorts last and is never below a threshold), so rows with equal codes
-    on every split column reach the same nodes.  Returns
-    ``(representatives, inverse)``: one row index per distinct cell, and
-    each row's cell, so that ``tree.predict(x[representatives])[inverse]``
-    is ``tree.predict(x)``.
-    """
-    internal = [tree.split_nodes for tree in trees]
-    features = np.concatenate([t.feature[s] for t, s in zip(trees, internal)])
-    thresholds = np.concatenate([t.threshold[s] for t, s in zip(trees, internal)])
-    cuts = ((f, np.unique(thresholds[features == f])) for f in np.unique(features))
-    return _fold_codes(
-        ((np.searchsorted(thr, x[:, f], side="left"), thr.size + 1) for f, thr in cuts),
-        x.shape[0],
+def _split_cuts(trees: Sequence[FlatTree]):
+    """Tree, column (an index into ``features``, the split columns) and
+    threshold of every internal node, in tree order; and ``cuts``, the
+    sorted unique thresholds on each split column."""
+    internal = np.concatenate([tree.split_nodes for tree in trees])
+    owner = np.repeat(np.arange(len(trees)), [tree.node_count for tree in trees])[internal]
+    thresholds = np.concatenate([tree.threshold for tree in trees])[internal]
+    features, column = np.unique(
+        np.concatenate([tree.feature for tree in trees])[internal], return_inverse=True
     )
+    cuts = [np.unique(thresholds[column == k]) for k in range(features.size)]
+    return owner, column, thresholds, features, cuts
 
 
 def score_trees(trees: Sequence[FlatTree], x: np.ndarray) -> np.ndarray:
-    """Mean leaf value of ``trees`` per row of ``x``, routed once per threshold cell."""
-    representatives, inverse = threshold_cells(trees, x)
+    """Mean leaf value of ``trees`` per row of ``x``, read once per threshold cell.
+
+    A tree reads a row only through ``x[f] <= t`` for its split thresholds
+    ``t`` on column ``f``.  With ``cut`` the sorted unique thresholds on
+    ``f`` over all ``trees``, ``code = searchsorted(cut, x[:, f], "left")``
+    satisfies ``x[f] <= cut[k]`` exactly when ``code <= k`` (NaN sorts
+    last), so the rows of a cell, equal codes on every split column, reach
+    the same nodes.  ``lut = [0] + searchsorted(local, cut, "right")`` maps
+    a code to one on a tree's own thresholds ``local``; a tree whose local
+    codes index a table much smaller than the cells fills it by
+    ``tree.predict`` on one cell per entry, and the others route every
+    cell.  Summed in tree order from 0.0, the mean is that of routing rows.
+    """
+    owner, column, thresholds, features, cuts = _split_cuts(trees)
+    representatives, inverse = _fold_codes(
+        ((np.searchsorted(cut, x[:, f], side="left"), cut.size + 1)
+         for f, cut in zip(features, cuts)),
+        x.shape[0],
+    )
     cells = x[representatives]
-    return (sum(tree.predict(cells) for tree in trees) / len(trees))[inverse]
+    n = cells.shape[0]
+    codes = [np.searchsorted(cut, cells[:, f], side="left") for f, cut in zip(features, cuts)]
+    # Each table's size is at most the product of (splits on a column + 1).
+    splits = np.bincount(owner * features.size + column, minlength=len(trees) * features.size)
+    bounds = np.prod(splits.reshape(len(trees), -1) + 1.0, axis=1)
+    first = np.searchsorted(owner, np.arange(len(trees) + 1))
+    total = 0.0
+    for t, tree in enumerate(trees):
+        if 4 * bounds[t] > n or tree.route_steps <= 2:  # lookups would not pay
+            total = total + tree.predict(cells)
+            continue
+        own, own_thresholds = column[first[t]:first[t + 1]], thresholds[first[t]:first[t + 1]]
+        key, span = 0, 1
+        for k in np.unique(own):
+            local = np.unique(own_thresholds[own == k])
+            lut = np.concatenate(([0], np.searchsorted(local, cuts[k], side="right")))
+            key = key + (lut * span)[codes[k]]
+            span *= local.size + 1
+        cell_of = np.full(span, -1)
+        cell_of[key] = np.arange(n)
+        present = np.flatnonzero(cell_of >= 0)
+        table = np.zeros(span)
+        table[present] = tree.predict(cells[cell_of[present]])
+        total = total + table[key]
+    return (total / len(trees))[inverse]
 
 
 def distinct_rows(
@@ -192,7 +225,7 @@ def distinct_rows(
     columns of an encoded matrix (``x.T``), or raw feature columns with
     object arrays of strings among them.
 
-    Returns ``(representatives, inverse)`` as :func:`threshold_cells` does.
+    Returns ``(representatives, inverse)`` as :func:`_fold_codes` does.
     Equal means equal under ``==``, except that NaN equals NaN, so a
     representative may differ from its rows only in the sign of a zero.
     """

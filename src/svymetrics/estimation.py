@@ -55,6 +55,27 @@ def tally_counts(scores, positives, negatives, threshold) -> ConfusionTally:
     return _tally(scores, positives, negatives, positives, negatives, threshold)
 
 
+def tally_binned_counts(scores, positives, negatives, thresholds) -> ConfusionTally:
+    """:func:`tally_counts` at a 1-d array of thresholds, without a sort: a
+    score goes in bin ``searchsorted(cuts, s, "right")`` of the sorted unique
+    thresholds (NaN, positive at none, in bin 0), and the exact integer
+    counts positive at ``cuts[j]`` are the suffix sums of bins above ``j``."""
+    if not np.any(positives + negatives):
+        raise DataValidationError("evaluation set is empty")
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+    cuts = np.unique(thresholds)
+    bins = np.searchsorted(cuts, scores, side="right")
+    bins[np.isnan(scores)] = 0
+    pos, neg = (
+        np.cumsum(np.bincount(bins, weights=v, minlength=cuts.size + 1)[::-1])[::-1]
+        for v in (positives, negatives)
+    )
+    k = np.searchsorted(cuts, thresholds) + 1
+    tp, fp, fn, tn = pos[k], neg[k], pos[0] - pos[k], neg[0] - neg[k]
+    return ConfusionTally(nhat_tp=tp, nhat_tn=tn, nhat_fp=fp, nhat_fn=fn,
+                          tp=tp, tn=tn, fp=fp, fn=fn)
+
+
 def _tally(scores, pos_w, neg_w, pos_n, neg_n, threshold) -> ConfusionTally:
     """The engine behind every tally, from a single sort.
 

@@ -15,6 +15,7 @@ from .estimation import (
     EstimatorWeighting,
     confusion_rate,
     ratio_standard_error,
+    tally_binned_counts,
     tally_confusion,
     tally_counts,
 )
@@ -97,14 +98,18 @@ def population_summary(
     Group i holds ``positives[i]`` positive and ``negatives[i]`` negative
     records, all scoring ``scores[i]`` (see :func:`tally_counts`).
     Sensitivity and specificity at each fixed threshold and AUROC over the
-    grid are read from one tally of the fixed thresholds plus the grid.
-    Empty groups take no part, not even in an exact grid.  Rates are plain
-    count ratios, with no standard errors.
+    grid are read from one tally of the fixed thresholds plus the grid: by
+    sorting the scores for an exact grid, and by binning them between the
+    thresholds for a point-count grid.  Empty groups take no part, not even
+    in an exact grid.  Rates are plain count ratios, with no standard errors.
     """
-    g = resolve_grid(grid, scores[positives + negatives > 0])
+    if grid == "exact":
+        g, tally = score_adapted_grid(scores[positives + negatives > 0]), tally_counts
+    else:
+        g, tally = uniform_grid(int(grid)), tally_binned_counts
     fixed = np.asarray(thresholds, dtype=np.float64)
-    tally = tally_counts(scores, positives, negatives, np.concatenate([fixed, g]))
-    return _summary(tally, thresholds, g, "population-truth", None)
+    counts = tally(scores, positives, negatives, np.concatenate([fixed, g]))
+    return _summary(counts, thresholds, g, "population-truth", None)
 
 
 def _summary(tally, thresholds, grid, weighting, se_set) -> EvaluationSummary:

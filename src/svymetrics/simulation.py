@@ -807,6 +807,13 @@ POPULATION_PRESETS = {
 }
 
 
+@dataclass(frozen=True)
+class DesignSpec:
+    """An experiment spec's ``design``, read into ``ExperimentSpec.design_allocations``."""
+
+    allocations: Mapping[str, int]
+
+
 def experiment_to_json_dict(experiment: ExperimentSpec) -> dict:
     payload = to_json(experiment)
     payload["design"] = {"allocations": payload.pop("design_allocations")}
@@ -836,10 +843,14 @@ def experiment_from_json_dict(payload: dict) -> ExperimentSpec:
     if "seed" not in payload:
         raise SchemaError("experiment spec must carry an explicit seed")
     try:
-        allocations = payload["design"]["allocations"]
-        check_keys(payload["design"], ("allocations",), "design: ")
         spec = {k: v for k, v in payload.items() if k not in ("spec_version", "design")}
-        return read_fields(ExperimentSpec, {**spec, "design_allocations": allocations})
+        if "design_allocations" in spec:  # the field is written only under "design"
+            raise SchemaError("unknown key 'design_allocations'")
+        try:
+            design = read_fields(DesignSpec, payload["design"])
+        except SchemaError as exc:
+            raise SchemaError(f"design: {exc}") from exc
+        return read_fields(ExperimentSpec, {**spec, "design_allocations": design.allocations})
     except KeyError as exc:
         raise SchemaError(f"experiment spec is missing key {exc.args[0]!r}") from exc
     except (SchemaError, TypeError, ValueError, AttributeError, OverflowError) as exc:

@@ -137,6 +137,35 @@ def route_one_row(tree, row):
     return tree.value[node]
 
 
+def threshold_cells_routed(trees, x):
+    """``(representatives, inverse)`` of the rows of the encoded matrix
+    ``x``, grouped by their codes ``searchsorted(cut, x[:, f], "left")``
+    against the sorted unique thresholds ``cut`` of the trees' internal
+    nodes on each split column ``f``: one row per threshold cell, and each
+    row's cell, by ``np.unique`` of the code rows."""
+    internal = [tree.split_nodes for tree in trees]
+    features = np.concatenate([t.feature[s] for t, s in zip(trees, internal)])
+    thresholds = np.concatenate([t.threshold[s] for t, s in zip(trees, internal)])
+    codes = np.zeros((x.shape[0], 1), dtype=np.intp)
+    for f in np.unique(features):
+        cut = np.unique(thresholds[features == f])
+        codes = np.column_stack([codes, np.searchsorted(cut, x[:, f], side="left")])
+    _, representatives, inverse = np.unique(
+        codes, axis=0, return_index=True, return_inverse=True
+    )
+    return representatives, inverse.reshape(-1)
+
+
+def score_trees_routed(trees, x):
+    """Mean leaf value of ``trees`` per row of ``x``: every threshold cell
+    (:func:`threshold_cells_routed`) routed through every tree, the trees'
+    outputs summed in tree order from 0 and divided by the tree count.
+    The library reads most trees' outputs from per-tree tables instead."""
+    representatives, inverse = threshold_cells_routed(trees, x)
+    cells = x[representatives]
+    return (sum(tree.predict(cells) for tree in trees) / len(trees))[inverse]
+
+
 def grow_tree_per_row(
     x, y, *, min_node_size=1, max_depth=None, m_try=None, rng=None
 ):

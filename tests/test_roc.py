@@ -16,7 +16,7 @@ from helpers import (
 from svymetrics import evaluation as evaluation_module
 from svymetrics import roc as roc_module
 from svymetrics.errors import DataValidationError, UndefinedMetricError
-from svymetrics.estimation import population_truth
+from svymetrics.estimation import population_truth, tally_binned_counts, tally_counts
 from svymetrics.evaluation import (
     EvaluationSummary,
     ThresholdMetrics,
@@ -191,6 +191,13 @@ def census_counts(truth):
     return truth.scores, positive, 1.0 - positive
 
 
+# -0.0, 0.25 and the points of the 2-, 11- and 101-point grids.
+_ON_CUTS = st.sampled_from(
+    [-0.0, 0.25, *uniform_grid(2).tolist(), *uniform_grid(11).tolist(),
+     *uniform_grid(101).tolist()]
+)
+
+
 class TestPopulationSummary:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -226,11 +233,11 @@ class TestPopulationSummary:
         got = population_summary(*census_counts(truth), thresholds, grid)
         assert json.dumps(got.to_json_dict()) == json.dumps(expected.to_json_dict())
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
         cells=st.lists(
             st.tuples(
-                st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0, 1),
+                _ON_CUTS | st.floats(0, 1),
                 st.integers(0, 3),
                 st.integers(0, 3),
                 st.integers(0, 3),
@@ -239,13 +246,15 @@ class TestPopulationSummary:
             min_size=1,
             max_size=8,
         ),
-        thresholds=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0, 1), max_size=3),
-        grid=st.sampled_from(["exact", 2, 101]),
+        thresholds=st.lists(_ON_CUTS | st.floats(0, 1), max_size=3),
+        grid=st.sampled_from(["exact", 2, 11, 101]),
     )
     def test_counts_equal_the_row_form_oracle(self, cells, thresholds, grid):
         """Groups of tied records, less a sample that may empty whole groups,
         give the truth the row-form oracle counts record by record: the same
-        JSON, the same grid, or the same error."""
+        JSON, the same grid, or the same error.  Scores of -0.0 and scores on
+        grid points and fixed thresholds are counted where ``s >= t`` puts
+        them."""
         scores, positives, negatives, y, s = [], [], [], [], []
         for score, pos, neg, pos_out, neg_out in cells:
             # pos_out/neg_out of the group's records are in the sample
@@ -268,6 +277,58 @@ class TestPopulationSummary:
             return
         assert json.dumps(got.to_json_dict()) == json.dumps(expected.to_json_dict())
         assert curves[0].thresholds.tobytes() == resolve_grid(grid, truth.scores).tobytes()
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cells=st.lists(
+            st.tuples(
+                st.sampled_from([np.nan, np.inf, -np.inf, -0.0]) | _ON_CUTS
+                | st.floats(allow_nan=True, allow_infinity=True),
+                st.integers(0, 3),
+                st.integers(0, 3),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        thresholds=st.lists(_ON_CUTS | st.floats(0, 1), max_size=3),
+        points=st.sampled_from([2, 11, 101]),
+    )
+    def test_binned_counts_equal_the_sorted_counts(self, cells, thresholds, points):
+        """Binning counts every cell as the sort does, for NaN (never
+        positive), +-inf and -0.0 scores too, which an EvaluationSet and so
+        the row-form oracle refuse."""
+        scores, positives, negatives = (np.asarray(col, dtype=np.float64) for col in zip(*cells))
+        t = np.concatenate([np.asarray(thresholds, dtype=np.float64), uniform_grid(points)])
+        got = _outcome(tally_binned_counts, scores, positives, negatives, t)
+        expected = _outcome(tally_counts, scores, positives, negatives, t)
+        if isinstance(expected, tuple):
+            assert got == expected
+            return
+        for cell in ("nhat_tp", "nhat_tn", "nhat_fp", "nhat_fn", "tp", "tn", "fp", "fn"):
+            assert getattr(got, cell).tobytes() == getattr(expected, cell).tobytes(), cell
+
+    def test_point_count_grid_makes_no_sort(self, monkeypatch, rng):
+        """A point-count grid bins the census scores once, with the fixed
+        thresholds; only an exact grid sorts them (see
+        ``test_one_tally_per_sweep_and_per_summary``)."""
+        calls = []
+
+        def counting(name, tally):
+            def wrapper(*args):
+                calls.append((name, np.size(args[-1])))
+                return tally(*args)
+            return wrapper
+
+        for name in ("tally_counts", "tally_binned_counts"):
+            monkeypatch.setattr(
+                evaluation_module, name, counting(name, getattr(evaluation_module, name))
+            )
+        n = 200
+        truth = make_evaluation(rng.integers(0, 2, n), rng.random(n), np.ones(n))
+        for points in (2, 11, 101):
+            population_summary(*census_counts(truth), (0.25, 0.5), points)
+        assert calls == [("tally_binned_counts", 2 + points) for points in (2, 11, 101)]
 
 
 class TestEvaluationSummary:

@@ -1013,3 +1013,21 @@ class TestExperimentJson:
         message = f"^malformed experiment spec: .*{where}unknown key '{key}'$"
         with pytest.raises(SchemaError, match=message):
             experiment_from_json_dict(payload)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"design": "x"}, "design: expected a JSON object for DesignSpec, got str"),
+            ({"design": [1]}, "design: expected a JSON object for DesignSpec, got list"),
+            ({"design": {"allocations": [1]}},
+             "design: allocations: expected a JSON object, got list"),
+            ({"design_allocations": {"a": 30}}, "unknown key 'design_allocations'"),
+        ],
+    )
+    def test_design_errors_speak_the_spec_keys(self, change, message):
+        """``design`` is read like every other object of the spec: its errors
+        name ``design`` and ``allocations``, and the field it fills is no key."""
+        payload = {**json.loads(json.dumps(_SMALL_SPECS[2])), **change}
+        with pytest.raises(SchemaError) as raised:
+            experiment_from_json_dict(payload)
+        assert str(raised.value) == f"malformed experiment spec: {message}"

@@ -1,5 +1,6 @@
 import hashlib
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     gini_impurity, grow_counted_numpy, grow_tree_per_row, numeric_columns, route_one_row,
+    score_trees_routed, threshold_cells_routed,
 )
 from svymetrics.classifiers import (
     FeatureEncoder,
@@ -455,6 +457,26 @@ class TestGoldenForest:
         ("paper", "0b3bbb208652095b39980bf0ad9f7324d0fa3f4be88d8e1c4f89f286845537a9"),
     ])
     def test_node_arrays_digest(self, preset, digest):
+        forest, _ = self._forest(preset)
+        h = hashlib.sha256()
+        for tree in forest.trees:
+            *arrays, route_steps = _node_arrays(tree)
+            for data in arrays:
+                h.update(data)
+            h.update(str(route_steps).encode())
+        assert h.hexdigest() == digest
+
+    def test_paper_scores_digest(self):
+        """The paper forest's scores on its own population, as routing every
+        threshold cell through every tree gave them."""
+        forest, population = self._forest("paper")
+        scores = forest.predict_proba(population.features)
+        assert hashlib.sha256(scores.tobytes()).hexdigest() == (
+            "39c52ba923b4070a128749c33a37ad2deda53bbb72177bccf4df79202189771e"
+        )
+
+    @staticmethod
+    def _forest(preset):
         population = generate_population(
             POPULATION_PRESETS[preset](20_000), np.random.default_rng(2023)
         )
@@ -463,13 +485,7 @@ class TestGoldenForest:
             [col[rows] for col in population.features], population.outcomes[rows],
             population.ids[rows], ForestConfig(trees=100), rng=9,
         )
-        h = hashlib.sha256()
-        for tree in forest.trees:
-            *arrays, route_steps = _node_arrays(tree)
-            for data in arrays:
-                h.update(data)
-            h.update(str(route_steps).encode())
-        assert h.hexdigest() == digest
+        return forest, population
 
 
 class TestForestIdOrder:
@@ -590,6 +606,84 @@ def _probe_columns(data, model, rows):
     ]
 
 
+# 121 distinct split values for the lookup-path forests.
+_LOOKUP_POOL = tuple(np.round(np.linspace(-3.0, 3.0, 121), 6).tolist())
+
+
+def _tree_doc(draw, features, thresholds, depth, grow):
+    """Node arrays of a tree grown from the root down, in preorder: a node
+    above ``depth`` splits when ``grow(level)`` says so, on a column drawn
+    from ``features`` at the value ``thresholds()`` gives; routing runs to
+    the deepest leaf.  Every node's value is drawn, split or leaf."""
+    doc = {"feature": [], "threshold": [], "left": [], "right": [], "value": []}
+    deepest = [-1]
+
+    def node(level):
+        i = len(doc["feature"])
+        for key, v in zip(doc, (0, "inf", i, i, draw(st.floats(0, 1)))):
+            doc[key].append(v)
+        if level < depth and grow(level):
+            deepest[0] = max(deepest[0], level)
+            doc["feature"][i] = draw(st.sampled_from(features))
+            doc["threshold"][i] = thresholds()
+            doc["left"][i] = node(level + 1)
+            doc["right"][i] = node(level + 1)
+        return i
+
+    node(0)
+    doc["route_steps"] = deepest[0] + 1
+    return doc
+
+
+@st.composite
+def _lookup_forest(draw):
+    """A parsed forest over (x0, x1, region) whose trees split on one or
+    two encoded columns, and scoring columns for it.
+
+    A full depth-5 tree on x0 with 31 distinct thresholds gives at least 31
+    cells, since each of its thresholds is a row, and its table would be as
+    large as that, so it routes; a chain of three splits has a table of at
+    most 6 values and looks up.  Zero to two trees of any shape up to depth
+    3 to 5, a single leaf among them, join the two in drawn order, and all
+    but the chain may have their routing cut short."""
+    features = draw(st.sampled_from([(0,), (0, 1), (0, 2)]))
+    pool = st.sampled_from(_LOOKUP_POOL)
+    wide_cuts = draw(st.lists(pool, min_size=31, max_size=31, unique=True))
+    wide = _tree_doc(draw, (0,), iter(wide_cuts).__next__, 5, lambda level: True)
+    # Grown in preorder, the chain's left children are leaves.
+    splits = iter((True, False, True, False, True))
+    chain = _tree_doc(draw, features, lambda: draw(pool), 3, lambda level: next(splits))
+    others = [
+        _tree_doc(draw, features, lambda: draw(pool), draw(st.integers(3, 5)),
+                  lambda level: draw(st.booleans()))
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    for doc in [wide, *others]:
+        doc["route_steps"] = draw(st.integers(0, doc["route_steps"]))
+    docs = draw(st.permutations([wide, chain, *others]))
+    payload = {
+        "schema_version": "1", "model": "forest",
+        "encoder": {"features": [{"kind": "numeric", "categories": None},
+                                 {"kind": "numeric", "categories": None},
+                                 {"kind": "categorical", "categories": ["a", "b"]}]},
+        "trees": docs, "tree_seeds": list(range(len(docs))),
+        "config": {"trees": len(docs), "m_try": None, "min_node_size": 1,
+                   "max_depth": None, "bootstrap": True},
+    }
+    forest = model_from_json_dict(payload)
+    values = st.sampled_from(_LOOKUP_POOL + _SPECIAL_VALUES)
+    extra = draw(st.integers(0, 60))
+    x0 = wide_cuts + draw(st.lists(values, min_size=extra, max_size=extra))
+    rows = len(x0)
+    columns = [
+        np.asarray(x0, dtype=np.float64),
+        np.asarray(draw(st.lists(values, min_size=rows, max_size=rows)), dtype=np.float64),
+        np.asarray(draw(st.lists(st.sampled_from("abz"), min_size=rows, max_size=rows)),
+                   dtype=object),
+    ]
+    return forest, docs.index(wide), docs.index(chain), columns
+
+
 class TestThresholdCellScoring:
     """Trees and forests score one representative row per threshold cell;
     every row must still get exactly what a node-by-node walk gives."""
@@ -688,6 +782,34 @@ class TestThresholdCellScoring:
         assert model.tree.node_count == 1
         got = model.predict_proba([np.asarray(x, dtype=np.float64)])
         assert got.tobytes() == np.full(len(x), float(label)).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=_lookup_forest())
+    def test_lookup_tables_match_routing_and_row_walk(self, drawn):
+        """Trees whose tables are small read them, the others route; either
+        way each tree's ``predict`` runs once, and the scores are those of
+        routing every cell and of walking every row, byte for byte."""
+        forest, wide, chain, columns = drawn
+        calls = []
+        predict = FlatTree.predict
+
+        def spy(tree, x):
+            calls.append((tree, x.shape[0]))
+            return predict(tree, x)
+
+        with mock.patch.object(FlatTree, "predict", spy):
+            got = _scores(forest, columns)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            x = forest.encoder.transform(columns)
+        cells = threshold_cells_routed(forest.trees, x)[0].size
+        assert len(calls) == len(forest.trees)
+        assert all(tree is want for (tree, _), want in zip(calls, forest.trees))
+        assert all(rows <= cells for _, rows in calls)
+        assert calls[wide][1] == cells  # its table would outsize the cells
+        assert calls[chain][1] < cells
+        assert got.tobytes() == score_trees_routed(forest.trees, x).tobytes()
+        assert got.tobytes() == _walk_scores(forest, columns).tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
