@@ -29,6 +29,7 @@ from .io import (
     to_json,
     write_json,
     write_predictions,
+    write_roc,
     write_rows_csv,
     write_split_files,
 )
@@ -159,16 +160,16 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_split(args) -> int:
     schema = _schema_from_args(args)
-    result = ingest_csv(args.input, schema)
+    result = ingest_csv(args.input, schema, keep_lines=True)
     training, evaluation = split_train_test(
         result.sample, args.eval_fraction, derive_stream(args.seed, "split")
     )
     weights = result.sample.weights
     write_split_files(
         result.table,
-        train_rows=result.file_rows[training.rows].tolist(),
+        train_rows=result.file_rows[training.rows],
         train_weights=weights[training.rows],
-        eval_rows=result.file_rows[evaluation.rows].tolist(),
+        eval_rows=result.file_rows[evaluation.rows],
         eval_design_weights=weights[evaluation.rows],
         eval_compound_weights=evaluation.weights,
         train_out=args.train_out,
@@ -296,9 +297,7 @@ def _cmd_roc(args) -> int:
     evaluation, _ = _load_scored_evaluation(args)
     grid = resolve_grid(_parse_grid(args.grid), evaluation.scores)
     curve = roc_sweep(evaluation, grid, args.weighting)
-    columns = (curve.thresholds, curve.sensitivity, curve.specificity, curve.fpr)
-    rows = zip(*(c.tolist() for c in columns))
-    write_rows_csv(args.out, ["threshold", "sensitivity", "specificity", "fpr"], rows)
+    write_roc(args.out, curve)
     print(f"wrote {len(curve.thresholds)} ROC points to {args.out}")
     return EXIT_OK
 

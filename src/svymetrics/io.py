@@ -17,14 +17,15 @@ import operator
 import types
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
-from itertools import islice, repeat, zip_longest
+from functools import partial
+from itertools import chain, islice, repeat, zip_longest
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DataValidationError, SchemaError
-from .types import FinitePopulation, SurveySample, code_labels
+from .types import FinitePopulation, SurveySample
 
 
 @dataclass(frozen=True)
@@ -69,23 +70,137 @@ class DataSchema:
         return cols
 
 
-def _read_text(path: str | Path) -> str:
-    """A UTF-8 text file's contents, newlines kept as written; a leading
-    byte-order mark is dropped."""
+def _text_pieces(path: str | Path, size: int = -1):
+    """A UTF-8 text file's contents, ``size`` characters at a time (-1:
+    all at once), newlines kept as written; a leading byte-order mark is
+    dropped."""
     path = Path(path)
     if not path.exists():
         raise DataValidationError(f"file not found: {path}")
     try:
         with path.open(newline="", encoding="utf-8-sig") as fh:
-            return fh.read()
+            yield from iter(lambda: fh.read(size), "")
     except UnicodeDecodeError as exc:
         raise DataValidationError(f"{path} is not UTF-8 text: {exc.reason}") from exc
 
 
-def _plain_lines(text: str) -> list[str] | None:
-    """The header line and the non-blank data lines of ``text``, without
-    their endings, when ``csv.reader`` reads each one as its split on ","
-    into as many fields as the header has; otherwise None.
+def _read_text(path: str | Path) -> str:
+    """A UTF-8 text file's contents (see ``_text_pieces``)."""
+    return "".join(_text_pieces(path))
+
+
+# Data lines parsed at a time from a quote-free file, and rows formatted
+# and written at a time; a quote-free file is also read this many
+# characters at a time.
+CHUNK_LINES = 65_536
+
+
+@dataclass(frozen=True)
+class CsvTable:
+    """A CSV file as read: its header, its number of data rows and, when
+    they were asked for, the data rows as CSV text without line endings.
+
+    A row's text is the line as written when the file was split on ","
+    directly; otherwise it is the row's fields, padded with "" or cut to
+    the header, as ``csv.writer`` writes them.
+    """
+
+    header: tuple[str, ...]
+    size: int
+    lines: list[str] | None = None
+
+
+class _Columns:
+    """The columns ``kinds`` names, parsed a chunk of data rows at a time
+    into whole-file columns of at most ``bound`` rows.
+
+    A "float" column reads as ``_parse_floats`` reads it, into preallocated
+    arrays; a "text" column as its stripped cells; a "code" column as int32
+    codes of its stripped cells into a dict of the distinct cells, in order
+    of first appearance.  A name the header repeats reads its last column,
+    as ``csv.DictReader`` does.
+    """
+
+    def __init__(self, header: Sequence[str], kinds: Mapping[str, str], bound: int):
+        where = {name: j for j, name in enumerate(header)}
+        self.fields = [(name, where[name], kind) for name, kind in kinds.items()]
+        self.size = 0
+        self.parsed = {}
+        for name, _, kind in self.fields:
+            if kind == "float":
+                self.parsed[name] = tuple(np.empty(bound, t) for t in (np.float64, bool, bool))
+            elif kind == "code":
+                self.parsed[name] = (np.empty(bound, np.int32), {})
+            else:
+                self.parsed[name] = []
+
+    def add(self, count: int, column) -> None:
+        """Parse the next ``count`` rows, whose cells of field j are ``column(j)``."""
+        rows = slice(self.size, self.size + count)
+        for name, j, kind in self.fields:
+            out, cells = self.parsed[name], column(j)
+            if kind == "float":
+                for whole, part in zip(out, _parse_floats(cells)):
+                    whole[rows] = part
+            elif kind == "code":
+                codes, index = out
+                cells = list(map(str.strip, cells))
+                for label in dict.fromkeys(cells):
+                    index.setdefault(label, len(index))
+                codes[rows] = np.fromiter(map(index.__getitem__, cells), np.int32, count)
+            else:
+                out.extend(map(str.strip, cells))
+        self.size += count
+
+    def result(self) -> dict:
+        """Each name's parsed column, cut to the rows read."""
+        n = self.size
+        out = {}
+        for name, _, kind in self.fields:
+            parsed = self.parsed[name]
+            if kind == "float":
+                parsed = tuple(part[:n] for part in parsed)
+            elif kind == "code":
+                parsed = (parsed[0][:n], parsed[1])
+            out[name] = parsed
+        return out
+
+
+class _NotPlain(Exception):
+    """A text that ``csv.reader`` might not read as each line's split on ","."""
+
+
+def _split_lines(text: str) -> list[str]:
+    """``text``'s lines without their "\\n" or "\\r\\n" endings; _NotPlain
+    at a "\\r" that does not end a "\\r\\n"."""
+    text = text.replace("\r\n", "\n")
+    if "\r" in text:
+        raise _NotPlain
+    return text.split("\n")
+
+
+def _line_lists(pieces, limit: int):
+    """The lines of the text that ``pieces`` make up, a list per piece that
+    ends a line; _NotPlain at a line longer than ``limit`` that no piece
+    ends, or as ``_split_lines``."""
+    rest = ""
+    for piece in pieces:
+        piece = rest + piece
+        cut = piece.rfind("\n") + 1
+        rest = piece[cut:]
+        if len(rest) > limit:
+            raise _NotPlain
+        if cut:
+            yield _split_lines(piece[:cut])
+    yield _split_lines(rest)
+
+
+def _read_plain(read_pieces, check_header, kinds, keep_lines: bool):
+    """The table and the ``kinds`` columns of a text split on ","
+    directly; _NotPlain unless ``csv.reader`` reads each line as its split
+    into as many fields as the header has.  ``read_pieces()`` gives the
+    text's pieces afresh: once to count lines and look for quotes, and
+    once to parse them, so the text is never held whole.
 
     A line reads as its split when the text has no quote character and no
     NUL (which ``csv`` rejects before Python 3.11), every "\\r" ends a
@@ -93,64 +208,68 @@ def _plain_lines(text: str) -> list[str] | None:
     end at "\\n" alone, as in file iteration: ``str.splitlines`` would also
     end them at "\\v", "\\f", "\\x1c" to "\\x1e", "\\x85", "\\u2028" and
     "\\u2029".  A text with no header, a blank one or no data line is
-    None too.
+    _NotPlain too.  Blank lines are skipped, and data lines are parsed
+    ``CHUNK_LINES`` at a time, so no list of every line or every cell is
+    built unless ``keep_lines`` asks for the lines.
     """
-    if '"' in text or "\0" in text:
-        return None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-        if "\r" in text:
-            return None
-    if not text or text[0] == "\n":
-        return None
-    lines = list(filter(None, text.split("\n")))
-    if len(lines) < 2 or len(set(map(str.count, lines, repeat(",")))) > 1:
-        return None
-    if max(map(len, lines)) > csv.field_size_limit():
-        return None
-    return lines
+    bound = 0
+    for piece in read_pieces():
+        if '"' in piece or "\0" in piece:
+            raise _NotPlain
+        bound += piece.count("\n")
+    limit = csv.field_size_limit()
+    lines = chain.from_iterable(_line_lists(read_pieces(), limit))
+    header = next(lines)
+    if not header or len(header) > limit:
+        raise _NotPlain
+    header = header.split(",")
+    check_header(header)
+    width, commas = len(header), {len(header) - 1}
+    columns = _Columns(header, kinds, bound)
+    kept = [] if keep_lines else None
+    lines = filter(None, lines)
+    for chunk in iter(lambda: list(islice(lines, CHUNK_LINES)), []):
+        if set(map(str.count, chunk, repeat(","))) != commas or max(map(len, chunk)) > limit:
+            raise _NotPlain
+        if columns.size + len(chunk) > bound:  # the file grew after it was counted
+            raise _NotPlain
+        flat = ",".join(chunk).split(",")
+        columns.add(len(chunk), lambda j: flat[j::width])
+        if keep_lines:
+            kept += chunk
+    if not columns.size:
+        raise _NotPlain
+    return CsvTable(tuple(header), columns.size, kept), columns.result()
 
 
-@dataclass(frozen=True)
-class CsvTable:
-    """A CSV file as read: its header, one string column per header field,
-    and the number of data rows.
+def _csv_line(writer, buffer: io.StringIO, fields) -> str:
+    """``fields`` as ``writer`` writes them into ``buffer``, without the line ending."""
+    buffer.seek(0)
+    buffer.truncate()
+    writer.writerow(fields)
+    return buffer.getvalue()[:-2]
 
-    ``lines`` holds each data row as written, without its line ending,
-    when the file was split on "," directly; otherwise it is None.
+
+def _read_columns(path: str | Path, check_header, kinds: Mapping[str, str],
+                  keep_lines: bool = False) -> tuple[CsvTable, dict]:
+    """Read a CSV: its table, with its data rows as text when
+    ``keep_lines`` asks for them, and its ``kinds`` columns (see
+    ``_Columns``).
+
+    The whole file is decoded before ``check_header`` sees the header row
+    (None for an empty file), even when it is blank, and before any data
+    row is parsed.  Blank data rows are skipped.  A short row reads "" in
+    the fields it lacks, and fields past the header are ignored.  A file
+    without quoting whose data rows all have the header's width is read
+    a piece at a time and split on "," directly (``_read_plain``); any
+    other is read whole and goes through ``csv.reader``.
     """
-
-    header: tuple[str, ...]
-    columns: tuple[Sequence[str], ...]
-    size: int
-    lines: tuple[str, ...] | None = None
-
-    @property
-    def named(self) -> dict[str, Sequence[str]]:
-        """Each header name's last column, as ``csv.DictReader`` reads it."""
-        return dict(zip(self.header, self.columns))
-
-
-def _read_columns(path: str | Path, check_header) -> CsvTable:
-    """Read a CSV once, as string columns.
-
-    The first row is the header, even when it is blank, and
-    ``check_header`` sees it (None for an empty file) before any data row
-    is read.  Blank data rows are skipped.  A short row reads "" in the
-    fields it lacks, and fields past the header are ignored.  A file
-    without quoting whose data rows all have the header's width is split
-    on "," directly; any other goes through ``csv.reader``.
-    """
-    text = _read_text(path)
-    lines = _plain_lines(text)
-    if lines is not None:
-        header = lines.pop(0).split(",")
-        check_header(header)
-        width = len(header)
-        flat = ",".join(lines).split(",")
-        columns = tuple(flat[j::width] for j in range(width))
-        return CsvTable(tuple(header), columns, len(lines), tuple(lines))
-    reader = csv.reader(io.StringIO(text, newline=""))
+    read_pieces = partial(_text_pieces, path, CHUNK_LINES)
+    try:
+        return _read_plain(read_pieces, check_header, kinds, keep_lines)
+    except _NotPlain:
+        pass
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
     try:
         header = next(reader, None)
         check_header(header)
@@ -158,9 +277,16 @@ def _read_columns(path: str | Path, check_header) -> CsvTable:
     except csv.Error as exc:
         raise DataValidationError(f"{path}: {exc}") from exc
     width = len(header)
-    columns = list(islice(zip_longest(*rows, fillvalue=""), width))
-    columns += [("",) * len(rows)] * (width - len(columns))
-    return CsvTable(header=tuple(header), columns=tuple(columns), size=len(rows))
+    fields = list(islice(zip_longest(*rows, fillvalue=""), width))
+    fields += [("",) * len(rows)] * (width - len(fields))
+    columns = _Columns(header, kinds, len(rows))
+    columns.add(len(rows), fields.__getitem__)
+    lines = None
+    if keep_lines:
+        buffer = io.StringIO()
+        writer = csv.writer(buffer)
+        lines = [_csv_line(writer, buffer, (row + [""] * width)[:width]) for row in rows]
+    return CsvTable(tuple(header), len(rows), lines), columns.result()
 
 
 def read_json(path: str | Path, what: str):
@@ -304,8 +430,9 @@ class IngestResult:
     ``data`` holds every loaded row, its strata coded in order of first
     appearance (one stratum, "", without a stratum column), and ``sample``
     the same ids with their weights (1 without a weight column) and their
-    rows of ``data``.  ``table`` is the file as read, and ``file_rows`` the
-    row of ``table`` each loaded record came from.
+    rows of ``data``.  ``table`` is the file as read (with its data lines
+    only when they were asked for), and ``file_rows`` the row of ``table``
+    each loaded record came from.
     """
 
     data: FinitePopulation
@@ -350,7 +477,27 @@ def _first_rows(keys: Sequence[str], rows: Sequence[int]) -> np.ndarray:
     return np.fromiter(map(first.get, keys, repeat(len(keys))), dtype=np.intp, count=len(keys))
 
 
-def ingest_csv(path: str | Path, schema: DataSchema) -> IngestResult:
+def _duplicates(keys: Sequence[str], rows: np.ndarray) -> np.ndarray:
+    """True at each row after the first of the ascending ``rows`` holding
+    its key; when every key is distinct, no row is."""
+    n = len(keys)
+    if len(set(keys)) == n:
+        return np.zeros(n, dtype=bool)
+    return np.arange(n) > _first_rows(keys, rows.tolist())
+
+
+def _first_appearance(codes: np.ndarray, index: Mapping[str, int]):
+    """``codes`` into the labels of ``index`` recoded into the labels they
+    use, in order of first appearance."""
+    used, first = np.unique(codes, return_index=True)
+    order = used[np.argsort(first)]
+    recode = np.zeros(len(index), dtype=np.int32)
+    recode[order] = np.arange(order.size)
+    labels = list(index)
+    return recode[codes], tuple(labels[k] for k in order.tolist())
+
+
+def ingest_csv(path: str | Path, schema: DataSchema, *, keep_lines: bool = False) -> IngestResult:
     """Load a survey CSV into columns plus a weighted sample.
 
     Rows missing any required field, with a non-binary outcome, an
@@ -358,8 +505,24 @@ def ingest_csv(path: str | Path, schema: DataSchema) -> IngestResult:
     by reason.  A row's reason is its first failing check, in the order
     id, duplicate id, outcome, weight, stratum, then each feature; a row
     is a duplicate when an earlier row with its id was loaded.  Reasons
-    are counted in order of first occurrence.
+    are counted in order of first occurrence.  ``keep_lines`` keeps the
+    data rows as text in ``table``, for :func:`write_split_files`.
     """
+    table, report, rows, loaded, weights = _load_rows(path, schema, keep_lines)
+    data = FinitePopulation(**loaded)
+    return IngestResult(
+        data=data,
+        sample=SurveySample(ids=data.ids, weights=weights, rows=np.arange(rows.size)),
+        report=report,
+        table=table,
+        file_rows=rows,
+    )
+
+
+def _load_rows(path, schema: DataSchema, keep_lines: bool):
+    """``ingest_csv``'s read and row checks: the table, the load report, the
+    loaded rows, their ``FinitePopulation`` fields and their weights.  The
+    whole-file columns die with this call, before the population is built."""
 
     def check_header(header):
         if header is None:
@@ -371,16 +534,21 @@ def ingest_csv(path: str | Path, schema: DataSchema) -> IngestResult:
         if repeated:
             raise SchemaError(f"{path} repeats schema columns: {repeated}")
 
-    table = _read_columns(path, check_header)
-    cols = table.named
+    wanted = {schema.id_column: "text", schema.outcome_column: "float"}
+    if schema.weight_column is not None:
+        wanted[schema.weight_column] = "float"
+    if schema.stratum_column is not None:
+        wanted[schema.stratum_column] = "code"
+    for col in schema.features:
+        wanted[col.name] = "float" if col.kind == "numeric" else "text"
+    table, cols = _read_columns(path, check_header, wanted, keep_lines)
     n = table.size
-    ids = list(map(str.strip, cols[schema.id_column]))
+    ids = cols[schema.id_column]
     checks = [("missing id", _blank(ids))]  # (reason, failing rows), in check order
-    outcome_text = list(map(str.strip, cols[schema.outcome_column]))
-    y, blank, _ = _parse_floats(outcome_text)
+    y, blank, _ = cols[schema.outcome_column]
     checks += [("missing outcome", blank), ("non-binary outcome", (y != 0) & (y != 1))]
     if schema.weight_column is not None:
-        weights, blank, bad = _parse_floats(cols[schema.weight_column])
+        weights, blank, bad = cols[schema.weight_column]
         checks += [
             ("missing weight", blank),
             ("unparseable weight", bad),
@@ -388,28 +556,24 @@ def ingest_csv(path: str | Path, schema: DataSchema) -> IngestResult:
         ]
     else:
         weights = np.ones(n)
-    strata = [""] * n
     if schema.stratum_column is not None:
-        strata = list(map(str.strip, cols[schema.stratum_column]))
-        checks.append(("missing stratum", _blank(strata)))
-    values = []
+        strata, index = cols[schema.stratum_column]
+        checks.append(("missing stratum", strata == index.get("", -1)))
     for col in schema.features:
         if col.kind == "numeric":
-            value, blank, bad = _parse_floats(cols[col.name])
+            value, blank, bad = cols[col.name]
             checks += [
                 (f"missing feature {col.name}", blank),
                 (f"unparseable feature {col.name}", bad),
                 (f"non-finite feature {col.name}", ~np.isfinite(value)),
             ]
         else:
-            value = list(map(str.strip, cols[col.name]))
-            checks.append((f"missing feature {col.name}", _blank(value)))
-        values.append(value)
+            checks.append((f"missing feature {col.name}", _blank(cols[col.name])))
 
     # Each id's first row passing every other check is loaded; any later
     # row with that id is a duplicate, whatever else is wrong with it.
     valid = np.flatnonzero(~np.logical_or.reduce([failing for _, failing in checks]))
-    checks.insert(1, ("duplicate id", np.arange(n) > _first_rows(ids, valid.tolist())))
+    checks.insert(1, ("duplicate id", _duplicates(ids, valid)))
 
     code = np.full(n, len(checks))  # index of each row's first failing check
     for k in reversed(range(len(checks))):
@@ -422,26 +586,23 @@ def ingest_csv(path: str | Path, schema: DataSchema) -> IngestResult:
     rows = np.flatnonzero(code == len(checks))
     if not rows.size:
         raise DataValidationError(f"{path}: no usable rows ({n} read)")
-    take = rows.tolist()
-    codes, labels = code_labels(map(strata.__getitem__, take), rows.size)
-    data = FinitePopulation(
+    if schema.stratum_column is not None:
+        codes, labels = _first_appearance(strata[rows], index)
+    else:
+        codes, labels = np.zeros(rows.size, dtype=np.int32), ("",)
+    loaded = dict(
         ids=np.asarray(ids, dtype=object)[rows],
         outcomes=y[rows].astype(np.int8),
         strata=codes,
         stratum_labels=labels,
         features=tuple(
-            value[rows] if col.kind == "numeric"
-            else np.asarray([value[i] for i in take], dtype=object)
-            for col, value in zip(schema.features, values)
+            cols[col.name][0][rows] if col.kind == "numeric"
+            else np.asarray(cols[col.name], dtype=object)[rows]
+            for col in schema.features
         ),
     )
-    return IngestResult(
-        data=data,
-        sample=SurveySample(ids=data.ids, weights=weights[rows], rows=np.arange(rows.size)),
-        report=LoadReport(rows_read=n, rows_loaded=rows.size, dropped=dropped),
-        table=table,
-        file_rows=rows,
-    )
+    report = LoadReport(rows_read=n, rows_loaded=rows.size, dropped=dropped)
+    return table, report, rows, loaded, weights[rows]
 
 
 def write_rows_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -450,6 +611,51 @@ def write_rows_csv(path: str | Path, header: Sequence[str], rows: Iterable[Seque
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _float_texts(values: np.ndarray) -> list[str]:
+    """``repr`` of each float: once per distinct bit pattern (so -0.0 and
+    0.0 keep their own text) when at most half the values are distinct,
+    otherwise once per value."""
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    if 2 * bits.size > values.size:
+        return list(map(repr, values.tolist()))
+    texts = list(map(repr, bits.view(np.float64).tolist()))
+    return list(map(texts.__getitem__, inverse.tolist()))
+
+
+def _write_float_rows(
+    path: str | Path,
+    header: Sequence[str],
+    floats: Sequence[Sequence[float]],
+    lead: list[str] | None = None,
+    *,
+    lead_is_csv: bool = False,
+) -> None:
+    """Write ``header``, then per row ``lead``'s entry (when given) and each
+    float column's ``repr``, with the bytes ``csv.writer`` writes.
+
+    ``lead`` holds one text field per row or, with ``lead_is_csv``, each
+    row's leading fields as CSV text already.  Lines are joined and written
+    ``CHUNK_LINES`` rows at a time.  A ``lead`` field that needs quoting
+    sends the whole file through ``csv.writer``.
+    """
+    floats = [np.ascontiguousarray(c, dtype=np.float64) for c in floats]
+    if lead is not None and not lead_is_csv:
+        joined = "".join(lead)
+        if any(c in joined for c in ',"\r\n'):
+            write_rows_csv(path, header, zip(lead, *(c.tolist() for c in floats)))
+            return
+    n = len(lead) if lead is not None else len(floats[0])
+    line = ",".join(["{}"] * (len(floats) + (lead is not None))) + "\r\n"
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        for start in range(0, n, CHUNK_LINES):
+            rows = slice(start, start + CHUNK_LINES)
+            columns = [_float_texts(c[rows]) for c in floats]
+            if lead is not None:
+                columns.insert(0, lead[rows])
+            fh.write("".join(map(line.format, *columns)))
 
 
 def write_split_files(
@@ -463,7 +669,8 @@ def write_split_files(
     eval_out: str | Path,
     weight_column: str | None,
 ) -> None:
-    """Write train/eval CSVs holding rows of ``table`` as they were read.
+    """Write train/eval CSVs holding rows of ``table`` as they were read;
+    the table must keep its lines (``ingest_csv(..., keep_lines=True)``).
 
     Both files carry a canonical ``weight`` column holding the design
     weight (appended unless ``weight_column``, the schema's weight column,
@@ -483,19 +690,8 @@ def write_split_files(
         )
 
     def write(path, header, file_rows, *weight_columns):
-        weights = [np.asarray(w, dtype=np.float64).tolist() for w in weight_columns]
-        if table.lines is None:
-            fields = [list(map(col.__getitem__, file_rows)) for col in table.columns]
-            write_rows_csv(path, header, zip(*fields, *weights))
-            return
-        # No field of a plain line needs quoting, so the line as read is
-        # what ``csv.writer`` would write for its fields.
-        line_format = "{}" + ",{!r}" * len(weights) + "\r\n"
-        with Path(path).open("w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerow(header)
-            fh.writelines(
-                map(line_format.format, map(table.lines.__getitem__, file_rows), *weights)
-            )
+        lines = list(map(table.lines.__getitem__, np.asarray(file_rows, dtype=np.intp).tolist()))
+        _write_float_rows(path, header, weight_columns, lines, lead_is_csv=True)
 
     header = list(table.header) + (["weight"] if append_weight else [])
     design = (train_weights,) if append_weight else ()
@@ -514,14 +710,12 @@ def read_predictions(path: str | Path) -> dict[str, float]:
         if header is None or not {"id", "score"} <= set(header):
             raise SchemaError(f"{path} must have 'id' and 'score' columns")
 
-    table = _read_columns(path, check_header)
-    named = table.named
-    ids = list(map(str.strip, named["id"]))
-    texts = list(map(str.strip, named["score"]))
+    table, cols = _read_columns(path, check_header, {"id": "text", "score": "text"})
+    ids, texts = cols["id"], cols["score"]
     scores, blank, bad = _parse_floats(texts)
     blank |= _blank(ids)
     outside = ~((scores >= 0.0) & (scores <= 1.0))
-    duplicate = np.arange(table.size) > _first_rows(ids, range(table.size))
+    duplicate = _duplicates(ids, np.arange(table.size))
     failing = np.flatnonzero(blank | bad | outside | duplicate)
     if failing.size:
         i = int(failing[0])
@@ -538,4 +732,10 @@ def read_predictions(path: str | Path) -> dict[str, float]:
 
 
 def write_predictions(path: str | Path, ids: Sequence[str], scores: Sequence[float]) -> None:
-    write_rows_csv(path, ["id", "score"], zip(ids, np.asarray(scores, dtype=np.float64).tolist()))
+    _write_float_rows(path, ["id", "score"], [scores], list(ids))
+
+
+def write_roc(path: str | Path, curve) -> None:
+    """Write an ROC curve's thresholds, sensitivity, specificity and fpr."""
+    columns = (curve.thresholds, curve.sensitivity, curve.specificity, curve.fpr)
+    _write_float_rows(path, ["threshold", "sensitivity", "specificity", "fpr"], columns)

@@ -47,10 +47,14 @@ class RocCurve:
 
 
 def uniform_grid(points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
-    """Evenly spaced thresholds over [0, 1] including both endpoints."""
+    """Evenly spaced thresholds over [0, 1] including both endpoints; a
+    grid numpy cannot allocate is a DataValidationError."""
     if points < 2:
         raise DataValidationError("grid needs at least the two endpoints")
-    return np.linspace(0.0, 1.0, points)
+    try:
+        return np.linspace(0.0, 1.0, points)
+    except (MemoryError, ValueError) as exc:
+        raise DataValidationError(f"a grid of {points} points cannot be allocated") from exc
 
 
 def score_adapted_grid(scores: Sequence[float] | np.ndarray) -> np.ndarray:

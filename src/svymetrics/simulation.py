@@ -33,6 +33,7 @@ from .errors import (
 )
 from .evaluation import EvaluationSummary, evaluation_summary, population_summary
 from .io import DataSchema, check_keys, expect, from_json, ingest_csv, read_fields, to_json
+from .roc import uniform_grid
 from .rng import derive_stream
 from .sampling import StratifiedDesign, split_train_test, stratified_sample
 from .types import EvaluationSet, FinitePopulation
@@ -367,8 +368,11 @@ class ExperimentSpec:
             raise DataValidationError("classifier names must be unique")
         if any(not (0.0 <= t <= 1.0) for t in self.thresholds):
             raise DataValidationError("thresholds must lie in [0, 1]")
-        if self.auroc_grid != "exact" and int(self.auroc_grid) < 2:
-            raise DataValidationError("auroc_grid must be 'exact' or a point count >= 2")
+        if self.auroc_grid != "exact":
+            if int(self.auroc_grid) < 2:
+                raise DataValidationError("auroc_grid must be 'exact' or a point count >= 2")
+            # Here, not in every replicate, where it would fail each classifier.
+            uniform_grid(int(self.auroc_grid))
 
 
 DEFAULT_DESIGN_ALLOCATIONS = {

@@ -671,7 +671,8 @@ def write_split_files_per_row(
     weight_column,
 ):
     """``io.write_split_files`` with every row written by ``csv.writer``
-    from the table's columns: the reference for the bytes of both files."""
+    from its fields, each kept line of the table read back by
+    ``csv.reader``: the reference for the bytes of both files."""
     if "weight_eval" in table.header:
         raise SchemaError("input file already has a 'weight_eval' column")
     append_weight = weight_column != "weight"
@@ -682,18 +683,37 @@ def write_split_files_per_row(
         )
 
     def write(path, header, file_rows, *weight_columns):
-        fields = [[col[i] for i in file_rows] for col in table.columns]
-        fields += [[float(w) for w in weights] for weights in weight_columns]
+        fields = [next(csv.reader([table.lines[i]])) for i in file_rows]
+        weights = [[float(w) for w in weights] for weights in weight_columns]
         with Path(path).open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            writer.writerows(zip(*fields))
+            writer.writerows(row + list(ws) for row, *ws in zip(fields, *weights))
 
     header = list(table.header) + (["weight"] if append_weight else [])
     design = (train_weights,) if append_weight else ()
     write(train_out, header, train_rows, *design)
     design = (eval_design_weights,) if append_weight else ()
     write(eval_out, header + ["weight_eval"], eval_rows, *design, eval_compound_weights)
+
+
+def write_predictions_per_row(path, ids, scores):
+    """``io.write_predictions`` as ``csv.writer`` writes each row: the
+    reference for the bytes of a predictions file."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "score"])
+        writer.writerows(zip(ids, np.asarray(scores, dtype=np.float64).tolist()))
+
+
+def write_roc_per_row(path, curve):
+    """``io.write_roc`` as ``csv.writer`` writes each row: the reference
+    for the bytes of an ROC file."""
+    columns = (curve.thresholds, curve.sensitivity, curve.specificity, curve.fpr)
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["threshold", "sensitivity", "specificity", "fpr"])
+        writer.writerows(zip(*(np.asarray(c, dtype=np.float64).tolist() for c in columns)))
 
 
 def schema_json_by_hand(schema):

@@ -325,6 +325,23 @@ class TestEvaluateBehaviour:
             main(["evaluate"])  # missing required flags
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["evaluate", "roc"])
+    @pytest.mark.parametrize("points", [2**61, 10**23])  # refused before any allocation
+    def test_grid_numpy_cannot_allocate_is_one_line_data_error(
+        self, tmp_path, capsys, command, points
+    ):
+        data = tmp_path / "eval.csv"
+        data.write_text("id,y,weight_eval\na,1,2.0\nb,0,3.0\n")
+        preds = tmp_path / "p.csv"
+        preds.write_text("id,score\na,0.9\nb,0.2\n")
+        out = tmp_path / "roc.csv"
+        code = _run([command, "--input", data, "--id-col", "id", "--outcome-col", "y",
+                     "--predictions", preds, "--grid", points]
+                    + (["--out", out] if command == "roc" else []))
+        assert code == 3
+        assert capsys.readouterr().err == f"error: a grid of {points} points cannot be allocated\n"
+        assert not out.exists()
+
 
 class TestRocCommand:
     def test_roc_csv_export(self, tmp_path):
@@ -460,6 +477,21 @@ class TestSimulateCommand:
         labels = [line.split()[0] for line in render_evaluate_text(report).splitlines()[2:6]]
         assert labels == ["Sensitivity@0.3", "Specificity@0.3",
                           "Sensitivity@0.3000001", "Specificity@0.3000001"]
+
+    @pytest.mark.parametrize("points", [2**61, 10**23])  # refused before any allocation
+    def test_auroc_grid_numpy_cannot_allocate_is_one_line_data_error(
+        self, tmp_path, capsys, points
+    ):
+        spec = json.loads(self._spec_file(tmp_path).read_text())
+        spec["auroc_grid"] = points
+        path = tmp_path / "huge_grid.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "summary.json"
+        assert _run(["simulate", path, "--json", out]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: a grid of {points} points cannot be allocated\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_missing_spec_file_is_data_error(self, tmp_path, capsys):
         assert _run(["simulate", tmp_path / "nope.json"]) == 3

@@ -2,8 +2,10 @@ import contextlib
 import csv
 import io
 import json
+import struct
 import sys
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from helpers import (
     read_predictions_per_row,
     schema_json_by_hand,
     summary_json_by_hand,
+    write_predictions_per_row,
+    write_roc_per_row,
     write_split_files_per_row,
 )
 from svymetrics import io as io_module
@@ -26,13 +30,13 @@ from svymetrics.io import (
     DataSchema,
     FeatureColumn,
     _parse_floats,
-    _plain_lines,
     from_json,
     ingest_csv,
     load_schema,
     read_predictions,
     to_json,
     write_predictions,
+    write_roc,
     write_split_files,
 )
 
@@ -49,6 +53,16 @@ def _write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def _plain_lines(text):
+    """The header and data lines ``text`` is split into on the plain read
+    path, or None when it goes through ``csv.reader``."""
+    try:
+        table, _ = io_module._read_plain(lambda: [text], lambda header: None, {}, keep_lines=True)
+    except io_module._NotPlain:
+        return None
+    return [",".join(table.header), *table.lines]
 
 
 def _main_quietly(argv):
@@ -227,6 +241,24 @@ class TestIngestCsv:
                                    "--outcome-col", "y", "--weight-col", "wt"])
         assert code == 3
         assert err == f"error: {path}: field larger than field limit ({limit})\n"
+
+    def test_rows_appended_between_the_two_reads_are_read(self, tmp_path, monkeypatch):
+        """A quote-free file is read once to count its lines and once to
+        parse them; rows appended in between send it through ``csv.reader``
+        instead of past the arrays sized by the count."""
+        path = _write(tmp_path, "id,y\na,1\nb,0\n")
+        reads = []
+
+        def text_pieces(path, size=-1, _real=io_module._text_pieces):
+            reads.append(size)
+            if len(reads) == 2:
+                path.write_text("id,y\na,1\nb,0\nc,1\nd,0\n", encoding="utf-8")
+            return _real(path, size)
+
+        monkeypatch.setattr(io_module, "_text_pieces", text_pieces)
+        result = ingest_csv(path, DataSchema(id_column="id", outcome_column="y"))
+        assert result.data.ids.tolist() == ["a", "b", "c", "d"]
+        assert len(reads) == 3
 
     def test_field_at_the_csv_limit_is_read(self, tmp_path):
         limit = csv.field_size_limit()
@@ -517,144 +549,161 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("generated")
 
 
+def _check_ingest_equals_row_loop(workdir, data):
+    schema = data.draw(survey_schemas())
+    path = _write(workdir, data.draw(csv_texts(schema.required_columns, ["note", "weight"],
+                                               plain=data.draw(st.booleans()))))
+    expected = _outcome(ingest_csv_per_row, path, schema)
+    got = _outcome(ingest_csv, path, schema)
+    if isinstance(expected, tuple) and isinstance(expected[0], type):
+        assert got == expected
+        return
+    population, weights, report, _ = expected
+    assert got.data.ids.tolist() == population.ids.tolist()
+    for ours, theirs in ((got.data.outcomes, population.outcomes),
+                         (got.data.strata, population.strata),
+                         (got.sample.weights, weights)):
+        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+    assert got.data.stratum_labels == population.stratum_labels
+    for ours, theirs in zip(got.data.features, population.features, strict=True):
+        assert ours.dtype == theirs.dtype
+        if ours.dtype == object:
+            assert ours.tolist() == theirs.tolist()
+        else:
+            assert ours.tobytes() == theirs.tobytes()
+    assert got.report == report
+    assert list(got.report.dropped) == list(report.dropped)
+
+
+def _check_read_predictions_equals_row_loop(workdir, data):
+    path = _write(workdir, data.draw(csv_texts(["id", "score"], ["id", "score", "note"],
+                                               plain=data.draw(st.booleans()))),
+                  name="p.csv")
+    expected = _outcome(read_predictions_per_row, path)
+    got = _outcome(read_predictions, path)
+    assert got == expected
+    if isinstance(got, dict):
+        assert list(got) == list(expected)
+
+
+def _check_split_writes_each_loaded_row_as_read(workdir, data):
+    schema = data.draw(survey_schemas())
+    path = _write(workdir, data.draw(csv_texts(schema.required_columns, ["note", "weight"],
+                                               plain=data.draw(st.booleans()))))
+    flags = ["--id-col", "id", "--outcome-col", "y"]
+    if schema.weight_column:
+        flags += ["--weight-col", schema.weight_column]
+    if schema.stratum_column:
+        flags += ["--stratum-col", schema.stratum_column]
+    for col in schema.features:
+        flags += ["--feature", f"{col.name}:{col.kind}"]
+    train, held_out = workdir / "train.csv", workdir / "eval.csv"
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(["split", "--input", str(path), *flags, "--eval-fraction", "0.5",
+                     "--seed", str(data.draw(st.integers(0, 3))),
+                     "--train-out", str(train), "--eval-out", str(held_out)])
+    expected = _outcome(ingest_csv_per_row, path, schema)
+    if isinstance(expected, tuple) and isinstance(expected[0], type):
+        assert code == 3
+        return
+    population, weights, _, raw_rows = expected
+    if population.size < 2:  # one record cannot be split
+        assert code == 3
+        return
+    with path.open(newline="", encoding="utf-8") as fh:
+        header = next(csv.reader(fh))
+    if "weight" in header:  # never the schema's weight column here
+        assert code == 3
+        return
+    assert code == 0
+    raw_by_id = dict(zip(population.ids, raw_rows))
+    weight_by_id = dict(zip(population.ids, weights.tolist()))
+    written = []
+    for out in (train, held_out):
+        with out.open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][:len(header)] == header
+        for row in rows[1:]:
+            rid = row[header.index("id")].strip()
+            assert row[:len(header)] == raw_by_id[rid]
+            assert float(row[len(header)]) == weight_by_id[rid]  # the design weight
+            written.append(rid)
+    assert sorted(written) == sorted(population.ids)
+
+
+def _check_split_files_equal_csv_writer_bytes(workdir, data):
+    """Both split files, byte for byte, against ``csv.writer`` writing
+    every row from its fields."""
+    schema = data.draw(survey_schemas(weight_columns=("wt", "weight", None)))
+    path = _write(workdir, data.draw(csv_texts(schema.required_columns, ["note", "weight"],
+                                               plain=data.draw(st.booleans()))))
+    try:
+        result = ingest_csv(path, schema, keep_lines=True)
+    except DataValidationError:
+        return
+    rows = data.draw(st.permutations(result.file_rows.tolist()))
+    cut = data.draw(st.integers(0, len(rows)))
+    weights = st.floats(min_value=1e-300, max_value=1e300)
+    args = (
+        rows[:cut],
+        data.draw(st.lists(weights, min_size=cut, max_size=cut)),
+        rows[cut:],
+        *(data.draw(st.lists(weights, min_size=len(rows) - cut, max_size=len(rows) - cut))
+          for _ in range(2)),
+    )
+    outs = {}
+    for name, write in (("ours", write_split_files), ("oracle", write_split_files_per_row)):
+        train, held_out = workdir / f"{name}_train.csv", workdir / f"{name}_eval.csv"
+        try:
+            write(result.table, *args, train, held_out, schema.weight_column)
+        except SchemaError as exc:
+            outs[name] = str(exc)
+        else:
+            outs[name] = (train.read_bytes(), held_out.read_bytes())
+    assert outs["ours"] == outs["oracle"]
+
+
 class TestColumnarReadersMatchOracles:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_ingest_equals_row_loop(self, workdir, data):
-        schema = data.draw(survey_schemas())
-        path = _write(workdir, data.draw(csv_texts(schema.required_columns, ["note", "weight"],
-                                                   plain=data.draw(st.booleans()))))
-        expected = _outcome(ingest_csv_per_row, path, schema)
-        got = _outcome(ingest_csv, path, schema)
-        if isinstance(expected, tuple) and isinstance(expected[0], type):
-            assert got == expected
-            return
-        population, weights, report, _ = expected
-        assert got.data.ids.tolist() == population.ids.tolist()
-        for ours, theirs in ((got.data.outcomes, population.outcomes),
-                             (got.data.strata, population.strata),
-                             (got.sample.weights, weights)):
-            assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
-        assert got.data.stratum_labels == population.stratum_labels
-        for ours, theirs in zip(got.data.features, population.features, strict=True):
-            assert ours.dtype == theirs.dtype
-            if ours.dtype == object:
-                assert ours.tolist() == theirs.tolist()
-            else:
-                assert ours.tobytes() == theirs.tobytes()
-        assert got.report == report
-        assert list(got.report.dropped) == list(report.dropped)
+        _check_ingest_equals_row_loop(workdir, data)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_read_predictions_equals_row_loop(self, workdir, data):
-        path = _write(workdir, data.draw(csv_texts(["id", "score"], ["id", "score", "note"],
-                                                   plain=data.draw(st.booleans()))),
-                      name="p.csv")
-        expected = _outcome(read_predictions_per_row, path)
-        got = _outcome(read_predictions, path)
-        assert got == expected
-        if isinstance(got, dict):
-            assert list(got) == list(expected)
+        _check_read_predictions_equals_row_loop(workdir, data)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_split_writes_each_loaded_row_as_read(self, workdir, data):
-        schema = data.draw(survey_schemas())
-        path = _write(workdir, data.draw(csv_texts(schema.required_columns, ["note", "weight"],
-                                                   plain=data.draw(st.booleans()))))
-        flags = ["--id-col", "id", "--outcome-col", "y"]
-        if schema.weight_column:
-            flags += ["--weight-col", schema.weight_column]
-        if schema.stratum_column:
-            flags += ["--stratum-col", schema.stratum_column]
-        for col in schema.features:
-            flags += ["--feature", f"{col.name}:{col.kind}"]
-        train, held_out = workdir / "train.csv", workdir / "eval.csv"
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
-            code = main(["split", "--input", str(path), *flags, "--eval-fraction", "0.5",
-                         "--seed", str(data.draw(st.integers(0, 3))),
-                         "--train-out", str(train), "--eval-out", str(held_out)])
-        expected = _outcome(ingest_csv_per_row, path, schema)
-        if isinstance(expected, tuple) and isinstance(expected[0], type):
-            assert code == 3
-            return
-        population, weights, _, raw_rows = expected
-        if population.size < 2:  # one record cannot be split
-            assert code == 3
-            return
-        with path.open(newline="", encoding="utf-8") as fh:
-            header = next(csv.reader(fh))
-        if "weight" in header:  # never the schema's weight column here
-            assert code == 3
-            return
-        assert code == 0
-        raw_by_id = dict(zip(population.ids, raw_rows))
-        weight_by_id = dict(zip(population.ids, weights.tolist()))
-        written = []
-        for out in (train, held_out):
-            with out.open(newline="", encoding="utf-8") as fh:
-                rows = list(csv.reader(fh))
-            assert rows[0][:len(header)] == header
-            for row in rows[1:]:
-                rid = row[header.index("id")].strip()
-                assert row[:len(header)] == raw_by_id[rid]
-                assert float(row[len(header)]) == weight_by_id[rid]  # the design weight
-                written.append(rid)
-        assert sorted(written) == sorted(population.ids)
+        _check_split_writes_each_loaded_row_as_read(workdir, data)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_split_files_equal_csv_writer_bytes(self, workdir, data):
-        """Both split files, byte for byte, against ``csv.writer`` writing
-        every row from the table's columns."""
-        schema = data.draw(survey_schemas(weight_columns=("wt", "weight", None)))
-        path = _write(workdir, data.draw(csv_texts(schema.required_columns, ["note", "weight"],
-                                                   plain=data.draw(st.booleans()))))
-        try:
-            result = ingest_csv(path, schema)
-        except DataValidationError:
-            return
-        rows = data.draw(st.permutations(result.file_rows.tolist()))
-        cut = data.draw(st.integers(0, len(rows)))
-        weights = st.floats(min_value=1e-300, max_value=1e300)
-        args = (
-            rows[:cut],
-            data.draw(st.lists(weights, min_size=cut, max_size=cut)),
-            rows[cut:],
-            *(data.draw(st.lists(weights, min_size=len(rows) - cut, max_size=len(rows) - cut))
-              for _ in range(2)),
-        )
-        outs = {}
-        for name, write in (("ours", write_split_files), ("oracle", write_split_files_per_row)):
-            train, held_out = workdir / f"{name}_train.csv", workdir / f"{name}_eval.csv"
-            try:
-                write(result.table, *args, train, held_out, schema.weight_column)
-            except SchemaError as exc:
-                outs[name] = str(exc)
-            else:
-                outs[name] = (train.read_bytes(), held_out.read_bytes())
-        assert outs["ours"] == outs["oracle"]
+        _check_split_files_equal_csv_writer_bytes(workdir, data)
 
     def test_generated_files_reach_both_read_paths(self, workdir, monkeypatch):
         """The drawn files above are read both by a plain split on "," into
-        stride slices of one flat list (``table.lines`` is kept) and by
-        ``csv.reader`` with padding by ``zip_longest``, the latter on quoted
-        files and on quote-free files with short or long rows."""
+        stride slices of a flat list per chunk (``_read_plain`` returns
+        them) and by ``csv.reader`` with padding by ``zip_longest``, the
+        latter on quoted files and on quote-free files with short or long
+        rows."""
         seen = Counter()
 
-        def read_columns(path, check_header, _real=io_module._read_columns):
-            table = _real(path, check_header)
-            if table.lines is not None:
-                seen["split on ','"] += 1
-            elif '"' in path.read_text(encoding="utf-8"):
-                seen["csv.reader, quoted"] += 1
-            else:
-                seen["csv.reader, quote-free"] += 1
-            return table
+        def read_plain(read_pieces, *args, _real=io_module._read_plain):
+            try:
+                read = _real(read_pieces, *args)
+            except io_module._NotPlain:
+                quoted = '"' in "".join(read_pieces())
+                seen["csv.reader, quoted" if quoted else "csv.reader, quote-free"] += 1
+                raise
+            seen["split on ','"] += 1
+            return read
 
-        monkeypatch.setattr(io_module, "_read_columns", read_columns)
+        monkeypatch.setattr(io_module, "_read_plain", read_plain)
 
         @settings(max_examples=60, deadline=None, database=None)
         @given(data=st.data())
@@ -669,6 +718,159 @@ class TestColumnarReadersMatchOracles:
 
         read_drawn_files()
         assert set(seen) == {"split on ','", "csv.reader, quoted", "csv.reader, quote-free"}, seen
+
+
+@pytest.mark.parametrize("lines", [1, 2, 3])
+class TestOraclesAtChunkBoundaries:
+    """The oracle properties above again, with files read, parsed and
+    written ``lines`` lines (and read ``lines`` characters) at a time."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, lines):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(io_module, "CHUNK_LINES", lines)
+            yield
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_ingest_equals_row_loop(self, workdir, lines, data):
+        _check_ingest_equals_row_loop(workdir, data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_read_predictions_equals_row_loop(self, workdir, lines, data):
+        _check_read_predictions_equals_row_loop(workdir, data)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_split_writes_each_loaded_row_as_read(self, workdir, lines, data):
+        _check_split_writes_each_loaded_row_as_read(workdir, data)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_split_files_equal_csv_writer_bytes(self, workdir, lines, data):
+        _check_split_files_equal_csv_writer_bytes(workdir, data)
+
+
+def _first_rows_duplicates(keys, rows):
+    return np.arange(len(keys)) > io_module._first_rows(keys, rows.tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(ids=st.lists(st.sampled_from(["", " ", "a", "b", "a ", "日"]) | st.text(max_size=2),
+                    max_size=10),
+       data=st.data())
+def test_set_size_shortcut_marks_the_duplicates_first_rows_marks(ids, data):
+    rows = np.array(sorted(data.draw(st.sets(st.integers(0, max(len(ids) - 1, 0)),
+                                             max_size=len(ids)))), dtype=np.intp)
+    ours = io_module._duplicates(ids, rows)
+    assert ours.dtype == bool
+    assert ours.tolist() == _first_rows_duplicates(ids, rows).tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_set_size_shortcut_drops_what_first_rows_drops(workdir, data):
+    """Drawn surveys, with blank and repeated ids, load with the same
+    dropped counts whether or not distinct ids skip ``_first_rows``."""
+    schema = data.draw(survey_schemas())
+    path = _write(workdir, data.draw(csv_texts(schema.required_columns, ["note", "weight"],
+                                               plain=data.draw(st.booleans()))))
+    got = _outcome(ingest_csv, path, schema)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(io_module, "_duplicates", _first_rows_duplicates)
+        expected = _outcome(ingest_csv, path, schema)
+    if isinstance(expected, tuple):
+        assert got == expected
+        return
+    assert got.report == expected.report
+    assert list(got.report.dropped) == list(expected.report.dropped)
+    assert got.data.ids.tolist() == expected.data.ids.tolist()
+
+
+# ---------------------------------------------------------------------------
+# Line writers against csv.writer, byte for byte
+# ---------------------------------------------------------------------------
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, 1e16, 1e-5, 0.1, 1 / 3, 1.0, 2.5e-300, 1e300,
+                float("inf"), float("-inf"), float("nan")]
+_FLOATS = st.sampled_from(_EDGE_FLOATS) | st.floats()
+
+
+def _bits(value):
+    return struct.pack("<d", value)
+
+
+@st.composite
+def float_columns(draw, size):
+    """``size`` floats that repeat a few values, that are all distinct, or
+    that hold both -0.0 and 0.0."""
+    kind = draw(st.sampled_from(["repeat", "distinct", "signed zeros"]))
+    if kind == "distinct":
+        return draw(st.lists(_FLOATS, min_size=size, max_size=size, unique_by=_bits))
+    pool = draw(st.lists(_FLOATS, min_size=1, max_size=3))
+    if kind == "signed zeros":
+        pool += [0.0, -0.0]
+    return [draw(st.sampled_from(pool)) for _ in range(size)]
+
+
+_CHUNKS = st.sampled_from([1, 2, 3, io_module.CHUNK_LINES])
+
+
+class TestLineWritersMatchCsvWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), chunk=_CHUNKS)
+    def test_predictions_equal_csv_writer_bytes(self, workdir, data, chunk):
+        alphabet = data.draw(st.sampled_from(["ab é", 'ab ,"\r\n']))
+        ids = data.draw(st.lists(st.text(alphabet=alphabet, max_size=4), max_size=9))
+        scores = data.draw(float_columns(len(ids)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(io_module, "CHUNK_LINES", chunk)
+            write_predictions(workdir / "ours.csv", ids, scores)
+        write_predictions_per_row(workdir / "oracle.csv", ids, scores)
+        assert (workdir / "ours.csv").read_bytes() == (workdir / "oracle.csv").read_bytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), size=st.integers(0, 9), chunk=_CHUNKS)
+    def test_roc_equals_csv_writer_bytes(self, workdir, data, size, chunk):
+        curve = SimpleNamespace(**{name: np.array(data.draw(float_columns(size)))
+                                   for name in ("thresholds", "sensitivity", "specificity")})
+        curve.fpr = 1.0 - curve.specificity
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(io_module, "CHUNK_LINES", chunk)
+            write_roc(workdir / "ours.csv", curve)
+        write_roc_per_row(workdir / "oracle.csv", curve)
+        assert (workdir / "ours.csv").read_bytes() == (workdir / "oracle.csv").read_bytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), chunk=_CHUNKS)
+    def test_split_weight_columns_equal_csv_writer_bytes(self, workdir, data, chunk):
+        """Weight columns that repeat, that are all distinct, or that hold
+        both -0.0 and 0.0, after rows read either way."""
+        schema = data.draw(survey_schemas(weight_columns=("wt", "weight", None)))
+        path = _write(workdir, data.draw(csv_texts(schema.required_columns, ["note", "weight"],
+                                                   plain=data.draw(st.booleans()))))
+        try:
+            result = ingest_csv(path, schema, keep_lines=True)
+        except DataValidationError:
+            return
+        rows = data.draw(st.permutations(result.file_rows.tolist()))
+        cut = data.draw(st.integers(0, len(rows)))
+        args = (rows[:cut], data.draw(float_columns(cut)), rows[cut:],
+                data.draw(float_columns(len(rows) - cut)),
+                data.draw(float_columns(len(rows) - cut)))
+        outs = {}
+        for name, write in (("ours", write_split_files), ("oracle", write_split_files_per_row)):
+            train, held_out = workdir / f"{name}_train.csv", workdir / f"{name}_eval.csv"
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(io_module, "CHUNK_LINES", chunk)
+                try:
+                    write(result.table, *args, train, held_out, schema.weight_column)
+                except SchemaError as exc:
+                    outs[name] = str(exc)
+                else:
+                    outs[name] = (train.read_bytes(), held_out.read_bytes())
+        assert outs["ours"] == outs["oracle"]
 
 
 _NUMBER_CELLS = NUMBERS[0] + NUMBERS[1] + CELLS["score"][0] + CELLS["score"][1]

@@ -988,6 +988,14 @@ class TestExperimentJson:
         with pytest.raises(SchemaError):
             experiment_from_json_dict(payload)
 
+    @pytest.mark.parametrize("points", [2**61, 10**23])  # refused before any allocation
+    def test_grid_numpy_cannot_allocate_is_a_data_error_naming_it(self, points):
+        payload = json.loads(json.dumps(_SMALL_SPECS[2]))
+        payload["auroc_grid"] = points
+        with pytest.raises(DataValidationError) as exc:
+            experiment_from_json_dict(payload)
+        assert str(exc.value) == f"a grid of {points} points cannot be allocated"
+
     @pytest.mark.parametrize(
         "path, key",
         [
