@@ -18,6 +18,16 @@ from ..errors import DataValidationError, SchemaError
 from ..types import Record
 
 
+def binary_outcomes(y) -> np.ndarray:
+    """Every fitter's outcomes: float64, not empty, each 0 or 1."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.size == 0:
+        raise DataValidationError("no training records")
+    if not np.all((y == 0.0) | (y == 1.0)):
+        raise DataValidationError("outcomes must be 0 or 1")
+    return y
+
+
 def extract_columns(records: Sequence[Record]) -> list[np.ndarray]:
     """Split Record rows back into per-feature columns (float64 or object)."""
     if not records:

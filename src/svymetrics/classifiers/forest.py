@@ -18,10 +18,8 @@ import numpy as np
 
 from ..errors import DataValidationError
 from ..rng import stream_seed
-from .encoding import FeatureEncoder
-from .tree import (
-    FlatTree, binary_outcomes, check_tree_limits, distinct_rows, grow_counted, score_trees,
-)
+from .encoding import FeatureEncoder, binary_outcomes
+from .tree import FlatTree, check_tree_limits, distinct_rows, grow_counted, score_trees
 
 PAPER_PARITY_TREE_COUNT = 1000  # the cited simulations use 1,000 trees
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DataValidationError
+from .encoding import binary_outcomes
 
 
 def upsample_minority(y: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -18,7 +19,7 @@ def upsample_minority(y: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     Every original row comes first, in input order; the drawn duplicates
     follow.  Already balanced input gives ``arange(len(y))``.
     """
-    y = np.asarray(y)
+    y = binary_outcomes(y)
     positives = np.flatnonzero(y == 1)
     negatives = np.flatnonzero(y == 0)
     if not positives.size or not negatives.size:

@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import DataValidationError, NonConvergenceError, SeparationError
-from .encoding import FeatureEncoder
+from .encoding import FeatureEncoder, binary_outcomes
 
 MAX_ABS_COEF = 30.0  # separation declared beyond this on the encoded scale
 MAX_HALVINGS = 10  # step halvings tried before an IRLS step counts as converged
@@ -89,9 +89,7 @@ def fit_logistic(
     ``MAX_ABS_COEF`` (complete or quasi-complete separation) and
     NonConvergenceError when the iteration budget runs out.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if y.size < 2:
-        raise DataValidationError("need at least 2 training records")
+    y = binary_outcomes(y)
     if y.min() == y.max():
         raise DataValidationError("training data must contain both classes")
     encoder = FeatureEncoder.fit(columns)

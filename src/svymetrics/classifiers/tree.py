@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..errors import DataValidationError, SchemaError
-from .encoding import FeatureEncoder
+from .encoding import FeatureEncoder, binary_outcomes
 
 
 def check_tree_limits(max_depth: int | None, min_node_size: int) -> None:
@@ -26,16 +26,6 @@ def check_tree_limits(max_depth: int | None, min_node_size: int) -> None:
         raise DataValidationError(f"max_depth must be >= 0, got {max_depth}")
     if min_node_size < 1:
         raise DataValidationError(f"min_node_size must be >= 1, got {min_node_size}")
-
-
-def binary_outcomes(y) -> np.ndarray:
-    """The tree and forest fitters' outcomes: float64, not empty, each 0 or 1."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.size == 0:
-        raise DataValidationError("no training records")
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise DataValidationError("outcomes must be 0 or 1")
-    return y
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 from .classifiers import load_model, save_model
 from .errors import DataValidationError, NumericalError, SchemaError
 from .estimation import weight_diagnostics
-from .evaluation import evaluation_summary, resolve_grid
+from .evaluation import evaluation_summary, parse_grid, resolve_grid
 from .io import (
     DataSchema,
     FeatureColumn,
@@ -118,15 +118,6 @@ def _parse_thresholds(text: str) -> tuple[float, ...]:
     if any(not (0.0 <= t <= 1.0) for t in values):
         raise DataValidationError("thresholds must lie in [0, 1]")
     return values
-
-
-def _parse_grid(text: str):
-    if text == "exact":
-        return "exact"
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise DataValidationError(f"grid must be an integer or 'exact', got {text!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +268,7 @@ def render_evaluate_text(report: dict) -> str:
 def _cmd_evaluate(args) -> int:
     evaluation, load_report = _load_scored_evaluation(args)
     thresholds = _parse_thresholds(args.thresholds)
-    grid = _parse_grid(args.grid)
+    grid = parse_grid(args.grid, "--grid")
     weighted = evaluation_summary(evaluation, thresholds, grid, "weighted")
     unweighted = evaluation_summary(evaluation, thresholds, grid, "unweighted")
     report = {
@@ -295,7 +286,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_roc(args) -> int:
     evaluation, _ = _load_scored_evaluation(args)
-    grid = resolve_grid(_parse_grid(args.grid), evaluation.scores)
+    grid = resolve_grid(parse_grid(args.grid, "--grid"), evaluation.scores)
     curve = roc_sweep(evaluation, grid, args.weighting)
     write_roc(args.out, curve)
     print(f"wrote {len(curve.thresholds)} ROC points to {args.out}")

@@ -11,6 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import DataValidationError, SchemaError
 from .estimation import (
     EstimatorWeighting,
     confusion_rate,
@@ -58,11 +59,29 @@ class EvaluationSummary:
         }
 
 
+def parse_grid(value, what: str) -> int | str:
+    """A grid request as given: ``"exact"``, or any other value as ``int()``
+    reads it (a JSON boolean excepted).  A value ``int()`` refuses is a
+    SchemaError, and a count below 2 a DataValidationError, each naming
+    ``what``."""
+    if value == "exact":
+        return "exact"
+    try:
+        points = int(value)
+    except (TypeError, ValueError, OverflowError):
+        points = None
+    if points is None or isinstance(value, bool):
+        raise SchemaError(f"{what}: expected 'exact' or a point count, got {value!r}")
+    if points < 2:
+        raise DataValidationError(f"{what} must be 'exact' or a point count >= 2, got {points}")
+    return points
+
+
 def resolve_grid(grid: int | str, scores: np.ndarray) -> np.ndarray:
-    """Turn a grid request (point count or "exact") into threshold values."""
+    """Turn a parsed grid request (see :func:`parse_grid`) into threshold values."""
     if grid == "exact":
         return score_adapted_grid(scores)
-    return uniform_grid(int(grid))
+    return uniform_grid(grid)
 
 
 def evaluation_summary(
@@ -103,10 +122,8 @@ def population_summary(
     thresholds for a point-count grid.  Empty groups take no part, not even
     in an exact grid.  Rates are plain count ratios, with no standard errors.
     """
-    if grid == "exact":
-        g, tally = score_adapted_grid(scores[positives + negatives > 0]), tally_counts
-    else:
-        g, tally = uniform_grid(int(grid)), tally_binned_counts
+    g = resolve_grid(grid, scores[positives + negatives > 0])
+    tally = tally_counts if grid == "exact" else tally_binned_counts
     fixed = np.asarray(thresholds, dtype=np.float64)
     counts = tally(scores, positives, negatives, np.concatenate([fixed, g]))
     return _summary(counts, thresholds, g, "population-truth", None)

@@ -338,9 +338,10 @@ def expect(value, kind, what: str):
 def from_json(hint, value):
     """Read a JSON value as the field type ``hint``.
 
-    Numbers go through ``int()``, ``float()`` or ``bool()``, and a ``str``
-    must be one already.  A dataclass with a ``from_json_dict`` classmethod
-    reads itself, any other is read field by field, and a union of
+    Numbers go through ``int()`` or ``float()``, but a JSON boolean is no
+    number; a ``bool`` must be a JSON boolean and a ``str`` a string.  A
+    dataclass with a ``from_json_dict`` classmethod reads itself, any
+    other is read field by field, and a union of
     dataclasses takes the member whose class-level ``kind`` the object
     names.  Any other union of several types, and a bare ``dict``, pass as
     given.
@@ -374,7 +375,13 @@ def from_json(hint, value):
         return {from_json(args[0], k): from_json(args[1], v) for k, v in items}
     if hint is str:
         return expect(value, str, "a string")
-    return hint(value) if hint in (int, float, bool) else value
+    if hint is bool:
+        return expect(value, bool, "true or false")
+    if hint in (int, float):
+        if isinstance(value, bool):
+            raise SchemaError("expected a number, got bool")
+        return hint(value)
+    return value
 
 
 def check_keys(payload: dict, known, where: str = "") -> None:
@@ -629,23 +636,14 @@ def _write_float_rows(
     header: Sequence[str],
     floats: Sequence[Sequence[float]],
     lead: list[str] | None = None,
-    *,
-    lead_is_csv: bool = False,
 ) -> None:
     """Write ``header``, then per row ``lead``'s entry (when given) and each
     float column's ``repr``, with the bytes ``csv.writer`` writes.
 
-    ``lead`` holds one text field per row or, with ``lead_is_csv``, each
-    row's leading fields as CSV text already.  Lines are joined and written
-    ``CHUNK_LINES`` rows at a time.  A ``lead`` field that needs quoting
-    sends the whole file through ``csv.writer``.
+    ``lead`` holds each row's leading fields as CSV text already.  Lines
+    are joined and written ``CHUNK_LINES`` rows at a time.
     """
     floats = [np.ascontiguousarray(c, dtype=np.float64) for c in floats]
-    if lead is not None and not lead_is_csv:
-        joined = "".join(lead)
-        if any(c in joined for c in ',"\r\n'):
-            write_rows_csv(path, header, zip(lead, *(c.tolist() for c in floats)))
-            return
     n = len(lead) if lead is not None else len(floats[0])
     line = ",".join(["{}"] * (len(floats) + (lead is not None))) + "\r\n"
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
@@ -691,7 +689,7 @@ def write_split_files(
 
     def write(path, header, file_rows, *weight_columns):
         lines = list(map(table.lines.__getitem__, np.asarray(file_rows, dtype=np.intp).tolist()))
-        _write_float_rows(path, header, weight_columns, lines, lead_is_csv=True)
+        _write_float_rows(path, header, weight_columns, lines)
 
     header = list(table.header) + (["weight"] if append_weight else [])
     design = (train_weights,) if append_weight else ()
@@ -732,7 +730,12 @@ def read_predictions(path: str | Path) -> dict[str, float]:
 
 
 def write_predictions(path: str | Path, ids: Sequence[str], scores: Sequence[float]) -> None:
-    _write_float_rows(path, ["id", "score"], [scores], list(ids))
+    """Write an ``id,score`` CSV, through ``csv.writer`` when an id needs quoting."""
+    ids = list(ids)
+    if any(c in "".join(ids) for c in ',"\r\n'):
+        write_rows_csv(path, ["id", "score"], zip(ids, np.asarray(scores, np.float64).tolist()))
+    else:
+        _write_float_rows(path, ["id", "score"], [scores], ids)
 
 
 def write_roc(path: str | Path, curve) -> None:

@@ -31,7 +31,7 @@ from .errors import (
     NumericalError,
     SchemaError,
 )
-from .evaluation import EvaluationSummary, evaluation_summary, population_summary
+from .evaluation import EvaluationSummary, evaluation_summary, parse_grid, population_summary
 from .io import DataSchema, check_keys, expect, from_json, ingest_csv, read_fields, to_json
 from .roc import uniform_grid
 from .rng import derive_stream
@@ -368,11 +368,10 @@ class ExperimentSpec:
             raise DataValidationError("classifier names must be unique")
         if any(not (0.0 <= t <= 1.0) for t in self.thresholds):
             raise DataValidationError("thresholds must lie in [0, 1]")
+        object.__setattr__(self, "auroc_grid", parse_grid(self.auroc_grid, "auroc_grid"))
         if self.auroc_grid != "exact":
-            if int(self.auroc_grid) < 2:
-                raise DataValidationError("auroc_grid must be 'exact' or a point count >= 2")
             # Here, not in every replicate, where it would fail each classifier.
-            uniform_grid(int(self.auroc_grid))
+            uniform_grid(self.auroc_grid)
 
 
 DEFAULT_DESIGN_ALLOCATIONS = {
@@ -733,10 +732,8 @@ def aggregate(
             by_weighting[weighting] = rows
         tables[name] = by_weighting
     metadata = dict(OUTPUT_METADATA)
-    metadata["auroc_grid"] = (
-        "exact" if experiment.auroc_grid == "exact"
-        else f"uniform-{int(experiment.auroc_grid)}"
-    )
+    grid = experiment.auroc_grid
+    metadata["auroc_grid"] = "exact" if grid == "exact" else f"uniform-{grid}"
     return ExperimentSummary(
         replicates_requested=experiment.replicates,
         tables=tables,
@@ -811,13 +808,6 @@ POPULATION_PRESETS = {
 }
 
 
-@dataclass(frozen=True)
-class DesignSpec:
-    """An experiment spec's ``design``, read into ``ExperimentSpec.design_allocations``."""
-
-    allocations: Mapping[str, int]
-
-
 def experiment_to_json_dict(experiment: ExperimentSpec) -> dict:
     payload = to_json(experiment)
     payload["design"] = {"allocations": payload.pop("design_allocations")}
@@ -851,7 +841,7 @@ def experiment_from_json_dict(payload: dict) -> ExperimentSpec:
         if "design_allocations" in spec:  # the field is written only under "design"
             raise SchemaError("unknown key 'design_allocations'")
         try:
-            design = read_fields(DesignSpec, payload["design"])
+            design = read_fields(StratifiedDesign, payload["design"])
         except SchemaError as exc:
             raise SchemaError(f"design: {exc}") from exc
         return read_fields(ExperimentSpec, {**spec, "design_allocations": design.allocations})

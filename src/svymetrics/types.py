@@ -9,7 +9,7 @@ strings, so ids are sliced by row like the other columns.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal
@@ -21,16 +21,6 @@ from .errors import DataValidationError
 FeatureValue = float | str
 MetricKind = Literal["sensitivity", "specificity", "auroc"]
 Weighting = Literal["weighted", "unweighted", "population-truth"]
-
-
-def code_labels(labels: Iterable[str], count: int) -> tuple[np.ndarray, tuple[str, ...]]:
-    """``count`` labels as int32 codes into a tuple of the distinct labels,
-    in order of first appearance, in one dict pass."""
-    index: dict[str, int] = {}
-    codes = np.fromiter(
-        (index.setdefault(label, len(index)) for label in labels), dtype=np.int32, count=count
-    )
-    return codes, tuple(index)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

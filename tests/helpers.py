@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import itertools
 import math
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,17 @@ from svymetrics.estimation import confusion_rate, ratio_standard_error, tally_co
 from svymetrics.evaluation import EvaluationSummary, ThresholdMetrics, resolve_grid
 from svymetrics.io import LoadReport
 from svymetrics.roc import RocCurve, auroc, roc_sweep
-from svymetrics.types import EvaluationSet, FinitePopulation, MetricResult, code_labels
+from svymetrics.types import EvaluationSet, FinitePopulation, MetricResult
+
+
+def code_labels(labels: Iterable[str], count: int) -> tuple[np.ndarray, tuple[str, ...]]:
+    """``count`` labels as int32 codes into a tuple of the distinct labels,
+    in order of first appearance, in one dict pass."""
+    index: dict[str, int] = {}
+    codes = np.fromiter(
+        (index.setdefault(label, len(index)) for label in labels), dtype=np.int32, count=count
+    )
+    return codes, tuple(index)
 
 
 def make_population(outcomes, strata=None, features=(), ids=None):

@@ -342,6 +342,22 @@ class TestEvaluateBehaviour:
         assert capsys.readouterr().err == f"error: a grid of {points} points cannot be allocated\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["evaluate", "roc"])
+    @pytest.mark.parametrize("grid", ["abc", "2.7", "true", "1"])
+    def test_bad_grid_is_one_line_data_error_naming_the_flag(
+        self, tmp_path, capsys, command, grid
+    ):
+        data = tmp_path / "eval.csv"
+        data.write_text("id,y,weight_eval\na,1,2.0\nb,0,3.0\n")
+        preds = tmp_path / "p.csv"
+        preds.write_text("id,score\na,0.9\nb,0.2\n")
+        out = tmp_path / "out"
+        code = _run([command, "--input", data, "--id-col", "id", "--outcome-col", "y",
+                     "--predictions", preds, "--grid", grid]
+                    + (["--out", out] if command == "roc" else ["--json", out]))
+        assert "--grid" in _one_line_data_error(capsys, code)
+        assert not out.exists()
+
 
 class TestRocCommand:
     def test_roc_csv_export(self, tmp_path):
@@ -664,6 +680,69 @@ class TestSimulateCommand:
         assert _run(["simulate", spec, "--json", tmp_path / "s.json"]) == 0
         echoed = json.loads((tmp_path / "s.json").read_text())["experiment"]["classifiers"][0]
         assert type(echoed["m_try"]) is int and echoed["m_try"] == 2
+
+    @pytest.mark.parametrize("given, ran", [(2.7, 2), ("101", 101)])
+    def test_auroc_grid_reads_like_an_integer_field(self, tmp_path, capsys, given, ran):
+        """``auroc_grid`` goes through ``int()`` once, at spec read: the run,
+        its echo in ``--json`` and its metadata label are those of the
+        integer grid, byte for byte."""
+        outputs = []
+        for i, grid in enumerate((given, ran)):
+            payload = json.loads(self._spec_file(tmp_path).read_text())
+            payload["auroc_grid"] = grid
+            spec = tmp_path / f"grid{i}.json"
+            spec.write_text(json.dumps(payload))
+            out = tmp_path / f"summary{i}.json"
+            assert _run(["simulate", spec, "--json", out]) == 0
+            outputs.append((out.read_bytes(), capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        summary = json.loads(outputs[0][0])
+        assert summary["experiment"]["auroc_grid"] == ran
+        assert summary["summary"]["metadata"]["auroc_grid"] == f"uniform-{ran}"
+
+    @pytest.mark.parametrize("grid", ["abc", "2.7", math.inf, True, 1])
+    def test_bad_auroc_grid_is_one_line_data_error_naming_it(self, tmp_path, capsys, grid):
+        payload = json.loads(self._spec_file(tmp_path).read_text())
+        payload["auroc_grid"] = grid
+        spec = tmp_path / "grid.json"
+        spec.write_text(json.dumps(payload))
+        out = tmp_path / "summary.json"
+        err = _one_line_data_error(capsys, _run(["simulate", spec, "--json", out]))
+        assert "auroc_grid" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value", [("include_sample_in_truth", "false"), ("seed", True), ("replicates", True)]
+    )
+    def test_boolean_and_number_fields_do_not_convert(self, tmp_path, capsys, key, value):
+        """``"false"`` would read as true, and ``true`` as 1."""
+        payload = json.loads(self._spec_file(tmp_path).read_text())
+        payload[key] = value
+        spec = tmp_path / "types.json"
+        spec.write_text(json.dumps(payload))
+        out = tmp_path / "summary.json"
+        err = _one_line_data_error(capsys, _run(["simulate", spec, "--json", out]))
+        kind = "true or false" if key == "include_sample_in_truth" else "a number"
+        assert err == (f"error: malformed experiment spec: {key}: expected {kind}, "
+                       f"got {type(value).__name__}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "allocations, message",
+        [({}, "design must allocate at least one stratum"),
+         ({"a": 0}, "allocation for stratum 'a' must be positive")],
+    )
+    def test_bad_allocations_are_refused_at_spec_read(
+        self, tmp_path, capsys, allocations, message
+    ):
+        """The design is checked as the spec is read, before the population
+        file is opened, so a missing file does not hide the error."""
+        spec = self._census_spec(tmp_path, {"id": "id", "outcome": "y", "stratum": "grp"},
+                                 "absent.csv")
+        payload = json.loads(spec.read_text())
+        payload["design"] = {"allocations": allocations}
+        spec.write_text(json.dumps(payload))
+        assert _one_line_data_error(capsys, _run(["simulate", spec])) == f"error: {message}\n"
 
 
 def _one_line_data_error(capsys, code):

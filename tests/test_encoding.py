@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from svymetrics.classifiers import FeatureEncoder, fit_logistic, fit_tree
+from svymetrics.classifiers import (
+    FeatureEncoder, ForestConfig, fit_forest, fit_logistic, fit_tree, upsample_minority,
+)
 from svymetrics.errors import DataValidationError
 
 
@@ -58,3 +60,40 @@ class TestModelsOnCategoricalData:
         # the region signal dominates: training accuracy beats prevalence
         accuracy = float(np.mean((scores >= 0.5) == (y == 1)))
         assert accuracy >= max(y.mean(), 1 - y.mean())
+
+
+_OUTCOME_READERS = {
+    "logistic": lambda columns, y: fit_logistic(columns, y),
+    "tree": lambda columns, y: fit_tree(columns, y),
+    "forest": lambda columns, y: fit_forest(
+        columns, y, [f"r{i}" for i in range(y.size)], ForestConfig(trees=2), rng=0
+    ),
+    "upsample": lambda columns, y: upsample_minority(y, np.random.default_rng(0)),
+}
+
+
+class TestBinaryOutcomes:
+    """Every fitter, and the upsampling of a balanced forest's training
+    rows, refuses the same outcomes with the same one-line message."""
+
+    @pytest.mark.parametrize("reader", _OUTCOME_READERS)
+    @pytest.mark.parametrize(
+        "y, message",
+        [
+            ([0, 0.5, 1, 0], "outcomes must be 0 or 1"),
+            ([0, 2, 1, 0], "outcomes must be 0 or 1"),
+            ([0, float("nan"), 1, 0], "outcomes must be 0 or 1"),
+            ([], "no training records"),
+        ],
+    )
+    def test_refused_before_any_fit(self, capfd, reader, y, message):
+        """A NaN outcome never reaches the logistic solver, so no LAPACK
+        error and no ``LinAlgError`` appear."""
+        y = np.asarray(y, dtype=np.float64)
+        with pytest.raises(DataValidationError, match=f"^{message}$"):
+            _OUTCOME_READERS[reader]([np.arange(y.size, dtype=np.float64)], y)
+        assert capfd.readouterr().err == ""
+
+    def test_a_single_record_has_one_class(self):
+        with pytest.raises(DataValidationError, match="^training data must contain both classes$"):
+            fit_logistic([np.array([1.0])], np.array([1]))

@@ -15,12 +15,13 @@ from helpers import (
 )
 from svymetrics import evaluation as evaluation_module
 from svymetrics import roc as roc_module
-from svymetrics.errors import DataValidationError, UndefinedMetricError
+from svymetrics.errors import DataValidationError, SchemaError, UndefinedMetricError
 from svymetrics.estimation import population_truth, tally_binned_counts, tally_counts
 from svymetrics.evaluation import (
     EvaluationSummary,
     ThresholdMetrics,
     evaluation_summary,
+    parse_grid,
     population_summary,
     resolve_grid,
 )
@@ -54,6 +55,25 @@ class TestGrids:
             roc_sweep(evaluation, [0.0, 0.5], "weighted")  # missing endpoint 1
         with pytest.raises(DataValidationError):
             roc_sweep(evaluation, [0.0, 0.5, 0.5, 1.0], "weighted")  # not strict
+
+    @pytest.mark.parametrize("value, points", [("exact", "exact"), (101, 101), (2.7, 2),
+                                               ("101", 101), (np.int64(7), 7)])
+    def test_parse_grid_reads_a_count_as_int_does(self, value, points):
+        assert parse_grid(value, "auroc_grid") == points
+        assert type(parse_grid(value, "auroc_grid")) is type(points)
+
+    @pytest.mark.parametrize("value", ["abc", "2.7", "", float("inf"), float("nan"), True,
+                                       None, [101]])
+    def test_parse_grid_refuses_what_int_refuses_naming_the_value(self, value):
+        with pytest.raises(SchemaError) as raised:
+            parse_grid(value, "--grid")
+        assert str(raised.value) == f"--grid: expected 'exact' or a point count, got {value!r}"
+
+    @pytest.mark.parametrize("value", [1, 0, -5, 1.9])
+    def test_parse_grid_refuses_fewer_than_two_points(self, value):
+        with pytest.raises(DataValidationError, match="^auroc_grid must be 'exact' or a point "
+                                                      "count >= 2, got"):
+            parse_grid(value, "auroc_grid")
 
 
 class TestRocSweep:

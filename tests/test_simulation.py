@@ -972,6 +972,15 @@ class TestExperimentJson:
         [
             (("replicates",), math.inf),
             (("auroc_grid",), math.inf),
+            (("auroc_grid",), "abc"),
+            (("auroc_grid",), True),
+            (("include_sample_in_truth",), "false"),
+            (("include_sample_in_truth",), 0),
+            (("classifiers", 0, "bootstrap"), "false"),
+            (("seed",), True),
+            (("replicates",), False),
+            (("thresholds", 0), True),
+            (("design", "allocations", "a"), True),
             (("population_file",), 5),
             (("population", "strata"), "abc"),
             (("population", "covariates", 0, "range"), [18.0]),
@@ -1025,8 +1034,8 @@ class TestExperimentJson:
     @pytest.mark.parametrize(
         "change, message",
         [
-            ({"design": "x"}, "design: expected a JSON object for DesignSpec, got str"),
-            ({"design": [1]}, "design: expected a JSON object for DesignSpec, got list"),
+            ({"design": "x"}, "design: expected a JSON object for StratifiedDesign, got str"),
+            ({"design": [1]}, "design: expected a JSON object for StratifiedDesign, got list"),
             ({"design": {"allocations": [1]}},
              "design: allocations: expected a JSON object, got list"),
             ({"design_allocations": {"a": 30}}, "unknown key 'design_allocations'"),

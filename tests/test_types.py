@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_population, stratum_rows_by_grouping
+from helpers import code_labels, make_population, stratum_rows_by_grouping
 from svymetrics.errors import DataValidationError
 from svymetrics.types import (
     ConfusionTally, EvaluationSet, FinitePopulation, MetricResult, Record, SurveySample,
-    code_labels,
 )
 
 
