@@ -1,8 +1,9 @@
 """Bootstrap-aggregated Gini trees (random forest).
 
 Each tree trains on a bootstrap resample of size n with ``m_try`` features
-considered per split.  The distinct training rows are found once per fit,
-and each resample is held as copy counts over them.  Per-tree randomness
+considered per split.  The distinct training rows are found once per fit
+and laid out once for the split search (a ``ColumnTable``), and each
+resample is held as copy counts over them.  Per-tree randomness
 derives from (seed, tree index), so trees are reproducible individually and
 the forest is deterministic for a fixed seed regardless of training-row
 order (rows are canonically sorted by id before fitting).
@@ -19,7 +20,9 @@ import numpy as np
 from ..errors import DataValidationError
 from ..rng import stream_seed
 from .encoding import FeatureEncoder, binary_outcomes
-from .tree import FlatTree, check_tree_limits, distinct_rows, grow_counted, score_trees
+from .tree import (
+    ColumnTable, FlatTree, check_tree_limits, distinct_rows, grow_counted, score_trees,
+)
 
 PAPER_PARITY_TREE_COUNT = 1000  # the cited simulations use 1,000 trees
 
@@ -85,7 +88,7 @@ def fit_forest(
     n, width = x.shape
     m_try = config.m_try if config.m_try is not None else max(1, math.isqrt(width))
     representatives, inverse = distinct_rows(x.T, n)
-    patterns = x[representatives]
+    table = ColumnTable.of(x[representatives])
     # One bincount of a resample's cells gives each pattern's negatives and
     # positives, interleaved.
     cell = inverse * 2 + y[order].astype(np.intp)
@@ -102,7 +105,7 @@ def fit_forest(
         count = cells[::2] + pos
         trees.append(
             grow_counted(
-                patterns,
+                table,
                 count,
                 pos,
                 min_node_size=config.min_node_size,

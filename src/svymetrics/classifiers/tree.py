@@ -251,37 +251,73 @@ def _split_threshold(lo: float, hi: float) -> float:
     return lo + 0.0
 
 
-def _best_split_on_feature(col: np.ndarray, count: np.ndarray, pos: np.ndarray):
-    """Best boundary for one feature; returns (score, threshold, order, cut).
+def _split_score(n_left, pos_left, m, p):
+    """Sum over the two children of (pos^2 + neg^2)/n_child, for a left
+    child of ``n_left`` training rows, ``pos_left`` of them positive, out
+    of ``m`` rows and ``p`` positives; floats or arrays of them.
+
+    It is a monotone transform of the Gini decrease, so maximizing it
+    maximizes the impurity decrease.  Every count is an exact integer, so
+    the score is the same float however the counts were summed.
+    """
+    neg_left = n_left - pos_left
+    n_right = m - n_left
+    pos_right = p - pos_left
+    neg_right = n_right - pos_right
+    return (pos_left * pos_left + neg_left * neg_left) / n_left + (
+        pos_right * pos_right + neg_right * neg_right
+    ) / n_right
+
+
+def _best_sorted_split(xs: np.ndarray, count: np.ndarray, pos: np.ndarray):
+    """Best boundary between rows already in ascending order of their
+    values ``xs`` (NaN last), by :func:`_split_score`; returns (score,
+    threshold, cut, n_left, pos_left), or None when the values are all
+    equal.
 
     Row ``i`` stands for ``count[i]`` training rows, ``pos[i]`` of them
-    positive.  ``score`` is sum over children of (pos^2 + neg^2)/n_child,
-    which is a monotone transform of the Gini decrease, so maximizing it
-    maximizes the impurity decrease.  Returns None when the feature is
-    constant.
+    positive.  The left child is the first ``cut + 1`` rows, ``n_left``
+    training rows, ``pos_left`` of them positive.
     """
-    order = np.argsort(col)
-    xs = col[order]
     boundaries = np.nonzero(xs[:-1] < xs[1:])[0]
     if boundaries.size == 0:
         return None
-    cum_n = np.cumsum(count[order])
-    cum_pos = np.cumsum(pos[order])
-    m = cum_n[-1]
-    total_pos = cum_pos[-1]
+    cum_n = np.cumsum(count)
+    cum_pos = np.cumsum(pos)
     n_left = cum_n[boundaries]
     pos_left = cum_pos[boundaries]
-    neg_left = n_left - pos_left
-    n_right = m - n_left
-    pos_right = total_pos - pos_left
-    neg_right = n_right - pos_right
-    score = (pos_left * pos_left + neg_left * neg_left) / n_left + (
-        pos_right * pos_right + neg_right * neg_right
-    ) / n_right
+    score = _split_score(n_left, pos_left, cum_n[-1], cum_pos[-1])
     best = int(np.argmax(score))  # first max -> smallest split point
     cut = int(boundaries[best])
     threshold = _split_threshold(float(xs[cut]), float(xs[cut + 1]))
-    return float(score[best]), threshold, order, cut
+    return float(score[best]), threshold, cut, float(n_left[best]), float(pos_left[best])
+
+
+def _best_split_on_feature(col: np.ndarray, count: np.ndarray, pos: np.ndarray):
+    """Best boundary for one feature; returns (score, threshold, order, cut).
+
+    :func:`_best_sorted_split` on the rows in ``order``, the argsort of
+    ``col``; the left child is ``order[:cut + 1]``.  Returns None when the
+    feature is constant.
+    """
+    order = np.argsort(col)
+    found = _best_sorted_split(col[order], count[order], pos[order])
+    if found is None:
+        return None
+    score, threshold, cut = found[:3]
+    return score, threshold, order, cut
+
+
+def _two_valued_split(threshold: float, n_high: float, pos_high: float, m: float, p: float):
+    """:func:`_best_sorted_split` for a column of two values, at a node of
+    ``m`` training rows, ``p`` of them positive, of which ``n_high`` and
+    ``pos_high`` hold the higher value; the only boundary is ``threshold``.
+    Returns (score, threshold, None, n_left, pos_left), or None when one
+    side is empty."""
+    if n_high == 0.0 or n_high == m:
+        return None
+    n_left, pos_left = m - n_high, p - pos_high
+    return _split_score(n_left, pos_left, m, p), threshold, None, n_left, pos_left
 
 
 def _best_small_split(col: list, count: list, pos: list, rows: list, m: float, p: float):
@@ -291,9 +327,10 @@ def _best_small_split(col: list, count: list, pos: list, rows: list, m: float, p
 
     ``col``, ``count`` and ``pos`` are the table's lists.  NaN sorts last,
     as in numpy, and no boundary precedes it, so its rows always go right.
-    The running sums are exact integers and the score is the same float
-    expression, so the result equals numpy's.  Returns (score, threshold,
-    order, cut) with ``order`` a list of rows, or None.
+    The running sums are exact integers and the score is
+    :func:`_split_score`'s float expression, written out, so the result
+    equals numpy's.  Returns (score, threshold, order, cut) with ``order``
+    a list of rows, or None.
     """
     order = [i for i in rows if col[i] == col[i]]
     order.sort(key=col.__getitem__)
@@ -329,8 +366,42 @@ def _best_small_split(col: list, count: list, pos: list, rows: list, m: float, p
 SMALL_NODE = 32
 
 
+@dataclass(frozen=True)
+class ColumnTable:
+    """The distinct encoded rows that a tree, or every tree of a forest,
+    grows on, laid out for the split search.
+
+    ``columns`` is the rows' transpose, one contiguous array per column.
+    ``key`` is the column with the most distinct values (the first such),
+    and ``key_order`` the stable argsort of its values.  ``two_valued``
+    maps each column of exactly two distinct values, neither NaN, to the
+    split threshold between them and a mask of the rows above it.
+    """
+
+    columns: np.ndarray
+    key: int
+    key_order: np.ndarray
+    two_valued: dict[int, tuple[float, np.ndarray]]
+
+    @classmethod
+    def of(cls, x: np.ndarray) -> "ColumnTable":
+        """The table of the rows of the encoded matrix ``x``."""
+        columns = np.ascontiguousarray(x.T)
+        distinct = [np.unique(col) for col in columns]  # ascending, NaN last
+        key = max(range(len(distinct)), key=lambda f: distinct[f].size, default=0)
+        two_valued = {}
+        for f, values in enumerate(distinct):
+            if values.size == 2 and values[1] == values[1]:
+                threshold = _split_threshold(float(values[0]), float(values[1]))
+                two_valued[f] = (threshold, columns[f] > threshold)
+        key_order = (
+            np.argsort(columns[key], kind="stable") if distinct else np.arange(x.shape[0])
+        )
+        return cls(columns=columns, key=key, key_order=key_order, two_valued=two_valued)
+
+
 def grow_counted(
-    x: np.ndarray,
+    table: ColumnTable,
     count: np.ndarray,
     pos: np.ndarray,
     *,
@@ -339,29 +410,46 @@ def grow_counted(
     m_try: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> FlatTree:
-    """Grow a Gini tree on distinct encoded rows ``x``, where row ``i``
-    stands for ``count[i]`` training rows, ``pos[i]`` of them positive.
+    """Grow a Gini tree on the distinct encoded rows of ``table``, where
+    row ``i`` stands for ``count[i]`` training rows, ``pos[i]`` of them
+    positive.
 
-    The search reads a node only through cumulative sums of ``count`` and
-    ``pos`` in sorted order, which are exact integers in float64, so the
-    tree is bit for bit the one grown on the copies.  Rows with a zero
-    count take no part.  When ``m_try`` is given (and smaller than the
-    feature count) each node considers a random feature subset drawn from
-    ``rng``; otherwise the search is exhaustive and deterministic.  Ties
-    between equal-gain splits resolve to the lowest feature index, then
-    the smallest split point.
+    The search reads a node only through sums of ``count`` and ``pos``
+    over its rows, which are exact integers in float64, so the tree is
+    bit for bit the one grown on the copies.  Rows with a zero count take
+    no part.  When ``m_try`` is given (and smaller than the feature count)
+    each node considers a random feature subset drawn from ``rng``;
+    otherwise the search is exhaustive and deterministic.  Ties between
+    equal-gain splits resolve to the lowest feature index, then the
+    smallest split point.
 
-    A node of at most :data:`SMALL_NODE` distinct rows converts its rows
-    to Python lists once, and its whole subtree searches them with
-    :func:`_best_small_split`; larger nodes search with numpy.
+    A node of more than :data:`SMALL_NODE` distinct rows searches with
+    numpy.  It holds its rows in the table's key order, which a split on
+    the key column cuts into two slices and a split on another column
+    partitions by ``x <= threshold``; so the key column is searched
+    without a sort.  A two-valued column is searched by two sums of its
+    high rows' counts and positives.  Other columns are argsorted.  Each
+    node's totals come down from its parent's split.  A node of at most
+    :data:`SMALL_NODE` rows converts its rows to Python lists once, and
+    its whole subtree searches them with :func:`_best_small_split`.
     """
-    width = x.shape[1]
-    root_rows = np.flatnonzero(count)
+    width, _ = table.columns.shape
+    root_rows = table.key_order[count[table.key_order] != 0]
     if root_rows.size == 0:
         raise DataValidationError("cannot grow a tree on empty data")
     use_subset = m_try is not None and width > 0 and m_try < width
     if use_subset and rng is None:
         raise DataValidationError("feature subsetting requires an rng")
+    # The root's totals, and each two-valued column's threshold with the
+    # counts and positives of its high rows; a root on the list path needs
+    # neither.
+    m = p = None
+    high_sums = {}
+    if root_rows.size > SMALL_NODE:
+        m, p = float(count.sum()), float(pos.sum())
+        high_sums = {
+            f: (thr, count * high, pos * high) for f, (thr, high) in table.two_valued.items()
+        }
 
     feature: list[int] = []
     threshold: list[float] = []
@@ -378,25 +466,21 @@ def grow_counted(
         value.append(0.0)
         return idx
 
-    # ``table`` is None on the numpy path, where ``rows`` index ``x``;
-    # below the switch it is (columns, counts, positives) as lists, which
-    # ``rows`` (a list) index.
-    stack: list = [(new_node(), root_rows, 0, None)]
+    # ``small`` is None on the numpy path, where ``rows`` index the table
+    # and ``m`` and ``p`` are the node's totals; below the switch it is
+    # (columns, counts, positives) as lists, which ``rows`` (a list)
+    # index, and the totals are summed there.
+    stack: list = [(new_node(), root_rows, 0, None, m, p)]
     max_internal_depth = -1
     while stack:
-        node_id, rows, depth, table = stack.pop()
-        if table is None and rows.size <= SMALL_NODE:
-            table = (x[rows].T.tolist(), count[rows].tolist(), pos[rows].tolist())
-            rows = list(range(len(table[1])))
-        if table is None:
-            node_count = count[rows]
-            node_pos = pos[rows]
-            m = float(node_count.sum())
-            p = float(node_pos.sum())
-        else:
-            cols, table_count, table_pos = table
-            m = sum([table_count[i] for i in rows])
-            p = sum([table_pos[i] for i in rows])
+        node_id, rows, depth, small, m, p = stack.pop()
+        if small is None and rows.size <= SMALL_NODE:
+            small = (table.columns[:, rows].tolist(), count[rows].tolist(), pos[rows].tolist())
+            rows = list(range(len(small[1])))
+        if small is not None:
+            cols, small_count, small_pos = small
+            m = sum([small_count[i] for i in rows])
+            p = sum([small_pos[i] for i in rows])
         value[node_id] = p / m
         if (
             m < 2
@@ -417,10 +501,19 @@ def grow_counted(
         best = None
         best_feature = -1
         for f in candidates:
-            if table is None:
-                found = _best_split_on_feature(x[rows, f], node_count, node_pos)
+            if small is not None:
+                found = _best_small_split(cols[f], small_count, small_pos, rows, m, p)
+            elif f in high_sums:
+                thr, high_count, high_pos = high_sums[f]
+                found = _two_valued_split(
+                    thr, float(high_count[rows].sum()), float(high_pos[rows].sum()), m, p
+                )
+            elif f == table.key:
+                found = _best_sorted_split(table.columns[f][rows], count[rows], pos[rows])
             else:
-                found = _best_small_split(cols[f], table_count, table_pos, rows, m, p)
+                found = _best_split_on_feature(table.columns[f][rows], count[rows], pos[rows])
+                if found is not None:
+                    found = (found[0], found[1], None, None, None)
             if found is None:
                 continue
             if best is None or found[0] > best[0]:
@@ -428,7 +521,7 @@ def grow_counted(
                 best_feature = f
         if best is None or best[0] <= parent_score:
             continue  # zero achievable gain
-        score, thr, order, cut = best
+        thr = best[1]
         feature[node_id] = best_feature
         threshold[node_id] = thr
         left_id = new_node()
@@ -436,10 +529,21 @@ def grow_counted(
         left[node_id] = left_id
         right[node_id] = right_id
         max_internal_depth = max(max_internal_depth, depth)
-        if table is None:
-            order = rows[order]
-        stack.append((right_id, order[cut + 1 :], depth + 1, table))
-        stack.append((left_id, order[: cut + 1], depth + 1, table))
+        if small is not None:
+            order, cut = best[2:]
+            stack.append((right_id, order[cut + 1 :], depth + 1, small, None, None))
+            stack.append((left_id, order[: cut + 1], depth + 1, small, None, None))
+            continue
+        cut, n_left, p_left = best[2:]
+        if cut is not None:  # the key column: rows are in its order
+            left_rows, right_rows = rows[: cut + 1], rows[cut + 1 :]
+        else:
+            go_left = table.columns[best_feature][rows] <= thr
+            left_rows, right_rows = rows[go_left], rows[~go_left]
+        if n_left is None:
+            n_left, p_left = float(count[left_rows].sum()), float(pos[left_rows].sum())
+        stack.append((right_id, right_rows, depth + 1, None, m - n_left, p - p_left))
+        stack.append((left_id, left_rows, depth + 1, None, n_left, p_left))
 
     return FlatTree(
         feature=np.asarray(feature, dtype=np.int32),
@@ -465,7 +569,7 @@ def grow_tree(
     representatives, inverse = distinct_rows(x.T, x.shape[0])
     count, pos = row_counts(inverse, y, representatives.size)
     return grow_counted(
-        x[representatives],
+        ColumnTable.of(x[representatives]),
         count,
         pos,
         min_node_size=min_node_size,

@@ -114,9 +114,9 @@ def _parse_thresholds(text: str) -> tuple[float, ...]:
     try:
         values = tuple(float(part) for part in text.split(","))
     except ValueError as exc:
-        raise DataValidationError(f"bad threshold list {text!r}") from exc
+        raise DataValidationError(f"--thresholds: bad threshold list {text!r}") from exc
     if any(not (0.0 <= t <= 1.0) for t in values):
-        raise DataValidationError("thresholds must lie in [0, 1]")
+        raise DataValidationError("--thresholds must lie in [0, 1]")
     return values
 
 
@@ -266,9 +266,9 @@ def render_evaluate_text(report: dict) -> str:
 
 
 def _cmd_evaluate(args) -> int:
-    evaluation, load_report = _load_scored_evaluation(args)
     thresholds = _parse_thresholds(args.thresholds)
     grid = parse_grid(args.grid, "--grid")
+    evaluation, load_report = _load_scored_evaluation(args)
     weighted = evaluation_summary(evaluation, thresholds, grid, "weighted")
     unweighted = evaluation_summary(evaluation, thresholds, grid, "unweighted")
     report = {
@@ -285,8 +285,9 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_roc(args) -> int:
+    grid = parse_grid(args.grid, "--grid")
     evaluation, _ = _load_scored_evaluation(args)
-    grid = resolve_grid(parse_grid(args.grid, "--grid"), evaluation.scores)
+    grid = resolve_grid(grid, evaluation.scores)
     curve = roc_sweep(evaluation, grid, args.weighting)
     write_roc(args.out, curve)
     print(f"wrote {len(curve.thresholds)} ROC points to {args.out}")

@@ -358,6 +358,25 @@ class TestEvaluateBehaviour:
         assert "--grid" in _one_line_data_error(capsys, code)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("evaluate", "--grid", "abc"), ("evaluate", "--grid", "1"),
+        ("evaluate", "--thresholds", "abc"), ("evaluate", "--thresholds", "0.5,2"),
+        ("roc", "--grid", "abc"), ("roc", "--grid", "1"),
+    ])
+    def test_bad_flag_is_reported_before_the_files_are_read(
+        self, tmp_path, capsys, command, flag, value
+    ):
+        """A bad flag is named even when the predictions file is missing."""
+        data = tmp_path / "eval.csv"
+        data.write_text("id,y,weight_eval\na,1,2.0\nb,0,3.0\n")
+        out = tmp_path / "out"
+        code = _run([command, "--input", data, "--id-col", "id", "--outcome-col", "y",
+                     "--predictions", tmp_path / "nope.csv", flag, value]
+                    + (["--out", out] if command == "roc" else ["--json", out]))
+        err = _one_line_data_error(capsys, code)
+        assert flag in err and "nope.csv" not in err
+        assert not out.exists()
+
 
 class TestRocCommand:
     def test_roc_csv_export(self, tmp_path):

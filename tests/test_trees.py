@@ -27,7 +27,7 @@ from svymetrics.classifiers import (
 from svymetrics.classifiers import tree as tree_module
 from svymetrics.classifiers.imbalance import upsample_minority
 from svymetrics.classifiers.tree import (
-    SMALL_NODE, FlatTree, distinct_rows, grow_counted, grow_tree, row_counts,
+    SMALL_NODE, ColumnTable, FlatTree, distinct_rows, grow_counted, grow_tree, row_counts,
 )
 from svymetrics.errors import DataValidationError
 from svymetrics.simulation import POPULATION_PRESETS, generate_population
@@ -309,6 +309,39 @@ def _switch_tables(draw, values):
     return x, np.asarray(y, dtype=np.float64)
 
 
+# The values of a path table's other columns: two values (in one column a
+# zero of each sign and 2.5), one value and NaN, and three values.
+_SIDE_COLUMNS = (
+    (0.0, 1.0), (-0.0, 2.5, 0.0), (-np.inf, 0.5), (-1.0, np.inf),
+    (1.5, np.nan), (-1.0, 0.0, 1.0),
+)
+
+
+@st.composite
+def _path_tables(draw):
+    """``(x, count, pos)`` on ``SMALL_NODE + 8`` to ``3 * SMALL_NODE``
+    rows: a key column with ties, now and then a non-finite value, and one
+    to three columns of :data:`_SIDE_COLUMNS`, each value of which some
+    row holds, in a drawn column order.  A few rows have a zero count."""
+    k = draw(st.integers(SMALL_NODE + 8, 3 * SMALL_NODE))
+    key_value = st.integers(0, k // 3).map(float) | st.sampled_from(_NON_FINITE)
+    columns = [draw(st.lists(key_value, min_size=k, max_size=k))]
+    for values in draw(st.lists(st.sampled_from(_SIDE_COLUMNS), min_size=1, max_size=3)):
+        picks = draw(st.lists(st.integers(0, len(values) - 1), min_size=k, max_size=k))
+        picks[: len(values)] = range(len(values))
+        columns.append([values[i] for i in picks])
+    columns = draw(st.permutations(columns))
+    count = draw(st.lists(st.integers(1, 40), min_size=k, max_size=k))
+    for i in draw(st.lists(st.integers(0, k - 1), max_size=6)):
+        count[i] = 0
+    pos = [draw(st.integers(0, c)) for c in count]
+    return (
+        np.asarray(columns, dtype=np.float64).T.copy(),
+        np.asarray(count, dtype=np.float64),
+        np.asarray(pos, dtype=np.float64),
+    )
+
+
 def _m_try_values(width):
     """m_try of 1, 2 and the full width."""
     return st.sampled_from(sorted({1, min(2, width), width}))
@@ -381,25 +414,57 @@ class TestCountedGrower:
         }
         seed = data.draw(st.integers(0, 2**32 - 1))
         count, pos = np.asarray(count, dtype=np.float64), np.asarray(pos, dtype=np.float64)
-        got = grow_counted(patterns, count, pos, rng=np.random.default_rng(seed), **kwargs)
+        got = grow_counted(
+            ColumnTable.of(patterns), count, pos, rng=np.random.default_rng(seed), **kwargs
+        )
         want = grow_counted_numpy(patterns, count, pos, rng=np.random.default_rng(seed), **kwargs)
         assert _node_arrays(got) == _node_arrays(want)
 
     def test_switch_tables_reach_both_searches(self, monkeypatch):
         """A table of 2 * SMALL_NODE distinct rows searches its root with
-        numpy and its small descendants on Python floats."""
-        calls = {"_best_split_on_feature": 0, "_best_small_split": 0}
+        numpy and its small descendants on Python floats.  Its columns are
+        the key (all distinct), one of two values and one of three, so the
+        numpy nodes reach each search: the key column's scan in key order
+        (``_best_sorted_split`` beyond the calls that the argsorting
+        ``_best_split_on_feature`` makes), the two-valued sums and the
+        argsort."""
+        calls = {
+            "_best_split_on_feature": 0, "_best_small_split": 0,
+            "_best_sorted_split": 0, "_two_valued_split": 0,
+        }
         for name in calls:
             def counted(*args, _name=name, _search=getattr(tree_module, name)):
                 calls[_name] += 1
                 return _search(*args)
             monkeypatch.setattr(tree_module, name, counted)
         k = 2 * SMALL_NODE
-        x = np.arange(k, dtype=np.float64).reshape(k, 1)
-        y = (np.arange(k) % 3 == 0).astype(np.float64)
+        x = np.stack([np.arange(k), np.arange(k) % 2, np.arange(k) % 3], axis=1).astype(np.float64)
+        y = (np.arange(k) % 5 == 0).astype(np.float64)
         got = grow_tree(x, y)
         assert all(calls.values()), calls
+        assert calls["_best_sorted_split"] > calls["_best_split_on_feature"], calls
         assert _node_arrays(got) == _node_arrays(grow_tree_per_row(x, y))
+
+    @settings(max_examples=60, deadline=None)
+    @given(table=_path_tables(), data=st.data())
+    def test_numpy_searches_match_numpy_grower(self, table, data):
+        """Tables larger than SMALL_NODE, whose numpy nodes search a key
+        column with ties and non-finite values, two-valued columns
+        (``{-0.0, 0.0, v}`` and ``{-inf, v}`` among them) by sums, and
+        ``{v, NaN}`` and three-valued columns by argsort, with zero counts
+        among the rows: the library equals the all-argsort grower."""
+        x, count, pos = table
+        kwargs = {
+            "min_node_size": data.draw(st.integers(1, 20)),
+            "max_depth": data.draw(st.none() | st.integers(1, 8)),
+            "m_try": data.draw(st.sampled_from((None, 1, x.shape[1]))),
+        }
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        got = grow_counted(
+            ColumnTable.of(x), count, pos, rng=np.random.default_rng(seed), **kwargs
+        )
+        want = grow_counted_numpy(x, count, pos, rng=np.random.default_rng(seed), **kwargs)
+        assert _node_arrays(got) == _node_arrays(want)
 
     @settings(max_examples=80, deadline=None)
     @given(table=_training_tables(_GROW_VALUES), data=st.data())
@@ -458,13 +523,7 @@ class TestGoldenForest:
     ])
     def test_node_arrays_digest(self, preset, digest):
         forest, _ = self._forest(preset)
-        h = hashlib.sha256()
-        for tree in forest.trees:
-            *arrays, route_steps = _node_arrays(tree)
-            for data in arrays:
-                h.update(data)
-            h.update(str(route_steps).encode())
-        assert h.hexdigest() == digest
+        assert _node_arrays_digest(forest.trees) == digest
 
     def test_paper_scores_digest(self):
         """The paper forest's scores on its own population, as routing every
@@ -486,6 +545,33 @@ class TestGoldenForest:
             population.ids[rows], ForestConfig(trees=100), rng=9,
         )
         return forest, population
+
+
+def _node_arrays_digest(trees):
+    h = hashlib.sha256()
+    for tree in trees:
+        *arrays, route_steps = _node_arrays(tree)
+        for data in arrays:
+            h.update(data)
+        h.update(str(route_steps).encode())
+    return h.hexdigest()
+
+
+class TestGoldenTree:
+    """An exhaustive CART tree on the paper population of 20,000 rows must
+    keep this sha256 digest of its node arrays.  Every node searches all
+    three encoded columns: continuous age, which orders the rows, and two
+    columns of two values each, so the digest covers each numpy search and
+    the lowest-column rule between equal gains."""
+
+    def test_node_arrays_digest(self):
+        population = generate_population(
+            POPULATION_PRESETS["paper"](20_000), np.random.default_rng(2023)
+        )
+        model = fit_tree(population.features, population.outcomes)
+        assert _node_arrays_digest([model.tree]) == (
+            "4873b9581592c54a04d73637a104a1399540ee9746e1ec0f353eed9c1d844257"
+        )
 
 
 class TestForestIdOrder:
