@@ -63,12 +63,10 @@ class LogisticModel:
 
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    expeta = np.exp(eta[~pos])
-    out[~pos] = expeta / (1.0 + expeta)
-    return out
+    """1 / (1 + exp(-eta)) without overflow: with ``e = exp(-|eta|)``,
+    ``1 / (1 + e)`` where ``eta >= 0`` and ``e / (1 + e)`` elsewhere."""
+    e = np.exp(-np.abs(eta))
+    return np.where(eta >= 0, 1.0, e) / (1.0 + e)
 
 
 def _deviance(y: np.ndarray, mu: np.ndarray) -> float:

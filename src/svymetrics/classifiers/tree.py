@@ -269,59 +269,52 @@ def _split_score(n_left, pos_left, m, p):
     ) / n_right
 
 
-def _best_sorted_split(xs: np.ndarray, count: np.ndarray, pos: np.ndarray):
-    """Best boundary between rows already in ascending order of their
-    values ``xs`` (NaN last), by :func:`_split_score`; returns (score,
-    threshold, cut, n_left, pos_left), or None when the values are all
+def _best_sorted_split(col: np.ndarray, rows: np.ndarray, w: np.ndarray, m: float, p: float,
+                       tie_free: bool = False):
+    """Best boundary between the rows ``rows`` of column ``col``, given in
+    ascending order of their values (NaN last), by :func:`_split_score`;
+    returns (score, threshold, cut, left), or None when the values are all
     equal.
 
-    Row ``i`` stands for ``count[i]`` training rows, ``pos[i]`` of them
-    positive.  The left child is the first ``cut + 1`` rows, ``n_left``
-    training rows, ``pos_left`` of them positive.
+    Row ``rows[i]`` stands for ``w[i].real`` training rows, ``w[i].imag``
+    of them positive, at a node of ``m`` rows, ``p`` of them positive.
+    The left child is the first ``cut + 1`` rows, and ``left`` its packed
+    sum.  ``tie_free`` says that no two of the values are equal and none is
+    NaN, so every adjacent pair is a boundary and only the two values at
+    the cut are read.
     """
-    boundaries = np.nonzero(xs[:-1] < xs[1:])[0]
-    if boundaries.size == 0:
-        return None
-    cum_n = np.cumsum(count)
-    cum_pos = np.cumsum(pos)
-    n_left = cum_n[boundaries]
-    pos_left = cum_pos[boundaries]
-    score = _split_score(n_left, pos_left, cum_n[-1], cum_pos[-1])
+    if tie_free:
+        boundaries = None
+    else:
+        xs = col[rows]
+        boundaries = np.flatnonzero(xs[:-1] < xs[1:])
+        if boundaries.size == 0:
+            return None
+    cum = np.cumsum(w)
+    left = cum[:-1] if tie_free else cum[boundaries]
+    score = _split_score(left.real, left.imag, m, p)
     best = int(np.argmax(score))  # first max -> smallest split point
-    cut = int(boundaries[best])
-    threshold = _split_threshold(float(xs[cut]), float(xs[cut + 1]))
-    return float(score[best]), threshold, cut, float(n_left[best]), float(pos_left[best])
+    cut = best if tie_free else int(boundaries[best])
+    threshold = _split_threshold(float(col[rows[cut]]), float(col[rows[cut + 1]]))
+    return float(score[best]), threshold, cut, left[best]
 
 
-def _best_split_on_feature(col: np.ndarray, count: np.ndarray, pos: np.ndarray):
-    """Best boundary for one feature; returns (score, threshold, order, cut).
-
-    :func:`_best_sorted_split` on the rows in ``order``, the argsort of
-    ``col``; the left child is ``order[:cut + 1]``.  Returns None when the
-    feature is constant.
-    """
-    order = np.argsort(col)
-    found = _best_sorted_split(col[order], count[order], pos[order])
-    if found is None:
-        return None
-    score, threshold, cut = found[:3]
-    return score, threshold, order, cut
-
-
-def _two_valued_split(threshold: float, n_high: float, pos_high: float, m: float, p: float):
+def _two_valued_split(threshold: float, high: complex, m: float, p: float):
     """:func:`_best_sorted_split` for a column of two values, at a node of
-    ``m`` training rows, ``p`` of them positive, of which ``n_high`` and
-    ``pos_high`` hold the higher value; the only boundary is ``threshold``.
-    Returns (score, threshold, None, n_left, pos_left), or None when one
-    side is empty."""
+    ``m`` training rows, ``p`` of them positive, where ``high`` is the
+    packed sum of the rows that hold the higher value; the only boundary is
+    ``threshold``.  Returns (score, threshold, None, left), or None when
+    one side is empty."""
+    n_high = high.real
     if n_high == 0.0 or n_high == m:
         return None
-    n_left, pos_left = m - n_high, p - pos_high
-    return _split_score(n_left, pos_left, m, p), threshold, None, n_left, pos_left
+    n_left, pos_left = m - n_high, p - high.imag
+    return _split_score(n_left, pos_left, m, p), threshold, None, complex(n_left, pos_left)
 
 
 def _best_small_split(col: list, count: list, pos: list, rows: list, m: float, p: float):
-    """:func:`_best_split_on_feature` on Python floats, for a node holding
+    """The best boundary on one column, as :func:`_best_sorted_split` finds
+    it on the column's argsort, on Python floats, for a node holding
     the rows ``rows`` of a small table, ``m`` training rows, ``p`` of them
     positive.
 
@@ -373,31 +366,40 @@ class ColumnTable:
 
     ``columns`` is the rows' transpose, one contiguous array per column.
     ``key`` is the column with the most distinct values (the first such),
-    and ``key_order`` the stable argsort of its values.  ``two_valued``
+    ``key_order`` the stable argsort of its values, and ``key_tie_free``
+    whether those values are all distinct and none is NaN.  ``two_valued``
     maps each column of exactly two distinct values, neither NaN, to the
-    split threshold between them and a mask of the rows above it.
+    split threshold between them and the rows above it, as a complex 0/1
+    mask for :func:`numpy.dot` with packed counts.
     """
 
     columns: np.ndarray
     key: int
     key_order: np.ndarray
+    key_tie_free: bool
     two_valued: dict[int, tuple[float, np.ndarray]]
 
     @classmethod
     def of(cls, x: np.ndarray) -> "ColumnTable":
         """The table of the rows of the encoded matrix ``x``."""
         columns = np.ascontiguousarray(x.T)
+        if columns.shape[0] == 0:
+            return cls(columns, 0, np.arange(x.shape[0]), False, {})
         distinct = [np.unique(col) for col in columns]  # ascending, NaN last
-        key = max(range(len(distinct)), key=lambda f: distinct[f].size, default=0)
+        key = max(range(len(distinct)), key=lambda f: distinct[f].size)
         two_valued = {}
         for f, values in enumerate(distinct):
             if values.size == 2 and values[1] == values[1]:
                 threshold = _split_threshold(float(values[0]), float(values[1]))
-                two_valued[f] = (threshold, columns[f] > threshold)
-        key_order = (
-            np.argsort(columns[key], kind="stable") if distinct else np.arange(x.shape[0])
+                two_valued[f] = (threshold, (columns[f] > threshold).astype(np.complex128))
+        values = distinct[key]
+        return cls(
+            columns=columns,
+            key=key,
+            key_order=np.argsort(columns[key], kind="stable"),
+            key_tie_free=bool(values.size == x.shape[0] and values[-1] == values[-1]),
+            two_valued=two_valued,
         )
-        return cls(columns=columns, key=key, key_order=key_order, two_valued=two_valued)
 
 
 def grow_counted(
@@ -424,14 +426,18 @@ def grow_counted(
     smallest split point.
 
     A node of more than :data:`SMALL_NODE` distinct rows searches with
-    numpy.  It holds its rows in the table's key order, which a split on
-    the key column cuts into two slices and a split on another column
-    partitions by ``x <= threshold``; so the key column is searched
-    without a sort.  A two-valued column is searched by two sums of its
-    high rows' counts and positives.  Other columns are argsorted.  Each
-    node's totals come down from its parent's split.  A node of at most
-    :data:`SMALL_NODE` rows converts its rows to Python lists once, and
-    its whole subtree searches them with :func:`_best_small_split`.
+    numpy, on the counts packed as ``count + 1j * pos``: one gather, and
+    one sum or prefix sum, serves both (the sums stay exact in any order).
+    It holds its rows in the table's key order, which a split on the key
+    column cuts into two slices and a split on another column partitions
+    by ``x <= threshold``; so the key column is searched without a sort,
+    and, when the table's key has no ties, without reading its values.  A
+    two-valued column is searched by the sum of its high rows; below a
+    split on it the column is constant, so such a node skips it without a
+    numpy call.  Other columns are argsorted.  Each node's totals come down
+    from its parent's split.  A node of at most :data:`SMALL_NODE` rows
+    converts its rows to Python lists once, and its whole subtree searches
+    them with :func:`_best_small_split`.
     """
     width, _ = table.columns.shape
     root_rows = table.key_order[count[table.key_order] != 0]
@@ -440,16 +446,13 @@ def grow_counted(
     use_subset = m_try is not None and width > 0 and m_try < width
     if use_subset and rng is None:
         raise DataValidationError("feature subsetting requires an rng")
-    # The root's totals, and each two-valued column's threshold with the
-    # counts and positives of its high rows; a root on the list path needs
+    # The root's totals and packed counts; a root on the list path needs
     # neither.
-    m = p = None
-    high_sums = {}
+    m = p = w = None
     if root_rows.size > SMALL_NODE:
         m, p = float(count.sum()), float(pos.sum())
-        high_sums = {
-            f: (thr, count * high, pos * high) for f, (thr, high) in table.two_valued.items()
-        }
+        w = np.empty(count.size, dtype=np.complex128)
+        w.real, w.imag = count, pos
 
     feature: list[int] = []
     threshold: list[float] = []
@@ -466,14 +469,15 @@ def grow_counted(
         value.append(0.0)
         return idx
 
-    # ``small`` is None on the numpy path, where ``rows`` index the table
-    # and ``m`` and ``p`` are the node's totals; below the switch it is
-    # (columns, counts, positives) as lists, which ``rows`` (a list)
-    # index, and the totals are summed there.
-    stack: list = [(new_node(), root_rows, 0, None, m, p)]
+    # ``small`` is None on the numpy path, where ``rows`` index the table,
+    # ``m`` and ``p`` are the node's totals and ``settled`` the two-valued
+    # columns that an ancestor split on; below the switch it is (columns,
+    # counts, positives) as lists, which ``rows`` (a list) index, and the
+    # totals are summed there.
+    stack: list = [(new_node(), root_rows, 0, None, m, p, frozenset())]
     max_internal_depth = -1
     while stack:
-        node_id, rows, depth, small, m, p = stack.pop()
+        node_id, rows, depth, small, m, p, settled = stack.pop()
         if small is None and rows.size <= SMALL_NODE:
             small = (table.columns[:, rows].tolist(), count[rows].tolist(), pos[rows].tolist())
             rows = list(range(len(small[1])))
@@ -497,23 +501,29 @@ def grow_counted(
                 candidates = sorted(int(f) for f in rng.choice(width, size=m_try, replace=False))
         else:
             candidates = range(width)
+        if small is None:
+            candidates = [f for f in candidates if f not in settled]
+            if not candidates:
+                continue
+            node_w = w[rows]
         parent_score = (p * p + (m - p) * (m - p)) / m
         best = None
         best_feature = -1
         for f in candidates:
             if small is not None:
                 found = _best_small_split(cols[f], small_count, small_pos, rows, m, p)
-            elif f in high_sums:
-                thr, high_count, high_pos = high_sums[f]
-                found = _two_valued_split(
-                    thr, float(high_count[rows].sum()), float(high_pos[rows].sum()), m, p
-                )
+            elif f in table.two_valued:
+                thr, high = table.two_valued[f]
+                found = _two_valued_split(thr, np.dot(high[rows], node_w), m, p)
             elif f == table.key:
-                found = _best_sorted_split(table.columns[f][rows], count[rows], pos[rows])
+                found = _best_sorted_split(
+                    table.columns[f], rows, node_w, m, p, table.key_tie_free
+                )
             else:
-                found = _best_split_on_feature(table.columns[f][rows], count[rows], pos[rows])
+                order = np.argsort(table.columns[f][rows])
+                found = _best_sorted_split(table.columns[f], rows[order], node_w[order], m, p)
                 if found is not None:
-                    found = (found[0], found[1], None, None, None)
+                    found = (*found[:2], None, found[3])
             if found is None:
                 continue
             if best is None or found[0] > best[0]:
@@ -531,19 +541,20 @@ def grow_counted(
         max_internal_depth = max(max_internal_depth, depth)
         if small is not None:
             order, cut = best[2:]
-            stack.append((right_id, order[cut + 1 :], depth + 1, small, None, None))
-            stack.append((left_id, order[: cut + 1], depth + 1, small, None, None))
+            stack.append((right_id, order[cut + 1 :], depth + 1, small, None, None, None))
+            stack.append((left_id, order[: cut + 1], depth + 1, small, None, None, None))
             continue
-        cut, n_left, p_left = best[2:]
+        cut, left_w = best[2:]
         if cut is not None:  # the key column: rows are in its order
             left_rows, right_rows = rows[: cut + 1], rows[cut + 1 :]
         else:
             go_left = table.columns[best_feature][rows] <= thr
             left_rows, right_rows = rows[go_left], rows[~go_left]
-        if n_left is None:
-            n_left, p_left = float(count[left_rows].sum()), float(pos[left_rows].sum())
-        stack.append((right_id, right_rows, depth + 1, None, m - n_left, p - p_left))
-        stack.append((left_id, left_rows, depth + 1, None, n_left, p_left))
+        if best_feature in table.two_valued:
+            settled = settled | {best_feature}
+        n_left, p_left = float(left_w.real), float(left_w.imag)
+        stack.append((right_id, right_rows, depth + 1, None, m - n_left, p - p_left, settled))
+        stack.append((left_id, left_rows, depth + 1, None, n_left, p_left, settled))
 
     return FlatTree(
         feature=np.asarray(feature, dtype=np.int32),

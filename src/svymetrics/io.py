@@ -17,7 +17,7 @@ import operator
 import types
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import chain, islice, repeat, zip_longest
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -391,6 +391,11 @@ def check_keys(payload: dict, known, where: str = "") -> None:
             raise SchemaError(f"{where}unknown key {key!r}")
 
 
+# Field types per dataclass, resolved once: ``get_type_hints`` evaluates
+# every annotation anew on each call.
+_type_hints = cache(typing.get_type_hints)
+
+
 def read_fields(cls, payload):
     """The dataclass ``cls`` from a JSON object, field by field under the
     keys :func:`to_json` writes; a missing key takes the field's default,
@@ -398,7 +403,7 @@ def read_fields(cls, payload):
     expect(payload, dict, f"a JSON object for {cls.__name__}")
     keys = {f.metadata.get("json", f.name): f for f in fields(cls)}
     check_keys(payload, [*keys, "kind"] if hasattr(cls, "kind") else keys)
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     values = {}
     for key, f in keys.items():
         if key in payload:

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import strategies as st
 
-from svymetrics.classifiers.tree import FlatTree, _best_split_on_feature
+from svymetrics.classifiers.tree import FlatTree, _split_score, _split_threshold
 from svymetrics.errors import DataValidationError, SchemaError
 from svymetrics.estimation import confusion_rate, ratio_standard_error, tally_confusion
 from svymetrics.evaluation import EvaluationSummary, ThresholdMetrics, resolve_grid
@@ -268,13 +268,31 @@ def grow_tree_per_row(
     )
 
 
+def argsort_split(col, count, pos):
+    """The best boundary on one column, found by an argsort and one float
+    cumsum each of ``count`` and ``pos``: (score, threshold, order, cut),
+    the left child being ``order[:cut + 1]``, or None for a constant
+    column.  The first of equal scores wins."""
+    order = np.argsort(col)
+    xs = col[order]
+    boundaries = np.nonzero(xs[:-1] < xs[1:])[0]
+    if boundaries.size == 0:
+        return None
+    cum_n = np.cumsum(count[order])
+    cum_pos = np.cumsum(pos[order])
+    score = _split_score(cum_n[boundaries], cum_pos[boundaries], cum_n[-1], cum_pos[-1])
+    best = int(np.argmax(score))
+    cut = int(boundaries[best])
+    return float(score[best]), _split_threshold(float(xs[cut]), float(xs[cut + 1])), order, cut
+
+
 def grow_counted_numpy(
     x, count, pos, *, min_node_size=1, max_depth=None, m_try=None, rng=None
 ):
     """Reference counted grower that searches every node with numpy.
 
-    Every node, whatever its size, gathers its counts and runs the
-    library's ``_best_split_on_feature`` on each candidate column, with
+    Every node, whatever its size, gathers its counts and runs
+    :func:`argsort_split` on each candidate column, with
     feature subsets drawn from ``rng`` in depth-first order (left child
     first).  Much faster than :func:`grow_tree_per_row` on tables of
     many copies, so it checks the library's small-node search on tables
@@ -320,7 +338,7 @@ def grow_counted_numpy(
         best = None
         best_feature = -1
         for f in candidates:
-            found = _best_split_on_feature(x[rows, f], node_count, node_pos)
+            found = argsort_split(x[rows, f], node_count, node_pos)
             if found is not None and (best is None or found[0] > best[0]):
                 best = found
                 best_feature = f
@@ -428,6 +446,17 @@ def two_class_toy_population():
     ]
     ids, strata, outcomes, scores = zip(*rows)
     return make_population(outcomes, strata, ids=ids), dict(zip(ids, scores))
+
+
+def sigmoid_by_sign(eta):
+    """The logistic function, split by a mask: ``1 / (1 + exp(-eta))``
+    where ``eta >= 0`` and ``exp(eta) / (1 + exp(eta))`` elsewhere."""
+    out = np.empty_like(eta)
+    nonneg = eta >= 0
+    out[nonneg] = 1.0 / (1.0 + np.exp(-eta[nonneg]))
+    exp_eta = np.exp(eta[~nonneg])
+    out[~nonneg] = exp_eta / (1.0 + exp_eta)
+    return out
 
 
 def logistic_loglik(x, y, b0, b1):

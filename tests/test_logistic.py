@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import grid_search_loglik, logistic_loglik, numeric_columns
+from helpers import grid_search_loglik, logistic_loglik, numeric_columns, sigmoid_by_sign
 from svymetrics.classifiers import fit_logistic
+from svymetrics.classifiers.logistic import _sigmoid
 from svymetrics.errors import DataValidationError, SeparationError
 
 
@@ -30,6 +33,20 @@ class TestClosedForms:
         null = replace(fitted, coefficients=np.zeros_like(fitted.coefficients))
         scores = null.predict_proba([np.array([10.0, -3000.0])])
         assert scores == pytest.approx([0.5, 0.5])
+
+
+class TestSigmoid:
+    @given(st.lists(
+        st.floats(allow_nan=False)
+        | st.sampled_from((0.0, -0.0, 800.0, -800.0, 5e-324, -5e-324, 745.2, -745.2)),
+        max_size=50,
+    ))
+    def test_bits_equal_the_masked_formula(self, values):
+        """Finite values, zeros of both signs, infinities, overflowing
+        magnitudes and subnormals score bit for bit as the masked split by
+        sign does."""
+        eta = np.asarray(values, dtype=np.float64)
+        assert _sigmoid(eta).tobytes() == sigmoid_by_sign(eta).tobytes()
 
 
 class TestConvergenceBehaviour:

@@ -320,12 +320,24 @@ _SIDE_COLUMNS = (
 @st.composite
 def _path_tables(draw):
     """``(x, count, pos)`` on ``SMALL_NODE + 8`` to ``3 * SMALL_NODE``
-    rows: a key column with ties, now and then a non-finite value, and one
-    to three columns of :data:`_SIDE_COLUMNS`, each value of which some
-    row holds, in a drawn column order.  A few rows have a zero count."""
+    rows: a key column, and one to three columns of :data:`_SIDE_COLUMNS`,
+    each value of which some row holds, in a drawn column order.  The key
+    has ties and now and then a non-finite value, or has distinct values,
+    infinities among them and now and then one NaN on a heavy row of one
+    outcome, which would be the best row to cut off if a boundary preceded
+    NaN.  A few other rows have a zero count."""
     k = draw(st.integers(SMALL_NODE + 8, 3 * SMALL_NODE))
-    key_value = st.integers(0, k // 3).map(float) | st.sampled_from(_NON_FINITE)
-    columns = [draw(st.lists(key_value, min_size=k, max_size=k))]
+    nan_row = None
+    if draw(st.booleans()):
+        key_value = st.integers(0, k // 3).map(float) | st.sampled_from(_NON_FINITE)
+        key = draw(st.lists(key_value, min_size=k, max_size=k))
+    else:
+        key_value = st.floats(allow_nan=False)
+        key = draw(st.lists(key_value, min_size=k, max_size=k, unique_by=lambda v: v + 0.0))
+        if draw(st.booleans()):
+            nan_row = draw(st.integers(0, k - 1))
+            key[nan_row] = np.nan
+    columns = [key]
     for values in draw(st.lists(st.sampled_from(_SIDE_COLUMNS), min_size=1, max_size=3)):
         picks = draw(st.lists(st.integers(0, len(values) - 1), min_size=k, max_size=k))
         picks[: len(values)] = range(len(values))
@@ -335,6 +347,9 @@ def _path_tables(draw):
     for i in draw(st.lists(st.integers(0, k - 1), max_size=6)):
         count[i] = 0
     pos = [draw(st.integers(0, c)) for c in count]
+    if nan_row is not None:
+        count[nan_row] = 400
+        pos[nan_row] = draw(st.sampled_from((0, 400)))
     return (
         np.asarray(columns, dtype=np.float64).T.copy(),
         np.asarray(count, dtype=np.float64),
@@ -356,6 +371,40 @@ def _node_arrays(tree):
         tree.value.tobytes(),
         tree.route_steps,
     )
+
+
+def _count_searches(monkeypatch, table):
+    """Count the grower's split searches by kind, for trees grown on
+    ``table``."""
+    calls = {}
+
+    def note(kind):
+        calls[kind] = calls.get(kind, 0) + 1
+
+    small, scan, two_valued = (
+        tree_module._best_small_split, tree_module._best_sorted_split, tree_module._two_valued_split
+    )
+
+    def counted_small(*args):
+        note("small")
+        return small(*args)
+
+    def counted_scan(col, rows, w, m, p, tie_free=False):
+        if not np.shares_memory(col, table.columns[table.key]):
+            note("argsort")
+        else:
+            note("key, tie-free" if tie_free else "key, ties")
+        return scan(col, rows, w, m, p, tie_free)
+
+    def counted_two_valued(*args):
+        found = two_valued(*args)
+        note("two-valued" if found is not None else "two-valued, one side empty")
+        return found
+
+    monkeypatch.setattr(tree_module, "_best_small_split", counted_small)
+    monkeypatch.setattr(tree_module, "_best_sorted_split", counted_scan)
+    monkeypatch.setattr(tree_module, "_two_valued_split", counted_two_valued)
+    return calls
 
 
 class TestCountedGrower:
@@ -423,34 +472,56 @@ class TestCountedGrower:
     def test_switch_tables_reach_both_searches(self, monkeypatch):
         """A table of 2 * SMALL_NODE distinct rows searches its root with
         numpy and its small descendants on Python floats.  Its columns are
-        the key (all distinct), one of two values and one of three, so the
-        numpy nodes reach each search: the key column's scan in key order
-        (``_best_sorted_split`` beyond the calls that the argsorting
-        ``_best_split_on_feature`` makes), the two-valued sums and the
-        argsort."""
-        calls = {
-            "_best_split_on_feature": 0, "_best_small_split": 0,
-            "_best_sorted_split": 0, "_two_valued_split": 0,
-        }
-        for name in calls:
-            def counted(*args, _name=name, _search=getattr(tree_module, name)):
-                calls[_name] += 1
-                return _search(*args)
-            monkeypatch.setattr(tree_module, name, counted)
+        the key (all distinct, so tie-free), one of two values and one of
+        three, so the numpy nodes reach each search: the key scan that
+        reads no values, the two-valued sums and the argsorted scan."""
         k = 2 * SMALL_NODE
         x = np.stack([np.arange(k), np.arange(k) % 2, np.arange(k) % 3], axis=1).astype(np.float64)
         y = (np.arange(k) % 5 == 0).astype(np.float64)
-        got = grow_tree(x, y)
-        assert all(calls.values()), calls
-        assert calls["_best_sorted_split"] > calls["_best_split_on_feature"], calls
+        table = ColumnTable.of(x)
+        calls = _count_searches(monkeypatch, table)
+        got = grow_counted(table, np.ones(k), y)
+        assert table.key_tie_free
+        assert set(calls) == {"small", "key, tie-free", "two-valued", "argsort"}, calls
         assert _node_arrays(got) == _node_arrays(grow_tree_per_row(x, y))
+
+    @pytest.mark.parametrize("m_try", [None, 1])
+    def test_settled_two_valued_column_is_not_searched(self, monkeypatch, m_try):
+        """The root splits on a two-valued column, and its numpy children
+        search a key with ties.  Below the split the column is constant,
+        and no node searches it again: every two-valued search that runs
+        finds rows on both sides."""
+        k = 4 * SMALL_NODE
+        i = np.arange(k)
+        x = np.stack([i // 2, i % 2], axis=1).astype(np.float64)
+        y = (i % 2).astype(np.float64)
+        y[[3, 17, 40, 70, 101, 120]] = 1.0 - y[[3, 17, 40, 70, 101, 120]]
+        table = ColumnTable.of(x)
+        calls = _count_searches(monkeypatch, table)
+        rng_seed = 12
+        got = grow_counted(table, np.ones(k), y, m_try=m_try, rng=np.random.default_rng(rng_seed))
+        want = grow_counted_numpy(x, np.ones(k), y, m_try=m_try, rng=np.random.default_rng(rng_seed))
+        assert _node_arrays(got) == _node_arrays(want)
+        assert not table.key_tie_free
+        assert got.feature[0] == 1 and calls["key, ties"] >= 3, calls
+        assert "two-valued, one side empty" not in calls, calls
+
+    def test_key_tie_free_needs_distinct_values_and_no_nan(self):
+        def flag(key):
+            return ColumnTable.of(np.array([key, [0.0, 1.0, 0.0]]).T).key_tie_free
+
+        assert flag([1.0, -np.inf, 2.0])
+        assert not flag([1.0, 1.0, 2.0])
+        assert not flag([1.0, np.nan, 2.0])
+        assert not flag([-0.0, 0.0, 2.0])
 
     @settings(max_examples=60, deadline=None)
     @given(table=_path_tables(), data=st.data())
     def test_numpy_searches_match_numpy_grower(self, table, data):
         """Tables larger than SMALL_NODE, whose numpy nodes search a key
-        column with ties and non-finite values, two-valued columns
-        (``{-0.0, 0.0, v}`` and ``{-inf, v}`` among them) by sums, and
+        column with ties and non-finite values, or a tie-free one without
+        reading it, two-valued columns (``{-0.0, 0.0, v}`` and ``{-inf, v}``
+        among them) by sums, skipping them below a split on them, and
         ``{v, NaN}`` and three-valued columns by argsort, with zero counts
         among the rows: the library equals the all-argsort grower."""
         x, count, pos = table
