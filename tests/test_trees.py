@@ -495,12 +495,12 @@ class TestCountedGrower:
         i = np.arange(k)
         x = np.stack([i // 2, i % 2], axis=1).astype(np.float64)
         y = (i % 2).astype(np.float64)
-        y[[3, 17, 40, 70, 101, 120]] = 1.0 - y[[3, 17, 40, 70, 101, 120]]
+        flips = [3, 17, 40, 70, 101, 120]
+        y[flips] = 1.0 - y[flips]
         table = ColumnTable.of(x)
         calls = _count_searches(monkeypatch, table)
-        rng_seed = 12
-        got = grow_counted(table, np.ones(k), y, m_try=m_try, rng=np.random.default_rng(rng_seed))
-        want = grow_counted_numpy(x, np.ones(k), y, m_try=m_try, rng=np.random.default_rng(rng_seed))
+        got = grow_counted(table, np.ones(k), y, m_try=m_try, rng=np.random.default_rng(12))
+        want = grow_counted_numpy(x, np.ones(k), y, m_try=m_try, rng=np.random.default_rng(12))
         assert _node_arrays(got) == _node_arrays(want)
         assert not table.key_tie_free
         assert got.feature[0] == 1 and calls["key, ties"] >= 3, calls
