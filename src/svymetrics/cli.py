@@ -9,9 +9,11 @@ experiment file); there is no hidden entropy.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -149,14 +151,29 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether ``a`` and ``b`` name one file: ``os.path.samefile`` when
+    both exist, their resolved paths otherwise."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return Path(a).resolve() == Path(b).resolve()
+
+
 def _cmd_split(args) -> int:
     schema = _schema_from_args(args)
-    result = ingest_csv(args.input, schema, keep_lines=True)
+    for flags, a, b in (("--train-out and --input", args.train_out, args.input),
+                        ("--eval-out and --input", args.eval_out, args.input),
+                        ("--train-out and --eval-out", args.train_out, args.eval_out)):
+        if _same_file(a, b):
+            raise DataValidationError(f"{flags} name the same file {a}")
+    result = ingest_csv(args.input, schema)
     training, evaluation = split_train_test(
         result.sample, args.eval_fraction, derive_stream(args.seed, "split")
     )
     weights = result.sample.weights
     write_split_files(
+        args.input,
         result.table,
         train_rows=result.file_rows[training.rows],
         train_weights=weights[training.rows],

@@ -10,15 +10,15 @@ files reproduce in-memory results exactly.
 from __future__ import annotations
 
 import collections.abc
+import contextlib
 import csv
-import io
 import json
 import operator
 import types
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
-from functools import cache, partial
-from itertools import chain, islice, repeat, zip_longest
+from functools import cache
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -70,18 +70,26 @@ class DataSchema:
         return cols
 
 
-def _text_pieces(path: str | Path, size: int = -1):
-    """A UTF-8 text file's contents, ``size`` characters at a time (-1:
-    all at once), newlines kept as written; a leading byte-order mark is
-    dropped."""
+@contextlib.contextmanager
+def _opened(path: str | Path):
+    """A UTF-8 text file opened for reading, newlines kept as written and a
+    leading byte-order mark dropped; a missing file or a bad byte read
+    within is a DataValidationError naming it."""
     path = Path(path)
     if not path.exists():
         raise DataValidationError(f"file not found: {path}")
     try:
         with path.open(newline="", encoding="utf-8-sig") as fh:
-            yield from iter(lambda: fh.read(size), "")
+            yield fh
     except UnicodeDecodeError as exc:
         raise DataValidationError(f"{path} is not UTF-8 text: {exc.reason}") from exc
+
+
+def _text_pieces(path: str | Path, size: int = -1):
+    """A UTF-8 text file's contents, ``size`` characters at a time (-1:
+    all at once), as ``_opened`` reads them."""
+    with _opened(path) as fh:
+        yield from iter(lambda: fh.read(size), "")
 
 
 def _read_text(path: str | Path) -> str:
@@ -89,81 +97,9 @@ def _read_text(path: str | Path) -> str:
     return "".join(_text_pieces(path))
 
 
-# Data lines parsed at a time from a quote-free file, and rows formatted
-# and written at a time; a quote-free file is also read this many
-# characters at a time.
+# Data rows parsed at a time, and rows formatted and written at a time; a
+# quote-free file is also read this many characters at a time.
 CHUNK_LINES = 65_536
-
-
-@dataclass(frozen=True)
-class CsvTable:
-    """A CSV file as read: its header, its number of data rows and, when
-    they were asked for, the data rows as CSV text without line endings.
-
-    A row's text is the line as written when the file was split on ","
-    directly; otherwise it is the row's fields, padded with "" or cut to
-    the header, as ``csv.writer`` writes them.
-    """
-
-    header: tuple[str, ...]
-    size: int
-    lines: list[str] | None = None
-
-
-class _Columns:
-    """The columns ``kinds`` names, parsed a chunk of data rows at a time
-    into whole-file columns of at most ``bound`` rows.
-
-    A "float" column reads as ``_parse_floats`` reads it, into preallocated
-    arrays; a "text" column as its stripped cells; a "code" column as int32
-    codes of its stripped cells into a dict of the distinct cells, in order
-    of first appearance.  A name the header repeats reads its last column,
-    as ``csv.DictReader`` does.
-    """
-
-    def __init__(self, header: Sequence[str], kinds: Mapping[str, str], bound: int):
-        where = {name: j for j, name in enumerate(header)}
-        self.fields = [(name, where[name], kind) for name, kind in kinds.items()]
-        self.size = 0
-        self.parsed = {}
-        for name, _, kind in self.fields:
-            if kind == "float":
-                self.parsed[name] = tuple(np.empty(bound, t) for t in (np.float64, bool, bool))
-            elif kind == "code":
-                self.parsed[name] = (np.empty(bound, np.int32), {})
-            else:
-                self.parsed[name] = []
-
-    def add(self, count: int, column) -> None:
-        """Parse the next ``count`` rows, whose cells of field j are ``column(j)``."""
-        rows = slice(self.size, self.size + count)
-        for name, j, kind in self.fields:
-            out, cells = self.parsed[name], column(j)
-            if kind == "float":
-                for whole, part in zip(out, _parse_floats(cells)):
-                    whole[rows] = part
-            elif kind == "code":
-                codes, index = out
-                cells = list(map(str.strip, cells))
-                for label in dict.fromkeys(cells):
-                    index.setdefault(label, len(index))
-                codes[rows] = np.fromiter(map(index.__getitem__, cells), np.int32, count)
-            else:
-                out.extend(map(str.strip, cells))
-        self.size += count
-
-    def result(self) -> dict:
-        """Each name's parsed column, cut to the rows read."""
-        n = self.size
-        out = {}
-        for name, _, kind in self.fields:
-            parsed = self.parsed[name]
-            if kind == "float":
-                parsed = tuple(part[:n] for part in parsed)
-            elif kind == "code":
-                parsed = (parsed[0][:n], parsed[1])
-            out[name] = parsed
-        return out
 
 
 class _NotPlain(Exception):
@@ -195,98 +131,182 @@ def _line_lists(pieces, limit: int):
     yield _split_lines(rest)
 
 
-def _read_plain(read_pieces, check_header, kinds, keep_lines: bool):
-    """The table and the ``kinds`` columns of a text split on ","
-    directly; _NotPlain unless ``csv.reader`` reads each line as its split
-    into as many fields as the header has.  ``read_pieces()`` gives the
-    text's pieces afresh: once to count lines and look for quotes, and
-    once to parse them, so the text is never held whole.
+def _chunks(rows):
+    """``rows`` in lists of ``CHUNK_LINES``, blank rows left out."""
+    rows = filter(None, rows)
+    return iter(lambda: list(islice(rows, CHUNK_LINES)), [])
 
-    A line reads as its split when the text has no quote character and no
-    NUL (which ``csv`` rejects before Python 3.11), every "\\r" ends a
-    "\\r\\n", and no line is longer than ``csv.field_size_limit()``.  Lines
-    end at "\\n" alone, as in file iteration: ``str.splitlines`` would also
-    end them at "\\v", "\\f", "\\x1c" to "\\x1e", "\\x85", "\\u2028" and
-    "\\u2029".  A text with no header, a blank one or no data line is
-    _NotPlain too.  Blank lines are skipped, and data lines are parsed
-    ``CHUNK_LINES`` at a time, so no list of every line or every cell is
-    built unless ``keep_lines`` asks for the lines.
+
+class _Lines:
+    """Each line split on "," directly; a row's text is its line as written.
+
+    ``read`` yields the header's fields, then chunks of data lines, or
+    _NotPlain unless ``csv.reader`` would read each line so, into as many
+    fields as the header has: every "\\r" ends a "\\r\\n", the header is
+    not blank, a data line follows it, and no line is longer than
+    ``csv.field_size_limit()``.  The caller checks for quotes and NUL
+    (which ``csv`` rejects before Python 3.11).  Lines end at "\\n" alone,
+    as in file iteration, not at the other ends ``str.splitlines`` knows.
     """
-    bound = 0
-    for piece in read_pieces():
-        if '"' in piece or "\0" in piece:
+
+    @staticmethod
+    def read(path):
+        limit = csv.field_size_limit()
+        lines = chain.from_iterable(_line_lists(_text_pieces(path, CHUNK_LINES), limit))
+        header = next(lines)
+        if not header or len(header) > limit:
             raise _NotPlain
-        bound += piece.count("\n")
-    limit = csv.field_size_limit()
-    lines = chain.from_iterable(_line_lists(read_pieces(), limit))
-    header = next(lines)
-    if not header or len(header) > limit:
-        raise _NotPlain
-    header = header.split(",")
-    check_header(header)
-    width, commas = len(header), {len(header) - 1}
-    columns = _Columns(header, kinds, bound)
-    kept = [] if keep_lines else None
-    lines = filter(None, lines)
-    for chunk in iter(lambda: list(islice(lines, CHUNK_LINES)), []):
-        if set(map(str.count, chunk, repeat(","))) != commas or max(map(len, chunk)) > limit:
+        yield header.split(",")
+        commas = {header.count(",")}
+        chunk = None
+        for chunk in _chunks(lines):
+            if set(map(str.count, chunk, repeat(","))) != commas or max(map(len, chunk)) > limit:
+                raise _NotPlain
+            yield chunk
+        if chunk is None:  # no data line
             raise _NotPlain
-        if columns.size + len(chunk) > bound:  # the file grew after it was counted
-            raise _NotPlain
+
+    @staticmethod
+    def fields(chunk: list[str], width: int):
         flat = ",".join(chunk).split(",")
-        columns.add(len(chunk), lambda j: flat[j::width])
-        if keep_lines:
-            kept += chunk
-    if not columns.size:
-        raise _NotPlain
-    return CsvTable(tuple(header), columns.size, kept), columns.result()
+        return lambda j: flat[j::width]
+
+    @staticmethod
+    def write(fh, rows: list[str], texts: list[list[str]]) -> None:
+        line = ",".join(["{}"] * (1 + len(texts))) + "\r\n"
+        fh.write("".join(map(line.format, rows, *texts)))
 
 
-def _csv_line(writer, buffer: io.StringIO, fields) -> str:
-    """``fields`` as ``writer`` writes them into ``buffer``, without the line ending."""
-    buffer.seek(0)
-    buffer.truncate()
-    writer.writerow(fields)
-    return buffer.getvalue()[:-2]
-
-
-def _read_columns(path: str | Path, check_header, kinds: Mapping[str, str],
-                  keep_lines: bool = False) -> tuple[CsvTable, dict]:
-    """Read a CSV: its table, with its data rows as text when
-    ``keep_lines`` asks for them, and its ``kinds`` columns (see
-    ``_Columns``).
-
-    The whole file is decoded before ``check_header`` sees the header row
-    (None for an empty file), even when it is blank, and before any data
-    row is parsed.  Blank data rows are skipped.  A short row reads "" in
-    the fields it lacks, and fields past the header are ignored.  A file
-    without quoting whose data rows all have the header's width is read
-    a piece at a time and split on "," directly (``_read_plain``); any
-    other is read whole and goes through ``csv.reader``.
+class _Records:
+    """Rows through ``csv.reader``, padded with "" or cut to the header's
+    width; a row's text is what ``csv.writer`` writes of it.  ``read``
+    yields the header (None for an empty file), then chunks of data rows.
     """
-    read_pieces = partial(_text_pieces, path, CHUNK_LINES)
-    try:
-        return _read_plain(read_pieces, check_header, kinds, keep_lines)
-    except _NotPlain:
-        pass
-    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
-    try:
-        header = next(reader, None)
-        check_header(header)
-        rows = list(filter(None, reader))
-    except csv.Error as exc:
-        raise DataValidationError(f"{path}: {exc}") from exc
-    width = len(header)
-    fields = list(islice(zip_longest(*rows, fillvalue=""), width))
-    fields += [("",) * len(rows)] * (width - len(fields))
-    columns = _Columns(header, kinds, len(rows))
-    columns.add(len(rows), fields.__getitem__)
-    lines = None
-    if keep_lines:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        lines = [_csv_line(writer, buffer, (row + [""] * width)[:width]) for row in rows]
-    return CsvTable(tuple(header), len(rows), lines), columns.result()
+
+    @staticmethod
+    def read(path):
+        with _opened(path) as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            yield header
+            width, pad = len(header), [""] * len(header)
+            for chunk in _chunks(reader):
+                yield [row if len(row) == width else (row + pad)[:width] for row in chunk]
+
+    @staticmethod
+    def fields(chunk: list[list[str]], width: int):
+        return list(zip(*chunk)).__getitem__
+
+    @staticmethod
+    def write(fh, rows: list[list[str]], texts: list[list[str]]) -> None:
+        csv.writer(fh).writerows([*row, *ws] for row, *ws in zip(rows, *texts))
+
+
+@dataclass(frozen=True)
+class CsvTable:
+    """A CSV file as read: its header, its number of data rows, and the
+    splitter (``_Lines`` or ``_Records``) that read them."""
+
+    header: tuple[str, ...]
+    size: int
+    splitter: type
+
+
+class _Columns:
+    """The columns ``kinds`` names, parsed a chunk of data rows at a time
+    into whole-file columns, allocated for ``bound`` rows and grown when
+    more come.
+
+    A "float" column reads as ``_parse_floats`` reads it, into preallocated
+    arrays; a "text" column as its stripped cells; a "code" column as int32
+    codes of its stripped cells into a dict of the distinct cells, in order
+    of first appearance.  A name the header repeats reads its last column,
+    as ``csv.DictReader`` does.
+    """
+
+    def __init__(self, header: Sequence[str], kinds: Mapping[str, str], bound: int):
+        where = {name: j for j, name in enumerate(header)}
+        self.fields = [(name, where[name], kind) for name, kind in kinds.items()]
+        self.size = 0
+        self.bound = bound
+        self.parsed = {}
+        for name, _, kind in self.fields:
+            if kind == "float":
+                self.parsed[name] = tuple(np.empty(bound, t) for t in (np.float64, bool, bool))
+            elif kind == "code":
+                self.parsed[name] = (np.empty(bound, np.int32), {})
+            else:
+                self.parsed[name] = []
+
+    def add(self, count: int, column) -> None:
+        """Parse the next ``count`` rows, whose cells of field j are ``column(j)``."""
+        rows = slice(self.size, self.size + count)
+        if rows.stop > self.bound:  # more rows than the first pass counted lines
+            self.bound = 2 * rows.stop
+            for name, _, kind in self.fields:
+                if kind == "float":
+                    self.parsed[name] = tuple(np.resize(a, self.bound) for a in self.parsed[name])
+                elif kind == "code":
+                    codes, index = self.parsed[name]
+                    self.parsed[name] = (np.resize(codes, self.bound), index)
+        for name, j, kind in self.fields:
+            out, cells = self.parsed[name], column(j)
+            if kind == "float":
+                for whole, part in zip(out, _parse_floats(cells)):
+                    whole[rows] = part
+            elif kind == "code":
+                codes, index = out
+                cells = list(map(str.strip, cells))
+                for label in dict.fromkeys(cells):
+                    index.setdefault(label, len(index))
+                codes[rows] = np.fromiter(map(index.__getitem__, cells), np.int32, count)
+            else:
+                out.extend(map(str.strip, cells))
+        self.size += count
+
+    def result(self) -> dict:
+        """Each name's parsed column, cut to the rows read."""
+        n = self.size
+        out = {}
+        for name, _, kind in self.fields:
+            parsed = self.parsed[name]
+            if kind == "float":
+                parsed = tuple(part[:n] for part in parsed)
+            elif kind == "code":
+                parsed = (parsed[0][:n], parsed[1])
+            out[name] = parsed
+        return out
+
+
+def _read_columns(path: str | Path, check_header,
+                  kinds: Mapping[str, str]) -> tuple[CsvTable, dict]:
+    """Read a CSV: its table and its ``kinds`` columns (see ``_Columns``).
+
+    A first pass decodes the whole file, counts its lines and looks for
+    quotes and NUL, so a bad byte is reported before ``check_header``
+    sees the header row (None for an empty file), even when it is blank.
+    A second pass parses the data rows ``CHUNK_LINES`` at a time, split on
+    "," directly by ``_Lines`` when ``csv.reader`` would read them so, and
+    by ``_Records`` otherwise.  Blank data rows are skipped.  A short row
+    reads "" in the fields it lacks, and fields past the header are ignored.
+    """
+    bound, plain = 1, True
+    for piece in _text_pieces(path, CHUNK_LINES):
+        bound += piece.count("\n")
+        plain = plain and '"' not in piece and "\0" not in piece
+    for splitter in (_Lines, _Records) if plain else (_Records,):
+        rows = splitter.read(path)
+        try:
+            header = next(rows)
+            check_header(header)
+            columns = _Columns(header, kinds, bound)
+            for chunk in rows:
+                columns.add(len(chunk), splitter.fields(chunk, len(header)))
+        except _NotPlain:
+            continue
+        except csv.Error as exc:
+            raise DataValidationError(f"{path}: {exc}") from exc
+        return CsvTable(tuple(header), columns.size, splitter), columns.result()
 
 
 def read_json(path: str | Path, what: str):
@@ -442,9 +462,8 @@ class IngestResult:
     ``data`` holds every loaded row, its strata coded in order of first
     appearance (one stratum, "", without a stratum column), and ``sample``
     the same ids with their weights (1 without a weight column) and their
-    rows of ``data``.  ``table`` is the file as read (with its data lines
-    only when they were asked for), and ``file_rows`` the row of ``table``
-    each loaded record came from.
+    rows of ``data``.  ``table`` is the file as read, and ``file_rows`` the
+    row of ``table`` each loaded record came from, ascending.
     """
 
     data: FinitePopulation
@@ -509,7 +528,7 @@ def _first_appearance(codes: np.ndarray, index: Mapping[str, int]):
     return recode[codes], tuple(labels[k] for k in order.tolist())
 
 
-def ingest_csv(path: str | Path, schema: DataSchema, *, keep_lines: bool = False) -> IngestResult:
+def ingest_csv(path: str | Path, schema: DataSchema) -> IngestResult:
     """Load a survey CSV into columns plus a weighted sample.
 
     Rows missing any required field, with a non-binary outcome, an
@@ -517,10 +536,9 @@ def ingest_csv(path: str | Path, schema: DataSchema, *, keep_lines: bool = False
     by reason.  A row's reason is its first failing check, in the order
     id, duplicate id, outcome, weight, stratum, then each feature; a row
     is a duplicate when an earlier row with its id was loaded.  Reasons
-    are counted in order of first occurrence.  ``keep_lines`` keeps the
-    data rows as text in ``table``, for :func:`write_split_files`.
+    are counted in order of first occurrence.
     """
-    table, report, rows, loaded, weights = _load_rows(path, schema, keep_lines)
+    table, report, rows, loaded, weights = _load_rows(path, schema)
     data = FinitePopulation(**loaded)
     return IngestResult(
         data=data,
@@ -531,7 +549,7 @@ def ingest_csv(path: str | Path, schema: DataSchema, *, keep_lines: bool = False
     )
 
 
-def _load_rows(path, schema: DataSchema, keep_lines: bool):
+def _load_rows(path, schema: DataSchema):
     """``ingest_csv``'s read and row checks: the table, the load report, the
     loaded rows, their ``FinitePopulation`` fields and their weights.  The
     whole-file columns die with this call, before the population is built."""
@@ -553,7 +571,7 @@ def _load_rows(path, schema: DataSchema, keep_lines: bool):
         wanted[schema.stratum_column] = "code"
     for col in schema.features:
         wanted[col.name] = "float" if col.kind == "numeric" else "text"
-    table, cols = _read_columns(path, check_header, wanted, keep_lines)
+    table, cols = _read_columns(path, check_header, wanted)
     n = table.size
     ids = cols[schema.id_column]
     checks = [("missing id", _blank(ids))]  # (reason, failing rows), in check order
@@ -662,6 +680,7 @@ def _write_float_rows(
 
 
 def write_split_files(
+    path: str | Path,
     table: CsvTable,
     train_rows: Sequence[int],
     train_weights: Sequence[float],
@@ -672,8 +691,10 @@ def write_split_files(
     eval_out: str | Path,
     weight_column: str | None,
 ) -> None:
-    """Write train/eval CSVs holding rows of ``table`` as they were read;
-    the table must keep its lines (``ingest_csv(..., keep_lines=True)``).
+    """Write train/eval CSVs holding the data rows ``train_rows`` and
+    ``eval_rows`` (ascending rows of ``table``) of the CSV at ``path`` as
+    they were read, in file order, reading the file once more with the
+    splitter that read ``table``.
 
     Both files carry a canonical ``weight`` column holding the design
     weight (appended unless ``weight_column``, the schema's weight column,
@@ -681,7 +702,9 @@ def write_split_files(
     compound weight in ``weight_eval``, so downstream evaluation needs no
     knowledge of the split fraction.  An input column of either name that
     would be written over is a SchemaError.  Weights are serialized at
-    full precision.
+    full precision.  A file whose header or number of data rows is no
+    longer ``table``'s is a DataValidationError naming it, and neither
+    output is left behind.
     """
     if "weight_eval" in table.header:
         raise SchemaError("input file already has a 'weight_eval' column")
@@ -691,16 +714,48 @@ def write_split_files(
             "input file has a 'weight' column that is not the schema's weight column "
             f"{weight_column!r}"
         )
-
-    def write(path, header, file_rows, *weight_columns):
-        lines = list(map(table.lines.__getitem__, np.asarray(file_rows, dtype=np.intp).tolist()))
-        _write_float_rows(path, header, weight_columns, lines)
-
     header = list(table.header) + (["weight"] if append_weight else [])
     design = (train_weights,) if append_weight else ()
-    write(train_out, header, train_rows, *design)
-    design = (eval_design_weights,) if append_weight else ()
-    write(eval_out, header + ["weight_eval"], eval_rows, *design, eval_compound_weights)
+    eval_design = (eval_design_weights,) if append_weight else ()
+    files = [(train_out, header, design),
+             (eval_out, header + ["weight_eval"], (*eval_design, eval_compound_weights))]
+    dest = np.zeros(table.size, dtype=np.int8)  # per data row: 1 train, 2 eval, 0 neither
+    dest[np.asarray(train_rows, dtype=np.intp)] = 1
+    dest[np.asarray(eval_rows, dtype=np.intp)] = 2
+    with contextlib.ExitStack() as stack:
+        outs = []
+        for out, head, weights in files:
+            fh = stack.enter_context(Path(out).open("w", newline="", encoding="utf-8"))
+            csv.writer(fh).writerow(head)
+            outs.append((fh, [np.ascontiguousarray(w, dtype=np.float64) for w in weights]))
+        size = _copy_rows(path, table, dest, outs)
+    if size != table.size:
+        for out, _, _ in files:
+            Path(out).unlink()
+        raise DataValidationError(f"{path} changed while split was reading it")
+
+
+def _copy_rows(path, table: CsvTable, dest: np.ndarray, outs) -> int | None:
+    """Write data row i of the CSV at ``path`` to ``outs[dest[i] - 1]``
+    (none at 0) with that output's next weights: the rows read, or None
+    when the header is not ``table``'s or its splitter fails."""
+    rows = table.splitter.read(path)
+    try:
+        if next(rows) != list(table.header):
+            return None
+        start, taken = 0, [0] * len(outs)
+        for chunk in rows:
+            part = dest[start:start + len(chunk)]
+            for k, (fh, weights) in enumerate(outs):
+                picks = np.flatnonzero(part == k + 1).tolist()
+                done = slice(taken[k], taken[k] + len(picks))
+                texts = [_float_texts(w[done]) for w in weights]
+                table.splitter.write(fh, list(map(chunk.__getitem__, picks)), texts)
+                taken[k] = done.stop
+            start += len(chunk)
+        return start
+    except (_NotPlain, csv.Error, DataValidationError):  # the last: gone, or not UTF-8
+        return None
 
 
 def read_predictions(path: str | Path) -> dict[str, float]:

@@ -700,6 +700,7 @@ def read_predictions_per_row(path):
 
 
 def write_split_files_per_row(
+    path,
     table,
     train_rows,
     train_weights,
@@ -711,8 +712,9 @@ def write_split_files_per_row(
     weight_column,
 ):
     """``io.write_split_files`` with every row written by ``csv.writer``
-    from its fields, each kept line of the table read back by
-    ``csv.reader``: the reference for the bytes of both files."""
+    from its fields, each data row of the input file read by
+    ``csv.reader`` and padded with "" or cut to the header: the reference
+    for the bytes of both files."""
     if "weight_eval" in table.header:
         raise SchemaError("input file already has a 'weight_eval' column")
     append_weight = weight_column != "weight"
@@ -722,10 +724,18 @@ def write_split_files_per_row(
             f"{weight_column!r}"
         )
 
-    def write(path, header, file_rows, *weight_columns):
-        fields = [next(csv.reader([table.lines[i]])) for i in file_rows]
+    rows = []
+    with Path(path).open(newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        width = len(next(reader))
+        for row in reader:
+            if row:
+                rows.append((row + [""] * width)[:width])
+
+    def write(out, header, file_rows, *weight_columns):
+        fields = [rows[i] for i in file_rows]
         weights = [[float(w) for w in weights] for weights in weight_columns]
-        with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        with Path(out).open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(row + list(ws) for row, *ws in zip(fields, *weights))

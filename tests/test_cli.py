@@ -239,6 +239,34 @@ class TestSplitWritesRowsAsLoaded:
         assert not (tmp_path / "eval.csv").exists()
 
 
+class TestSplitRefusesCollidingOutputs:
+    """``split`` would write over its input, or write both parts into one
+    file that keeps only the second; it refuses before writing anything."""
+
+    def test_train_and_eval_outputs_naming_one_file(self, tmp_path, survey_csv, schema_file,
+                                                     capsys):
+        same = tmp_path / "same.csv"
+        code = _run(["split", "--input", survey_csv, "--schema", schema_file, "--seed", 1,
+                     "--train-out", same, "--eval-out", tmp_path / "sub" / ".." / "same.csv"])
+        err = _one_line_data_error(capsys, code)
+        assert err == f"error: --train-out and --eval-out name the same file {same}\n"
+        assert not same.exists()
+
+    @pytest.mark.parametrize("flag", ["--train-out", "--eval-out"])
+    def test_output_naming_the_input(self, tmp_path, survey_csv, schema_file, capsys, flag):
+        link = tmp_path / "link.csv"
+        link.symlink_to(survey_csv)
+        before = survey_csv.read_bytes()
+        outs = {"--train-out": tmp_path / "train.csv", "--eval-out": tmp_path / "eval.csv"}
+        outs[flag] = link
+        code = _run(["split", "--input", survey_csv, "--schema", schema_file, "--seed", 1,
+                     *(arg for pair in outs.items() for arg in pair)])
+        err = _one_line_data_error(capsys, code)
+        assert err == f"error: {flag} and --input name the same file {link}\n"
+        assert survey_csv.read_bytes() == before
+        assert not any(out.exists() for out in outs.values() if out != link)
+
+
 class TestPredictUnseenCategory:
     @pytest.mark.parametrize("model", ["logistic", "tree", "forest"])
     def test_unseen_category_warns_in_one_line(self, tmp_path, capsys, model):

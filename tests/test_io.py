@@ -5,6 +5,7 @@ import json
 import struct
 import sys
 from collections import Counter
+from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
@@ -56,13 +57,26 @@ def _write(tmp_path, text, name="data.csv"):
 
 
 def _plain_lines(text):
-    """The header and data lines ``text`` is split into on the plain read
-    path, or None when it goes through ``csv.reader``."""
-    try:
-        table, _ = io_module._read_plain(lambda: [text], lambda header: None, {}, keep_lines=True)
-    except io_module._NotPlain:
-        return None
-    return [",".join(table.header), *table.lines]
+    """The header and data lines ``text`` is split into when the CSV
+    driver splits it on "," directly, or None when it reads ``text``
+    through ``csv.reader``."""
+
+    def check_header(header):
+        if header is None:
+            raise DataValidationError("no header")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(io_module, "_text_pieces", lambda path, size=-1: [text])
+        patch.setattr(io_module, "_opened",
+                      lambda path: contextlib.nullcontext(io.StringIO(text, newline="")))
+        try:
+            table, _ = io_module._read_columns("text.csv", check_header, {})
+        except DataValidationError:
+            return None
+        if table.splitter is not io_module._Lines:
+            return None
+        header, *chunks = io_module._Lines.read("text.csv")
+    return [",".join(header), *chain.from_iterable(chunks)]
 
 
 def _main_quietly(argv):
@@ -244,8 +258,8 @@ class TestIngestCsv:
 
     def test_rows_appended_between_the_two_reads_are_read(self, tmp_path, monkeypatch):
         """A quote-free file is read once to count its lines and once to
-        parse them; rows appended in between send it through ``csv.reader``
-        instead of past the arrays sized by the count."""
+        parse them; rows appended in between grow the arrays sized by the
+        count instead of being written past them."""
         path = _write(tmp_path, "id,y\na,1\nb,0\n")
         reads = []
 
@@ -258,7 +272,7 @@ class TestIngestCsv:
         monkeypatch.setattr(io_module, "_text_pieces", text_pieces)
         result = ingest_csv(path, DataSchema(id_column="id", outcome_column="y"))
         assert result.data.ids.tolist() == ["a", "b", "c", "d"]
-        assert len(reads) == 3
+        assert len(reads) == 2
 
     def test_field_at_the_csv_limit_is_read(self, tmp_path):
         limit = csv.field_size_limit()
@@ -402,6 +416,34 @@ class TestSplitFiles:
         assert (code, err) == (0, "")
         assert train.read_bytes().startswith(b"id,y,wt,weight\r\n")
         assert held_out.read_bytes().startswith(b"id,y,wt,weight,weight_eval\r\n")
+
+    @pytest.mark.parametrize("quote", ["", '"'])  # split on ",", then csv.reader
+    @pytest.mark.parametrize("change", ["rows appended", "a row removed", "header renamed"])
+    def test_file_changed_before_the_write_pass_is_a_data_error(
+        self, tmp_path, monkeypatch, quote, change
+    ):
+        """``split`` reads its input to parse it and again to copy its rows;
+        a file that no longer has the parsed header and number of data rows
+        is one error line naming it, and no split file is left."""
+        rows = [f"{quote}r{i}{quote},{i % 2},2\n" for i in range(8)]
+        path = _write(tmp_path, "id,y,wt\n" + "".join(rows))
+        changed = {
+            "rows appended": "id,y,wt\n" + "".join(rows) + "r8,1,2\nr9,0,2\n",
+            "a row removed": "id,y,wt\n" + "".join(rows[:-1]),
+            "header renamed": "id,y,w\n" + "".join(rows),
+        }[change]
+
+        def write_split_files(path, *args, **kwargs):
+            _write(tmp_path, changed)
+            return io_module.write_split_files(path, *args, **kwargs)
+
+        monkeypatch.setattr("svymetrics.cli.write_split_files", write_split_files)
+        train, held_out = tmp_path / "train.csv", tmp_path / "eval.csv"
+        code, err = _main_quietly(["split", "--input", path, "--id-col", "id", "--outcome-col", "y",
+                                   "--weight-col", "wt", "--seed", 1,
+                                   "--train-out", train, "--eval-out", held_out])
+        assert (code, err) == (3, f"error: {path} changed while split was reading it\n")
+        assert not train.exists() and not held_out.exists()
 
 
 class TestPlainLines:
@@ -639,16 +681,16 @@ def _check_split_files_equal_csv_writer_bytes(workdir, data):
     path = _write(workdir, data.draw(csv_texts(schema.required_columns, ["note", "weight"],
                                                plain=data.draw(st.booleans()))))
     try:
-        result = ingest_csv(path, schema, keep_lines=True)
+        result = ingest_csv(path, schema)
     except DataValidationError:
         return
     rows = data.draw(st.permutations(result.file_rows.tolist()))
     cut = data.draw(st.integers(0, len(rows)))
     weights = st.floats(min_value=1e-300, max_value=1e300)
     args = (
-        rows[:cut],
+        sorted(rows[:cut]),
         data.draw(st.lists(weights, min_size=cut, max_size=cut)),
-        rows[cut:],
+        sorted(rows[cut:]),
         *(data.draw(st.lists(weights, min_size=len(rows) - cut, max_size=len(rows) - cut))
           for _ in range(2)),
     )
@@ -656,7 +698,7 @@ def _check_split_files_equal_csv_writer_bytes(workdir, data):
     for name, write in (("ours", write_split_files), ("oracle", write_split_files_per_row)):
         train, held_out = workdir / f"{name}_train.csv", workdir / f"{name}_eval.csv"
         try:
-            write(result.table, *args, train, held_out, schema.weight_column)
+            write(path, result.table, *args, train, held_out, schema.weight_column)
         except SchemaError as exc:
             outs[name] = str(exc)
         else:
@@ -686,38 +728,41 @@ class TestColumnarReadersMatchOracles:
         _check_split_files_equal_csv_writer_bytes(workdir, data)
 
     def test_generated_files_reach_both_read_paths(self, workdir, monkeypatch):
-        """The drawn files above are read both by a plain split on "," into
-        stride slices of a flat list per chunk (``_read_plain`` returns
-        them) and by ``csv.reader`` with padding by ``zip_longest``, the
-        latter on quoted files and on quote-free files with short or long
-        rows."""
-        seen = Counter()
+        _check_generated_files_reach_both_read_paths(workdir, monkeypatch)
 
-        def read_plain(read_pieces, *args, _real=io_module._read_plain):
-            try:
-                read = _real(read_pieces, *args)
-            except io_module._NotPlain:
-                quoted = '"' in "".join(read_pieces())
-                seen["csv.reader, quoted" if quoted else "csv.reader, quote-free"] += 1
-                raise
+
+def _check_generated_files_reach_both_read_paths(workdir, monkeypatch):
+    """The drawn files above are read both by a plain split on "," into
+    stride slices of a flat list per chunk (``_Lines``) and by
+    ``csv.reader`` with rows padded or cut per chunk (``_Records``), the
+    latter on quoted files and on quote-free files with short or long
+    rows."""
+    seen = Counter()
+
+    def read_columns(path, *args, _real=io_module._read_columns):
+        table, columns = _real(path, *args)
+        if table.splitter is io_module._Lines:
             seen["split on ','"] += 1
-            return read
+        else:
+            quoted = '"' in "".join(io_module._text_pieces(path))
+            seen["csv.reader, quoted" if quoted else "csv.reader, quote-free"] += 1
+        return table, columns
 
-        monkeypatch.setattr(io_module, "_read_plain", read_plain)
+    monkeypatch.setattr(io_module, "_read_columns", read_columns)
 
-        @settings(max_examples=60, deadline=None, database=None)
-        @given(data=st.data())
-        def read_drawn_files(data):
-            schema = data.draw(survey_schemas())
-            text = data.draw(csv_texts(schema.required_columns, ["note", "weight"],
-                                       plain=data.draw(st.booleans())))
-            _outcome(ingest_csv, _write(workdir, text), schema)
-            text = data.draw(csv_texts(["id", "score"], ["id", "score", "note"],
-                                       plain=data.draw(st.booleans())))
-            _outcome(read_predictions, _write(workdir, text, name="p.csv"))
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(data=st.data())
+    def read_drawn_files(data):
+        schema = data.draw(survey_schemas())
+        text = data.draw(csv_texts(schema.required_columns, ["note", "weight"],
+                                   plain=data.draw(st.booleans())))
+        _outcome(ingest_csv, _write(workdir, text), schema)
+        text = data.draw(csv_texts(["id", "score"], ["id", "score", "note"],
+                                   plain=data.draw(st.booleans())))
+        _outcome(read_predictions, _write(workdir, text, name="p.csv"))
 
-        read_drawn_files()
-        assert set(seen) == {"split on ','", "csv.reader, quoted", "csv.reader, quote-free"}, seen
+    read_drawn_files()
+    assert set(seen) == {"split on ','", "csv.reader, quoted", "csv.reader, quote-free"}, seen
 
 
 @pytest.mark.parametrize("lines", [1, 2, 3])
@@ -750,6 +795,51 @@ class TestOraclesAtChunkBoundaries:
     @given(data=st.data())
     def test_split_files_equal_csv_writer_bytes(self, workdir, lines, data):
         _check_split_files_equal_csv_writer_bytes(workdir, data)
+
+    def test_generated_files_reach_both_read_paths(self, workdir, lines, monkeypatch):
+        _check_generated_files_reach_both_read_paths(workdir, monkeypatch)
+
+
+_BOUNDARY_TEXTS = {
+    # A quoted "\n" or "\r\n" in the first, middle and last data rows.
+    "newline in a quoted field": 'id,y,wt,note\r\na,1,2,"x\r\ny"\r\nb,0,3,"p\nq\nr"\r\n'
+                                 'c,1,4,n\r\n"d,",0,5,"s\n"\r\n"e\n",1,6,t',
+    "short and long quoted rows": 'id,y,wt,note\na,1,2\n"b",0,3,n,extra,more\n'
+                                  'c,1,4,"m"\n"d"\ne,0,"7",,\n"f",1,8,"o\np",x\n',
+    "blank rows, quoted": '"id",y,wt\n\na,1,2\n\n\nb,0,3\n\r\nc,1,4\n\n"d",0,5\n\n',
+    "blank rows, quote-free": "id,y,wt\n\na,1,2\n\n\nb,0,3\n\r\nc,1,4\n\nd,0,5\n\n",
+}
+
+
+@pytest.mark.parametrize("lines", [1, 2, 3])
+@pytest.mark.parametrize("text", list(_BOUNDARY_TEXTS.values()), ids=list(_BOUNDARY_TEXTS))
+def test_chunk_boundaries_read_and_split_as_the_row_loops(tmp_path, lines, text):
+    """Files whose quoted fields hold line breaks, whose quoted rows are
+    short or long, or whose blank rows fall between chunks: read and split
+    ``lines`` rows at a time, they load as the row loop loads them and
+    split as ``csv.writer`` writes them."""
+    path = _write(tmp_path, text)
+    schema = DataSchema(id_column="id", outcome_column="y", weight_column="wt")
+    population, weights, report, _ = ingest_csv_per_row(path, schema)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(io_module, "CHUNK_LINES", lines)
+        result = ingest_csv(path, schema)
+        splitter = io_module._Records if '"' in text else io_module._Lines
+        assert result.table.splitter is splitter
+        assert result.data.ids.tolist() == population.ids.tolist()
+        assert result.sample.weights.tolist() == weights.tolist()
+        assert result.report == report
+        rows = result.file_rows.tolist()
+        train, held_out = rows[::2], rows[1::2]
+        outs = {}
+        for name, write in (("ours", write_split_files), ("oracle", write_split_files_per_row)):
+            out = tmp_path / name
+            out.mkdir()
+            write(path, result.table, train, [0.5] * len(train), held_out,
+                  [1 / 3] * len(held_out), [0.1] * len(held_out),
+                  out / "train.csv", out / "eval.csv", "wt")
+            outs[name] = [(out / f).read_bytes() for f in ("train.csv", "eval.csv")]
+    assert outs["ours"] == outs["oracle"]
 
 
 def _first_rows_duplicates(keys, rows):
@@ -851,12 +941,12 @@ class TestLineWritersMatchCsvWriter:
         path = _write(workdir, data.draw(csv_texts(schema.required_columns, ["note", "weight"],
                                                    plain=data.draw(st.booleans()))))
         try:
-            result = ingest_csv(path, schema, keep_lines=True)
+            result = ingest_csv(path, schema)
         except DataValidationError:
             return
         rows = data.draw(st.permutations(result.file_rows.tolist()))
         cut = data.draw(st.integers(0, len(rows)))
-        args = (rows[:cut], data.draw(float_columns(cut)), rows[cut:],
+        args = (sorted(rows[:cut]), data.draw(float_columns(cut)), sorted(rows[cut:]),
                 data.draw(float_columns(len(rows) - cut)),
                 data.draw(float_columns(len(rows) - cut)))
         outs = {}
@@ -865,7 +955,7 @@ class TestLineWritersMatchCsvWriter:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(io_module, "CHUNK_LINES", chunk)
                 try:
-                    write(result.table, *args, train, held_out, schema.weight_column)
+                    write(path, result.table, *args, train, held_out, schema.weight_column)
                 except SchemaError as exc:
                     outs[name] = str(exc)
                 else:
