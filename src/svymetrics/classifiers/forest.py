@@ -60,6 +60,18 @@ class ForestModel:
     predict_proba_columns = predict_proba
 
 
+def id_order(ids: Sequence[str]) -> np.ndarray:
+    """The stable order of ``ids`` under Python's ``<``: the one
+    ``sorted(range(len(ids)), key=ids.__getitem__)`` gives.
+
+    A fixed-width ``U`` array sorts as Python does, except that it drops
+    trailing NULs, so ``"a"`` and ``"a\\x00"`` tie there; a tie between two
+    different ids is one of those, and the shorter sorts first.
+    """
+    lengths = np.fromiter(map(len, ids), dtype=np.intp, count=len(ids))
+    return np.lexsort((lengths, np.asarray(ids, dtype=str)))
+
+
 def fit_forest(
     columns: Sequence[np.ndarray],
     y: np.ndarray,
@@ -79,9 +91,7 @@ def fit_forest(
         base_seed = int(rng)
     else:
         base_seed = int(rng.integers(np.iinfo(np.int64).max))
-    # An object column sorts with Python's ``<``, so this stable order is
-    # the one ``sorted(range(n), key=ids.__getitem__)`` gives.
-    order = np.argsort(np.asarray(ids, dtype=object), kind="stable")
+    order = id_order(ids)
     columns = [col[order] for col in columns]
     encoder = FeatureEncoder.fit(columns)
     x = encoder.transform(columns, y.size)

@@ -146,6 +146,36 @@ def _fold_codes(
     return np.minimum.reduceat(order, np.flatnonzero(starts)), inverse
 
 
+# Up to this many levels, :func:`level_codes` compares a column with each
+# level in turn; above it the old calls are kept.  Measured on 9,000 and
+# 117,000 rows, comparing beat ``np.searchsorted`` at up to 48 levels and
+# ``np.unique(col)`` plus comparing beat ``np.unique(col, return_inverse=True)``
+# (an argsort) up to about 20 levels at 9,000 rows and 48 at 117,000.
+FEW_LEVELS = 16
+
+
+def level_codes(levels: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(levels, col, side="left")`` for ascending float
+    ``levels`` (NaN last): each value's count of the levels that sort
+    below it, where NaN sorts above every number and -0.0 equals 0.0.
+
+    At most :data:`FEW_LEVELS` levels are read by one comparison each;
+    more are searched.
+    """
+    if levels.size > FEW_LEVELS:
+        return np.searchsorted(levels, col, side="left")
+    numbers = [level for level in levels.tolist() if level == level]
+    if len(numbers) > 1:
+        col = np.ascontiguousarray(col)  # a strided column compares several times slower
+    # ``col <= level`` is False for a NaN value, which stays above them all.
+    codes = np.full(col.shape[0], len(numbers), dtype=np.uint8)
+    at_most = np.empty(col.shape[0], dtype=bool)
+    for level in numbers:
+        np.less_equal(col, level, out=at_most)
+        codes -= at_most.view(np.uint8)
+    return codes.astype(np.intp)
+
+
 def _split_cuts(trees: Sequence[FlatTree]):
     """Tree, column (an index into ``features``, the split columns) and
     threshold of every internal node, in tree order; and ``cuts``, the
@@ -166,6 +196,7 @@ def score_trees(trees: Sequence[FlatTree], x: np.ndarray) -> np.ndarray:
     A tree reads a row only through ``x[f] <= t`` for its split thresholds
     ``t`` on column ``f``.  With ``cut`` the sorted unique thresholds on
     ``f`` over all ``trees``, ``code = searchsorted(cut, x[:, f], "left")``
+    (:func:`level_codes`, which compares when there are few cuts)
     satisfies ``x[f] <= cut[k]`` exactly when ``code <= k`` (NaN sorts
     last), so the rows of a cell, equal codes on every split column, reach
     the same nodes.  ``lut = [0] + searchsorted(local, cut, "right")`` maps
@@ -176,13 +207,12 @@ def score_trees(trees: Sequence[FlatTree], x: np.ndarray) -> np.ndarray:
     """
     owner, column, thresholds, features, cuts = _split_cuts(trees)
     representatives, inverse = _fold_codes(
-        ((np.searchsorted(cut, x[:, f], side="left"), cut.size + 1)
-         for f, cut in zip(features, cuts)),
+        ((level_codes(cut, x[:, f]), cut.size + 1) for f, cut in zip(features, cuts)),
         x.shape[0],
     )
     cells = x[representatives]
     n = cells.shape[0]
-    codes = [np.searchsorted(cut, cells[:, f], side="left") for f, cut in zip(features, cuts)]
+    codes = [level_codes(cut, cells[:, f]) for f, cut in zip(features, cuts)]
     # Each table's size is at most the product of (splits on a column + 1).
     splits = np.bincount(owner * features.size + column, minlength=len(trees) * features.size)
     bounds = np.prod(splits.reshape(len(trees), -1) + 1.0, axis=1)
@@ -218,9 +248,22 @@ def distinct_rows(
     Returns ``(representatives, inverse)`` as :func:`_fold_codes` does.
     Equal means equal under ``==``, except that NaN equals NaN, so a
     representative may differ from its rows only in the sign of a zero.
+    A float column codes each value as its index among the column's sorted
+    distinct values, by :func:`level_codes` when there are at most
+    :data:`FEW_LEVELS` of them; other columns by ``np.unique``'s inverse.
     """
-    columns = (np.unique(col, return_inverse=True) for col in columns)
-    return _fold_codes(((codes, values.size) for values, codes in columns), n)
+    return _fold_codes(map(_value_codes, columns), n)
+
+
+def _value_codes(col: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each entry's index among the sorted distinct values of ``col``, and
+    their count."""
+    if col.dtype.kind == "f":
+        values = np.unique(col)
+        if values.size <= FEW_LEVELS:
+            return level_codes(values, col), values.size
+    values, codes = np.unique(col, return_inverse=True)
+    return codes, values.size
 
 
 def row_counts(
@@ -251,10 +294,10 @@ def _split_threshold(lo: float, hi: float) -> float:
     return lo + 0.0
 
 
-def _split_score(n_left, pos_left, m, p):
+def _split_score(n_left: float, pos_left: float, m: float, p: float) -> float:
     """Sum over the two children of (pos^2 + neg^2)/n_child, for a left
     child of ``n_left`` training rows, ``pos_left`` of them positive, out
-    of ``m`` rows and ``p`` positives; floats or arrays of them.
+    of ``m`` rows and ``p`` positives.
 
     It is a monotone transform of the Gini decrease, so maximizing it
     maximizes the impurity decrease.  Every count is an exact integer, so
@@ -267,6 +310,27 @@ def _split_score(n_left, pos_left, m, p):
     return (pos_left * pos_left + neg_left * neg_left) / n_left + (
         pos_right * pos_right + neg_right * neg_right
     ) / n_right
+
+
+def _split_scores(left: np.ndarray, m: float, p: float) -> np.ndarray:
+    """:func:`_split_score` of each packed left child ``left``
+    (``n_left + 1j * pos_left``), by the same float operations in the same
+    order, written into four buffers."""
+    n_left, pos_left = left.real, left.imag
+    score = pos_left * pos_left
+    square = n_left - pos_left  # neg_left
+    square *= square
+    score += square
+    score /= n_left
+    n_right = np.subtract(m, n_left)
+    pos_right = np.subtract(p, pos_left)
+    np.subtract(n_right, pos_right, out=square)  # neg_right
+    square *= square
+    pos_right *= pos_right
+    pos_right += square
+    pos_right /= n_right
+    score += pos_right
+    return score
 
 
 def _best_sorted_split(col: np.ndarray, rows: np.ndarray, w: np.ndarray, m: float, p: float,
@@ -292,7 +356,7 @@ def _best_sorted_split(col: np.ndarray, rows: np.ndarray, w: np.ndarray, m: floa
             return None
     cum = np.cumsum(w)
     left = cum[:-1] if tie_free else cum[boundaries]
-    score = _split_score(left.real, left.imag, m, p)
+    score = _split_scores(left, m, p)
     best = int(np.argmax(score))  # first max -> smallest split point
     cut = best if tie_free else int(boundaries[best])
     threshold = _split_threshold(float(col[rows[cut]]), float(col[rows[cut + 1]]))

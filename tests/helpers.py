@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import strategies as st
 
-from svymetrics.classifiers.tree import FlatTree, _split_score, _split_threshold
+from svymetrics.classifiers.tree import FlatTree, _fold_codes, _split_score, _split_threshold
 from svymetrics.errors import DataValidationError, SchemaError
 from svymetrics.estimation import confusion_rate, ratio_standard_error, tally_confusion
 from svymetrics.evaluation import EvaluationSummary, ThresholdMetrics, resolve_grid
@@ -165,6 +165,14 @@ def threshold_cells_routed(trees, x):
         codes, axis=0, return_index=True, return_inverse=True
     )
     return representatives, inverse.reshape(-1)
+
+
+def distinct_rows_by_unique(columns, n):
+    """``(representatives, inverse)`` of the rows of ``n``-row columns,
+    each column coded by ``np.unique(col, return_inverse=True)`` whatever
+    its values, and the codes folded as the library folds them."""
+    coded = (np.unique(col, return_inverse=True) for col in columns)
+    return _fold_codes(((codes, values.size) for values, codes in coded), n)
 
 
 def score_trees_routed(trees, x):
@@ -795,3 +803,10 @@ def summary_json_by_hand(summary):
         },
         "metadata": dict(summary.metadata),
     }
+
+
+def split_lines_by_replacing(text):
+    """``text``'s lines, every "\\r\\n" read as "\\n" first; None when a "\\r"
+    is left over."""
+    text = text.replace("\r\n", "\n")
+    return None if "\r" in text else text.split("\n")

@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import json
 import warnings
 from unittest import mock
 
@@ -8,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    gini_impurity, grow_counted_numpy, grow_tree_per_row, numeric_columns, route_one_row,
-    score_trees_routed, threshold_cells_routed,
+    distinct_rows_by_unique, gini_impurity, grow_counted_numpy, grow_tree_per_row,
+    numeric_columns, route_one_row, score_trees_routed, threshold_cells_routed,
 )
 from svymetrics.classifiers import (
     FeatureEncoder,
@@ -25,9 +27,11 @@ from svymetrics.classifiers import (
     save_model,
 )
 from svymetrics.classifiers import tree as tree_module
+from svymetrics.classifiers.forest import id_order
 from svymetrics.classifiers.imbalance import upsample_minority
 from svymetrics.classifiers.tree import (
-    SMALL_NODE, ColumnTable, FlatTree, distinct_rows, grow_counted, grow_tree, row_counts,
+    FEW_LEVELS, SMALL_NODE, ColumnTable, FlatTree, _split_score, _split_scores, distinct_rows,
+    grow_counted, grow_tree, level_codes, row_counts, score_trees,
 )
 from svymetrics.errors import DataValidationError
 from svymetrics.simulation import POPULATION_PRESETS, generate_population
@@ -655,9 +659,10 @@ class TestForestIdOrder:
         x, y = table
         n = y.size
         unique = data.draw(st.booleans())
-        ids = data.draw(
-            st.lists(st.text("ab\x00\xe9", max_size=3), min_size=n, max_size=n, unique=unique)
-        )
+        ids = data.draw(st.lists(
+            st.sampled_from(["", "a", "a\x00"]) | st.text("ab\x00\xe9", max_size=3),
+            min_size=n, max_size=n, unique=unique,
+        ))
         columns = numeric_columns(x)
         config = ForestConfig(trees=3, m_try=data.draw(st.integers(1, x.shape[1])))
         seed = data.draw(st.integers(0, 99))
@@ -675,6 +680,17 @@ class TestForestIdOrder:
             assert trees(list(range(n)), as_ids) == want
         if unique:
             assert trees(data.draw(st.permutations(range(n))), list) == want
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=st.lists(st.text("ab\x00\xe9", max_size=3), max_size=20), data=st.data())
+    def test_id_order_is_pythons_stable_sort(self, drawn, data):
+        """``"a"`` and ``"a\\x00"`` read alike as fixed-width strings; with
+        ``""`` and repeats among them they must still sort as Python sorts."""
+        ids = data.draw(st.permutations(["", "a", "a\x00", "a\x00", *drawn]))
+        want = sorted(range(len(ids)), key=ids.__getitem__)
+        for as_ids in (list, tuple, lambda v: np.array(v, dtype=object)):
+            assert id_order(as_ids(ids)).tolist() == want
 
 
 class TestTreeJson:
@@ -1010,3 +1026,110 @@ def _chain_tree(features) -> FlatTree:
         value=np.linspace(0.0, 1.0, 2 * h + 1),
         route_steps=h,
     )
+
+
+_LEVEL_VALUES = st.sampled_from((np.nan, np.inf, -np.inf, -0.0, 0.0, 0.5, -1.0, 2.0)) | st.floats()
+
+
+class TestLevelCodes:
+    """``level_codes`` is ``np.searchsorted(levels, col, "left")``: by one
+    comparison per level up to :data:`FEW_LEVELS` levels, by the search
+    above."""
+
+    @staticmethod
+    def _check(levels, col, strided):
+        levels = np.sort(np.asarray(levels, dtype=np.float64))  # NaN last
+        col = np.asarray(col, dtype=np.float64)
+        if strided:
+            col = np.column_stack([col, -col])[:, 0]
+        got = level_codes(levels, col)
+        want = np.searchsorted(levels, col, side="left")
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(levels=st.lists(_LEVEL_VALUES, max_size=6), col=st.lists(_LEVEL_VALUES, max_size=30),
+           strided=st.booleans())
+    def test_few_levels_equal_searchsorted(self, levels, col, strided):
+        """Repeated levels, NaN, +-0.0 and +-inf among levels and values."""
+        self._check(levels, col, strided)
+
+    @settings(max_examples=50, deadline=None)
+    @given(levels=st.lists(_LEVEL_VALUES, min_size=FEW_LEVELS - 1, max_size=FEW_LEVELS + 2),
+           col=st.lists(_LEVEL_VALUES, max_size=30), strided=st.booleans())
+    def test_levels_around_the_crossover_equal_searchsorted(self, levels, col, strided):
+        self._check(levels, col, strided)
+
+
+class TestDistinctRows:
+    """``distinct_rows`` groups rows as coding every column by
+    ``np.unique(col, return_inverse=True)`` does."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_unique_inverse_grouping(self, data):
+        n = data.draw(st.integers(0, 60))
+        few = st.sampled_from((np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, 2.5))
+        kinds = {
+            "few": lambda: np.asarray(data.draw(st.lists(few, min_size=n, max_size=n))),
+            "many": lambda: np.asarray(
+                data.draw(st.lists(few | st.floats(), min_size=n, max_size=n)), dtype=np.float64
+            ),
+            "object": lambda: np.asarray(
+                data.draw(st.lists(st.sampled_from(["", "a", "b", "zz"]), min_size=n, max_size=n)),
+                dtype=object,
+            ),
+        }
+        columns = [kinds[k]() for k in data.draw(st.lists(st.sampled_from(list(kinds)), max_size=4))]
+        numeric = [col for col in columns if col.dtype.kind == "f"]
+        tables = [columns]
+        if numeric:  # the encoded-matrix form: strided rows of ``x.T``
+            tables.append(np.column_stack(numeric).T)
+        for table in tables:
+            got = distinct_rows(table, n)
+            want = distinct_rows_by_unique(table, n)
+            assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
+
+class TestScoreTreesOnParsedCuts:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_json_trees_with_infinite_thresholds_match_per_row_predict(self, data):
+        """Trees loaded from JSON that split each column at a few, or more
+        than :data:`FEW_LEVELS`, distinct cuts, +-inf among them: every
+        row scores as ``FlatTree.predict`` routes it on its own, summed in
+        tree order."""
+        pool = list(_LOOKUP_POOL[::4]) + ["inf", "-inf"]
+        k = data.draw(st.integers(1, FEW_LEVELS + 4))
+        cuts = data.draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k, unique=True))
+        threshold = lambda: data.draw(st.sampled_from(cuts))  # noqa: E731
+        # 63 splits on column 0 that take every cut in turn
+        docs = [_tree_doc(data.draw, (0,), itertools.cycle(cuts).__next__, 6, lambda level: True)]
+        for _ in range(data.draw(st.integers(0, 3))):
+            docs.append(_tree_doc(data.draw, (0, 1), threshold, data.draw(st.integers(1, 5)),
+                                  lambda level: data.draw(st.booleans())))
+        trees = [FlatTree.from_json_dict(json.loads(json.dumps(doc)), 2) for doc in docs]
+        values = st.sampled_from([float(c) for c in cuts] + list(_SPECIAL_VALUES)) | st.floats()
+        rows = data.draw(st.lists(st.tuples(values, values), min_size=1, max_size=40))
+        x = np.asarray(rows, dtype=np.float64)
+        want = []
+        for row in x:
+            total = 0.0
+            for tree in trees:
+                total += tree.predict(row[None, :])[0]
+            want.append(total / len(trees))
+        assert score_trees(trees, x).tobytes() == np.asarray(want).tobytes()
+
+
+class TestSplitScores:
+    @settings(max_examples=200, deadline=None)
+    @given(counts=st.lists(st.tuples(st.integers(1, 10**6), st.integers(0, 10**6)),
+                           min_size=2, max_size=60))
+    def test_buffered_scores_equal_the_expression_bit_for_bit(self, counts):
+        """The buffered array form gives each boundary the float that the
+        scalar expression gives on its counts."""
+        w = np.array([complex(n, min(pos, n)) for n, pos in counts])
+        cum = np.cumsum(w)
+        left, m, p = cum[:-1], float(cum[-1].real), float(cum[-1].imag)
+        want = [_split_score(float(c.real), float(c.imag), m, p) for c in left]
+        assert _split_scores(left, m, p).tobytes() == np.asarray(want).tobytes()
