@@ -60,7 +60,7 @@ class ForestModel:
     predict_proba_columns = predict_proba
 
 
-def id_order(ids: Sequence[str]) -> np.ndarray:
+def _id_order(ids: Sequence[str]) -> np.ndarray:
     """The stable order of ``ids`` under Python's ``<``: the one
     ``sorted(range(len(ids)), key=ids.__getitem__)`` gives.
 
@@ -91,7 +91,7 @@ def fit_forest(
         base_seed = int(rng)
     else:
         base_seed = int(rng.integers(np.iinfo(np.int64).max))
-    order = id_order(ids)
+    order = _id_order(ids)
     columns = [col[order] for col in columns]
     encoder = FeatureEncoder.fit(columns)
     x = encoder.transform(columns, y.size)

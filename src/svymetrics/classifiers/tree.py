@@ -147,10 +147,11 @@ def _fold_codes(
 
 
 # Up to this many levels, :func:`level_codes` compares a column with each
-# level in turn; above it the old calls are kept.  Measured on 9,000 and
-# 117,000 rows, comparing beat ``np.searchsorted`` at up to 48 levels and
-# ``np.unique(col)`` plus comparing beat ``np.unique(col, return_inverse=True)``
-# (an argsort) up to about 20 levels at 9,000 rows and 48 at 117,000.
+# level in turn; above it a binary search or a sort codes the column.  On
+# a 2-core machine with numpy 2.4, on 9,000 and 117,000 rows, comparing
+# beat ``np.searchsorted`` at up to 48 levels, and ``np.unique(col)`` plus
+# comparing beat ``np.unique(col, return_inverse=True)`` (an argsort) up
+# to about 20 levels at 9,000 rows and 48 at 117,000.
 FEW_LEVELS = 16
 
 
@@ -294,10 +295,10 @@ def _split_threshold(lo: float, hi: float) -> float:
     return lo + 0.0
 
 
-def _split_score(n_left: float, pos_left: float, m: float, p: float) -> float:
+def _split_score(n_left, pos_left, m, p):
     """Sum over the two children of (pos^2 + neg^2)/n_child, for a left
     child of ``n_left`` training rows, ``pos_left`` of them positive, out
-    of ``m`` rows and ``p`` positives.
+    of ``m`` rows and ``p`` positives; floats or arrays of them.
 
     It is a monotone transform of the Gini decrease, so maximizing it
     maximizes the impurity decrease.  Every count is an exact integer, so

@@ -27,7 +27,7 @@ from svymetrics.classifiers import (
     save_model,
 )
 from svymetrics.classifiers import tree as tree_module
-from svymetrics.classifiers.forest import id_order
+from svymetrics.classifiers.forest import _id_order
 from svymetrics.classifiers.imbalance import upsample_minority
 from svymetrics.classifiers.tree import (
     FEW_LEVELS, SMALL_NODE, ColumnTable, FlatTree, _split_score, _split_scores, distinct_rows,
@@ -681,7 +681,6 @@ class TestForestIdOrder:
         if unique:
             assert trees(data.draw(st.permutations(range(n))), list) == want
 
-
     @settings(max_examples=200, deadline=None)
     @given(drawn=st.lists(st.text("ab\x00\xe9", max_size=3), max_size=20), data=st.data())
     def test_id_order_is_pythons_stable_sort(self, drawn, data):
@@ -690,7 +689,7 @@ class TestForestIdOrder:
         ids = data.draw(st.permutations(["", "a", "a\x00", "a\x00", *drawn]))
         want = sorted(range(len(ids)), key=ids.__getitem__)
         for as_ids in (list, tuple, lambda v: np.array(v, dtype=object)):
-            assert id_order(as_ids(ids)).tolist() == want
+            assert _id_order(as_ids(ids)).tolist() == want
 
 
 class TestTreeJson:
