@@ -313,27 +313,6 @@ def _split_score(n_left, pos_left, m, p):
     ) / n_right
 
 
-def _split_scores(left: np.ndarray, m: float, p: float) -> np.ndarray:
-    """:func:`_split_score` of each packed left child ``left``
-    (``n_left + 1j * pos_left``), by the same float operations in the same
-    order, written into four buffers."""
-    n_left, pos_left = left.real, left.imag
-    score = pos_left * pos_left
-    square = n_left - pos_left  # neg_left
-    square *= square
-    score += square
-    score /= n_left
-    n_right = np.subtract(m, n_left)
-    pos_right = np.subtract(p, pos_left)
-    np.subtract(n_right, pos_right, out=square)  # neg_right
-    square *= square
-    pos_right *= pos_right
-    pos_right += square
-    pos_right /= n_right
-    score += pos_right
-    return score
-
-
 def _best_sorted_split(col: np.ndarray, rows: np.ndarray, w: np.ndarray, m: float, p: float,
                        tie_free: bool = False):
     """Best boundary between the rows ``rows`` of column ``col``, given in
@@ -357,7 +336,7 @@ def _best_sorted_split(col: np.ndarray, rows: np.ndarray, w: np.ndarray, m: floa
             return None
     cum = np.cumsum(w)
     left = cum[:-1] if tie_free else cum[boundaries]
-    score = _split_scores(left, m, p)
+    score = _split_score(left.real, left.imag, m, p)
     best = int(np.argmax(score))  # first max -> smallest split point
     cut = best if tie_free else int(boundaries[best])
     threshold = _split_threshold(float(col[rows[cut]]), float(col[rows[cut + 1]]))

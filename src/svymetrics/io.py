@@ -109,14 +109,10 @@ class _NotPlain(Exception):
 def _split_lines(text: str) -> list[str]:
     """``text``'s lines without their "\\n" or "\\r\\n" endings; _NotPlain
     at a "\\r" that does not end a "\\r\\n"."""
-    if "\r" not in text:
-        return text.split("\n")
-    lines = text.split("\r\n")  # the lines when every one ends in "\r\n"
-    if text.count("\r") != len(lines) - 1:
+    text = text.replace("\r\n", "\n")
+    if "\r" in text:
         raise _NotPlain
-    if text.count("\n") == len(lines) - 1:
-        return lines
-    return text.replace("\r\n", "\n").split("\n")
+    return text.split("\n")
 
 
 def _line_lists(pieces, limit: int):

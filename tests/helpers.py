@@ -803,10 +803,3 @@ def summary_json_by_hand(summary):
         },
         "metadata": dict(summary.metadata),
     }
-
-
-def split_lines_by_replacing(text):
-    """``text``'s lines, every "\\r\\n" read as "\\n" first; None when a "\\r"
-    is left over."""
-    text = text.replace("\r\n", "\n")
-    return None if "\r" in text else text.split("\n")

@@ -18,7 +18,6 @@ from helpers import (
     parse_corrupted,
     read_predictions_per_row,
     schema_json_by_hand,
-    split_lines_by_replacing,
     summary_json_by_hand,
     write_predictions_per_row,
     write_roc_per_row,
@@ -450,24 +449,6 @@ class TestSplitFiles:
 class TestPlainLines:
     """Which texts are split on "," directly; each other one goes through
     ``csv.reader``."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(ending=st.sampled_from(["\n", "\r\n"]),
-           lines=st.lists(st.text("a,", max_size=3), max_size=8),
-           text=st.text("a,\r\n", max_size=30), data=st.data())
-    def test_split_lines_reads_every_ending_as_replacing_does(self, ending, lines, text, data):
-        """LF-only, CRLF-only, mixed and bare-CR texts split into the lines
-        that replacing each "\\r\\n" by "\\n" gives, or are refused."""
-        mixed = ending.join(lines)
-        if lines:
-            at = data.draw(st.integers(0, len(mixed)))
-            mixed = mixed[:at] + data.draw(st.sampled_from(["\n", "\r\n", "\r"])) + mixed[at:]
-        for piece in (ending.join(lines), ending.join(lines) + ending, mixed, text):
-            try:
-                got = io_module._split_lines(piece)
-            except io_module._NotPlain:
-                got = None
-            assert got == split_lines_by_replacing(piece)
 
     @settings(max_examples=400, deadline=None)
     @given(text=st.text(alphabet=',"\r\n\x00\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029 a', max_size=30)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -30,8 +31,8 @@ from svymetrics.classifiers import tree as tree_module
 from svymetrics.classifiers.forest import _id_order
 from svymetrics.classifiers.imbalance import upsample_minority
 from svymetrics.classifiers.tree import (
-    FEW_LEVELS, SMALL_NODE, ColumnTable, FlatTree, _split_score, _split_scores, distinct_rows,
-    grow_counted, grow_tree, level_codes, row_counts, score_trees,
+    FEW_LEVELS, SMALL_NODE, ColumnTable, FlatTree, distinct_rows, grow_counted, grow_tree,
+    level_codes, row_counts, score_trees,
 )
 from svymetrics.errors import DataValidationError
 from svymetrics.simulation import POPULATION_PRESETS, generate_population
@@ -691,6 +692,27 @@ class TestForestIdOrder:
         for as_ids in (list, tuple, lambda v: np.array(v, dtype=object)):
             assert _id_order(as_ids(ids)).tolist() == want
 
+    def test_one_long_id_does_not_widen_every_id(self):
+        """A fixed-width array of 200 ids, one of 40,000 characters, would
+        take 32 MB; the fit must sort them without it, in the same order as
+        ids of a few characters that sort alike."""
+        rng = np.random.default_rng(3)
+        columns = [rng.integers(0, 3, 200).astype(float), rng.random(200)]
+        y = rng.integers(0, 2, 200).astype(float)
+        short = [f"r{i:03d}" for i in range(200)]
+        long = short[:5] + [short[5] + "x" * 40_000] + short[6:]
+        config = ForestConfig(trees=3)
+        want = [_node_arrays(tree) for tree in fit_forest(columns, y, short, config).trees]
+        tracemalloc.start()
+        try:
+            forest = fit_forest(columns, y, long, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+        assert [_node_arrays(tree) for tree in forest.trees] == want
+        assert _id_order(long).tolist() == list(range(200))
+
 
 class TestTreeJson:
     def test_negative_infinite_threshold_round_trips(self, tmp_path):
@@ -1118,17 +1140,3 @@ class TestScoreTreesOnParsedCuts:
                 total += tree.predict(row[None, :])[0]
             want.append(total / len(trees))
         assert score_trees(trees, x).tobytes() == np.asarray(want).tobytes()
-
-
-class TestSplitScores:
-    @settings(max_examples=200, deadline=None)
-    @given(counts=st.lists(st.tuples(st.integers(1, 10**6), st.integers(0, 10**6)),
-                           min_size=2, max_size=60))
-    def test_buffered_scores_equal_the_expression_bit_for_bit(self, counts):
-        """The buffered array form gives each boundary the float that the
-        scalar expression gives on its counts."""
-        w = np.array([complex(n, min(pos, n)) for n, pos in counts])
-        cum = np.cumsum(w)
-        left, m, p = cum[:-1], float(cum[-1].real), float(cum[-1].imag)
-        want = [_split_score(float(c.real), float(c.imag), m, p) for c in left]
-        assert _split_scores(left, m, p).tobytes() == np.asarray(want).tobytes()
