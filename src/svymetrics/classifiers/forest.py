@@ -60,29 +60,6 @@ class ForestModel:
     predict_proba_columns = predict_proba
 
 
-# Ids of at most this many characters sort as a fixed-width ``U`` array,
-# whose every cell takes 4 bytes per character of the longest id: 64 bytes
-# here, about 1.3 times the smallest ``str`` (49 bytes), so one long id
-# cannot make the array outgrow the ids themselves.  Longer ids sort as
-# objects.
-_U_SORT_CHARS = 16
-
-
-def _id_order(ids: Sequence[str]) -> np.ndarray:
-    """The stable order of ``ids`` under Python's ``<``: the one
-    ``sorted(range(len(ids)), key=ids.__getitem__)`` gives.
-
-    A fixed-width ``U`` array sorts as Python does, except that it drops
-    trailing NULs, so ``"a"`` and ``"a\\x00"`` tie there; a tie between two
-    different ids is one of those, and the shorter sorts first.
-    """
-    lengths = np.fromiter(map(len, ids), dtype=np.intp, count=len(ids))
-    if lengths.max(initial=0) > _U_SORT_CHARS:
-        # An object column sorts with Python's ``<``.
-        return np.argsort(np.asarray(ids, dtype=object), kind="stable")
-    return np.lexsort((lengths, np.asarray(ids, dtype=str)))
-
-
 def fit_forest(
     columns: Sequence[np.ndarray],
     y: np.ndarray,
@@ -102,7 +79,9 @@ def fit_forest(
         base_seed = int(rng)
     else:
         base_seed = int(rng.integers(np.iinfo(np.int64).max))
-    order = _id_order(ids)
+    # An object column sorts with Python's ``<``, so this stable order is
+    # the one ``sorted(range(n), key=ids.__getitem__)`` gives.
+    order = np.argsort(np.asarray(ids, dtype=object), kind="stable")
     columns = [col[order] for col in columns]
     encoder = FeatureEncoder.fit(columns)
     x = encoder.transform(columns, y.size)

@@ -28,7 +28,6 @@ from svymetrics.classifiers import (
     save_model,
 )
 from svymetrics.classifiers import tree as tree_module
-from svymetrics.classifiers.forest import _id_order
 from svymetrics.classifiers.imbalance import upsample_minority
 from svymetrics.classifiers.tree import (
     FEW_LEVELS, SMALL_NODE, ColumnTable, FlatTree, distinct_rows, grow_counted, grow_tree,
@@ -660,10 +659,9 @@ class TestForestIdOrder:
         x, y = table
         n = y.size
         unique = data.draw(st.booleans())
-        ids = data.draw(st.lists(
-            st.sampled_from(["", "a", "a\x00"]) | st.text("ab\x00\xe9", max_size=3),
-            min_size=n, max_size=n, unique=unique,
-        ))
+        ids = data.draw(
+            st.lists(st.text("ab\x00\xe9", max_size=3), min_size=n, max_size=n, unique=unique)
+        )
         columns = numeric_columns(x)
         config = ForestConfig(trees=3, m_try=data.draw(st.integers(1, x.shape[1])))
         seed = data.draw(st.integers(0, 99))
@@ -681,16 +679,6 @@ class TestForestIdOrder:
             assert trees(list(range(n)), as_ids) == want
         if unique:
             assert trees(data.draw(st.permutations(range(n))), list) == want
-
-    @settings(max_examples=200, deadline=None)
-    @given(drawn=st.lists(st.text("ab\x00\xe9", max_size=3), max_size=20), data=st.data())
-    def test_id_order_is_pythons_stable_sort(self, drawn, data):
-        """``"a"`` and ``"a\\x00"`` read alike as fixed-width strings; with
-        ``""`` and repeats among them they must still sort as Python sorts."""
-        ids = data.draw(st.permutations(["", "a", "a\x00", "a\x00", *drawn]))
-        want = sorted(range(len(ids)), key=ids.__getitem__)
-        for as_ids in (list, tuple, lambda v: np.array(v, dtype=object)):
-            assert _id_order(as_ids(ids)).tolist() == want
 
     def test_one_long_id_does_not_widen_every_id(self):
         """A fixed-width array of 200 ids, one of 40,000 characters, would
@@ -711,7 +699,6 @@ class TestForestIdOrder:
             tracemalloc.stop()
         assert peak < 8_000_000
         assert [_node_arrays(tree) for tree in forest.trees] == want
-        assert _id_order(long).tolist() == list(range(200))
 
 
 class TestTreeJson:
