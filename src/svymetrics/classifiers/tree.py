@@ -256,10 +256,15 @@ def distinct_rows(
     return _fold_codes(map(_value_codes, columns), n)
 
 
+_PROBE = 256  # leading entries that can show a float column to be many-valued
+
+
 def _value_codes(col: np.ndarray) -> tuple[np.ndarray, int]:
     """Each entry's index among the sorted distinct values of ``col``, and
     their count."""
-    if col.dtype.kind == "f":
+    # A column whose first entries hold more than FEW_LEVELS values is
+    # sorted once, not once to count its values and again for the codes.
+    if col.dtype.kind == "f" and np.unique(col[:_PROBE]).size <= FEW_LEVELS:
         values = np.unique(col)
         if values.size <= FEW_LEVELS:
             return level_codes(values, col), values.size

@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataValidationError, SchemaError
-from .types import FinitePopulation, SurveySample
+from .types import FinitePopulation, SurveySample, strictly_ascending
 
 
 @dataclass(frozen=True)
@@ -512,7 +512,7 @@ def _duplicates(keys: Sequence[str], rows: np.ndarray) -> np.ndarray:
     """True at each row after the first of the ascending ``rows`` holding
     its key; when every key is distinct, no row is."""
     n = len(keys)
-    if len(set(keys)) == n:
+    if strictly_ascending(keys) or len(set(keys)) == n:
         return np.zeros(n, dtype=bool)
     return np.arange(n) > _first_rows(keys, rows.tolist())
 

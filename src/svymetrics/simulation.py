@@ -514,6 +514,11 @@ def fit_classifier(spec: ClassifierSpec, data: FinitePopulation, rows: np.ndarra
         raise DataValidationError("a constant classifier has no model to fit")
     if spec.kind == "balanced_forest":
         rows = rows[upsample_minority(data.outcomes[rows], stream("upsample"))]
+    if spec.kind in ("forest", "balanced_forest"):
+        # A forest fits its rows in id order, and equal ids are copies of one
+        # row, so row order cannot change it; in population order, ids that
+        # ascend with the rows reach its sort as one ascending run.
+        rows = np.sort(rows)
     columns = [col[rows] for col in data.features]
     y = data.outcomes[rows]
     if spec.kind == "logistic":

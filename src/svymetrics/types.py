@@ -42,6 +42,27 @@ def _id_column(ids: Sequence[str]) -> np.ndarray:
     return _read_only(column)
 
 
+_PROOF_STRIDE = 256  # every this many ids are compared before all neighbours are
+
+
+def strictly_ascending(ids: Sequence[str]) -> bool:
+    """Whether each id sorts above the one before it under Python's ``<``,
+    which proves the ids distinct; False when two neighbours do not compare.
+
+    Ids that ascend do so in any subsequence, so every
+    ``_PROOF_STRIDE``-th id is compared first: shuffled ids, or ids that
+    ascend only within each stratum, cost a small part of the full check.
+    """
+    try:
+        for part in (ids[::_PROOF_STRIDE], ids):
+            part = np.asarray(part, dtype=object)
+            if not (part[:-1] < part[1:]).all():
+                return False
+    except TypeError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class Record:
     """One row of a population: feature vector, binary outcome, stratum label.
@@ -106,7 +127,8 @@ class FinitePopulation:
             if col.shape != (n,):
                 raise DataValidationError(f"feature {j} has {len(col)} values, expected {n}")
             columns.append(col)
-        if len(set(ids)) != n:
+        # Ascending ids are distinct; only ids in another order are hashed.
+        if not strictly_ascending(ids) and len(set(ids)) != n:
             seen: set[str] = set()
             for rid in ids:
                 if rid in seen:

@@ -51,6 +51,27 @@ def make_population(outcomes, strata=None, features=(), ids=None):
     )
 
 
+def check_ids_by_set(ids):
+    """The uniqueness check ``FinitePopulation`` made on every id column
+    before ascending ids were proved distinct by order: one set, then a
+    loop that names the first repeated id."""
+    if len(set(ids)) != len(ids):
+        seen = set()
+        for rid in ids:
+            if rid in seen:
+                raise DataValidationError(f"duplicate record id {rid!r}")
+            seen.add(rid)
+
+
+def ascending_by_pairs(ids):
+    """Whether each id compares above the one before it, pair by pair;
+    False when a pair does not compare."""
+    try:
+        return all(a < b for a, b in itertools.pairwise(ids))
+    except TypeError:
+        return False
+
+
 def stratum_rows_by_grouping(codes, labels):
     """Row lists of each stratum that has rows, grouped by a dict walk over
     the rows: rows in order, strata by first appearance."""

@@ -24,6 +24,7 @@ from helpers import (
     write_split_files_per_row,
 )
 from svymetrics import io as io_module
+from svymetrics import types as types_module
 from svymetrics.cli import main
 from svymetrics.errors import DataValidationError, SchemaError
 from svymetrics.simulation import ExperimentSummary, MetricAggregate
@@ -855,6 +856,26 @@ def test_set_size_shortcut_marks_the_duplicates_first_rows_marks(ids, data):
                                              max_size=len(ids)))), dtype=np.intp)
     ours = io_module._duplicates(ids, rows)
     assert ours.dtype == bool
+    assert ours.tolist() == _first_rows_duplicates(ids, rows).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), stride=st.sampled_from([1, 2, 3, types_module._PROOF_STRIDE]))
+def test_ascending_ids_mark_the_duplicates_first_rows_marks(data, stride):
+    """Ids in ascending order (proved distinct without a set), with a
+    repeat put in or a pair swapped, against the ``_first_rows`` loop."""
+    ids = sorted(data.draw(st.sets(st.text("ab\x00 ", max_size=3), max_size=10)))
+    form = data.draw(st.sampled_from(["ascending", "repeat", "swap"]))
+    if ids and form == "repeat":
+        ids.insert(data.draw(st.integers(0, len(ids))), data.draw(st.sampled_from(ids)))
+    if len(ids) > 1 and form == "swap":
+        i = data.draw(st.integers(0, len(ids) - 2))
+        ids[i], ids[i + 1] = ids[i + 1], ids[i]
+    rows = np.array(sorted(data.draw(st.sets(st.integers(0, max(len(ids) - 1, 0)),
+                                             max_size=len(ids)))), dtype=np.intp)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(types_module, "_PROOF_STRIDE", stride)
+        ours = io_module._duplicates(ids, rows)
     assert ours.tolist() == _first_rows_duplicates(ids, rows).tolist()
 
 

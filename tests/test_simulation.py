@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    ascending_by_pairs,
     make_population,
     parse_corrupted,
     population_summary_per_row,
@@ -52,7 +53,7 @@ from svymetrics.simulation import (
     run_replicate,
     threshold_label,
 )
-from svymetrics.types import EvaluationSet
+from svymetrics.types import EvaluationSet, strictly_ascending
 
 
 def _tiny_experiment(seed=5, replicates=3, classifiers=(ClassifierSpec(kind="logistic"),), **kw):
@@ -154,6 +155,24 @@ class TestGeneratePopulation:
         assert ids.dtype == object and ids.shape == (n,)
         assert ids.tolist() == record_ids_by_format(n)
         assert all(type(rid) is str for rid in ids.tolist())
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 2000))
+    @example(n=9)
+    @example(n=10)
+    @example(n=11)
+    @example(n=99)
+    @example(n=100)
+    @example(n=101)
+    @example(n=99_999)
+    @example(n=100_000)
+    @example(n=100_001)
+    def test_ids_ascend_strictly_at_every_width(self, n):
+        """Generated ids ascend, so a population proves them distinct by
+        order, at and around each width boundary."""
+        ids = record_ids(n)
+        assert strictly_ascending(ids)
+        assert ascending_by_pairs(ids.tolist())
 
     def test_strata_are_the_drawn_codes_into_the_spec_labels(self):
         """Generation keeps the spec's labels, unused ones too, and holds

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     distinct_rows_by_unique, gini_impurity, grow_counted_numpy, grow_tree_per_row,
-    numeric_columns, route_one_row, score_trees_routed, threshold_cells_routed,
+    make_population, numeric_columns, route_one_row, score_trees_routed, threshold_cells_routed,
 )
 from svymetrics.classifiers import (
     FeatureEncoder,
@@ -34,7 +34,10 @@ from svymetrics.classifiers.tree import (
     level_codes, row_counts, score_trees,
 )
 from svymetrics.errors import DataValidationError
-from svymetrics.simulation import POPULATION_PRESETS, generate_population
+from svymetrics.rng import derive_stream
+from svymetrics.simulation import (
+    POPULATION_PRESETS, ClassifierSpec, fit_classifier, generate_population,
+)
 
 
 def _data(x_rows, y):
@@ -680,6 +683,40 @@ class TestForestIdOrder:
         if unique:
             assert trees(data.draw(st.permutations(range(n))), list) == want
 
+    @settings(max_examples=80, deadline=None)
+    @given(table=_training_tables(_GROW_VALUES), data=st.data())
+    def test_population_rows_in_any_order_fit_the_same_trees(self, table, data):
+        """Rows of a population whose ids do not ascend, repeated as
+        upsampling repeats them: shuffled rows fit the trees sorted rows
+        fit, so ``fit_classifier``, which sorts them, fits the trees of the
+        rows as drawn."""
+        x, y = table
+        n = y.size
+        ids = data.draw(st.permutations([f"r{i:02d}" for i in range(n)]))
+        population = make_population(y, features=numeric_columns(x), ids=ids)
+        rows = np.asarray(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)))
+        seed = data.draw(st.integers(0, 99))
+        stream = lambda stage: derive_stream(seed, stage)  # noqa: E731
+
+        def trees(rows, rng=seed):
+            forest = fit_forest(
+                [col[rows] for col in population.features], population.outcomes[rows],
+                population.ids[rows], ForestConfig(trees=3), rng=rng,
+            )
+            return [_node_arrays(tree) for tree in forest.trees]
+
+        assert trees(rows) == trees(np.sort(rows))
+        spec = ClassifierSpec(kind="forest", trees=3)
+        assert trees(rows, stream("train")) == [
+            _node_arrays(tree) for tree in fit_classifier(spec, population, rows, stream).trees
+        ]
+        if 0 < population.outcomes[rows].sum() < rows.size:
+            upsampled = rows[upsample_minority(population.outcomes[rows], stream("upsample"))]
+            spec = ClassifierSpec(kind="balanced_forest", trees=3)
+            assert trees(upsampled, stream("train")) == [
+                _node_arrays(tree) for tree in fit_classifier(spec, population, rows, stream).trees
+            ]
+
     def test_one_long_id_does_not_widen_every_id(self):
         """A fixed-width array of 200 ids, one of 40,000 characters, would
         take 32 MB; the fit must sort them without it, in the same order as
@@ -1094,6 +1131,27 @@ class TestDistinctRows:
         if numeric:  # the encoded-matrix form: strided rows of ``x.T``
             tables.append(np.column_stack(numeric).T)
         for table in tables:
+            got = distinct_rows(table, n)
+            want = distinct_rows_by_unique(table, n)
+            assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_few_values_first_and_many_later(self, data):
+        """Float columns whose leading entries hold at most, or more than,
+        :data:`FEW_LEVELS` values, with more values after them: coded as
+        ``np.unique``'s inverse, contiguous and strided."""
+        head = data.draw(st.integers(0, tree_module._PROBE + 3))
+        levels = data.draw(st.sampled_from([3, FEW_LEVELS, FEW_LEVELS + 1]))
+        pool = np.array([-0.0, 0.0, np.nan, np.inf, *range(1, levels - 2)], dtype=np.float64)
+        tail = data.draw(st.integers(0, 40))
+        col = np.concatenate([
+            pool[np.arange(head) % pool.size],
+            np.asarray(data.draw(st.lists(st.floats() | st.sampled_from(pool.tolist()),
+                                          min_size=tail, max_size=tail)), dtype=np.float64),
+        ])
+        n = col.size
+        for table in ([col], np.column_stack([col, col[::-1]]).T):
             got = distinct_rows(table, n)
             want = distinct_rows_by_unique(table, n)
             assert [a.tolist() for a in got] == [a.tolist() for a in want]

@@ -1,12 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import code_labels, make_population, stratum_rows_by_grouping
+from helpers import (
+    ascending_by_pairs, check_ids_by_set, code_labels, make_population, stratum_rows_by_grouping,
+)
+from svymetrics import types as types_module
 from svymetrics.errors import DataValidationError
+from svymetrics.simulation import record_ids
 from svymetrics.types import (
     ConfusionTally, EvaluationSet, FinitePopulation, MetricResult, Record, SurveySample,
+    strictly_ascending,
 )
 
 
@@ -110,6 +117,74 @@ class TestPopulationViews:
             assert not column.flags.writeable
         assert population.outcomes.dtype == np.int8
         assert population.strata.dtype == np.int32
+
+
+@st.composite
+def id_lists(draw):
+    """Ascending, shuffled and duplicate-bearing ids, among them ids that
+    differ only by trailing NULs, and ids of mixed types."""
+    texts = draw(st.lists(st.text(alphabet="ab\x00", max_size=3), min_size=1, max_size=12))
+    form = draw(st.sampled_from(["ascending", "ascending with a repeat", "shuffled", "mixed"]))
+    if form == "ascending":
+        return sorted(set(texts))
+    if form == "ascending with a repeat":
+        ids = sorted(set(texts))
+        ids.insert(draw(st.integers(0, len(ids))), draw(st.sampled_from(ids)))
+        return ids
+    if form == "mixed":
+        texts += draw(st.lists(st.sampled_from([1, "1", None, 1.0]), min_size=1, max_size=3))
+    return draw(st.permutations(texts))
+
+
+_PROOF_STRIDES = st.sampled_from([1, 2, 3, types_module._PROOF_STRIDE])
+
+
+class TestIdUniqueness:
+    """Ascending ids are proved distinct by order; any others by a set."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(ids=id_lists(), stride=_PROOF_STRIDES)
+    def test_accepts_and_rejects_as_the_set_check(self, ids, stride):
+        """A population accepts exactly the ids the set-then-loop check
+        accepts, and rejects the others naming the same first repeat."""
+        try:
+            check_ids_by_set(ids)
+            want = None
+        except DataValidationError as exc:
+            want = str(exc)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(types_module, "_PROOF_STRIDE", stride)
+            try:
+                population = make_population([0] * len(ids), ids=ids)
+                got = None
+            except DataValidationError as exc:
+                got = str(exc)
+        assert got == want
+        if got is None:
+            assert population.ids.tolist() == ids
+
+    @settings(max_examples=400, deadline=None)
+    @given(ids=id_lists(), stride=_PROOF_STRIDES)
+    def test_ascent_is_checked_pair_by_pair(self, ids, stride):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(types_module, "_PROOF_STRIDE", stride)
+            got = strictly_ascending(np.asarray(ids, dtype=object))
+        assert got == ascending_by_pairs(ids)
+
+    def test_ascending_ids_build_no_set(self):
+        """117,000 ascending ids are checked in far less memory than the
+        4 MB a set of them takes."""
+        n = 117_000
+        ids = record_ids(n)
+        outcomes = np.zeros(n, dtype=np.int8)
+        strata = np.zeros(n, dtype=np.int32)
+        tracemalloc.start()
+        try:
+            FinitePopulation(ids=ids, outcomes=outcomes, strata=strata, stratum_labels=("s",))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6, f"peak {peak / 1e6:.2f} MB"
 
 
 def _caller_arrays(kind):
