@@ -243,7 +243,6 @@ def _load_scored_evaluation(args) -> tuple[EvaluationSet, dict]:
             f"{len(missing)} evaluation record(s) lack predictions, e.g. {missing[:3]}"
         )
     evaluation = EvaluationSet(
-        ids=result.data.ids,
         weights=result.sample.weights,
         outcomes=result.data.outcomes,
         scores=np.array([predictions[rid] for rid in ids]),

@@ -95,8 +95,11 @@ def evaluation_summary(
     The fixed thresholds and the grid are read from one confusion tally.
     Standard errors come from Taylor linearization; for the unweighted
     estimators they are computed against a unit-weight copy of the set
-    (the SRS special case of the same formula).
+    (the SRS special case of the same formula).  A threshold outside
+    [0, 1], NaN included, is a DataValidationError.
     """
+    if not all(0.0 <= t <= 1.0 for t in thresholds):
+        raise DataValidationError("thresholds must lie in [0, 1]")
     se_set = evaluation
     if weighting == "unweighted":
         se_set = replace(evaluation, weights=np.ones(evaluation.size))

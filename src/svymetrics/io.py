@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataValidationError, SchemaError
-from .types import FinitePopulation, SurveySample, strictly_ascending
+from .types import FinitePopulation, SurveySample, repeated_ids
 
 
 @dataclass(frozen=True)
@@ -90,11 +90,6 @@ def _text_pieces(path: str | Path, size: int = -1):
     all at once), as ``_opened`` reads them."""
     with _opened(path) as fh:
         yield from iter(lambda: fh.read(size), "")
-
-
-def _read_text(path: str | Path) -> str:
-    """A UTF-8 text file's contents (see ``_text_pieces``)."""
-    return "".join(_text_pieces(path))
 
 
 # Data rows parsed at a time, and rows formatted and written at a time; a
@@ -214,66 +209,54 @@ class CsvTable:
 
 class _Columns:
     """The columns ``kinds`` names, parsed a chunk of data rows at a time
-    into whole-file columns, allocated for ``bound`` rows and grown when
-    more come.
+    and collected per chunk into whole-file columns.
 
-    A "float" column reads as ``_parse_floats`` reads it, into preallocated
-    arrays; a "text" column as its stripped cells; a "code" column as int32
-    codes of its stripped cells into a dict of the distinct cells, in order
-    of first appearance.  A name the header repeats reads its last column,
-    as ``csv.DictReader`` does.
+    A "float" column reads as ``_parse_floats`` reads it; a "text" column
+    as its stripped cells; a "code" column as int32 codes of its stripped
+    cells into a dict of the distinct cells, in order of first appearance.
+    A name the header repeats reads its last column, as ``csv.DictReader``
+    does.
     """
 
-    def __init__(self, header: Sequence[str], kinds: Mapping[str, str], bound: int):
+    def __init__(self, header: Sequence[str], kinds: Mapping[str, str]):
         where = {name: j for j, name in enumerate(header)}
         self.fields = [(name, where[name], kind) for name, kind in kinds.items()]
         self.size = 0
-        self.bound = bound
-        self.parsed = {}
+        self.parsed = {}  # part lists start with an empty part: no data rows join to empty columns
         for name, _, kind in self.fields:
             if kind == "float":
-                self.parsed[name] = tuple(np.empty(bound, t) for t in (np.float64, bool, bool))
+                self.parsed[name] = tuple([np.empty(0, t)] for t in (np.float64, bool, bool))
             elif kind == "code":
-                self.parsed[name] = (np.empty(bound, np.int32), {})
+                self.parsed[name] = ([np.empty(0, np.int32)], {})
             else:
                 self.parsed[name] = []
 
     def add(self, count: int, column) -> None:
         """Parse the next ``count`` rows, whose cells of field j are ``column(j)``."""
-        rows = slice(self.size, self.size + count)
-        if rows.stop > self.bound:  # more rows than the first pass counted lines
-            self.bound = 2 * rows.stop
-            for name, _, kind in self.fields:
-                if kind == "float":
-                    self.parsed[name] = tuple(np.resize(a, self.bound) for a in self.parsed[name])
-                elif kind == "code":
-                    codes, index = self.parsed[name]
-                    self.parsed[name] = (np.resize(codes, self.bound), index)
         for name, j, kind in self.fields:
             out, cells = self.parsed[name], column(j)
             if kind == "float":
-                for whole, part in zip(out, _parse_floats(cells)):
-                    whole[rows] = part
+                for parts, part in zip(out, _parse_floats(cells)):
+                    parts.append(part)
             elif kind == "code":
-                codes, index = out
+                parts, index = out
                 cells = list(map(str.strip, cells))
                 for label in dict.fromkeys(cells):
                     index.setdefault(label, len(index))
-                codes[rows] = np.fromiter(map(index.__getitem__, cells), np.int32, count)
+                parts.append(np.fromiter(map(index.__getitem__, cells), np.int32, count))
             else:
                 out.extend(map(str.strip, cells))
         self.size += count
 
     def result(self) -> dict:
-        """Each name's parsed column, cut to the rows read."""
-        n = self.size
+        """Each name's parsed column, its chunks joined one column at a time."""
         out = {}
         for name, _, kind in self.fields:
-            parsed = self.parsed[name]
+            parsed = self.parsed.pop(name)
             if kind == "float":
-                parsed = tuple(part[:n] for part in parsed)
+                parsed = tuple(map(np.concatenate, parsed))
             elif kind == "code":
-                parsed = (parsed[0][:n], parsed[1])
+                parsed = (np.concatenate(parsed[0]), parsed[1])
             out[name] = parsed
         return out
 
@@ -282,24 +265,23 @@ def _read_columns(path: str | Path, check_header,
                   kinds: Mapping[str, str]) -> tuple[CsvTable, dict]:
     """Read a CSV: its table and its ``kinds`` columns (see ``_Columns``).
 
-    A first pass decodes the whole file, counts its lines and looks for
-    quotes and NUL, so a bad byte is reported before ``check_header``
-    sees the header row (None for an empty file), even when it is blank.
+    A first pass decodes the whole file and looks for quotes and NUL, so a
+    bad byte is reported before ``check_header`` sees the header row (None
+    for an empty file), even when it is blank.
     A second pass parses the data rows ``CHUNK_LINES`` at a time, split on
     "," directly by ``_Lines`` when ``csv.reader`` would read them so, and
     by ``_Records`` otherwise.  Blank data rows are skipped.  A short row
     reads "" in the fields it lacks, and fields past the header are ignored.
     """
-    bound, plain = 1, True
+    plain = True
     for piece in _text_pieces(path, CHUNK_LINES):
-        bound += piece.count("\n")
         plain = plain and '"' not in piece and "\0" not in piece
     for splitter in (_Lines, _Records) if plain else (_Records,):
         rows = splitter.read(path)
         try:
             header = next(rows)
             check_header(header)
-            columns = _Columns(header, kinds, bound)
+            columns = _Columns(header, kinds)
             for chunk in rows:
                 columns.add(len(chunk), splitter.fields(chunk, len(header)))
         except _NotPlain:
@@ -316,7 +298,7 @@ def read_json(path: str | Path, what: str):
     missing file or undecodable bytes raise DataValidationError.
     """
     try:
-        return json.loads(_read_text(path))
+        return json.loads("".join(_text_pieces(path)))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{what} {path} is not valid JSON: {exc}") from exc
 
@@ -501,22 +483,6 @@ def _parse_floats(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndar
     return values, blank, bad
 
 
-def _first_rows(keys: Sequence[str], rows: Sequence[int]) -> np.ndarray:
-    """For each key, the first of the ascending ``rows`` holding it, or
-    ``len(keys)`` when none does."""
-    first = dict(zip([keys[i] for i in reversed(rows)], reversed(rows)))
-    return np.fromiter(map(first.get, keys, repeat(len(keys))), dtype=np.intp, count=len(keys))
-
-
-def _duplicates(keys: Sequence[str], rows: np.ndarray) -> np.ndarray:
-    """True at each row after the first of the ascending ``rows`` holding
-    its key; when every key is distinct, no row is."""
-    n = len(keys)
-    if strictly_ascending(keys) or len(set(keys)) == n:
-        return np.zeros(n, dtype=bool)
-    return np.arange(n) > _first_rows(keys, rows.tolist())
-
-
 def _first_appearance(codes: np.ndarray, index: Mapping[str, int]):
     """``codes`` into the labels of ``index`` recoded into the labels they
     use, in order of first appearance."""
@@ -603,7 +569,7 @@ def _load_rows(path, schema: DataSchema):
     # Each id's first row passing every other check is loaded; any later
     # row with that id is a duplicate, whatever else is wrong with it.
     valid = np.flatnonzero(~np.logical_or.reduce([failing for _, failing in checks]))
-    checks.insert(1, ("duplicate id", _duplicates(ids, valid)))
+    checks.insert(1, ("duplicate id", repeated_ids(ids, valid)))
 
     code = np.full(n, len(checks))  # index of each row's first failing check
     for k in reversed(range(len(checks))):
@@ -668,7 +634,6 @@ def _write_float_rows(
     """
     floats = [np.ascontiguousarray(c, dtype=np.float64) for c in floats]
     n = len(lead) if lead is not None else len(floats[0])
-    line = ",".join(["{}"] * (len(floats) + (lead is not None))) + "\r\n"
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
         for start in range(0, n, CHUNK_LINES):
@@ -676,7 +641,7 @@ def _write_float_rows(
             columns = [_float_texts(c[rows]) for c in floats]
             if lead is not None:
                 columns.insert(0, lead[rows])
-            fh.write("".join(map(line.format, *columns)))
+            _Lines.write(fh, columns[0], columns[1:])
 
 
 def write_split_files(
@@ -773,7 +738,7 @@ def read_predictions(path: str | Path) -> dict[str, float]:
     scores, blank, bad = _parse_floats(texts)
     blank |= _blank(ids)
     outside = ~((scores >= 0.0) & (scores <= 1.0))
-    duplicate = _duplicates(ids, np.arange(table.size))
+    duplicate = repeated_ids(ids)
     failing = np.flatnonzero(blank | bad | outside | duplicate)
     if failing.size:
         i = int(failing[0])

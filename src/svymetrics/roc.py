@@ -87,6 +87,8 @@ def roc_sweep(
         raise DataValidationError("threshold grid must be a vector with >= 2 entries")
     if g[0] != 0.0 or g[-1] != 1.0:
         raise DataValidationError("threshold grid must include endpoints 0 and 1")
+    if not np.all(np.isfinite(g)):
+        raise DataValidationError("threshold grid must be finite")
     tally = tally_confusion(evaluation, g)
     return RocCurve(
         thresholds=g,

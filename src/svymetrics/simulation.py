@@ -592,7 +592,6 @@ def run_replicate(
                 experiment.auroc_grid,
             )
             evaluation = EvaluationSet(
-                ids=eval_sample.ids,
                 weights=eval_sample.weights,
                 outcomes=population.outcomes[eval_rows],
                 scores=scores[eval_rows],

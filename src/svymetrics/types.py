@@ -2,9 +2,10 @@
 
 All types are immutable after construction and safe to share across
 concurrent tasks.  Identifiers are opaque strings throughout; numeric ids
-read from files are stored as strings.  Every type holds its ids as one
-read-only 1-d NumPy column of dtype object whose elements are the Python
-strings, so ids are sliced by row like the other columns.
+read from files are stored as strings.  A population and a sample hold
+their ids as one read-only 1-d NumPy column of dtype object whose elements
+are the Python strings, so ids are sliced by row like the other columns.
+An evaluation set holds no ids: its columns are aligned by position.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Literal
 
 import numpy as np
@@ -61,6 +63,21 @@ def strictly_ascending(ids: Sequence[str]) -> bool:
     except TypeError:
         return False
     return True
+
+
+def repeated_ids(ids: Sequence[str], rows: np.ndarray | None = None) -> np.ndarray:
+    """True at each position of ``ids`` after the first of ``rows``
+    (ascending positions, default all) that holds its id.
+
+    Ids that ascend are distinct without a set, and ids a set finds
+    distinct are so without a first row per id.
+    """
+    n = len(ids)
+    if strictly_ascending(ids) or len(set(ids)) == n:
+        return np.zeros(n, dtype=bool)
+    rows = range(n) if rows is None else rows.tolist()
+    first = dict(zip([ids[i] for i in reversed(rows)], reversed(rows)))
+    return np.arange(n) > np.fromiter(map(first.get, ids, repeat(n)), dtype=np.intp, count=n)
 
 
 @dataclass(frozen=True)
@@ -127,13 +144,9 @@ class FinitePopulation:
             if col.shape != (n,):
                 raise DataValidationError(f"feature {j} has {len(col)} values, expected {n}")
             columns.append(col)
-        # Ascending ids are distinct; only ids in another order are hashed.
-        if not strictly_ascending(ids) and len(set(ids)) != n:
-            seen: set[str] = set()
-            for rid in ids:
-                if rid in seen:
-                    raise DataValidationError(f"duplicate record id {rid!r}")
-                seen.add(rid)
+        repeats = repeated_ids(ids)
+        if repeats.any():
+            raise DataValidationError(f"duplicate record id {ids[repeats.argmax()]!r}")
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "outcomes", _read_only(y.astype(np.int8)))
         object.__setattr__(self, "strata", _read_only(strata))
@@ -211,15 +224,17 @@ class SurveySample:
     def __post_init__(self):
         object.__setattr__(self, "ids", _id_column(self.ids))
         w = np.asarray(self.weights, dtype=np.float64)
-        r = np.asarray(self.rows, dtype=np.intp)
+        r = np.asarray(self.rows)
         if len(self.ids) != w.size:
             raise DataValidationError("ids and weights must have equal length")
         if w.size == 0:
             raise DataValidationError("sample must be non-empty")
         if r.shape != w.shape:
             raise DataValidationError("rows length mismatch")
+        if r.dtype.kind not in "iu":
+            raise DataValidationError("rows must be integer row numbers")
         object.__setattr__(self, "weights", _read_only(w))
-        object.__setattr__(self, "rows", _read_only(r))
+        object.__setattr__(self, "rows", _read_only(r.astype(np.intp, copy=False)))
 
     @property
     def size(self) -> int:
@@ -231,36 +246,35 @@ class EvaluationSet:
     """Test-split records with compound weights, outcomes, and scores.
 
     Weights are the compound w*_i = w_i * (n / n_e) for the split that
-    produced the set, and ``scores`` the model's scores, in [0, 1].
+    produced the set, and ``scores`` the model's scores, in [0, 1].  The
+    three are aligned 1-d columns, one entry per record.
     """
 
-    ids: np.ndarray
     weights: np.ndarray
     outcomes: np.ndarray
     scores: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "ids", _id_column(self.ids))
         w = np.asarray(self.weights, dtype=np.float64)
-        y = np.asarray(self.outcomes, dtype=np.int8)
-        for name, arr in (("weights", w), ("outcomes", y)):
-            if arr.ndim != 1 or arr.size != len(self.ids):
-                raise DataValidationError(f"{name} must be 1-d with one entry per id")
+        y = np.asarray(self.outcomes)
+        if w.ndim != 1 or y.shape != w.shape:
+            raise DataValidationError("weights and outcomes must be 1-d with one entry per record")
         if not np.all(np.isfinite(w)) or np.any(w <= 0):
             raise DataValidationError("evaluation weights must be positive and finite")
         if not np.all((y == 0) | (y == 1)):
             raise DataValidationError("outcomes must be 0 or 1")
         s = np.asarray(self.scores, dtype=np.float64)
         if s.shape != w.shape:
-            raise DataValidationError("scores must align with ids")
+            raise DataValidationError("scores must align with weights")
         if not np.all(np.isfinite(s)) or np.any((s < 0.0) | (s > 1.0)):
             raise DataValidationError("scores must lie in [0, 1]")
-        for name, arr in (("weights", w), ("outcomes", y), ("scores", s)):
+        for name, arr in (("weights", w), ("outcomes", y.astype(np.int8, copy=False)),
+                          ("scores", s)):
             object.__setattr__(self, name, _read_only(arr))
 
     @property
     def size(self) -> int:
-        return len(self.ids)
+        return len(self.weights)
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,16 @@ def check_ids_by_set(ids):
             seen.add(rid)
 
 
+def first_row_duplicates(keys, rows):
+    """True at each position of ``keys`` after the first of the ascending
+    ``rows`` holding its key, from a dict of each key's first row built
+    for every key list."""
+    first = {}
+    for i in rows.tolist():
+        first.setdefault(keys[i], i)
+    return np.array([i > first.get(key, len(keys)) for i, key in enumerate(keys)], dtype=bool)
+
+
 def ascending_by_pairs(ids):
     """Whether each id compares above the one before it, pair by pair;
     False when a pair does not compare."""
@@ -94,13 +104,10 @@ def numeric_columns(x_rows):
     return [x[:, j] for j in range(x.shape[1])]
 
 
-def make_evaluation(y, scores, weights, ids=None):
-    y = list(y)
-    ids = tuple(str(i) for i in (ids if ids is not None else range(len(y))))
+def make_evaluation(y, scores, weights):
     return EvaluationSet(
-        ids=ids,
         weights=np.asarray(weights, dtype=np.float64),
-        outcomes=np.asarray(y),
+        outcomes=np.asarray(list(y)),
         scores=np.asarray(scores, dtype=np.float64),
     )
 

@@ -87,7 +87,6 @@ def test_criterion_1_exhaustive_unbiasedness():
             [outcome[r] for r in sample],
             [scores[r] for r in sample],
             [2.0] * 4,
-            ids=sample,
         )
         tally = tally_confusion(evaluation, 0.5)
         totals += (tally.nhat_tp, tally.nhat_tn, tally.nhat_fp, tally.nhat_fn)
@@ -120,7 +119,6 @@ def test_criterion_2_two_stage_unbiasedness():
                 [outcome[r] for r in subset],
                 [scores[r] for r in subset],
                 [2.0 * (4 / 2)] * 2,
-                ids=subset,
             )
             tally = tally_confusion(evaluation, 0.5)
             totals += (tally.nhat_tp, tally.nhat_tn, tally.nhat_fp, tally.nhat_fn)

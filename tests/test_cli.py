@@ -118,7 +118,6 @@ class TestSplitTrainPredictEvaluate:
         model = load_model(model_json)
         rows = [ingest.data.index_by_id[rid] for rid in evaluation.ids]
         eset = EvaluationSet(
-            ids=evaluation.ids,
             weights=evaluation.weights,
             outcomes=ingest.data.outcomes[rows],
             scores=model.predict_proba([col[rows] for col in ingest.data.features]),

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    first_row_duplicates,
     ingest_csv_per_row,
     parse_corrupted,
     read_predictions_per_row,
@@ -258,9 +259,8 @@ class TestIngestCsv:
         assert err == f"error: {path}: field larger than field limit ({limit})\n"
 
     def test_rows_appended_between_the_two_reads_are_read(self, tmp_path, monkeypatch):
-        """A quote-free file is read once to count its lines and once to
-        parse them; rows appended in between grow the arrays sized by the
-        count instead of being written past them."""
+        """A quote-free file is read once to look for quotes and once to
+        parse it; rows appended in between are parsed with the rest."""
         path = _write(tmp_path, "id,y\na,1\nb,0\n")
         reads = []
 
@@ -843,10 +843,6 @@ def test_chunk_boundaries_read_and_split_as_the_row_loops(tmp_path, lines, text)
     assert outs["ours"] == outs["oracle"]
 
 
-def _first_rows_duplicates(keys, rows):
-    return np.arange(len(keys)) > io_module._first_rows(keys, rows.tolist())
-
-
 @settings(max_examples=300, deadline=None)
 @given(ids=st.lists(st.sampled_from(["", " ", "a", "b", "a ", "日"]) | st.text(max_size=2),
                     max_size=10),
@@ -854,16 +850,16 @@ def _first_rows_duplicates(keys, rows):
 def test_set_size_shortcut_marks_the_duplicates_first_rows_marks(ids, data):
     rows = np.array(sorted(data.draw(st.sets(st.integers(0, max(len(ids) - 1, 0)),
                                              max_size=len(ids)))), dtype=np.intp)
-    ours = io_module._duplicates(ids, rows)
+    ours = types_module.repeated_ids(ids, rows)
     assert ours.dtype == bool
-    assert ours.tolist() == _first_rows_duplicates(ids, rows).tolist()
+    assert ours.tolist() == first_row_duplicates(ids, rows).tolist()
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), stride=st.sampled_from([1, 2, 3, types_module._PROOF_STRIDE]))
 def test_ascending_ids_mark_the_duplicates_first_rows_marks(data, stride):
     """Ids in ascending order (proved distinct without a set), with a
-    repeat put in or a pair swapped, against the ``_first_rows`` loop."""
+    repeat put in or a pair swapped, against the first-rows oracle."""
     ids = sorted(data.draw(st.sets(st.text("ab\x00 ", max_size=3), max_size=10)))
     form = data.draw(st.sampled_from(["ascending", "repeat", "swap"]))
     if ids and form == "repeat":
@@ -875,21 +871,21 @@ def test_ascending_ids_mark_the_duplicates_first_rows_marks(data, stride):
                                              max_size=len(ids)))), dtype=np.intp)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(types_module, "_PROOF_STRIDE", stride)
-        ours = io_module._duplicates(ids, rows)
-    assert ours.tolist() == _first_rows_duplicates(ids, rows).tolist()
+        ours = types_module.repeated_ids(ids, rows)
+    assert ours.tolist() == first_row_duplicates(ids, rows).tolist()
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_set_size_shortcut_drops_what_first_rows_drops(workdir, data):
     """Drawn surveys, with blank and repeated ids, load with the same
-    dropped counts whether or not distinct ids skip ``_first_rows``."""
+    dropped counts whether or not distinct ids skip the first-rows mask."""
     schema = data.draw(survey_schemas())
     path = _write(workdir, data.draw(csv_texts(schema.required_columns, ["note", "weight"],
                                                plain=data.draw(st.booleans()))))
     got = _outcome(ingest_csv, path, schema)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(io_module, "_duplicates", _first_rows_duplicates)
+        patch.setattr(io_module, "repeated_ids", first_row_duplicates)
         expected = _outcome(ingest_csv, path, schema)
     if isinstance(expected, tuple):
         assert got == expected

@@ -88,6 +88,13 @@ class TestRocSweep:
         assert curve.thresholds.tolist() == [0.0, 0.5, 1.0]
         assert curve.fpr.tolist() == [1.0, 0.0, 0.0]
 
+    def test_nan_grid_point_rejected(self):
+        """At t = NaN no record is positive under s >= t, so a NaN point
+        inside the endpoints has no (sensitivity, specificity) to report."""
+        evaluation = make_evaluation([1, 0, 1, 0], [0.9, 0.1, 0.8, 0.2], [1, 2, 3, 4])
+        with pytest.raises(DataValidationError, match="grid must be finite"):
+            roc_sweep(evaluation, [0.0, np.nan, 1.0], "weighted")
+
     def test_unit_weights_match_unweighted_sweep(self):
         y = [1, 0, 1, 0, 1]
         s = [0.9, 0.8, 0.4, 0.2, 0.6]
@@ -390,6 +397,14 @@ class TestEvaluationSummary:
             return
         assert json.dumps(got.to_json_dict()) == json.dumps(expected.to_json_dict())
         assert np.float64(got.auroc.value).tobytes() == np.float64(expected.auroc.value).tobytes()
+
+    @pytest.mark.parametrize("threshold", [np.nan, -0.1, 1.5])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        """A NaN threshold would count every record positive in the rate and
+        none in its standard error; it is refused, as is any outside [0, 1]."""
+        evaluation = make_evaluation([1, 0, 1, 0], [0.9, 0.1, 0.8, 0.2], [1, 2, 3, 4])
+        with pytest.raises(DataValidationError, match=r"thresholds must lie in \[0, 1\]"):
+            evaluation_summary(evaluation, (threshold,), 11, "weighted")
 
 
 def _outcome(fn, *args):

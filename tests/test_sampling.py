@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from helpers import enumerate_stratified_samples, make_population, two_class_toy_population
 from svymetrics.errors import DataValidationError, DegenerateSplitError, DesignError
 from svymetrics.sampling import StratifiedDesign, split_train_test, stratified_sample
-from svymetrics.types import EvaluationSet, SurveySample
+from svymetrics.types import SurveySample
 
 
 def _population(sizes_by_stratum):
@@ -205,20 +205,24 @@ class TestSampleRows:
         both = np.concatenate([part.rows for part in parts])
         assert sorted(both.tolist()) == sorted(sample.rows.tolist())
 
+    @pytest.mark.parametrize("rows", [[0.5, 1.7], [0.0, 1.0], [True, False]])
+    def test_non_integer_rows_rejected(self, rows):
+        """Rows are refused unless given as integers, rather than cast to
+        them: [0.5, 1.7] would name rows 0 and 1."""
+        with pytest.raises(DataValidationError, match="rows must be integer"):
+            SurveySample(ids=("a", "b"), weights=np.ones(2), rows=rows)
+
 
 class TestIdColumns:
     def test_ids_are_read_only_object_columns_of_str(self):
-        """The population, the sample, both split parts and an evaluation set
-        built from a plain tuple hold ids as read-only 1-d object columns."""
+        """The population, the sample and both split parts hold ids as
+        read-only 1-d object columns."""
         population = _population({"s1": 30, "s2": 20})
         sample = stratified_sample(
             population, StratifiedDesign({"s1": 12, "s2": 8}), np.random.default_rng(4)
         )
         training, evaluation = split_train_test(sample, 0.25, np.random.default_rng(5))
-        scored = EvaluationSet(
-            ids=("a", "b"), weights=np.ones(2), outcomes=np.array([1, 0]), scores=np.ones(2)
-        )
-        for ids in (population.ids, sample.ids, training.ids, evaluation.ids, scored.ids):
+        for ids in (population.ids, sample.ids, training.ids, evaluation.ids):
             assert ids.dtype == object and ids.ndim == 1
             assert not ids.flags.writeable
             assert all(type(rid) is str for rid in ids.tolist())

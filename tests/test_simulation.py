@@ -412,13 +412,11 @@ class TestReplicateMatchesRowFormReplay:
         if not include:
             census[[row_of[i] for i in sample.ids]] = False
         truth = EvaluationSet(
-            ids=tuple(rid for rid, keep in zip(population.ids, census) if keep),
             weights=np.ones(int(census.sum())),
             outcomes=population.outcomes[census],
             scores=scores[census],
         )
         held_out = EvaluationSet(
-            ids=evaluation.ids,
             weights=evaluation.weights,
             outcomes=population.outcomes[eval_rows],
             scores=scores[eval_rows],
@@ -657,7 +655,6 @@ class TestDesignBiasInvariants:
                 _, evaluation = split_train_test(sample, 0.2, derive_stream(41, n_e, r, "split"))
                 rows = np.fromiter((index_by_id[i] for i in evaluation.ids), dtype=np.intp)
                 eset = EvaluationSet(
-                    ids=evaluation.ids,
                     weights=evaluation.weights,
                     outcomes=y[rows],
                     scores=scores[rows],

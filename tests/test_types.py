@@ -203,7 +203,7 @@ def _caller_arrays(kind):
                   "rows": np.arange(3, dtype=np.intp)}
         build = lambda a: SurveySample(**a)  # noqa: E731
     else:
-        arrays = {"ids": ids, "weights": np.array([1.0, 2.0, 3.0]),
+        arrays = {"weights": np.array([1.0, 2.0, 3.0]),
                   "outcomes": np.array([0, 1, 1], dtype=np.int8),
                   "scores": np.array([0.1, 0.5, 0.9])}
         build = lambda a: EvaluationSet(**a)  # noqa: E731
@@ -214,7 +214,7 @@ def _caller_arrays(kind):
     "kind, column",
     [("population", c) for c in ("ids", "outcomes", "strata", "features")]
     + [("sample", c) for c in ("ids", "weights", "rows")]
-    + [("evaluation", c) for c in ("ids", "weights", "outcomes", "scores")],
+    + [("evaluation", c) for c in ("weights", "outcomes", "scores")],
 )
 def test_constructor_leaves_caller_array_writable(kind, column):
     """Each type freezes a view of the caller's array, never the array
@@ -234,7 +234,6 @@ class TestEvaluationSet:
     def test_scores_outside_unit_interval_rejected(self):
         with pytest.raises(DataValidationError, match="scores"):
             EvaluationSet(
-                ids=("a",),
                 weights=np.array([1.0]),
                 outcomes=np.array([1]),
                 scores=np.array([1.5]),
@@ -243,10 +242,19 @@ class TestEvaluationSet:
     def test_non_positive_weight_rejected(self):
         with pytest.raises(DataValidationError, match="weights"):
             EvaluationSet(
-                ids=("a", "b"),
                 weights=np.array([1.0, 0.0]),
                 outcomes=np.array([1, 0]),
                 scores=np.array([0.8, 0.3]),
+            )
+
+    @pytest.mark.parametrize("outcome", [0.5, 1.9, -0.5, np.nan])
+    def test_non_binary_outcome_rejected_as_given(self, outcome):
+        """An outcome other than 0 or 1 is refused, not cast to one of them."""
+        with pytest.raises(DataValidationError, match="outcomes must be 0 or 1"):
+            EvaluationSet(
+                weights=np.ones(2),
+                outcomes=np.array([outcome, 1.0]),
+                scores=np.array([0.2, 0.8]),
             )
 
 
