@@ -21,8 +21,6 @@ from .errors import (
 from .estimation import (
     population_truth,
     ratio_standard_error,
-    sensitivity,
-    specificity,
     tally_confusion,
     weight_diagnostics,
 )
@@ -69,8 +67,6 @@ __all__ = [
     "ratio_standard_error",
     "roc_sweep",
     "score_adapted_grid",
-    "sensitivity",
-    "specificity",
     "split_train_test",
     "stratified_sample",
     "stream_seed",

@@ -1,14 +1,18 @@
 """Design-based estimators.
 
-Implements weighted confusion tallies (inverse-probability totals of the
-four confusion cells), the ratio estimators of sensitivity and specificity
-with their Taylor-linearization standard errors, finite-population truth
-metrics, and weight-distribution diagnostics.
+Implements confusion tallies (the totals of one set of weights in each of
+the four confusion cells), the ratio estimators of sensitivity and
+specificity with their Taylor-linearization standard errors,
+finite-population truth metrics, and weight-distribution diagnostics.
+The weighted estimators sum the compound inverse-probability weights; the
+unweighted ones are the same estimators on unit weights (see
+:func:`estimator_set`), and a census truth sums unit weights over the
+whole population.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal, Sequence
 
 import numpy as np
@@ -19,40 +23,58 @@ from .types import ConfusionTally, EvaluationSet, MetricResult
 EstimatorWeighting = Literal["weighted", "unweighted"]
 
 
+def estimator_set(evaluation: EvaluationSet, weighting: EstimatorWeighting) -> EvaluationSet:
+    """The set an estimator tallies: for ``"weighted"`` the set as given,
+    and for ``"unweighted"`` a unit-weight copy, the SRS special case of
+    the same ratio estimator.  Any other weighting is a DataValidationError."""
+    if weighting == "weighted":
+        return evaluation
+    if weighting == "unweighted":
+        return replace(evaluation, weights=np.ones(evaluation.size))
+    raise DataValidationError(f"unknown weighting {weighting!r}")
+
+
 def tally_confusion(evaluation: EvaluationSet, threshold) -> ConfusionTally:
-    """Tally weighted and raw confusion totals at decision thresholds.
+    """Sum a set's weights in each confusion cell at decision thresholds.
 
     A record is classified positive iff its score s_i >= threshold, so a
-    threshold of 0 classifies everything positive.  Weighted totals are
-    sums of compound weights over each confusion cell.  Like a ufunc, a
+    threshold of 0 classifies everything positive.  Like a ufunc, a
     scalar threshold gives a tally of Python scalars and a 1-d array of
     thresholds gives a tally of arrays of the same shape.
     """
-    if evaluation.size == 0:
-        raise DataValidationError("evaluation set is empty")
     actual = evaluation.outcomes == 1
     w = evaluation.weights
-    return _tally(
-        evaluation.scores,
-        np.where(actual, w, 0.0),
-        np.where(actual, 0.0, w),
-        actual,
-        ~actual,
-        threshold,
+    return tally_counts(
+        evaluation.scores, np.where(actual, w, 0.0), np.where(actual, 0.0, w), threshold
     )
 
 
 def tally_counts(scores, positives, negatives, threshold) -> ConfusionTally:
-    """Unit-weight confusion tally of groups of records.
+    """The engine behind every tally, from a single sort.
 
-    Group i holds ``positives[i]`` positive and ``negatives[i]`` negative
-    records, all scoring ``scores[i]``.  The counts are float64 holding
-    exact integers, so every rate equals the one counted record by record.
+    Group i adds ``positives[i]`` to the positive class and
+    ``negatives[i]`` to the negative class at score ``scores[i]``: a
+    record's weight, or a count of records, which float64 sums exactly, so
+    a count rate equals the one counted record by record.  Scores are
+    sorted once, descending and stable, and the two columns are
+    summed cumulatively in that order.  The groups positive at t are a
+    prefix of the order, so one ``searchsorted`` reads every threshold at
+    the boundary of its block of tied scores (Fawcett 2006, "An
+    introduction to ROC analysis", Algorithm 1; scikit-learn's
+    ``_binary_clf_curve`` with ``sample_weight`` uses the same sums).
     Thresholds work as in :func:`tally_confusion`.
     """
     if not np.any(positives + negatives):
         raise DataValidationError("evaluation set is empty")
-    return _tally(scores, positives, negatives, positives, negatives, threshold)
+    order = np.argsort(-scores, kind="stable")
+    # Prefix sums with a leading zero: entry k covers the k top-scored groups.
+    pos, neg = (np.concatenate(([0], np.cumsum(v[order]))) for v in (positives, negatives))
+    # s >= t  <=>  -s <= -t, and -scores[order] is ascending.
+    k = np.searchsorted(-scores[order], -np.asarray(threshold, dtype=np.float64), "right")
+    cells = dict(tp=pos[k], tn=neg[-1] - neg[k], fp=neg[k], fn=pos[-1] - pos[k])
+    if np.ndim(threshold) == 0:
+        cells = {name: value.item() for name, value in cells.items()}
+    return ConfusionTally(**cells)
 
 
 def tally_binned_counts(scores, positives, negatives, thresholds) -> ConfusionTally:
@@ -71,77 +93,25 @@ def tally_binned_counts(scores, positives, negatives, thresholds) -> ConfusionTa
         for v in (positives, negatives)
     )
     k = np.searchsorted(cuts, thresholds) + 1
-    tp, fp, fn, tn = pos[k], neg[k], pos[0] - pos[k], neg[0] - neg[k]
-    return ConfusionTally(nhat_tp=tp, nhat_tn=tn, nhat_fp=fp, nhat_fn=fn,
-                          tp=tp, tn=tn, fp=fp, fn=fn)
-
-
-def _tally(scores, pos_w, neg_w, pos_n, neg_n, threshold) -> ConfusionTally:
-    """The engine behind every tally, from a single sort.
-
-    Record i adds ``pos_w[i]`` and ``neg_w[i]`` to the weighted totals of
-    its class and ``pos_n[i]`` and ``neg_n[i]`` to the counts.  Scores are
-    sorted once, descending and stable, and the four are summed
-    cumulatively in that order.  The records positive at t are a prefix of
-    the order, so one ``searchsorted`` reads every threshold at the
-    boundary of its block of tied scores (Fawcett 2006, "An introduction to
-    ROC analysis", Algorithm 1; scikit-learn's ``_binary_clf_curve`` with
-    ``sample_weight`` uses the same sums).
-    """
-    order = np.argsort(-scores, kind="stable")
-    # Prefix sums with a leading zero: entry k covers the k top-scored records.
-    pos_w, neg_w, pos_n, neg_n = (
-        np.concatenate(([0], np.cumsum(v[order]))) for v in (pos_w, neg_w, pos_n, neg_n)
-    )
-    # s >= t  <=>  -s <= -t, and -scores[order] is ascending.
-    k = np.searchsorted(-scores[order], -np.asarray(threshold, dtype=np.float64), "right")
-    cells = dict(
-        nhat_tp=pos_w[k], nhat_tn=neg_w[-1] - neg_w[k],
-        nhat_fp=neg_w[k], nhat_fn=pos_w[-1] - pos_w[k],
-        tp=pos_n[k], tn=neg_n[-1] - neg_n[k], fp=neg_n[k], fn=pos_n[-1] - pos_n[k],
-    )
-    if np.ndim(threshold) == 0:
-        cells = {name: value.item() for name, value in cells.items()}
-    return ConfusionTally(**cells)
+    return ConfusionTally(tp=pos[k], tn=neg[0] - neg[k], fp=neg[k], fn=pos[0] - pos[k])
 
 
 _RATE_CELLS = {"sensitivity": ("tp", "fn", "positive"), "specificity": ("tn", "fp", "negative")}
 
 
-def confusion_rate(
-    tally: ConfusionTally,
-    kind: Literal["sensitivity", "specificity"],
-    weighting: EstimatorWeighting | Literal["population-truth"],
-):
+def confusion_rate(tally: ConfusionTally, kind: Literal["sensitivity", "specificity"]):
     """Sensitivity TP/(TP + FN) or specificity TN/(TN + FP) of a tally.
 
-    The weighted form divides estimated totals N^_TP / (N^_TP + N^_FN); the
-    unweighted and population-truth forms divide raw counts.  Elementwise
-    on an array tally; raises UndefinedMetricError when the denominator
-    class is empty.
+    A ratio of the tally's totals, so weighted, unweighted or census
+    according to the weights summed.  Elementwise on an array tally;
+    raises UndefinedMetricError when the denominator class is empty.
     """
     hit, miss, outcome = _RATE_CELLS[kind]
-    if weighting == "weighted":
-        hit, miss = "nhat_" + hit, "nhat_" + miss
-    elif weighting not in ("unweighted", "population-truth"):
-        raise DataValidationError(f"unknown weighting {weighting!r}")
     num = getattr(tally, hit)
     den = num + getattr(tally, miss)
     if np.any(np.asarray(den) <= 0):
         raise UndefinedMetricError(f"{kind} undefined: no {outcome} outcomes")
     return np.divide(num, den, dtype=np.float64)
-
-
-def sensitivity(tally: ConfusionTally, weighting: EstimatorWeighting) -> MetricResult:
-    """True-positive rate among actual positives (see :func:`confusion_rate`)."""
-    value = float(confusion_rate(tally, "sensitivity", weighting))
-    return MetricResult(value=value, kind="sensitivity", weighting=weighting)
-
-
-def specificity(tally: ConfusionTally, weighting: EstimatorWeighting) -> MetricResult:
-    """True-negative rate among actual negatives; mirror of sensitivity."""
-    value = float(confusion_rate(tally, "specificity", weighting))
-    return MetricResult(value=value, kind="specificity", weighting=weighting)
 
 
 def ratio_standard_error(
@@ -201,8 +171,7 @@ def population_truth(
     positive = (y == 1).astype(np.float64)
     tally = tally_counts(s, positive, 1.0 - positive, threshold)
     sn, sp = (
-        MetricResult(float(confusion_rate(tally, kind, "population-truth")), kind,
-                     "population-truth")
+        MetricResult(float(confusion_rate(tally, kind)), kind, "population-truth")
         for kind in ("sensitivity", "specificity")
     )
     return sn, sp

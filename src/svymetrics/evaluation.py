@@ -6,7 +6,7 @@ that printed tables and replicate reports come from one code path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -15,6 +15,7 @@ from .errors import DataValidationError, SchemaError
 from .estimation import (
     EstimatorWeighting,
     confusion_rate,
+    estimator_set,
     ratio_standard_error,
     tally_binned_counts,
     tally_confusion,
@@ -92,20 +93,18 @@ def evaluation_summary(
 ) -> EvaluationSummary:
     """Evaluate a scored set at fixed thresholds and compute AUROC.
 
-    The fixed thresholds and the grid are read from one confusion tally.
-    Standard errors come from Taylor linearization; for the unweighted
-    estimators they are computed against a unit-weight copy of the set
-    (the SRS special case of the same formula).  A threshold outside
-    [0, 1], NaN included, is a DataValidationError.
+    The fixed thresholds and the grid are read from one confusion tally of
+    the weighting's set (see :func:`~svymetrics.estimation.estimator_set`),
+    and the standard errors come from Taylor linearization on that same
+    set.  A threshold outside [0, 1], NaN included, is a
+    DataValidationError.
     """
     if not all(0.0 <= t <= 1.0 for t in thresholds):
         raise DataValidationError("thresholds must lie in [0, 1]")
-    se_set = evaluation
-    if weighting == "unweighted":
-        se_set = replace(evaluation, weights=np.ones(evaluation.size))
+    tallied = estimator_set(evaluation, weighting)
     g = resolve_grid(grid, evaluation.scores)
-    tally = tally_confusion(evaluation, np.concatenate([np.asarray(thresholds, np.float64), g]))
-    return _summary(tally, thresholds, g, weighting, se_set)
+    tally = tally_confusion(tallied, np.concatenate([np.asarray(thresholds, np.float64), g]))
+    return _summary(tally, thresholds, g, weighting, tallied)
 
 
 def population_summary(
@@ -132,19 +131,19 @@ def population_summary(
     return _summary(counts, thresholds, g, "population-truth", None)
 
 
-def _summary(tally, thresholds, grid, weighting, se_set) -> EvaluationSummary:
+def _summary(tally, thresholds, grid, weighting, tallied) -> EvaluationSummary:
     """The summary of a tally of ``thresholds`` followed by ``grid``.
 
     Rates at the fixed thresholds carry linearized standard errors
-    computed on ``se_set`` when one is given; AUROC is the area under the
-    grid's curve.
+    computed on the ``tallied`` set when one is given; AUROC is the area
+    under the grid's curve.
     """
     k = len(thresholds)
-    sens = confusion_rate(tally, "sensitivity", weighting)
-    spec = confusion_rate(tally, "specificity", weighting)
+    sens = confusion_rate(tally, "sensitivity")
+    spec = confusion_rate(tally, "specificity")
 
     def metric(value, kind, t):
-        se = None if se_set is None else ratio_standard_error(se_set, t, kind)
+        se = None if tallied is None else ratio_standard_error(tallied, t, kind)
         return MetricResult(value, kind, weighting, se)
 
     rows = tuple(

@@ -1,10 +1,11 @@
 """ROC curves over a decision-threshold grid and trapezoidal AUROC.
 
 A curve is three aligned arrays (thresholds, sensitivity, specificity),
-read from one array-valued confusion tally, so a sweep sorts the scores
-once whatever the grid size.  The default grid is 101 evenly spaced
-thresholds; ``score_adapted_grid`` gives an exact-mode grid (midpoints
-between distinct observed scores plus the endpoints) that eliminates
+read from one array-valued confusion tally of the weighted set or of its
+unit-weight copy, so a sweep sorts the scores once whatever the grid
+size.  The default grid is 101 evenly spaced thresholds;
+``score_adapted_grid`` gives an exact-mode grid (midpoints between
+distinct observed scores plus the endpoints) that eliminates
 discretization error.
 """
 
@@ -16,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataValidationError
-from .estimation import EstimatorWeighting, confusion_rate, tally_confusion
+from .estimation import EstimatorWeighting, confusion_rate, estimator_set, tally_confusion
 from .types import EvaluationSet
 
 DEFAULT_GRID_POINTS = 101
@@ -79,7 +80,8 @@ def roc_sweep(
     """Compute one (sensitivity, specificity) pair per grid threshold.
 
     Both outcome classes must be present; otherwise the curve is undefined.
-    The whole grid is read from one confusion tally, so the s >= t tie
+    The whole grid is read from one confusion tally of the weighting's set
+    (see :func:`~svymetrics.estimation.estimator_set`), so the s >= t tie
     convention and the ratio estimators are those of single thresholds.
     """
     g = np.asarray(grid, dtype=np.float64)
@@ -89,11 +91,11 @@ def roc_sweep(
         raise DataValidationError("threshold grid must include endpoints 0 and 1")
     if not np.all(np.isfinite(g)):
         raise DataValidationError("threshold grid must be finite")
-    tally = tally_confusion(evaluation, g)
+    tally = tally_confusion(estimator_set(evaluation, weighting), g)
     return RocCurve(
         thresholds=g,
-        sensitivity=confusion_rate(tally, "sensitivity", weighting),
-        specificity=confusion_rate(tally, "specificity", weighting),
+        sensitivity=confusion_rate(tally, "sensitivity"),
+        specificity=confusion_rate(tally, "specificity"),
     )
 
 

@@ -279,20 +279,13 @@ class EvaluationSet:
 
 @dataclass(frozen=True)
 class ConfusionTally:
-    """Weighted confusion totals and the corresponding raw counts."""
+    """Sums of weights in the four confusion cells: estimated population
+    totals for inverse-probability weights, counts for unit weights."""
 
-    nhat_tp: float
-    nhat_tn: float
-    nhat_fp: float
-    nhat_fn: float
-    tp: int
-    tn: int
-    fp: int
-    fn: int
-
-    @property
-    def count(self) -> int:
-        return self.tp + self.tn + self.fp + self.fn
+    tp: float
+    tn: float
+    fp: float
+    fn: float
 
 
 @dataclass(frozen=True)

@@ -150,18 +150,13 @@ def gini_impurity(positive: float, total: float) -> float:
 
 def brute_force_tally(y, scores, weights, threshold):
     """Per-threshold reference for the confusion engine: classify each
-    record by s >= threshold, count the four cells and sum each cell's
-    weights with ``math.fsum``."""
-    predicted = [bool(s >= threshold) for s in scores]
-    tp, tn, fp, fn = confusion_counts(y, predicted)
+    record by s >= threshold and sum each confusion cell's weights with
+    ``math.fsum``, which counts the cells when the weights are 1."""
     cells = {"tp": (True, 1), "tn": (False, 0), "fp": (True, 0), "fn": (False, 1)}
-    totals = {
-        f"nhat_{cell}": math.fsum(
-            w for yi, pi, w in zip(y, predicted, weights) if (pi, int(yi)) == key
-        )
-        for cell, key in cells.items()
-    }
-    return {"tp": tp, "tn": tn, "fp": fp, "fn": fn, **totals}
+    members = {key: [] for key in cells.values()}
+    for yi, si, w in zip(y, scores, weights):
+        members[(bool(si >= threshold), int(yi))].append(w)
+    return {cell: math.fsum(members[key]) for cell, key in cells.items()}
 
 
 def route_one_row(tree, row):
@@ -407,8 +402,8 @@ def population_summary_per_row(truth, thresholds, grid):
     g = resolve_grid(grid, truth.scores)
     k = len(thresholds)
     tally = tally_confusion(truth, np.concatenate([np.asarray(thresholds, dtype=np.float64), g]))
-    sens = confusion_rate(tally, "sensitivity", "population-truth")
-    spec = confusion_rate(tally, "specificity", "population-truth")
+    sens = confusion_rate(tally, "sensitivity")
+    spec = confusion_rate(tally, "specificity")
     rows = tuple(
         ThresholdMetrics(
             threshold=t,
@@ -424,23 +419,24 @@ def population_summary_per_row(truth, thresholds, grid):
 
 def evaluation_summary_two_tallies(evaluation, thresholds, grid, weighting):
     """``evaluation_summary`` in two passes: one tally of the fixed
-    thresholds, with a linearized SE per threshold (on a unit-weight copy
-    for the unweighted estimators), then an ROC sweep of the grid for the
-    AUROC.  The library reads both from one tally."""
-    se_set = evaluation
+    thresholds, with a linearized SE per threshold, then an ROC sweep of
+    the grid for the AUROC.  The unweighted estimators tally and take
+    their SEs on a unit-weight copy of the set.  The library reads both
+    from one tally."""
+    tallied = evaluation
     if weighting == "unweighted":
-        se_set = dataclasses.replace(evaluation, weights=np.ones(evaluation.size))
-    tally = tally_confusion(evaluation, np.asarray(thresholds, dtype=np.float64))
-    sens = confusion_rate(tally, "sensitivity", weighting).tolist()
-    spec = confusion_rate(tally, "specificity", weighting).tolist()
+        tallied = dataclasses.replace(evaluation, weights=np.ones(evaluation.size))
+    tally = tally_confusion(tallied, np.asarray(thresholds, dtype=np.float64))
+    sens = confusion_rate(tally, "sensitivity").tolist()
+    spec = confusion_rate(tally, "specificity").tolist()
     rows = tuple(
         ThresholdMetrics(
             threshold=float(t),
             sensitivity=MetricResult(
-                sn, "sensitivity", weighting, ratio_standard_error(se_set, t, "sensitivity")
+                sn, "sensitivity", weighting, ratio_standard_error(tallied, t, "sensitivity")
             ),
             specificity=MetricResult(
-                sp, "specificity", weighting, ratio_standard_error(se_set, t, "specificity")
+                sp, "specificity", weighting, ratio_standard_error(tallied, t, "specificity")
             ),
         )
         for t, sn, sp in zip(thresholds, sens, spec)

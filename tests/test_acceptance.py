@@ -19,7 +19,8 @@ from helpers import (
     weighted_pairwise_auc,
 )
 from svymetrics.cli import main as cli_main
-from svymetrics.estimation import sensitivity, specificity, tally_confusion
+from svymetrics.estimation import tally_confusion
+from svymetrics.evaluation import evaluation_summary
 from svymetrics.roc import auroc, roc_sweep, score_adapted_grid, uniform_grid
 from svymetrics.simulation import (
     ClassifierSpec,
@@ -89,7 +90,7 @@ def test_criterion_1_exhaustive_unbiasedness():
             [2.0] * 4,
         )
         tally = tally_confusion(evaluation, 0.5)
-        totals += (tally.nhat_tp, tally.nhat_tn, tally.nhat_fp, tally.nhat_fn)
+        totals += (tally.tp, tally.tn, tally.fp, tally.fn)
     deviation = float(np.max(np.abs(totals / len(samples) - truth)))
     elapsed = time.monotonic() - start
     _verdict(
@@ -121,7 +122,7 @@ def test_criterion_2_two_stage_unbiasedness():
                 [2.0 * (4 / 2)] * 2,
             )
             tally = tally_confusion(evaluation, 0.5)
-            totals += (tally.nhat_tp, tally.nhat_tn, tally.nhat_fp, tally.nhat_fn)
+            totals += (tally.tp, tally.tn, tally.fp, tally.fn)
             pairs += 1
     assert pairs == 36 * 6
     deviation = float(np.max(np.abs(totals / pairs - truth)))
@@ -150,15 +151,15 @@ def test_criterion_3_constant_weight_reduction():
         s = np.round(rng.random(n), 2)
         c = float(rng.uniform(0.1, 100.0))
         evaluation = make_evaluation(y, s, np.full(n, c))
-        tally = tally_confusion(evaluation, 0.5)
-        grid = score_adapted_grid(s)
+        weighted, unweighted = (
+            evaluation_summary(evaluation, (0.5,), "exact", weighting)
+            for weighting in ("weighted", "unweighted")
+        )
+        (w_at,), (u_at,) = weighted.at_thresholds, unweighted.at_thresholds
         gaps = [
-            abs(sensitivity(tally, "weighted").value - sensitivity(tally, "unweighted").value),
-            abs(specificity(tally, "weighted").value - specificity(tally, "unweighted").value),
-            abs(
-                auroc(roc_sweep(evaluation, grid, "weighted"))
-                - auroc(roc_sweep(evaluation, grid, "unweighted"))
-            ),
+            abs(w_at.sensitivity.value - u_at.sensitivity.value),
+            abs(w_at.specificity.value - u_at.specificity.value),
+            abs(weighted.auroc.value - unweighted.auroc.value),
         ]
         worst = max(worst, *gaps)
         done += 1

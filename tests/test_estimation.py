@@ -11,10 +11,9 @@ from helpers import brute_force_tally, confusion_counts, make_evaluation, make_p
 from svymetrics.errors import DataValidationError, UndefinedMetricError
 from svymetrics.estimation import (
     confusion_rate,
+    estimator_set,
     population_truth,
     ratio_standard_error,
-    sensitivity,
-    specificity,
     tally_confusion,
     weight_diagnostics,
 )
@@ -51,30 +50,24 @@ class TestTallyConfusion:
 
     def test_hand_example_weighted_totals(self, hand_eval):
         tally = tally_confusion(hand_eval, 0.5)
-        assert (tally.nhat_tp, tally.nhat_fn, tally.nhat_tn, tally.nhat_fp) == (
-            2.0,
-            3.0,
-            5.0,
-            1.0,
-        )
-        assert (tally.tp, tally.fn, tally.tn, tally.fp) == (1, 1, 1, 1)
+        assert (tally.tp, tally.fn, tally.tn, tally.fp) == (2.0, 3.0, 5.0, 1.0)
 
-    def test_unit_weights_reduce_to_raw_counts(self):
-        evaluation = make_evaluation(
-            y=[1, 1, 0, 0], scores=[0.9, 0.1, 0.1, 0.9], weights=[1.0] * 4
-        )
-        tally = tally_confusion(evaluation, 0.5)
-        assert tally.nhat_tp == tally.tp == 1
-        assert tally.nhat_tn == tally.tn == 1
-        assert tally.nhat_fp == tally.fp == 1
-        assert tally.nhat_fn == tally.fn == 1
+    def test_unit_weight_copy_tallies_raw_counts(self, hand_eval):
+        assert estimator_set(hand_eval, "weighted") is hand_eval
+        tally = tally_confusion(estimator_set(hand_eval, "unweighted"), 0.5)
+        assert (tally.tp, tally.tn, tally.fp, tally.fn) == (1, 1, 1, 1)
+
+    @pytest.mark.parametrize("weighting", ["population-truth", "Weighted", ""])
+    def test_unknown_weighting_is_refused(self, hand_eval, weighting):
+        with pytest.raises(DataValidationError, match="unknown weighting"):
+            estimator_set(hand_eval, weighting)
 
     def test_all_correct_leaves_no_errors(self):
         evaluation = make_evaluation(
             y=[1, 0, 1], scores=[0.8, 0.2, 0.9], weights=[7.0, 11.0, 13.0]
         )
         tally = tally_confusion(evaluation, 0.5)
-        assert tally.nhat_fp == 0.0 and tally.nhat_fn == 0.0
+        assert tally.fp == 0.0 and tally.fn == 0.0
 
     def test_threshold_convention_is_greater_equal(self):
         evaluation = make_evaluation(y=[1, 0], scores=[0.5, 0.4999], weights=[1.0, 1.0])
@@ -83,7 +76,7 @@ class TestTallyConfusion:
 
     def test_weighted_totals_sum_to_total_weight(self, hand_eval):
         tally = tally_confusion(hand_eval, 0.5)
-        total = tally.nhat_tp + tally.nhat_tn + tally.nhat_fp + tally.nhat_fn
+        total = tally.tp + tally.tn + tally.fp + tally.fn
         assert total == pytest.approx(float(hand_eval.weights.sum()), rel=1e-9)
 
     def test_random_tallies_match_direct_counting(self, rng):
@@ -98,41 +91,42 @@ class TestTallyConfusion:
             assert (tally.tp, tally.tn, tally.fp, tally.fn) == (tp, tn, fp, fn)
 
 
+def _rates(evaluation, threshold, weighting):
+    """Sensitivity and specificity of one weighting's tally at a threshold."""
+    tally = tally_confusion(estimator_set(evaluation, weighting), threshold)
+    return tuple(float(confusion_rate(tally, kind)) for kind in ("sensitivity", "specificity"))
+
+
 class TestSensitivitySpecificity:
     @pytest.fixture
-    def hand_tally(self):
-        evaluation = make_evaluation(
+    def hand_eval(self):
+        return make_evaluation(
             y=[1, 1, 0, 0], scores=[0.9, 0.1, 0.1, 0.9], weights=[2.0, 3.0, 5.0, 1.0]
         )
-        return tally_confusion(evaluation, 0.5)
 
-    def test_hand_example(self, hand_tally):
+    def test_hand_example(self, hand_eval):
         # weighted: SN = 2/5, SP = 5/6; unweighted: both 1/2
-        assert sensitivity(hand_tally, "weighted").value == pytest.approx(0.4)
-        assert sensitivity(hand_tally, "unweighted").value == pytest.approx(0.5)
-        assert specificity(hand_tally, "weighted").value == pytest.approx(5.0 / 6.0)
-        assert specificity(hand_tally, "unweighted").value == pytest.approx(0.5)
+        assert _rates(hand_eval, 0.5, "weighted") == pytest.approx((0.4, 5.0 / 6.0))
+        assert _rates(hand_eval, 0.5, "unweighted") == pytest.approx((0.5, 0.5))
 
     def test_perfect_classifier(self):
         evaluation = make_evaluation(
             y=[1, 0, 1, 0], scores=[1.0, 0.0, 0.9, 0.1], weights=[2.0, 9.0, 4.0, 1.0]
         )
-        tally = tally_confusion(evaluation, 0.5)
         for weighting in ("weighted", "unweighted"):
-            assert sensitivity(tally, weighting).value == 1.0
-            assert specificity(tally, weighting).value == 1.0
+            assert _rates(evaluation, 0.5, weighting) == (1.0, 1.0)
 
     def test_no_positives_is_undefined(self):
         evaluation = make_evaluation(y=[0, 0], scores=[0.9, 0.1], weights=[1.0, 1.0])
         tally = tally_confusion(evaluation, 0.5)
         with pytest.raises(UndefinedMetricError):
-            sensitivity(tally, "weighted")
+            confusion_rate(tally, "sensitivity")
 
     def test_no_negatives_is_undefined(self):
         evaluation = make_evaluation(y=[1, 1], scores=[0.9, 0.1], weights=[1.0, 1.0])
         tally = tally_confusion(evaluation, 0.5)
         with pytest.raises(UndefinedMetricError):
-            specificity(tally, "unweighted")
+            confusion_rate(tally, "specificity")
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -151,22 +145,12 @@ class TestSensitivitySpecificity:
         y = [d[0] for d in data]
         scores = [d[1] for d in data]
         weights = [d[2] for d in data]
-        tally = tally_confusion(make_evaluation(y, scores, weights), 0.5)
-        scaled = tally_confusion(
-            make_evaluation(y, scores, [w * scale for w in weights]), 0.5
-        )
-        assert sensitivity(scaled, "weighted").value == pytest.approx(
-            sensitivity(tally, "weighted").value, abs=1e-12
-        )
-        assert specificity(scaled, "weighted").value == pytest.approx(
-            specificity(tally, "weighted").value, abs=1e-12
-        )
-        constant = tally_confusion(make_evaluation(y, scores, [3.7] * len(y)), 0.5)
-        assert sensitivity(constant, "weighted").value == pytest.approx(
-            sensitivity(constant, "unweighted").value, abs=1e-12
-        )
-        assert specificity(constant, "weighted").value == pytest.approx(
-            specificity(constant, "unweighted").value, abs=1e-12
+        rates = _rates(make_evaluation(y, scores, weights), 0.5, "weighted")
+        scaled = _rates(make_evaluation(y, scores, [w * scale for w in weights]), 0.5, "weighted")
+        assert scaled == pytest.approx(rates, abs=1e-12)
+        constant = make_evaluation(y, scores, [3.7] * len(y))
+        assert _rates(constant, 0.5, "weighted") == pytest.approx(
+            _rates(constant, 0.5, "unweighted"), abs=1e-12
         )
 
     def test_values_stay_in_unit_interval(self, rng):
@@ -176,9 +160,8 @@ class TestSensitivitySpecificity:
             if y.min() == y.max():
                 continue
             evaluation = make_evaluation(y, rng.random(n), rng.uniform(0.1, 50, n))
-            tally = tally_confusion(evaluation, float(rng.random()))
-            assert 0.0 <= sensitivity(tally, "weighted").value <= 1.0
-            assert 0.0 <= specificity(tally, "weighted").value <= 1.0
+            sn, sp = _rates(evaluation, float(rng.random()), "weighted")
+            assert 0.0 <= sn <= 1.0 and 0.0 <= sp <= 1.0
 
 
 # Scores drawn from a coarse set force ties; weights from a short list repeat.
@@ -191,8 +174,7 @@ _engine_records = st.lists(
     min_size=1,
     max_size=40,
 )
-_COUNT_CELLS = ("tp", "tn", "fp", "fn")
-_WEIGHTED_CELLS = ("nhat_tp", "nhat_tn", "nhat_fp", "nhat_fn")
+_CELLS = ("tp", "tn", "fp", "fn")
 
 
 class TestConfusionEngine:
@@ -202,54 +184,49 @@ class TestConfusionEngine:
     @given(data=_engine_records, extra=st.lists(st.floats(0.0, 1.0), max_size=5))
     def test_array_tally_matches_per_threshold_reference(self, data, extra):
         """Thresholds cover 0, 1, every observed score exactly and a few
-        arbitrary values.  Counts match bit-exactly; weighted totals to
-        1e-12 of the total weight."""
+        arbitrary values.  Unit-weight totals (counts) match bit-exactly;
+        weighted totals to 1e-12 of the total weight."""
         y, s, w = (list(col) for col in zip(*data))
         thresholds = np.array(sorted({0.0, 1.0, *s, *extra}))
         evaluation = make_evaluation(y, s, w)
+        units = estimator_set(evaluation, "unweighted")
         tally = tally_confusion(evaluation, thresholds)
+        counts = tally_confusion(units, thresholds)
         tolerance = 1e-12 * math.fsum(w)
         for i, t in enumerate(thresholds.tolist()):
             ref = brute_force_tally(y, s, w, t)
-            for cell in _COUNT_CELLS:
-                assert getattr(tally, cell)[i] == ref[cell], (cell, t)
-            for cell in _WEIGHTED_CELLS:
+            ref_counts = brute_force_tally(y, s, [1.0] * len(y), t)
+            for cell in _CELLS:
+                assert getattr(counts, cell)[i] == ref_counts[cell], (cell, t)
                 assert getattr(tally, cell)[i] == pytest.approx(ref[cell], abs=tolerance)
-            scalar = tally_confusion(evaluation, t)
-            for cell in _COUNT_CELLS + _WEIGHTED_CELLS:
-                value = getattr(scalar, cell)
-                assert type(value) is (int if cell in _COUNT_CELLS else float)
-                assert value == getattr(tally, cell)[i]
+            for scalar, array in ((tally_confusion(evaluation, t), tally),
+                                  (tally_confusion(units, t), counts)):
+                for cell in _CELLS:
+                    value = getattr(scalar, cell)
+                    assert type(value) is float
+                    assert value == getattr(array, cell)[i]
 
     @settings(max_examples=100, deadline=None)
     @given(data=_engine_records.filter(lambda d: len({y for y, _, _ in d}) == 2))
     def test_rates_match_reference_ratios(self, data):
-        """Unweighted rates are the same count ratios bit for bit; weighted
+        """Unweighted rates are the count ratios bit for bit; weighted
         rates agree to 1e-12."""
         y, s, w = (list(col) for col in zip(*data))
         thresholds = np.array(sorted({0.0, 1.0, *s}))
-        tally = tally_confusion(make_evaluation(y, s, w), thresholds)
+        evaluation = make_evaluation(y, s, w)
+        tally = tally_confusion(evaluation, thresholds)
+        counts = tally_confusion(estimator_set(evaluation, "unweighted"), thresholds)
         for i, t in enumerate(thresholds.tolist()):
+            tp, tn, fp, fn = confusion_counts(y, [v >= t for v in s])
+            assert confusion_rate(counts, "sensitivity")[i] == tp / (tp + fn)
+            assert confusion_rate(counts, "specificity")[i] == tn / (tn + fp)
             ref = brute_force_tally(y, s, w, t)
-            assert confusion_rate(tally, "sensitivity", "unweighted")[i] == ref["tp"] / (
-                ref["tp"] + ref["fn"]
-            )
-            assert confusion_rate(tally, "specificity", "unweighted")[i] == ref["tn"] / (
-                ref["tn"] + ref["fp"]
-            )
-            sn = ref["nhat_tp"] / (ref["nhat_tp"] + ref["nhat_fn"])
-            sp = ref["nhat_tn"] / (ref["nhat_tn"] + ref["nhat_fp"])
-            assert confusion_rate(tally, "sensitivity", "weighted")[i] == pytest.approx(
-                sn, abs=1e-12
-            )
-            assert confusion_rate(tally, "specificity", "weighted")[i] == pytest.approx(
-                sp, abs=1e-12
-            )
+            sn = ref["tp"] / (ref["tp"] + ref["fn"])
+            sp = ref["tn"] / (ref["tn"] + ref["fp"])
+            assert confusion_rate(tally, "sensitivity")[i] == pytest.approx(sn, abs=1e-12)
+            assert confusion_rate(tally, "specificity")[i] == pytest.approx(sp, abs=1e-12)
             truth_sn, truth_sp = population_truth(np.array(y), np.array(s), t)
-            assert (truth_sn.value, truth_sp.value) == (
-                ref["tp"] / (ref["tp"] + ref["fn"]),
-                ref["tn"] / (ref["tn"] + ref["fp"]),
-            )
+            assert (truth_sn.value, truth_sp.value) == (tp / (tp + fn), tn / (tn + fp))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -262,13 +239,14 @@ class TestConfusionEngine:
         s, w = (list(col) for col in zip(*data))
         y = [label] * len(s)
         thresholds = np.array([0.0, 0.5, 1.0])
-        tally = tally_confusion(make_evaluation(y, s, w), thresholds)
+        evaluation = make_evaluation(y, s, w)
         missing = "specificity" if label == 1 else "sensitivity"
         present = "sensitivity" if label == 1 else "specificity"
         for weighting in ("weighted", "unweighted"):
-            assert np.all(confusion_rate(tally, present, weighting) >= 0.0)
+            tally = tally_confusion(estimator_set(evaluation, weighting), thresholds)
+            assert np.all(confusion_rate(tally, present) >= 0.0)
             with pytest.raises(UndefinedMetricError):
-                confusion_rate(tally, missing, weighting)
+                confusion_rate(tally, missing)
         with pytest.raises(UndefinedMetricError):
             population_truth(np.array(y), np.array(s), 0.5)
 
@@ -276,9 +254,11 @@ class TestConfusionEngine:
         """Scores 0.5 x3 with mixed labels: t = 0.5 takes the whole block as
         positive, and any t just above it takes none of it."""
         evaluation = make_evaluation([1, 0, 1, 0], [0.5, 0.5, 0.5, 0.2], [1.0, 2.0, 3.0, 4.0])
-        tally = tally_confusion(evaluation, np.array([0.5, np.nextafter(0.5, 1.0)]))
-        assert tally.tp.tolist() == [2, 0] and tally.fp.tolist() == [1, 0]
-        assert tally.nhat_tp.tolist() == [4.0, 0.0] and tally.nhat_fp.tolist() == [2.0, 0.0]
+        thresholds = np.array([0.5, np.nextafter(0.5, 1.0)])
+        tally = tally_confusion(evaluation, thresholds)
+        counts = tally_confusion(estimator_set(evaluation, "unweighted"), thresholds)
+        assert counts.tp.tolist() == [2, 0] and counts.fp.tolist() == [1, 0]
+        assert tally.tp.tolist() == [4.0, 0.0] and tally.fp.tolist() == [2.0, 0.0]
 
 
 class TestDesignUnbiasednessOfTallies:
@@ -302,7 +282,7 @@ class TestDesignUnbiasednessOfTallies:
                 [y[i] for i in rows], [scores[i] for i in rows], [2.5, 2.5]
             )
             tally = tally_confusion(evaluation, 0.5)
-            totals += (tally.nhat_tp, tally.nhat_fn, tally.nhat_tn, tally.nhat_fp)
+            totals += (tally.tp, tally.fn, tally.tn, tally.fp)
         means = totals / len(samples)
         assert means[0] == pytest.approx(n_tp, abs=1e-12)
         assert means[1] == pytest.approx(n_fn, abs=1e-12)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     brute_force_tally,
+    confusion_counts,
     evaluation_summary_two_tallies,
     make_evaluation,
     population_summary_per_row,
@@ -173,15 +174,23 @@ class TestRocSweep:
         unweighted = roc_sweep(evaluation, grid, "unweighted")
         weighted = roc_sweep(evaluation, grid, "weighted")
         for i, t in enumerate(grid.tolist()):
+            counts = brute_force_tally(y, s, [1.0] * len(y), t)
             ref = brute_force_tally(y, s, w, t)
-            assert unweighted.sensitivity[i] == ref["tp"] / (ref["tp"] + ref["fn"])
-            assert unweighted.specificity[i] == ref["tn"] / (ref["tn"] + ref["fp"])
+            assert unweighted.sensitivity[i] == counts["tp"] / (counts["tp"] + counts["fn"])
+            assert unweighted.specificity[i] == counts["tn"] / (counts["tn"] + counts["fp"])
             assert weighted.sensitivity[i] == pytest.approx(
-                ref["nhat_tp"] / (ref["nhat_tp"] + ref["nhat_fn"]), abs=1e-12
+                ref["tp"] / (ref["tp"] + ref["fn"]), abs=1e-12
             )
             assert weighted.specificity[i] == pytest.approx(
-                ref["nhat_tn"] / (ref["nhat_tn"] + ref["nhat_fp"]), abs=1e-12
+                ref["tn"] / (ref["tn"] + ref["fp"]), abs=1e-12
             )
+
+    def test_population_truth_is_not_an_estimator_weighting(self):
+        """A census truth is no weighting of a test split: the sweep refuses
+        it rather than drawing one of the estimators' curves under its name."""
+        evaluation = make_evaluation([1, 1, 0, 0], [0.9, 0.2, 0.6, 0.1], [1.0, 5.0, 1.0, 3.0])
+        with pytest.raises(DataValidationError, match="unknown weighting 'population-truth'"):
+            roc_sweep(evaluation, uniform_grid(11), "population-truth")
 
     def test_one_tally_per_sweep_and_per_summary(self, monkeypatch, rng):
         """An exact-grid sweep tallies once whatever its size; a summary
@@ -332,7 +341,7 @@ class TestPopulationSummary:
         if isinstance(expected, tuple):
             assert got == expected
             return
-        for cell in ("nhat_tp", "nhat_tn", "nhat_fp", "nhat_fn", "tp", "tn", "fp", "fn"):
+        for cell in ("tp", "tn", "fp", "fn"):
             assert getattr(got, cell).tobytes() == getattr(expected, cell).tobytes(), cell
 
     def test_point_count_grid_makes_no_sort(self, monkeypatch, rng):
@@ -397,6 +406,58 @@ class TestEvaluationSummary:
             return
         assert json.dumps(got.to_json_dict()) == json.dumps(expected.to_json_dict())
         assert np.float64(got.auroc.value).tobytes() == np.float64(expected.auroc.value).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        records=st.lists(
+            st.tuples(
+                st.integers(0, 1),
+                st.sampled_from([0.0, 0.3, 0.5, 1.0]) | st.floats(0, 1),
+                st.sampled_from([0.5, 1.0, 40.0]) | st.floats(0.01, 1000),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        thresholds=st.lists(st.sampled_from([0.0, 0.3, 0.5, 1.0]) | st.floats(0, 1), max_size=4),
+        grid=st.sampled_from(["exact", 2, 11, 101]),
+    )
+    def test_unweighted_is_weighted_on_unit_weights(self, records, thresholds, grid):
+        """The unweighted summary of a set is the weighted summary of its
+        unit-weight copy, every value and SE bit for bit, and its rates are
+        the record-by-record count ratios; only the weighting labels differ."""
+        y, s, w = (list(col) for col in zip(*records))
+        got = _outcome(evaluation_summary, make_evaluation(y, s, w), thresholds, grid,
+                       "unweighted")
+        expected = _outcome(evaluation_summary, make_evaluation(y, s, [1.0] * len(y)),
+                            thresholds, grid, "weighted")
+        if isinstance(expected, tuple):
+            assert got == expected
+            return
+        assert (got.weighting, expected.weighting) == ("unweighted", "weighted")
+
+        def exact(metric):
+            se = metric.standard_error
+            return (metric.kind, np.float64(metric.value).tobytes(),
+                    None if se is None else np.float64(se).tobytes())
+
+        assert exact(got.auroc) == exact(expected.auroc)
+        assert len(got.at_thresholds) == len(expected.at_thresholds) == len(thresholds)
+        for t, mine, theirs in zip(thresholds, got.at_thresholds, expected.at_thresholds):
+            assert mine.threshold == theirs.threshold == t
+            for kind in ("sensitivity", "specificity"):
+                assert getattr(mine, kind).weighting == "unweighted"
+                assert exact(getattr(mine, kind)) == exact(getattr(theirs, kind))
+            tp, tn, fp, fn = confusion_counts(y, [v >= t for v in s])
+            assert mine.sensitivity.value == tp / (tp + fn)
+            assert mine.specificity.value == tn / (tn + fp)
+
+    def test_population_truth_is_not_an_estimator_weighting(self):
+        """A census truth is no weighting of a test split: the summary
+        refuses it rather than mixing the unweighted rates with the weighted
+        standard errors."""
+        evaluation = make_evaluation([1, 1, 0, 0], [0.9, 0.2, 0.6, 0.1], [1.0, 5.0, 1.0, 3.0])
+        with pytest.raises(DataValidationError, match="unknown weighting 'population-truth'"):
+            evaluation_summary(evaluation, (0.5,), 11, "population-truth")
 
     @pytest.mark.parametrize("threshold", [np.nan, -0.1, 1.5])
     def test_threshold_outside_unit_interval_rejected(self, threshold):

@@ -636,7 +636,7 @@ class TestDesignBiasInvariants:
         truth_sn = float(
             np.sum((scores >= 0.5) & (y == 1)) / np.sum(y == 1)
         )
-        from svymetrics.estimation import sensitivity, tally_confusion
+        from svymetrics.estimation import confusion_rate, tally_confusion
         from svymetrics.sampling import StratifiedDesign, split_train_test, stratified_sample
 
         index_by_id = population.index_by_id
@@ -659,7 +659,7 @@ class TestDesignBiasInvariants:
                     outcomes=y[rows],
                     scores=scores[rows],
                 )
-                est = sensitivity(tally_confusion(eset, 0.5), "weighted").value
+                est = float(confusion_rate(tally_confusion(eset, 0.5), "sensitivity"))
                 errors.append(est - truth_sn)
             rmse.append(float(np.sqrt(np.mean(np.square(errors)))))
         assert rmse[0] > rmse[1] > rmse[2]

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -260,11 +261,9 @@ class TestEvaluationSet:
 
 class TestConfusionTally:
     def test_totals(self):
-        tally = ConfusionTally(
-            nhat_tp=2.0, nhat_tn=5.0, nhat_fp=1.0, nhat_fn=3.0, tp=1, tn=1, fp=1, fn=1
-        )
-        assert tally.count == 4
-        assert tally.nhat_tp + tally.nhat_tn + tally.nhat_fp + tally.nhat_fn == pytest.approx(11.0)
+        tally = ConfusionTally(tp=2.0, tn=5.0, fp=1.0, fn=3.0)
+        assert [f.name for f in dataclasses.fields(tally)] == ["tp", "tn", "fp", "fn"]
+        assert tally.tp + tally.tn + tally.fp + tally.fn == 11.0
 
 
 class TestMetricResult:

@@ -76,6 +76,20 @@ def test_every_step_is_named_and_the_script_only_ones_exist():
     assert names and all(names) and SCRIPT_ONLY <= set(names)
 
 
+def test_no_step_joins_a_test_to_another_command_with_and():
+    """Under ``bash -e`` a failing command before the last ``&&`` of a list
+    does not stop the step, so a ``test`` joined by ``&&`` can fail
+    unseen.  Each check stands on its own line."""
+    joined = [
+        (name, line.strip())
+        for name, body in workflow_steps(WORKFLOW.read_text())
+        for line in body.splitlines()
+        if "&&" in line
+        and any(part.split()[:1] in (["test"], ["["]) for part in line.split("&&"))
+    ]
+    assert joined == []
+
+
 def _tools(bin_dir: Path) -> None:
     """A ``svymetrics`` command and a ``python3`` in ``bin_dir``."""
     bin_dir.mkdir()
