@@ -24,7 +24,7 @@ from .estimation import (
     tally_confusion,
     weight_diagnostics,
 )
-from .evaluation import EvaluationSummary, ThresholdMetrics, evaluation_summary
+from .evaluation import EvaluationSummary, evaluation_summary
 from .rng import derive_stream, stream_seed
 from .roc import RocCurve, auroc, roc_sweep, score_adapted_grid, uniform_grid
 from .sampling import StratifiedDesign, split_train_test, stratified_sample
@@ -32,7 +32,6 @@ from .types import (
     ConfusionTally,
     EvaluationSet,
     FinitePopulation,
-    MetricResult,
     Record,
     SurveySample,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "EvaluationSet",
     "EvaluationSummary",
     "FinitePopulation",
-    "MetricResult",
     "NonConvergenceError",
     "NumericalError",
     "Record",
@@ -58,7 +56,6 @@ __all__ = [
     "StratifiedDesign",
     "SurveySample",
     "SvymetricsError",
-    "ThresholdMetrics",
     "UndefinedMetricError",
     "auroc",
     "derive_stream",

@@ -20,7 +20,7 @@ import numpy as np
 from .classifiers import load_model, save_model
 from .errors import DataValidationError, NumericalError, SchemaError
 from .estimation import weight_diagnostics
-from .evaluation import evaluation_summary, parse_grid, resolve_grid
+from .evaluation import evaluation_summary, parse_grid, resolve_grid, threshold_label
 from .io import (
     DataSchema,
     FeatureColumn,
@@ -47,7 +47,6 @@ from .simulation import (
     render_summary_json,
     replicate_rows,
     run_experiment,
-    threshold_label,
 )
 from .types import EvaluationSet
 

@@ -18,7 +18,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .errors import DataValidationError, UndefinedMetricError
-from .types import ConfusionTally, EvaluationSet, MetricResult
+from .types import ConfusionTally, EvaluationSet
 
 EstimatorWeighting = Literal["weighted", "unweighted"]
 
@@ -157,7 +157,7 @@ def ratio_standard_error(
 
 def population_truth(
     outcomes: np.ndarray, scores: np.ndarray, threshold: float
-) -> tuple[MetricResult, MetricResult]:
+) -> tuple[float, float]:
     """Finite-population sensitivity and specificity by direct count.
 
     Applies the classifier's scores to every record of the population with
@@ -170,11 +170,7 @@ def population_truth(
         raise DataValidationError("outcomes and scores must be aligned non-empty vectors")
     positive = (y == 1).astype(np.float64)
     tally = tally_counts(s, positive, 1.0 - positive, threshold)
-    sn, sp = (
-        MetricResult(float(confusion_rate(tally, kind)), kind, "population-truth")
-        for kind in ("sensitivity", "specificity")
-    )
-    return sn, sp
+    return tuple(float(confusion_rate(tally, kind)) for kind in ("sensitivity", "specificity"))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ that printed tables and replicate reports come from one code path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -25,53 +25,58 @@ from .roc import RocCurve, auroc, score_adapted_grid, uniform_grid
 
 # No caller here; re-exported because perfbench's tracer swaps this name.
 from .roc import roc_sweep  # noqa: F401
-from .types import EvaluationSet, MetricResult, Weighting
+from .types import EvaluationSet
+
+Weighting = Literal["weighted", "unweighted", "population-truth"]
 
 
-@dataclass(frozen=True)
-class ThresholdMetrics:
-    threshold: float
-    sensitivity: MetricResult
-    specificity: MetricResult
+def threshold_label(threshold: float) -> str:
+    """``threshold`` as ``:g`` writes it when that reads back exactly, else
+    its repr, so two distinct thresholds never share a label."""
+    text = f"{threshold:g}"
+    return text if float(text) == threshold else repr(threshold)
+
+
+def metric_key(kind: str, threshold: float | None = None) -> str:
+    return kind if threshold is None else f"{kind}@{threshold_label(threshold)}"
 
 
 @dataclass(frozen=True)
 class EvaluationSummary:
-    """Sensitivity/specificity at each requested threshold, plus AUROC."""
+    """Sensitivity and specificity at each fixed threshold, plus AUROC.
+
+    ``thresholds`` are the fixed thresholds in the order given, repeats
+    kept.  ``metrics`` maps each :func:`metric_key` to its (value, standard
+    error or None): each threshold's sensitivity, then its specificity,
+    then ``"auroc"`` last.
+    """
 
     weighting: Weighting
-    at_thresholds: tuple[ThresholdMetrics, ...]
-    auroc: MetricResult
+    thresholds: tuple[float, ...]
+    metrics: dict[str, tuple[float, float | None]]
 
     def to_json_dict(self) -> dict:
-        return {
-            "weighting": self.weighting,
-            "thresholds": [
-                {
-                    "threshold": tm.threshold,
-                    "sensitivity": tm.sensitivity.value,
-                    "sensitivity_se": tm.sensitivity.standard_error,
-                    "specificity": tm.specificity.value,
-                    "specificity_se": tm.specificity.standard_error,
-                }
-                for tm in self.at_thresholds
-            ],
-            "auroc": self.auroc.value,
-        }
+        rows = []
+        for t in self.thresholds:
+            row = {"threshold": t}
+            for kind in ("sensitivity", "specificity"):
+                row[kind], row[f"{kind}_se"] = self.metrics[metric_key(kind, t)]
+            rows.append(row)
+        return {"weighting": self.weighting, "thresholds": rows, "auroc": self.metrics["auroc"][0]}
 
 
 def parse_grid(value, what: str) -> int | str:
     """A grid request as given: ``"exact"``, or any other value as ``int()``
-    reads it (a JSON boolean excepted).  A value ``int()`` refuses is a
-    SchemaError, and a count below 2 a DataValidationError, each naming
-    ``what``."""
+    reads it (a JSON boolean or a fractional number excepted).  A value
+    refused is a SchemaError, and a count below 2 a DataValidationError,
+    each naming ``what``."""
     if value == "exact":
         return "exact"
     try:
         points = int(value)
     except (TypeError, ValueError, OverflowError):
         points = None
-    if points is None or isinstance(value, bool):
+    if points is None or isinstance(value, bool) or isinstance(value, float) and points != value:
         raise SchemaError(f"{what}: expected 'exact' or a point count, got {value!r}")
     if points < 2:
         raise DataValidationError(f"{what} must be 'exact' or a point count >= 2, got {points}")
@@ -139,17 +144,14 @@ def _summary(tally, thresholds, grid, weighting, tallied) -> EvaluationSummary:
     under the grid's curve.
     """
     k = len(thresholds)
-    sens = confusion_rate(tally, "sensitivity")
-    spec = confusion_rate(tally, "specificity")
-
-    def metric(value, kind, t):
-        se = None if tallied is None else ratio_standard_error(tallied, t, kind)
-        return MetricResult(value, kind, weighting, se)
-
-    rows = tuple(
-        ThresholdMetrics(float(t), metric(sn, "sensitivity", t), metric(sp, "specificity", t))
-        for t, sn, sp in zip(thresholds, sens[:k].tolist(), spec[:k].tolist())
-    )
-    curve = RocCurve(thresholds=grid, sensitivity=sens[k:], specificity=spec[k:])
-    area = MetricResult(value=auroc(curve), kind="auroc", weighting=weighting)
-    return EvaluationSummary(weighting=weighting, at_thresholds=rows, auroc=area)
+    rates = {kind: confusion_rate(tally, kind) for kind in ("sensitivity", "specificity")}
+    thresholds = tuple(map(float, thresholds))
+    metrics = {}
+    for i, t in enumerate(thresholds):
+        for kind, rate in rates.items():
+            se = None if tallied is None else ratio_standard_error(tallied, t, kind)
+            metrics[metric_key(kind, t)] = (rate[i].item(), se)
+    curve = RocCurve(thresholds=grid, sensitivity=rates["sensitivity"][k:],
+                     specificity=rates["specificity"][k:])
+    metrics["auroc"] = (auroc(curve), None)
+    return EvaluationSummary(weighting=weighting, thresholds=thresholds, metrics=metrics)

@@ -341,10 +341,10 @@ def from_json(hint, value):
     """Read a JSON value as the field type ``hint``.
 
     Numbers go through ``int()`` or ``float()``, but a JSON boolean is no
-    number; a ``bool`` must be a JSON boolean and a ``str`` a string.  A
-    dataclass with a ``from_json_dict`` classmethod reads itself, any
-    other is read field by field, and a union of
-    dataclasses takes the member whose class-level ``kind`` the object
+    number and a fractional number no ``int``; a ``bool`` must be a JSON
+    boolean and a ``str`` a string.  A dataclass with a ``from_json_dict``
+    classmethod reads itself, any other is read field by field, and a union
+    of dataclasses takes the member whose class-level ``kind`` the object
     names.  Any other union of several types, and a bare ``dict``, pass as
     given.
     """
@@ -382,7 +382,10 @@ def from_json(hint, value):
     if hint in (int, float):
         if isinstance(value, bool):
             raise SchemaError("expected a number, got bool")
-        return hint(value)
+        number = hint(value)
+        if hint is int and isinstance(value, float) and number != value:
+            raise SchemaError(f"expected an integer, got {value!r}")
+        return number
     return value
 
 

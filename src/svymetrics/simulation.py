@@ -117,9 +117,11 @@ class PopulationSpec:
                     f"unknown population preset {preset!r}; "
                     f"expected one of {', '.join(POPULATION_PRESETS)}"
                 )
-            return POPULATION_PRESETS[preset](
-                size=int(payload.get("size", DEFAULT_EXPERIMENT_POPULATION_SIZE))
-            )
+            try:
+                size = from_json(int, payload.get("size", DEFAULT_EXPERIMENT_POPULATION_SIZE))
+            except SchemaError as exc:
+                raise SchemaError(f"size: {exc}") from exc
+            return POPULATION_PRESETS[preset](size=size)
         covariates = payload.get("covariates")
         if isinstance(covariates, list):
             strata = from_json(tuple[str, ...], payload.get("strata", []))
@@ -355,8 +357,8 @@ class ExperimentSpec:
         object.__setattr__(self, "design_allocations", dict(self.design_allocations))
         if self.seed < 0:
             raise DataValidationError(f"seed must be non-negative, got {self.seed}")
-        if self.replicates < 1:
-            raise DataValidationError("replicates must be >= 1")
+        if self.replicates < 2:  # the aggregate needs two per classifier
+            raise DataValidationError(f"replicates must be >= 2, got {self.replicates}")
         if (self.population is None) == (self.population_file is None):
             raise DataValidationError(
                 "exactly one of population / population_file must be given"
@@ -651,27 +653,6 @@ class ExperimentSummary:
         return to_json(self)
 
 
-def threshold_label(threshold: float) -> str:
-    """``threshold`` as ``:g`` writes it when that reads back exactly, else
-    its repr, so two distinct thresholds never share a label."""
-    text = f"{threshold:g}"
-    return text if float(text) == threshold else repr(threshold)
-
-
-def metric_key(kind: str, threshold: float | None = None) -> str:
-    return kind if threshold is None else f"{kind}@{threshold_label(threshold)}"
-
-
-def metric_values(summary: EvaluationSummary) -> dict[str, tuple[float, float | None]]:
-    """Map each metric key of a summary to its (value, standard error)."""
-    out: dict[str, tuple[float, float | None]] = {}
-    for tm in summary.at_thresholds:
-        for metric in (tm.sensitivity, tm.specificity):
-            out[metric_key(metric.kind, tm.threshold)] = (metric.value, metric.standard_error)
-    out[metric_key("auroc")] = (summary.auroc.value, summary.auroc.standard_error)
-    return out
-
-
 def replicate_rows(reports: Sequence[ReplicateReport]) -> list[list]:
     """Rows of the per-replicate dump: replicate, classifier, weighting,
     metric, value and standard error (as ``repr``; "" for none), or a
@@ -683,7 +664,7 @@ def replicate_rows(reports: Sequence[ReplicateReport]) -> list[list]:
                 rows.append([rep.index, outcome.name, "failure", outcome.error, "", ""])
                 continue
             for weighting in ("population", "weighted", "unweighted"):
-                for key, (value, se) in metric_values(getattr(outcome, weighting)).items():
+                for key, (value, se) in getattr(outcome, weighting).metrics.items():
                     rows.append([rep.index, outcome.name, weighting, key, repr(value),
                                  "" if se is None else repr(se)])
     return rows
@@ -720,7 +701,7 @@ def aggregate(
         by_weighting: dict = {}
         for weighting in ("population", "weighted", "unweighted"):
             rows: dict[str, MetricAggregate] = {}
-            per_rep = [metric_values(getattr(rep, weighting)) for rep in successes]
+            per_rep = [getattr(rep, weighting).metrics for rep in successes]
             for key in per_rep[0]:
                 values = np.array([pr[key][0] for pr in per_rep])
                 ses = [pr[key][1] for pr in per_rep if pr[key][1] is not None]

@@ -1,4 +1,4 @@
-"""Core domain types: populations, samples, evaluation sets, and metric results.
+"""Core domain types: populations, samples, evaluation sets and confusion tallies.
 
 All types are immutable after construction and safe to share across
 concurrent tasks.  Identifiers are opaque strings throughout; numeric ids
@@ -14,15 +14,12 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from typing import Literal
 
 import numpy as np
 
 from .errors import DataValidationError
 
 FeatureValue = float | str
-MetricKind = Literal["sensitivity", "specificity", "auroc"]
-Weighting = Literal["weighted", "unweighted", "population-truth"]
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -286,23 +283,3 @@ class ConfusionTally:
     tn: float
     fp: float
     fn: float
-
-
-@dataclass(frozen=True)
-class MetricResult:
-    """A single metric value with optional standard error.
-
-    Undefined metrics are never encoded as a value; operations raise
-    :class:`~svymetrics.errors.UndefinedMetricError` instead.
-    """
-
-    value: float
-    kind: MetricKind
-    weighting: Weighting
-    standard_error: float | None = None
-
-    def __post_init__(self):
-        if not (0.0 <= self.value <= 1.0):
-            raise DataValidationError(f"metric value {self.value} outside [0, 1]")
-        if self.standard_error is not None and self.standard_error < 0:
-            raise DataValidationError("standard error must be non-negative")

@@ -21,10 +21,10 @@ from hypothesis import strategies as st
 from svymetrics.classifiers.tree import FlatTree, _fold_codes, _split_score, _split_threshold
 from svymetrics.errors import DataValidationError, SchemaError
 from svymetrics.estimation import confusion_rate, ratio_standard_error, tally_confusion
-from svymetrics.evaluation import EvaluationSummary, ThresholdMetrics, resolve_grid
+from svymetrics.evaluation import EvaluationSummary, metric_key, resolve_grid
 from svymetrics.io import LoadReport
 from svymetrics.roc import RocCurve, auroc, roc_sweep
-from svymetrics.types import EvaluationSet, FinitePopulation, MetricResult
+from svymetrics.types import EvaluationSet, FinitePopulation
 
 
 def code_labels(labels: Iterable[str], count: int) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -404,17 +404,13 @@ def population_summary_per_row(truth, thresholds, grid):
     tally = tally_confusion(truth, np.concatenate([np.asarray(thresholds, dtype=np.float64), g]))
     sens = confusion_rate(tally, "sensitivity")
     spec = confusion_rate(tally, "specificity")
-    rows = tuple(
-        ThresholdMetrics(
-            threshold=t,
-            sensitivity=MetricResult(sn, "sensitivity", "population-truth"),
-            specificity=MetricResult(sp, "specificity", "population-truth"),
-        )
-        for t, sn, sp in zip(thresholds, sens[:k].tolist(), spec[:k].tolist())
-    )
+    metrics = {}
+    for t, sn, sp in zip(thresholds, sens[:k].tolist(), spec[:k].tolist()):
+        metrics[metric_key("sensitivity", t)] = (sn, None)
+        metrics[metric_key("specificity", t)] = (sp, None)
     curve = RocCurve(thresholds=g, sensitivity=sens[k:], specificity=spec[k:])
-    area = MetricResult(value=auroc(curve), kind="auroc", weighting="population-truth")
-    return EvaluationSummary(weighting="population-truth", at_thresholds=rows, auroc=area)
+    metrics["auroc"] = (auroc(curve), None)
+    return EvaluationSummary("population-truth", tuple(map(float, thresholds)), metrics)
 
 
 def evaluation_summary_two_tallies(evaluation, thresholds, grid, weighting):
@@ -429,21 +425,13 @@ def evaluation_summary_two_tallies(evaluation, thresholds, grid, weighting):
     tally = tally_confusion(tallied, np.asarray(thresholds, dtype=np.float64))
     sens = confusion_rate(tally, "sensitivity").tolist()
     spec = confusion_rate(tally, "specificity").tolist()
-    rows = tuple(
-        ThresholdMetrics(
-            threshold=float(t),
-            sensitivity=MetricResult(
-                sn, "sensitivity", weighting, ratio_standard_error(tallied, t, "sensitivity")
-            ),
-            specificity=MetricResult(
-                sp, "specificity", weighting, ratio_standard_error(tallied, t, "specificity")
-            ),
-        )
-        for t, sn, sp in zip(thresholds, sens, spec)
-    )
+    metrics = {}
+    for t, sn, sp in zip(thresholds, sens, spec):
+        for kind, value in (("sensitivity", sn), ("specificity", sp)):
+            metrics[metric_key(kind, t)] = (value, ratio_standard_error(tallied, t, kind))
     curve = roc_sweep(evaluation, resolve_grid(grid, evaluation.scores), weighting)
-    area = MetricResult(value=auroc(curve), kind="auroc", weighting=weighting)
-    return EvaluationSummary(weighting=weighting, at_thresholds=rows, auroc=area)
+    metrics["auroc"] = (auroc(curve), None)
+    return EvaluationSummary(weighting, tuple(map(float, thresholds)), metrics)
 
 
 def enumerate_stratified_samples(ids_by_stratum, allocations):

@@ -155,11 +155,9 @@ def test_criterion_3_constant_weight_reduction():
             evaluation_summary(evaluation, (0.5,), "exact", weighting)
             for weighting in ("weighted", "unweighted")
         )
-        (w_at,), (u_at,) = weighted.at_thresholds, unweighted.at_thresholds
         gaps = [
-            abs(w_at.sensitivity.value - u_at.sensitivity.value),
-            abs(w_at.specificity.value - u_at.specificity.value),
-            abs(weighted.auroc.value - unweighted.auroc.value),
+            abs(weighted.metrics[key][0] - unweighted.metrics[key][0])
+            for key in ("sensitivity@0.5", "specificity@0.5", "auroc")
         ]
         worst = max(worst, *gaps)
         done += 1
@@ -239,12 +237,10 @@ def test_criterion_7_variance_calibration(crit4_run):
         estimates, ses, truths = [], [], []
         for rep in result.reports:
             report = rep.outcomes[0]
-            tm = getattr(report.weighted.at_thresholds[0], metric)
-            estimates.append(tm.value)
-            ses.append(tm.standard_error)
-            truths.append(
-                getattr(report.population.at_thresholds[0], metric).value
-            )
+            estimate, se = report.weighted.metrics[f"{metric}@0.5"]
+            estimates.append(estimate)
+            ses.append(se)
+            truths.append(report.population.metrics[f"{metric}@0.5"][0])
         estimates = np.asarray(estimates)
         ses = np.asarray(ses, dtype=np.float64)
         mc_sd = float(estimates.std(ddof=1))

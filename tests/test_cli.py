@@ -124,9 +124,9 @@ class TestSplitTrainPredictEvaluate:
         )
         expected = evaluation_summary(eset, (0.5,), 101, "weighted")
         got = report["weighted"]["thresholds"][0]
-        assert got["sensitivity"] == expected.at_thresholds[0].sensitivity.value
-        assert got["specificity"] == expected.at_thresholds[0].specificity.value
-        assert report["weighted"]["auroc"] == expected.auroc.value
+        assert got["sensitivity"] == expected.metrics["sensitivity@0.5"][0]
+        assert got["specificity"] == expected.metrics["specificity@0.5"][0]
+        assert report["weighted"]["auroc"] == expected.metrics["auroc"][0]
 
     def test_split_writes_compound_weight_column(self, tmp_path, survey_csv, schema_file):
         eval_csv = tmp_path / "eval.csv"
@@ -717,17 +717,78 @@ class TestSimulateCommand:
             "(schema without weight column)\n"
         )
 
-    def test_fractional_m_try_reads_as_int(self, tmp_path, capsys):
-        """``m_try`` 2.5 reads as 2, as ``trees`` 2.5 does, and is echoed as 2."""
-        payload = json.loads(self._spec_file(tmp_path).read_text())
-        payload["classifiers"] = [{"kind": "forest", "trees": 3, "m_try": 2.5}]
-        spec = tmp_path / "forest.json"
-        spec.write_text(json.dumps(payload))
-        assert _run(["simulate", spec, "--json", tmp_path / "s.json"]) == 0
-        echoed = json.loads((tmp_path / "s.json").read_text())["experiment"]["classifiers"][0]
-        assert type(echoed["m_try"]) is int and echoed["m_try"] == 2
+    # Where each integer field sits in a spec with a 3-tree forest and a
+    # preset population.
+    _INTEGER_FIELDS = {
+        "seed": ("seed",),
+        "replicates": ("replicates",),
+        "allocations": ("design", "allocations", "18-25"),
+        "trees": ("classifiers", 0, "trees"),
+        "m_try": ("classifiers", 0, "m_try"),
+        "auroc_grid": ("auroc_grid",),
+        "size": ("population", "size"),
+    }
 
-    @pytest.mark.parametrize("given, ran", [(2.7, 2), ("101", 101)])
+    def _integer_field_spec(self, tmp_path, numbers):
+        """A spec file with each integer field ``key`` of ``numbers`` set."""
+        payload = json.loads(self._spec_file(tmp_path).read_text())
+        payload["classifiers"] = [{"kind": "forest", "trees": 3, "m_try": 2}]
+        payload["population"] = {"preset": "experiment", "size": 3000}
+        for key, value in numbers.items():
+            *parents, last = self._INTEGER_FIELDS[key]
+            parent = payload
+            for step in parents:
+                parent = parent[step]
+            parent[last] = value
+        spec = tmp_path / "numbers.json"
+        spec.write_text(json.dumps(payload))
+        return spec
+
+    @pytest.mark.parametrize("key, value", [
+        ("seed", 7.9), ("replicates", 2.5), ("allocations", 40.7), ("trees", 3.9),
+        ("m_try", 2.5), ("auroc_grid", 11.5), ("size", 3000.9), ("size", True),
+    ])
+    def test_fractional_integer_field_is_one_line_data_error(self, tmp_path, capsys, key, value):
+        """``int()`` would truncate the number, and read ``true`` as 1."""
+        spec = self._integer_field_spec(tmp_path, {key: value})
+        out = tmp_path / "summary.json"
+        err = _one_line_data_error(capsys, _run(["simulate", spec, "--json", out]))
+        assert f"{key}: expected" in err and ("bool" if value is True else repr(value)) in err
+        assert not out.exists()
+
+    def test_integral_numbers_read_as_integers(self, tmp_path, capsys):
+        """Integer fields given as integral floats, such as 2.0, run the
+        spec of the integers byte for byte, and are echoed as integers."""
+        numbers = {"seed": 7, "replicates": 2, "allocations": 40, "trees": 3, "m_try": 2,
+                   "auroc_grid": 11, "size": 3000}
+        outputs = []
+        for number in (float, int):
+            spec = self._integer_field_spec(tmp_path, {k: number(v) for k, v in numbers.items()})
+            out = tmp_path / f"{number.__name__}.json"
+            assert _run(["simulate", spec, "--json", out]) == 0
+            outputs.append((out.read_bytes(), capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        echoed = json.loads(outputs[0][0])["experiment"]
+        assert type(echoed["classifiers"][0]["m_try"]) is int
+
+    @pytest.mark.parametrize("replicates", [1, 0])
+    def test_fewer_than_two_replicates_are_refused_at_spec_read(
+        self, tmp_path, capsys, replicates
+    ):
+        """The aggregate needs two replicates, so a spec with fewer is
+        refused before any replicate runs."""
+        payload = json.loads(self._spec_file(tmp_path).read_text())
+        payload["replicates"] = replicates
+        spec = tmp_path / "one.json"
+        spec.write_text(json.dumps(payload))
+        out, reps = tmp_path / "summary.json", tmp_path / "reps.csv"
+        code = _run(["simulate", spec, "--json", out, "--replicates-csv", reps])
+        assert _one_line_data_error(capsys, code) == (
+            f"error: replicates must be >= 2, got {replicates}\n"
+        )
+        assert not out.exists() and not reps.exists()
+
+    @pytest.mark.parametrize("given, ran", [(2.0, 2), ("101", 101)])
     def test_auroc_grid_reads_like_an_integer_field(self, tmp_path, capsys, given, ran):
         """``auroc_grid`` goes through ``int()`` once, at spec read: the run,
         its echo in ``--json`` and its metadata label are those of the

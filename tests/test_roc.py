@@ -20,8 +20,8 @@ from svymetrics.errors import DataValidationError, SchemaError, UndefinedMetricE
 from svymetrics.estimation import population_truth, tally_binned_counts, tally_counts
 from svymetrics.evaluation import (
     EvaluationSummary,
-    ThresholdMetrics,
     evaluation_summary,
+    metric_key,
     parse_grid,
     population_summary,
     resolve_grid,
@@ -33,7 +33,6 @@ from svymetrics.roc import (
     score_adapted_grid,
     uniform_grid,
 )
-from svymetrics.types import MetricResult
 
 
 class TestGrids:
@@ -57,20 +56,20 @@ class TestGrids:
         with pytest.raises(DataValidationError):
             roc_sweep(evaluation, [0.0, 0.5, 0.5, 1.0], "weighted")  # not strict
 
-    @pytest.mark.parametrize("value, points", [("exact", "exact"), (101, 101), (2.7, 2),
+    @pytest.mark.parametrize("value, points", [("exact", "exact"), (101, 101), (2.0, 2),
                                                ("101", 101), (np.int64(7), 7)])
     def test_parse_grid_reads_a_count_as_int_does(self, value, points):
         assert parse_grid(value, "auroc_grid") == points
         assert type(parse_grid(value, "auroc_grid")) is type(points)
 
-    @pytest.mark.parametrize("value", ["abc", "2.7", "", float("inf"), float("nan"), True,
-                                       None, [101]])
+    @pytest.mark.parametrize("value", ["abc", "2.7", 2.7, 11.5, "", float("inf"), float("nan"),
+                                       True, None, [101]])
     def test_parse_grid_refuses_what_int_refuses_naming_the_value(self, value):
         with pytest.raises(SchemaError) as raised:
             parse_grid(value, "--grid")
         assert str(raised.value) == f"--grid: expected 'exact' or a point count, got {value!r}"
 
-    @pytest.mark.parametrize("value", [1, 0, -5, 1.9])
+    @pytest.mark.parametrize("value", [1, 0, -5, 1.0])
     def test_parse_grid_refuses_fewer_than_two_points(self, value):
         with pytest.raises(DataValidationError, match="^auroc_grid must be 'exact' or a point "
                                                       "count >= 2, got"):
@@ -258,14 +257,13 @@ class TestPopulationSummary:
                 roc_sweep(truth, resolve_grid(grid, truth.scores), "unweighted")
             return
         area = auroc(roc_sweep(truth, resolve_grid(grid, truth.scores), "unweighted"))
-        expected = EvaluationSummary(
-            weighting="population-truth",
-            at_thresholds=tuple(
-                ThresholdMetrics(t, *population_truth(truth.outcomes, truth.scores, t))
-                for t in thresholds
-            ),
-            auroc=MetricResult(area, "auroc", "population-truth"),
-        )
+        metrics = {}
+        for t in thresholds:
+            sn, sp = population_truth(truth.outcomes, truth.scores, t)
+            metrics[metric_key("sensitivity", t)] = (sn, None)
+            metrics[metric_key("specificity", t)] = (sp, None)
+        metrics["auroc"] = (area, None)
+        expected = EvaluationSummary("population-truth", tuple(thresholds), metrics)
         got = population_summary(*census_counts(truth), thresholds, grid)
         assert json.dumps(got.to_json_dict()) == json.dumps(expected.to_json_dict())
 
@@ -405,7 +403,8 @@ class TestEvaluationSummary:
             assert got == expected
             return
         assert json.dumps(got.to_json_dict()) == json.dumps(expected.to_json_dict())
-        assert np.float64(got.auroc.value).tobytes() == np.float64(expected.auroc.value).tobytes()
+        area, expected_area = got.metrics["auroc"][0], expected.metrics["auroc"][0]
+        assert np.float64(area).tobytes() == np.float64(expected_area).tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -435,21 +434,17 @@ class TestEvaluationSummary:
             return
         assert (got.weighting, expected.weighting) == ("unweighted", "weighted")
 
-        def exact(metric):
-            se = metric.standard_error
-            return (metric.kind, np.float64(metric.value).tobytes(),
-                    None if se is None else np.float64(se).tobytes())
+        def exact(metrics):
+            return {key: (np.float64(value).tobytes(), None if se is None else np.float64(se).tobytes())
+                    for key, (value, se) in metrics.items()}
 
-        assert exact(got.auroc) == exact(expected.auroc)
-        assert len(got.at_thresholds) == len(expected.at_thresholds) == len(thresholds)
-        for t, mine, theirs in zip(thresholds, got.at_thresholds, expected.at_thresholds):
-            assert mine.threshold == theirs.threshold == t
-            for kind in ("sensitivity", "specificity"):
-                assert getattr(mine, kind).weighting == "unweighted"
-                assert exact(getattr(mine, kind)) == exact(getattr(theirs, kind))
+        assert got.thresholds == expected.thresholds == tuple(thresholds)
+        assert list(got.metrics) == list(expected.metrics)
+        assert exact(got.metrics) == exact(expected.metrics)
+        for t in thresholds:
             tp, tn, fp, fn = confusion_counts(y, [v >= t for v in s])
-            assert mine.sensitivity.value == tp / (tp + fn)
-            assert mine.specificity.value == tn / (tn + fp)
+            assert got.metrics[metric_key("sensitivity", t)][0] == tp / (tp + fn)
+            assert got.metrics[metric_key("specificity", t)][0] == tn / (tn + fp)
 
     def test_population_truth_is_not_an_estimator_weighting(self):
         """A census truth is no weighting of a test split: the summary

@@ -28,7 +28,7 @@ from svymetrics import simulation
 from svymetrics.errors import (
     AggregationError, DataValidationError, DesignError, SchemaError, SvymetricsError,
 )
-from svymetrics.evaluation import evaluation_summary
+from svymetrics.evaluation import evaluation_summary, threshold_label
 from svymetrics.rng import derive_stream
 from svymetrics.sampling import StratifiedDesign, split_train_test, stratified_sample
 from svymetrics.simulation import (
@@ -51,7 +51,6 @@ from svymetrics.simulation import (
     render_summary_json,
     run_experiment,
     run_replicate,
-    threshold_label,
 )
 from svymetrics.types import EvaluationSet, strictly_ascending
 
@@ -220,11 +219,9 @@ class TestRunReplicate:
         population = generate_population(exp.population, derive_stream(exp.seed, "population"))
         report = run_replicate(exp, population, 0, PatternTable.of(population))
         cr = report.outcomes[0]
-        tm = cr.population.at_thresholds[0]
-        assert tm.sensitivity.value == 1.0 and tm.specificity.value == 0.0
-        for summary in (cr.weighted, cr.unweighted):
-            assert summary.at_thresholds[0].sensitivity.value == 1.0
-            assert summary.at_thresholds[0].specificity.value == 0.0
+        for summary in (cr.population, cr.weighted, cr.unweighted):
+            assert summary.metrics["sensitivity@0.5"][0] == 1.0
+            assert summary.metrics["specificity@0.5"][0] == 0.0
 
     def test_census_design_makes_weightings_agree(self):
         """Sampling the whole population (census) gives every member w = 1,
@@ -234,18 +231,16 @@ class TestRunReplicate:
         population = generate_population(spec, derive_stream(21, "population"))
         exp = ExperimentSpec(
             seed=21,
-            replicates=1,
+            replicates=2,
             design_allocations=population.stratum_sizes,
             classifiers=(ClassifierSpec(kind="logistic"),),
             population=spec,
         )
         report = run_replicate(exp, population, 0, PatternTable.of(population))
         cr = report.outcomes[0]
-        for metric in ("sensitivity", "specificity"):
-            w = getattr(cr.weighted.at_thresholds[0], metric).value
-            u = getattr(cr.unweighted.at_thresholds[0], metric).value
+        for key in ("sensitivity@0.5", "specificity@0.5", "auroc"):
+            w, u = cr.weighted.metrics[key][0], cr.unweighted.metrics[key][0]
             assert w == pytest.approx(u, abs=1e-12)
-        assert cr.weighted.auroc.value == pytest.approx(cr.unweighted.auroc.value, abs=1e-12)
 
     def test_failures_recorded_not_raised(self):
         # a logistic fit allowed one IRLS iteration fails to converge inside the replicate
@@ -266,8 +261,8 @@ class TestRunReplicate:
         report_excl = run_replicate(exp, population, 0, PatternTable.of(population))
         exp_incl = _tiny_experiment(include_sample_in_truth=True)
         report_incl = run_replicate(exp_incl, population, 0, PatternTable.of(population))
-        sn_excl = report_excl.outcomes[0].population.at_thresholds[0].sensitivity.value
-        sn_incl = report_incl.outcomes[0].population.at_thresholds[0].sensitivity.value
+        sn_excl = report_excl.outcomes[0].population.metrics["sensitivity@0.5"][0]
+        sn_incl = report_incl.outcomes[0].population.metrics["sensitivity@0.5"][0]
         assert sn_excl != sn_incl  # same model, different truth universe
 
     def test_upsampling_leaves_evaluation_untouched(self):
@@ -444,7 +439,7 @@ class TestReplicateMatchesRowFormReplay:
         population = make_population([int(i % 3 == 0) for i in range(50)], strata, (x,))
         exp = ExperimentSpec(
             seed=3,
-            replicates=1,
+            replicates=2,
             design_allocations={"a": 30},
             classifiers=(ClassifierSpec(kind="logistic"),),
             population=default_experiment_population_spec(size=100),  # unused: given below
@@ -472,7 +467,7 @@ class TestReplicateMatchesRowFormReplay:
         population = make_population([int(i % 3 == 0) for i in range(47)], strata, (x, c))
         exp = ExperimentSpec(
             seed=3,
-            replicates=1,
+            replicates=2,
             design_allocations={"a": 30},
             classifiers=(ClassifierSpec(kind=kind, trees=3),),
             population=default_experiment_population_spec(size=100),  # unused: given below
@@ -519,7 +514,7 @@ class TestAggregate:
         summary = aggregate(reports, exp)
         agg = summary.tables["logistic"]["weighted"]["sensitivity@0.5"]
         manual = np.array(
-            [r.outcomes[0].weighted.at_thresholds[0].sensitivity.value for r in reports]
+            [r.outcomes[0].weighted.metrics["sensitivity@0.5"][0] for r in reports]
         )
         assert agg.mean == pytest.approx(manual.mean())
         assert agg.mc_sd == pytest.approx(manual.std(ddof=1))
@@ -687,8 +682,8 @@ class TestForestVersusTreeAuroc:
         result = run_experiment(exp, population=population)
         for rep in result.reports:
             by_name = {o.name: o for o in rep.outcomes}
-            tree_auc = by_name["tree"].unweighted.auroc.value
-            forest_auc = by_name["forest"].unweighted.auroc.value
+            tree_auc = by_name["tree"].unweighted.metrics["auroc"][0]
+            forest_auc = by_name["forest"].unweighted.metrics["auroc"][0]
             assert forest_auc >= tree_auc - 0.02
 
 
@@ -809,7 +804,7 @@ def _inline_experiments(draw):
     )
     return ExperimentSpec(
         seed=draw(st.integers(0, 2**63)),
-        replicates=draw(st.integers(1, 1000)),
+        replicates=draw(st.integers(2, 1000)),
         design_allocations={s: draw(st.integers(1, 10_000)) for s in strata},
         classifiers=classifiers,
         population=PopulationSpec(
@@ -969,12 +964,12 @@ class TestExperimentJson:
 
     def test_numbers_are_converted_by_field_type(self):
         """Integer literals in float fields (``range`` included) are echoed
-        as floats, and a fractional ``m_try`` or ``trees`` reads as int()."""
+        as floats, and an integral ``m_try`` or ``trees`` such as 2.0 as an int."""
         payload = json.loads(json.dumps(_SMALL_SPECS[2]))
         payload["population"]["covariates"][0]["range"] = [18, 80]
         payload["population"]["covariates"][1]["rate"] = 1
         payload["thresholds"] = [0, 1]
-        payload["classifiers"] = [{"kind": "forest", "trees": 2.5, "m_try": 2.5}]
+        payload["classifiers"] = [{"kind": "forest", "trees": 2.0, "m_try": 2.0}]
         doc = experiment_to_json_dict(experiment_from_json_dict(payload))
         covariates = doc["population"]["covariates"]
         assert json.dumps(covariates[0]["ranges"]["a"]) == "[18.0, 80.0]"

@@ -13,7 +13,7 @@ from svymetrics import types as types_module
 from svymetrics.errors import DataValidationError
 from svymetrics.simulation import record_ids
 from svymetrics.types import (
-    ConfusionTally, EvaluationSet, FinitePopulation, MetricResult, Record, SurveySample,
+    ConfusionTally, EvaluationSet, FinitePopulation, Record, SurveySample,
     strictly_ascending,
 )
 
@@ -264,9 +264,3 @@ class TestConfusionTally:
         tally = ConfusionTally(tp=2.0, tn=5.0, fp=1.0, fn=3.0)
         assert [f.name for f in dataclasses.fields(tally)] == ["tp", "tn", "fp", "fn"]
         assert tally.tp + tally.tn + tally.fp + tally.fn == 11.0
-
-
-class TestMetricResult:
-    def test_value_outside_unit_interval_rejected(self):
-        with pytest.raises(DataValidationError):
-            MetricResult(value=1.2, kind="sensitivity", weighting="weighted")
