@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..errors import DataValidationError, SchemaError
+from ..types import FEW_LEVELS, PROBE
 from .encoding import FeatureEncoder, binary_outcomes
 
 
@@ -146,15 +147,6 @@ def _fold_codes(
     return np.minimum.reduceat(order, np.flatnonzero(starts)), inverse
 
 
-# Up to this many levels, :func:`level_codes` compares a column with each
-# level in turn; above it a binary search or a sort codes the column.  On
-# a 2-core machine with numpy 2.4, on 9,000 and 117,000 rows, comparing
-# beat ``np.searchsorted`` at up to 48 levels, and ``np.unique(col)`` plus
-# comparing beat ``np.unique(col, return_inverse=True)`` (an argsort) up
-# to about 20 levels at 9,000 rows and 48 at 117,000.
-FEW_LEVELS = 16
-
-
 def level_codes(levels: np.ndarray, col: np.ndarray) -> np.ndarray:
     """``np.searchsorted(levels, col, side="left")`` for ascending float
     ``levels`` (NaN last): each value's count of the levels that sort
@@ -256,15 +248,12 @@ def distinct_rows(
     return _fold_codes(map(_value_codes, columns), n)
 
 
-_PROBE = 256  # leading entries that can show a float column to be many-valued
-
-
 def _value_codes(col: np.ndarray) -> tuple[np.ndarray, int]:
     """Each entry's index among the sorted distinct values of ``col``, and
     their count."""
     # A column whose first entries hold more than FEW_LEVELS values is
     # sorted once, not once to count its values and again for the codes.
-    if col.dtype.kind == "f" and np.unique(col[:_PROBE]).size <= FEW_LEVELS:
+    if col.dtype.kind == "f" and np.unique(col[:PROBE]).size <= FEW_LEVELS:
         values = np.unique(col)
         if values.size <= FEW_LEVELS:
             return level_codes(values, col), values.size

@@ -37,7 +37,7 @@ from .io import (
 )
 from .rng import derive_stream
 from .roc import roc_sweep
-from .sampling import split_train_test
+from .sampling import check_eval_fraction, split_train_test
 from .simulation import (
     SPEC_VERSION,
     ClassifierSpec,
@@ -166,6 +166,7 @@ def _cmd_split(args) -> int:
                         ("--train-out and --eval-out", args.train_out, args.eval_out)):
         if _same_file(a, b):
             raise DataValidationError(f"{flags} name the same file {a}")
+    check_eval_fraction(args.eval_fraction)
     result = ingest_csv(args.input, schema)
     training, evaluation = split_train_test(
         result.sample, args.eval_fraction, derive_stream(args.seed, "split")
@@ -196,13 +197,13 @@ def _cmd_train(args) -> int:
     schema = _schema_from_args(args)
     if not schema.features:
         raise SchemaError("training requires feature columns in the schema")
-    data = ingest_csv(args.input, schema).data
     kind = args.model
     if kind in ("forest", "balanced-forest") and args.seed is None:
         raise SchemaError(f"--seed is required for stochastic model {kind!r}")
     spec = ClassifierSpec(
         kind=kind.replace("-", "_"), **{name: getattr(args, name) for name in _TUNING_FIELDS}
     )
+    data = ingest_csv(args.input, schema).data
     model = fit_classifier(
         spec, data, np.arange(data.size), lambda stage: derive_stream(args.seed, stage)
     )

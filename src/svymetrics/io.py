@@ -9,6 +9,7 @@ files reproduce in-memory results exactly.
 
 from __future__ import annotations
 
+import codecs
 import collections.abc
 import contextlib
 import csv
@@ -25,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataValidationError, SchemaError
-from .types import FinitePopulation, SurveySample, repeated_ids
+from .types import FEW_LEVELS, PROBE, FinitePopulation, SurveySample, repeated_ids
 
 
 @dataclass(frozen=True)
@@ -71,29 +72,39 @@ class DataSchema:
 
 
 @contextlib.contextmanager
-def _opened(path: str | Path):
-    """A UTF-8 text file opened for reading, newlines kept as written and a
-    leading byte-order mark dropped; a missing file or a bad byte read
-    within is a DataValidationError naming it."""
+def _utf8_file(path: str | Path):
+    """``path`` as a Path, for reading as UTF-8 text: a missing file, or a
+    bad byte decoded within, is a DataValidationError naming it."""
     path = Path(path)
     if not path.exists():
         raise DataValidationError(f"file not found: {path}")
     try:
-        with path.open(newline="", encoding="utf-8-sig") as fh:
-            yield fh
+        yield path
     except UnicodeDecodeError as exc:
         raise DataValidationError(f"{path} is not UTF-8 text: {exc.reason}") from exc
 
 
+@contextlib.contextmanager
+def _opened(path: str | Path):
+    """A UTF-8 text file opened for reading, newlines kept as written and a
+    leading byte-order mark dropped, as ``_utf8_file`` checks it."""
+    with _utf8_file(path) as path, path.open(newline="", encoding="utf-8-sig") as fh:
+        yield fh
+
+
 def _text_pieces(path: str | Path, size: int = -1):
-    """A UTF-8 text file's contents, ``size`` characters at a time (-1:
-    all at once), as ``_opened`` reads them."""
-    with _opened(path) as fh:
-        yield from iter(lambda: fh.read(size), "")
+    """A UTF-8 text file's contents, decoded ``size`` bytes at a time (-1:
+    all at once) by one decoder, so a character may span two reads; a
+    leading byte-order mark is dropped, as ``_utf8_file`` checks it."""
+    decoder = codecs.getincrementaldecoder("utf-8-sig")()
+    with _utf8_file(path) as path, path.open("rb") as fh:
+        for data in iter(lambda: fh.read(size), b""):
+            yield decoder.decode(data)
+        yield decoder.decode(b"", final=True)
 
 
 # Data rows parsed at a time, and rows formatted and written at a time; a
-# quote-free file is also read this many characters at a time.
+# quote-free file is also read this many bytes at a time.
 CHUNK_LINES = 65_536
 
 
@@ -112,8 +123,9 @@ def _split_lines(text: str) -> list[str]:
 
 def _line_lists(pieces, limit: int):
     """The lines of the text that ``pieces`` make up, a list per piece that
-    ends a line; _NotPlain at a line longer than ``limit`` that no piece
-    ends, or as ``_split_lines``."""
+    ends a line; _NotPlain at a line longer than ``limit``, or as
+    ``_split_lines``.  Only a piece longer than ``limit`` can hold such a
+    line, so only such a piece's lines are measured."""
     rest = ""
     for piece in pieces:
         piece = rest + piece
@@ -122,7 +134,10 @@ def _line_lists(pieces, limit: int):
         if len(rest) > limit:
             raise _NotPlain
         if cut:
-            yield _split_lines(piece[:cut])
+            lines = _split_lines(piece[:cut])
+            if cut > limit and max(map(len, lines)) > limit:
+                raise _NotPlain
+            yield lines
     yield _split_lines(rest)
 
 
@@ -149,13 +164,13 @@ class _Lines:
         limit = csv.field_size_limit()
         lines = chain.from_iterable(_line_lists(_text_pieces(path, CHUNK_LINES), limit))
         header = next(lines)
-        if not header or len(header) > limit:
+        if not header:
             raise _NotPlain
         yield header.split(",")
         commas = {header.count(",")}
         chunk = None
         for chunk in _chunks(lines):
-            if set(map(str.count, chunk, repeat(","))) != commas or max(map(len, chunk)) > limit:
+            if set(map(str.count, chunk, repeat(","))) != commas:
                 raise _NotPlain
             yield chunk
         if chunk is None:  # no data line
@@ -168,8 +183,8 @@ class _Lines:
 
     @staticmethod
     def write(fh, rows: list[str], texts: list[list[str]]) -> None:
-        line = ",".join(["{}"] * (1 + len(texts))) + "\r\n"
-        fh.write("".join(map(line.format, rows, *texts)))
+        # The trailing "" ends the last line too, and writes nothing for no rows.
+        fh.write("\r\n".join(chain(map(",".join, zip(rows, *texts)), [""])))
 
 
 class _Records:
@@ -240,10 +255,9 @@ class _Columns:
                     parts.append(part)
             elif kind == "code":
                 parts, index = out
-                cells = list(map(str.strip, cells))
-                for label in dict.fromkeys(cells):
-                    index.setdefault(label, len(index))
-                parts.append(np.fromiter(map(index.__getitem__, cells), np.int32, count))
+                codes = {cell: index.setdefault(cell.strip(), len(index))
+                         for cell in dict.fromkeys(cells)}
+                parts.append(np.fromiter(map(codes.__getitem__, cells), np.int32, count))
             else:
                 out.extend(map(str.strip, cells))
         self.size += count
@@ -340,12 +354,12 @@ def expect(value, kind, what: str):
 def from_json(hint, value):
     """Read a JSON value as the field type ``hint``.
 
-    Numbers go through ``int()`` or ``float()``, but a JSON boolean is no
-    number and a fractional number no ``int``; a ``bool`` must be a JSON
-    boolean and a ``str`` a string.  A dataclass with a ``from_json_dict``
-    classmethod reads itself, any other is read field by field, and a union
-    of dataclasses takes the member whose class-level ``kind`` the object
-    names.  Any other union of several types, and a bare ``dict``, pass as
+    Numbers go through ``int()`` or ``float()``, but a JSON boolean or
+    string is no number and a fractional number no ``int``; a ``bool`` must
+    be a JSON boolean and a ``str`` a string.  A dataclass with a
+    ``from_json_dict`` classmethod reads itself, any other is read field by
+    field, and a union of dataclasses takes the member whose class-level
+    ``kind`` the object names.  Any other union of several types, and a bare ``dict``, pass as
     given.
     """
     origin, args = typing.get_origin(hint), typing.get_args(hint)
@@ -380,8 +394,8 @@ def from_json(hint, value):
     if hint is bool:
         return expect(value, bool, "true or false")
     if hint in (int, float):
-        if isinstance(value, bool):
-            raise SchemaError("expected a number, got bool")
+        if isinstance(value, (bool, str)):
+            raise SchemaError(f"expected a number, got {type(value).__name__}")
         number = hint(value)
         if hint is int and isinstance(value, float) and number != value:
             raise SchemaError(f"expected an integer, got {value!r}")
@@ -465,10 +479,15 @@ def _blank(texts: Sequence[str]) -> np.ndarray:
 
 def _parse_floats(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``float()`` of every cell: the values (NaN where a cell fails), and
-    which cells are blank and which do not parse."""
+    which cells are blank and which do not parse.  A few-valued column
+    (see ``types.FEW_LEVELS``) calls ``float()`` once per distinct text."""
     n = len(texts)
     try:
-        values = np.fromiter(map(float, texts), dtype=np.float64, count=n)
+        if len(set(texts[:PROBE])) <= FEW_LEVELS:
+            parsed = {text: float(text) for text in set(texts)}
+            values = np.fromiter(map(parsed.__getitem__, texts), dtype=np.float64, count=n)
+        else:
+            values = np.fromiter(map(float, texts), dtype=np.float64, count=n)
         return values, np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
     except ValueError:
         pass

@@ -70,6 +70,12 @@ def stratified_sample(
     return SurveySample(ids=population.ids[drawn], weights=np.concatenate(weights), rows=drawn)
 
 
+def check_eval_fraction(eval_fraction: float) -> None:
+    """DegenerateSplitError unless ``eval_fraction`` lies in (0, 1)."""
+    if not (0.0 < eval_fraction < 1.0):
+        raise DegenerateSplitError(f"eval fraction must be in (0, 1), got {eval_fraction}")
+
+
 def split_train_test(
     sample: SurveySample,
     eval_fraction: float,
@@ -82,8 +88,7 @@ def split_train_test(
     the compound weight w*_i = w_i * (n / n_e).  Training members keep
     their original weights.  Both parts carry the rows of their members.
     """
-    if not (0.0 < eval_fraction < 1.0):
-        raise DegenerateSplitError(f"eval fraction must be in (0, 1), got {eval_fraction}")
+    check_eval_fraction(eval_fraction)
     n = sample.size
     n_e = round(eval_fraction * n)
     if n_e < 1 or n - n_e < 1:

@@ -21,6 +21,17 @@ from .errors import DataValidationError
 
 FeatureValue = float | str
 
+# A column is few-valued when its leading ``PROBE`` entries hold at most
+# ``FEW_LEVELS`` distinct values.  ``classifiers.tree.level_codes`` then
+# codes a float column by one comparison per level: on a 2-core machine
+# with numpy 2.4, on 9,000 and 117,000 rows, comparing beat
+# ``np.searchsorted`` at up to 48 levels, and ``np.unique(col)`` plus
+# comparing beat ``np.unique(col, return_inverse=True)`` (an argsort) up
+# to about 20 levels at 9,000 rows and 48 at 117,000.  ``io`` parses such
+# a CSV column once per distinct cell text.
+FEW_LEVELS = 16
+PROBE = 256
+
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
     """A read-only view of ``arr``, so a caller's own array stays writable."""

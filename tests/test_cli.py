@@ -266,6 +266,32 @@ class TestSplitRefusesCollidingOutputs:
         assert not any(out.exists() for out in outs.values() if out != link)
 
 
+class TestFlagsCheckedBeforeTheInputIsRead:
+    """A bad ``split`` or ``train`` flag is named even when the input file
+    is missing, so a large input is not read only to be refused."""
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("split", ["--seed", 1, "--eval-fraction", 1.5],
+         "eval fraction must be in (0, 1), got 1.5"),
+        ("split", ["--seed", 1, "--eval-fraction", 0],
+         "eval fraction must be in (0, 1), got 0.0"),
+        ("train", ["--model", "forest"], "--seed is required for stochastic model 'forest'"),
+        ("train", ["--model", "balanced-forest"],
+         "--seed is required for stochastic model 'balanced-forest'"),
+        ("train", ["--model", "logistic", "--max-iterations", 0],
+         "max_iterations must be >= 1, got 0"),
+        ("train", ["--model", "forest", "--seed", 1, "--trees", 0], "trees must be >= 1, got 0"),
+        ("train", ["--model", "tree", "--min-node-size", 0], "min_node_size must be >= 1, got 0"),
+    ])
+    def test_bad_flag_with_a_missing_input(self, tmp_path, capsys, command, flags, message):
+        outs = (["--train-out", tmp_path / "train.csv", "--eval-out", tmp_path / "eval.csv"]
+                if command == "split" else ["--out", tmp_path / "model.json"])
+        code = _run([command, "--input", tmp_path / "nope.csv", "--id-col", "id",
+                     "--outcome-col", "y", "--feature", "x1", *flags, *outs])
+        assert _one_line_data_error(capsys, code) == f"error: {message}\n"
+        assert not any(path.exists() for path in outs[1::2])
+
+
 class TestPredictUnseenCategory:
     @pytest.mark.parametrize("model", ["logistic", "tree", "forest"])
     def test_unseen_category_warns_in_one_line(self, tmp_path, capsys, model):
@@ -818,11 +844,14 @@ class TestSimulateCommand:
         assert "auroc_grid" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "key, value", [("include_sample_in_truth", "false"), ("seed", True), ("replicates", True)]
-    )
+    @pytest.mark.parametrize("key, value", [
+        ("include_sample_in_truth", "false"), ("seed", True), ("replicates", True),
+        ("seed", "7"), ("seed", "1_0"), ("seed", " 7 "), ("replicates", "2"),
+        ("eval_fraction", "0.5"),
+    ])
     def test_boolean_and_number_fields_do_not_convert(self, tmp_path, capsys, key, value):
-        """``"false"`` would read as true, and ``true`` as 1."""
+        """``"false"`` would read as true, ``true`` as 1, and the strings
+        ``"7"``, ``"1_0"`` and ``" 7 "`` as 7, 10 and 7."""
         payload = json.loads(self._spec_file(tmp_path).read_text())
         payload[key] = value
         spec = tmp_path / "types.json"

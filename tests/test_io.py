@@ -379,6 +379,15 @@ class TestJsonCodec:
         assert from_json(DataSchema, to_json(schema)) == schema
 
 
+@pytest.mark.parametrize("hint, value", [
+    (int, "7"), (int, "1_0"), (int, " 7 "), (float, "0.5"), (float, "nan"), (float, ""),
+])
+def test_number_field_refuses_a_string(hint, value):
+    """A JSON string is no number, though ``int()`` or ``float()`` would read it."""
+    with pytest.raises(SchemaError, match="^expected a number, got str$"):
+        from_json(hint, value)
+
+
 class TestPredictions:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "scores.csv"
@@ -801,6 +810,102 @@ class TestOraclesAtChunkBoundaries:
         _check_generated_files_reach_both_read_paths(workdir, monkeypatch)
 
 
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(alphabet="a,\r\n\u00e9\u65e5\U0001f600\ufeff", max_size=12),
+       bom=st.booleans(), size=st.integers(1, 7))
+def test_byte_pieces_decode_as_the_whole_file(workdir, text, bom, size):
+    """Read ``size`` bytes at a time, a file with 2-, 3- and 4-byte
+    characters, and a byte-order mark that a piece may cut, decodes to the
+    text that reading it whole gives: its first mark dropped, if any."""
+    path = workdir / "pieces.csv"
+    path.write_bytes(b"\xef\xbb\xbf" * bom + text.encode())
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        whole = fh.read()
+    assert whole == (text if bom else text.removeprefix("\ufeff"))
+    assert "".join(io_module._text_pieces(path, size)) == whole
+    assert "".join(io_module._text_pieces(path)) == whole
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, -1])
+@pytest.mark.parametrize("data", [
+    b"id\n\xc3", b"id\n\xe6\x97", b"id\n\xe6\x97a\n", b"id\n\xff\n", b"\xef\xbb\xbf\xff",
+    b"\xef\xbb",  # a cut byte-order mark, which Python's utf-8-sig drops
+])
+def test_bad_bytes_read_as_a_text_file_reads_them(tmp_path, size, data):
+    """Cut or bad bytes, read a few at a time, give the text or the error
+    reason that reading the file whole in text mode gives."""
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            expected = fh.read()
+    except UnicodeDecodeError as exc:
+        expected = (DataValidationError, f"{path} is not UTF-8 text: {exc.reason}")
+    assert _outcome(lambda: "".join(io_module._text_pieces(path, size))) == expected
+
+
+@pytest.mark.parametrize("lines", [1, 2, 3])
+def test_multibyte_survey_with_a_byte_order_mark_reads_as_without_it(tmp_path, lines):
+    """A survey with a byte-order mark and multi-byte ids and strata, read
+    and split a few bytes at a time, loads as the row loop loads the same
+    file without the mark, and splits as ``csv.writer`` writes it."""
+    text = ("id,y,wt,grp\r\n\u00e9,1,2,\u65e5\r\n\U0001f600,0,3,\u00fc\r\n"
+            "a\u00e9\u65e5,1,4,\u65e5 \r\n\u00e9\u00e9,0,5,\U0001f600\r\n")
+    plain = _write(tmp_path, text, name="plain.csv")
+    marked = _write(tmp_path, "\ufeff" + text, name="marked.csv")
+    schema = DataSchema(id_column="id", outcome_column="y", weight_column="wt",
+                        stratum_column="grp")
+    population, weights, report, _ = ingest_csv_per_row(plain, schema)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(io_module, "CHUNK_LINES", lines)
+        result = ingest_csv(marked, schema)
+        assert result.table.splitter is io_module._Lines
+        assert result.data.ids.tolist() == population.ids.tolist()
+        assert result.data.stratum_labels == population.stratum_labels
+        assert result.sample.weights.tolist() == weights.tolist()
+        assert result.report == report
+        rows = result.file_rows.tolist()
+        outs = {}
+        for name, write in (("ours", write_split_files), ("oracle", write_split_files_per_row)):
+            out = tmp_path / name
+            out.mkdir()
+            write(marked, result.table, rows[::2], [0.5] * len(rows[::2]), rows[1::2],
+                  [1 / 3] * len(rows[1::2]), [0.1] * len(rows[1::2]),
+                  out / "train.csv", out / "eval.csv", "wt")
+            outs[name] = [(out / f).read_bytes() for f in ("train.csv", "eval.csv")]
+    assert outs["ours"] == outs["oracle"]
+
+
+_LIMIT = csv.field_size_limit()
+
+
+@pytest.mark.parametrize("size", [_LIMIT // 2, _LIMIT - 3, _LIMIT, _LIMIT + 7, 3 * _LIMIT])
+@pytest.mark.parametrize("field, splitter", [
+    (_LIMIT - 2, io_module._Lines),  # its line ",1" is at the limit
+    (_LIMIT - 1, io_module._Records),  # its line is over the limit, no field is
+    (_LIMIT + 1, None),  # its field is over the limit: a data error
+])
+def test_long_line_across_pieces(tmp_path, size, field, splitter):
+    """A line at or over ``csv.field_size_limit()``, read ``size`` bytes at
+    a time so that it starts in one piece and ends in the next: a line over
+    the limit is left to ``csv.reader``, which reads it as the row loop
+    does, or refuses a field over the limit."""
+    text = "id,y\n" + "".join(f"r{i},1\n" for i in range(9)) + "a" * field + ",1\nz,0\n"
+    path = _write(tmp_path, text)
+    schema = DataSchema(id_column="id", outcome_column="y")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(io_module, "CHUNK_LINES", size)
+        got = _outcome(ingest_csv, path, schema)
+    if splitter is None:
+        assert got == (DataValidationError,
+                       f"{path}: field larger than field limit ({_LIMIT})")
+        return
+    population, _, report, _ = ingest_csv_per_row(path, schema)
+    assert got.table.splitter is splitter
+    assert got.data.ids.tolist() == population.ids.tolist()
+    assert got.report == report
+
+
 _BOUNDARY_TEXTS = {
     # A quoted "\n" or "\r\n" in the first, middle and last data rows.
     "newline in a quoted field": 'id,y,wt,note\r\na,1,2,"x\r\ny"\r\nb,0,3,"p\nq\nr"\r\n'
@@ -983,11 +1088,11 @@ class TestLineWritersMatchCsvWriter:
 _NUMBER_CELLS = NUMBERS[0] + NUMBERS[1] + CELLS["score"][0] + CELLS["score"][1]
 
 
-@settings(max_examples=200, deadline=None)
-@given(texts=st.lists(st.sampled_from(_NUMBER_CELLS)
-                      | st.text(alphabet="0123456789+-._eEinfxa \t\x00\u00a0\u0661", max_size=6),
-                      max_size=8))
-def test_float_parse_equals_float_per_cell(texts):
+_CELL_TEXTS = (st.sampled_from(_NUMBER_CELLS)
+               | st.text(alphabet="0123456789+-._eEinfxa \t\x00\u00a0\u0661", max_size=6))
+
+
+def _check_float_parse_equals_float_per_cell(texts):
     """``_parse_floats`` reads each cell as ``float()`` does: NaN where it
     fails, which cells are blank and which do not parse."""
     values, blank, bad = _parse_floats(texts)
@@ -1003,3 +1108,53 @@ def test_float_parse_equals_float_per_cell(texts):
     assert values.tobytes() == np.array(expected, dtype=np.float64).tobytes()
     assert blank.tolist() == [not text.strip() for text in texts]
     assert bad.tolist() == unparseable
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts=st.lists(_CELL_TEXTS, max_size=8))
+def test_float_parse_equals_float_per_cell(texts):
+    _check_float_parse_equals_float_per_cell(texts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(size=st.integers(300, 600),
+       pool=st.lists(_CELL_TEXTS, min_size=1, max_size=types_module.FEW_LEVELS + 3, unique=True),
+       form=st.sampled_from(["as drawn", "distinct past the probe", "bad past the probe"]),
+       data=st.data())
+def test_long_float_columns_parse_as_float_per_cell(size, pool, form, data):
+    """Columns longer than the probe, whose leading cells hold few or many
+    distinct texts, some with many distinct texts or with cells that fail
+    ``float()`` only past the probe, against ``float()`` per cell."""
+    rng = data.draw(st.randoms(use_true_random=False))
+    texts = rng.choices(pool, k=size)
+    past = range(types_module.PROBE, size)
+    if form == "distinct past the probe":
+        texts[types_module.PROBE:] = [repr(rng.random()) for _ in past]
+    elif form == "bad past the probe":
+        for at in rng.sample(past, rng.randint(1, 3)):
+            texts[at] = rng.choice(["", " ", "abc", "1,5", "0x1"])
+    _check_float_parse_equals_float_per_cell(texts)
+
+
+@pytest.mark.parametrize("lines", [1, 2, 3, io_module.CHUNK_LINES])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_code_labels_that_differ_by_blanks_are_one_stratum(workdir, lines, data):
+    """Stratum cells that strip to one label get one code, in order of
+    first appearance, whichever raw cell comes first."""
+    cells = data.draw(st.lists(st.sampled_from(["a", " a", "a ", " a ", "b", "\tb", "b\t", "",
+                                                " ", "ab", " a b "]), min_size=1, max_size=12))
+    text = "id,y,grp\n" + "".join(f"r{i},1,{cell}\n" for i, cell in enumerate(cells))
+    path = _write(workdir, text)
+    schema = DataSchema(id_column="id", outcome_column="y", stratum_column="grp")
+    expected = _outcome(ingest_csv_per_row, path, schema)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(io_module, "CHUNK_LINES", lines)
+        got = _outcome(ingest_csv, path, schema)
+    if isinstance(expected, tuple) and isinstance(expected[0], type):
+        assert got == expected
+        return
+    population, _, report, _ = expected
+    assert got.data.strata.tobytes() == population.strata.tobytes()
+    assert got.data.stratum_labels == population.stratum_labels
+    assert got.report == report

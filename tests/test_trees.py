@@ -1141,7 +1141,7 @@ class TestDistinctRows:
         """Float columns whose leading entries hold at most, or more than,
         :data:`FEW_LEVELS` values, with more values after them: coded as
         ``np.unique``'s inverse, contiguous and strided."""
-        head = data.draw(st.integers(0, tree_module._PROBE + 3))
+        head = data.draw(st.integers(0, tree_module.PROBE + 3))
         levels = data.draw(st.sampled_from([3, FEW_LEVELS, FEW_LEVELS + 1]))
         pool = np.array([-0.0, 0.0, np.nan, np.inf, *range(1, levels - 2)], dtype=np.float64)
         tail = data.draw(st.integers(0, 40))
