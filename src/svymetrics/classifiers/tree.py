@@ -152,11 +152,22 @@ def level_codes(levels: np.ndarray, col: np.ndarray) -> np.ndarray:
     ``levels`` (NaN last): each value's count of the levels that sort
     below it, where NaN sorts above every number and -0.0 equals 0.0.
 
-    At most :data:`FEW_LEVELS` levels are read by one comparison each;
-    more are searched.
+    At most :data:`FEW_LEVELS` levels are read by one comparison each.
+    Above that the values are sorted once: a value sorts above
+    ``levels[k]`` from ``searchsorted(sorted values, levels[k], "right")``
+    on, so each run between those bounds takes one code, scattered back
+    through the sort order.  A search per value would mispredict at every
+    step on unordered values.
     """
     if levels.size > FEW_LEVELS:
-        return np.searchsorted(levels, col, side="left")
+        order = np.argsort(col)
+        bounds = np.searchsorted(col[order], levels, side="right")
+        runs = np.diff(bounds, prepend=0, append=col.shape[0])
+        codes = np.empty(col.shape[0], dtype=np.intp)
+        codes[order] = np.repeat(
+            np.arange(levels.size + 1, dtype=np.min_scalar_type(levels.size)), runs
+        )
+        return codes
     numbers = [level for level in levels.tolist() if level == level]
     if len(numbers) > 1:
         col = np.ascontiguousarray(col)  # a strided column compares several times slower
@@ -171,16 +182,22 @@ def level_codes(levels: np.ndarray, col: np.ndarray) -> np.ndarray:
 
 def _split_cuts(trees: Sequence[FlatTree]):
     """Tree, column (an index into ``features``, the split columns) and
-    threshold of every internal node, in tree order; and ``cuts``, the
-    sorted unique thresholds on each split column."""
+    position among its column's cuts of every internal node, in tree
+    order; and ``cuts``, the sorted unique thresholds on each split
+    column."""
     internal = np.concatenate([tree.split_nodes for tree in trees])
     owner = np.repeat(np.arange(len(trees)), [tree.node_count for tree in trees])[internal]
     thresholds = np.concatenate([tree.threshold for tree in trees])[internal]
     features, column = np.unique(
         np.concatenate([tree.feature for tree in trees])[internal], return_inverse=True
     )
-    cuts = [np.unique(thresholds[column == k]) for k in range(features.size)]
-    return owner, column, thresholds, features, cuts
+    position = np.empty(column.size, dtype=np.intp)
+    cuts = []
+    for k in range(features.size):
+        mine = column == k
+        cut, position[mine] = np.unique(thresholds[mine], return_inverse=True)
+        cuts.append(cut)
+    return owner, column, position, features, cuts
 
 
 def score_trees(trees: Sequence[FlatTree], x: np.ndarray) -> np.ndarray:
@@ -189,46 +206,76 @@ def score_trees(trees: Sequence[FlatTree], x: np.ndarray) -> np.ndarray:
     A tree reads a row only through ``x[f] <= t`` for its split thresholds
     ``t`` on column ``f``.  With ``cut`` the sorted unique thresholds on
     ``f`` over all ``trees``, ``code = searchsorted(cut, x[:, f], "left")``
-    (:func:`level_codes`, which compares when there are few cuts)
-    satisfies ``x[f] <= cut[k]`` exactly when ``code <= k`` (NaN sorts
-    last), so the rows of a cell, equal codes on every split column, reach
-    the same nodes.  ``lut = [0] + searchsorted(local, cut, "right")`` maps
-    a code to one on a tree's own thresholds ``local``; a tree whose local
-    codes index a table much smaller than the cells fills it by
-    ``tree.predict`` on one cell per entry, and the others route every
-    cell.  Summed in tree order from 0.0, the mean is that of routing rows.
+    (:func:`level_codes`, once per column) satisfies ``x[f] <= cut[k]``
+    exactly when ``code <= k`` (NaN sorts last), so the rows of a cell,
+    equal codes on every split column, reach the same nodes.  Summed in
+    tree order from 0.0 (:func:`_cell_totals`), the mean is that of
+    routing rows.
     """
-    owner, column, thresholds, features, cuts = _split_cuts(trees)
+    split = _split_cuts(trees)
+    features, cuts = split[3:]
+    # Narrow codes, since every column's are held until the cells are known.
+    codes = [level_codes(cut, x[:, f]).astype(np.min_scalar_type(cut.size))
+             for f, cut in zip(features, cuts)]
     representatives, inverse = _fold_codes(
-        ((level_codes(cut, x[:, f]), cut.size + 1) for f, cut in zip(features, cuts)),
-        x.shape[0],
+        zip(codes, [cut.size + 1 for cut in cuts]), x.shape[0]
     )
-    cells = x[representatives]
-    n = cells.shape[0]
-    codes = [level_codes(cut, cells[:, f]) for f, cut in zip(features, cuts)]
-    # Each table's size is at most the product of (splits on a column + 1).
-    splits = np.bincount(owner * features.size + column, minlength=len(trees) * features.size)
-    bounds = np.prod(splits.reshape(len(trees), -1) + 1.0, axis=1)
-    first = np.searchsorted(owner, np.arange(len(trees) + 1))
-    total = 0.0
-    for t, tree in enumerate(trees):
-        if 4 * bounds[t] > n or tree.route_steps <= 2:  # lookups would not pay
-            total = total + tree.predict(cells)
-            continue
-        own, own_thresholds = column[first[t]:first[t + 1]], thresholds[first[t]:first[t + 1]]
-        key, span = 0, 1
-        for k in np.unique(own):
-            local = np.unique(own_thresholds[own == k])
-            lut = np.concatenate(([0], np.searchsorted(local, cuts[k], side="right")))
-            key = key + (lut * span)[codes[k]]
-            span *= local.size + 1
-        cell_of = np.full(span, -1)
-        cell_of[key] = np.arange(n)
-        present = np.flatnonzero(cell_of >= 0)
-        table = np.zeros(span)
-        table[present] = tree.predict(cells[cell_of[present]])
-        total = total + table[key]
+    codes = [c[representatives].astype(np.intp) for c in codes]
+    total = _cell_totals(trees, x[representatives], codes, *split)
     return (total / len(trees))[inverse]
+
+
+def _cell_totals(trees, cells, codes, owner, column, position, features, cuts) -> np.ndarray:
+    """Leaf values of ``trees`` per row of ``cells``, summed in tree order
+    from 0.0; ``codes`` are the cells' codes on the split columns, the
+    rest is what :func:`_split_cuts` returns.
+
+    A tree whose own thresholds cut the cells into a table much smaller
+    than the cell count fills the table by one ``tree.predict`` on a row
+    per entry, holding the entry's own threshold on each column (NaN above
+    the last), and reads its cells through one lookup per column: a
+    cumulative count, over every such tree at once, of its thresholds'
+    marks among the column's cuts, which maps a code to the tree's own.
+    The other trees route every cell.
+    """
+    n = cells.shape[0]
+    # Distinct thresholds of each tree on each column, plus one for NaN.
+    most = max((cut.size for cut in cuts), default=1)
+    marked = np.unique((owner * len(cuts) + column) * most + position) // most
+    radix = 1 + np.bincount(marked, minlength=len(trees) * len(cuts)).reshape(len(trees), -1)
+    table = 4 * np.prod(radix, axis=1, dtype=np.float64) <= n  # lookups pay
+    radix[~table] = 1
+    stride = np.cumprod(radix, axis=1) // radix
+    base = np.cumsum(radix, axis=0) - radix
+    size = np.prod(radix, axis=1) * table
+    # One row per table entry, tree after tree.
+    first = np.cumsum(size) - size
+    tree_of = np.repeat(np.arange(len(trees)), size)
+    entry = np.arange(tree_of.size) - first[tree_of]
+    grid = np.zeros((tree_of.size, cells.shape[1]))
+    dtype = np.min_scalar_type(n)  # holds every key, since a table has at most n / 4 entries
+    luts = []
+    for k, cut in enumerate(cuts):
+        # mark[t, p + 1] is 1 when tree t looks up and splits at cut[p]; the
+        # last entry stands for NaN.
+        mine = (column == k) & table[owner]
+        mark = np.zeros((len(trees), cut.size + 2), dtype=dtype)
+        mark[owner[mine], position[mine] + 1] = 1
+        mark[:, -1] = 1
+        own = np.append(cut, np.nan)[np.flatnonzero(mark) % mark.shape[1] - 1]
+        grid[:, features[k]] = own[base[tree_of, k] + entry // stride[tree_of, k] % radix[tree_of, k]]
+        lut = np.cumsum(mark, axis=1, out=mark)[:, :-1]
+        lut *= stride[:, k, None].astype(dtype)
+        luts.append(lut)
+    used = (radix > 1).tolist()
+    total = np.zeros(n)
+    for t, tree in enumerate(trees):
+        if not table[t]:
+            total += tree.predict(cells)
+            continue
+        key = sum(lut[t].take(code) for lut, code, on in zip(luts, codes, used[t]) if on)
+        total += tree.predict(grid[first[t]:first[t] + size[t]]).take(key)
+    return total
 
 
 def distinct_rows(

@@ -129,7 +129,8 @@ def population_summary(
     thresholds for a point-count grid.  Empty groups take no part, not even
     in an exact grid.  Rates are plain count ratios, with no standard errors.
     """
-    g = resolve_grid(grid, scores[positives + negatives > 0])
+    # Only an exact grid reads the scores, so only it pays for the mask.
+    g = resolve_grid(grid, scores[positives + negatives > 0] if grid == "exact" else scores)
     tally = tally_counts if grid == "exact" else tally_binned_counts
     fixed = np.asarray(thresholds, dtype=np.float64)
     counts = tally(scores, positives, negatives, np.concatenate([fixed, g]))

@@ -858,27 +858,30 @@ def _lookup_forest(draw):
     """A parsed forest over (x0, x1, region) whose trees split on one or
     two encoded columns, and scoring columns for it.
 
-    A full depth-5 tree on x0 with 31 distinct thresholds gives at least 31
-    cells, since each of its thresholds is a row, and its table would be as
-    large as that, so it routes; a chain of three splits has a table of at
-    most 6 values and looks up.  Zero to two trees of any shape up to depth
-    3 to 5, a single leaf among them, join the two in drawn order, and all
-    but the chain may have their routing cut short."""
+    Two full depth-5 trees, one on x0 and one on x1, with 31 distinct
+    thresholds each, give both columns more than :data:`FEW_LEVELS` cuts,
+    so both are coded by a sort.  The one on x0 gives at least 31 cells,
+    since each of its thresholds is a row; each of their tables would be
+    as large as that, so they route.  A chain of three splits has a table
+    of at most 6 values and looks up.  Zero to three trees of any shape up
+    to depth 1 to 5, single leaves and shallow trees among them, join them
+    in drawn order, and any tree may have its routing cut short."""
     features = draw(st.sampled_from([(0,), (0, 1), (0, 2)]))
     pool = st.sampled_from(_LOOKUP_POOL)
-    wide_cuts = draw(st.lists(pool, min_size=31, max_size=31, unique=True))
-    wide = _tree_doc(draw, (0,), iter(wide_cuts).__next__, 5, lambda level: True)
+    wide_cuts = [draw(st.lists(pool, min_size=31, max_size=31, unique=True)) for _ in range(2)]
+    wide = [_tree_doc(draw, (f,), iter(cuts).__next__, 5, lambda level: True)
+            for f, cuts in enumerate(wide_cuts)]
     # Grown in preorder, the chain's left children are leaves.
     splits = iter((True, False, True, False, True))
     chain = _tree_doc(draw, features, lambda: draw(pool), 3, lambda level: next(splits))
     others = [
-        _tree_doc(draw, features, lambda: draw(pool), draw(st.integers(3, 5)),
+        _tree_doc(draw, features, lambda: draw(pool), draw(st.integers(1, 5)),
                   lambda level: draw(st.booleans()))
-        for _ in range(draw(st.integers(0, 2)))
+        for _ in range(draw(st.integers(0, 3)))
     ]
-    for doc in [wide, *others]:
+    for doc in [*wide, chain, *others]:
         doc["route_steps"] = draw(st.integers(0, doc["route_steps"]))
-    docs = draw(st.permutations([wide, chain, *others]))
+    docs = draw(st.permutations([*wide, chain, *others]))
     payload = {
         "schema_version": "1", "model": "forest",
         "encoder": {"features": [{"kind": "numeric", "categories": None},
@@ -891,7 +894,7 @@ def _lookup_forest(draw):
     forest = model_from_json_dict(payload)
     values = st.sampled_from(_LOOKUP_POOL + _SPECIAL_VALUES)
     extra = draw(st.integers(0, 60))
-    x0 = wide_cuts + draw(st.lists(values, min_size=extra, max_size=extra))
+    x0 = wide_cuts[0] + draw(st.lists(values, min_size=extra, max_size=extra))
     rows = len(x0)
     columns = [
         np.asarray(x0, dtype=np.float64),
@@ -899,7 +902,7 @@ def _lookup_forest(draw):
         np.asarray(draw(st.lists(st.sampled_from("abz"), min_size=rows, max_size=rows)),
                    dtype=object),
     ]
-    return forest, docs.index(wide), docs.index(chain), columns
+    return forest, [docs.index(doc) for doc in wide], docs.index(chain), columns
 
 
 class TestThresholdCellScoring:
@@ -1008,6 +1011,7 @@ class TestThresholdCellScoring:
         way each tree's ``predict`` runs once, and the scores are those of
         routing every cell and of walking every row, byte for byte."""
         forest, wide, chain, columns = drawn
+        assert all(cut.size > FEW_LEVELS for cut in tree_module._split_cuts(forest.trees)[4][:2])
         calls = []
         predict = FlatTree.predict
 
@@ -1024,10 +1028,29 @@ class TestThresholdCellScoring:
         assert len(calls) == len(forest.trees)
         assert all(tree is want for (tree, _), want in zip(calls, forest.trees))
         assert all(rows <= cells for _, rows in calls)
-        assert calls[wide][1] == cells  # its table would outsize the cells
+        assert all(calls[t][1] == cells for t in wide)  # their tables would outsize the cells
         assert calls[chain][1] < cells
         assert got.tobytes() == score_trees_routed(forest.trees, x).tobytes()
         assert got.tobytes() == _walk_scores(forest, columns).tobytes()
+
+    def test_scoring_memory_on_a_distinct_population(self):
+        """A 100-tree balanced forest scores a 117,000-row paper population,
+        every row distinct, with its traced peak, the encoded matrix
+        included, within 2.1 times that matrix's bytes: the 5.89 MB that
+        scoring took before the lookups were built once per forest."""
+        population = generate_population(
+            POPULATION_PRESETS["paper"](117_000), np.random.default_rng(2023)
+        )
+        rows = np.random.default_rng(5).choice(population.size, 8_000, replace=False)
+        spec = ClassifierSpec(kind="balanced_forest", trees=100)
+        forest = fit_classifier(spec, population, rows, lambda stage: derive_stream(5, stage))
+        tracemalloc.start()
+        try:
+            forest.predict_proba(population.features)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * forest.encoder.transform(population.features).nbytes
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -1078,8 +1101,8 @@ _LEVEL_VALUES = st.sampled_from((np.nan, np.inf, -np.inf, -0.0, 0.0, 0.5, -1.0, 
 
 class TestLevelCodes:
     """``level_codes`` is ``np.searchsorted(levels, col, "left")``: by one
-    comparison per level up to :data:`FEW_LEVELS` levels, by the search
-    above."""
+    comparison per level up to :data:`FEW_LEVELS` levels, by one sort of
+    the values above."""
 
     @staticmethod
     def _check(levels, col, strided):
@@ -1104,6 +1127,27 @@ class TestLevelCodes:
            col=st.lists(_LEVEL_VALUES, max_size=30), strided=st.booleans())
     def test_levels_around_the_crossover_equal_searchsorted(self, levels, col, strided):
         self._check(levels, col, strided)
+
+    @settings(max_examples=100, deadline=None)
+    @given(levels=st.lists(_LEVEL_VALUES, min_size=FEW_LEVELS + 1, max_size=60),
+           data=st.data(), strided=st.booleans())
+    def test_many_levels_equal_searchsorted(self, levels, data, strided):
+        """Above :data:`FEW_LEVELS` the values are sorted once: values tied
+        with levels, NaN, +-inf and +-0.0 among levels and values."""
+        values = st.sampled_from(levels) | _LEVEL_VALUES
+        self._check(levels, data.draw(st.lists(values, max_size=80)), strided)
+
+    @settings(max_examples=40, deadline=None)
+    @given(levels=st.integers(FEW_LEVELS + 1, 5_000), values=st.integers(0, 20_000),
+           seed=st.integers(0, 2**32 - 1), strided=st.booleans())
+    def test_many_levels_on_long_columns(self, levels, values, seed, strided):
+        """Up to 5,000 levels and 20,000 values, drawn from one pool of
+        rounded numbers and special values, so that values tie with levels
+        and with each other."""
+        rng = np.random.default_rng(seed)
+        pool = np.concatenate([[np.nan, np.inf, -np.inf, -0.0, 0.0],
+                               np.round(rng.normal(size=levels), 2)])
+        self._check(rng.choice(pool, levels), rng.choice(pool, values), strided)
 
 
 class TestDistinctRows:
